@@ -7,7 +7,7 @@ tables and sampled data.
 """
 
 from .angles import Angle
-from .config import ExperimentConfig, build_model, build_run_schedule, parse_config
+from .config import ExperimentConfig, build_model, parse_config
 from .errors import (
     ConfigError,
     ImpossibleEvidenceError,

@@ -10,7 +10,6 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import logging
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .angles import Angle, setting_text
-from .config import ExperimentConfig, build_model, build_run_schedule, parse_config
+from .config import ExperimentConfig, apply_overrides, build_model, parse_config
 from .errors import ConfigError, SimulationError, UnsupportedScenarioError
 from .harness import (
     Dataset,
@@ -49,6 +48,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
+
+#: Every file a run writes; a rerun into the same directory removes them first.
+ARTIFACTS = ("summary.json", "dataset.csv", "behavior_estimate.csv", "trace.json", "plot_correlator.txt")
 
 
 def _estimates_section(behavior: Behavior, dataset: Dataset, config: ExperimentConfig) -> dict:
@@ -194,7 +196,7 @@ def _plot_rows(behavior: Behavior, dataset: Dataset, config: ExperimentConfig) -
 def run(config: ExperimentConfig, outdir: Path) -> dict:
     """Execute the configured run and write every artifact into ``outdir``."""
     behavior = build_model(config)
-    schedule = build_run_schedule(config)
+    schedule = config.schedule
 
     log.info("sampling %d trials per pair (seed %d)", config.trials_per_pair, config.seed)
     dataset = run_experiment(config)
@@ -230,6 +232,8 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
     }
 
     outdir.mkdir(parents=True, exist_ok=True)
+    for name in ARTIFACTS:
+        (outdir / name).unlink(missing_ok=True)
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
@@ -274,15 +278,10 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        config = parse_config(text)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError([("--seed", "must be non-negative")])
-            config = dataclasses.replace(config, seed=args.seed)
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError([("--trials", "must be at least 1")])
-            config = dataclasses.replace(config, trials_per_pair=args.trials)
+        config = apply_overrides(
+            parse_config(text),
+            {"seed": ("--seed", args.seed), "trials_per_pair": ("--trials", args.trials)},
+        )
     except ConfigError as exc:
         for path, reason in exc.errors:
             print(f"config error at {path or '<root>'}: {reason}", file=sys.stderr)

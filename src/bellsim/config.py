@@ -8,8 +8,9 @@ Parsing reports *every* problem found, not just the first.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .angles import Angle, setting_from_text
 from .errors import ConfigError, InvalidScheduleError, MissingDataError
@@ -27,32 +28,27 @@ from .models import (
 from .spacetime import Schedule, build_schedule
 
 MODEL_CHOICES = ("singlet", "pr-box", "lhv", "custom")
+_SINGLET = optimal_singlet_settings()
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run.  Scalar fields carry their JSON bounds as ``min``/``below`` metadata."""
+
     model: str = "singlet"
-    grid_a: tuple = (Angle.of(0), Angle.of(1, 2))
-    grid_b: tuple = (Angle.of(1, 4), Angle.of(-1, 4))
-    chsh: ChshSettings = field(default_factory=optimal_singlet_settings)
-    trials_per_pair: int = 10000
-    seed: int = 0
-    position_a: float = -1.0
-    position_b: float = 1.0
-    source_x: float = 0.0
-    t_prepare: float = 0.0
-    t_setting: float = 0.1
-    t_detection: float = 0.2
-    t_communication: float = 2.3
-    signal_speed: float = 1.0
-    c: float = 1.0
-    q_setting_width: float = 0.0
-    q_outcome_width: float = 0.0
+    grid_a: tuple = _SINGLET.grids()[0]
+    grid_b: tuple = _SINGLET.grids()[1]
+    chsh: ChshSettings = _SINGLET
+    trials_per_pair: int = field(default=10000, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0, "below": 2**128})
+    schedule: Schedule = field(default_factory=build_schedule)
+    q_setting_width: float = field(default=0.0, metadata={"min": 0.0})
+    q_outcome_width: float = field(default=0.0, metadata={"min": 0.0})
     preset_settings: bool = False
     preset_pair: tuple | None = None
     unresolved_local_setting: bool = False
-    workers: int = 1
-    traced_trials: int = 1
+    workers: int = field(default=1, metadata={"min": 1})
+    traced_trials: int = field(default=1, metadata={"min": 0})
     keep_records: bool = True
     lhv: LhvModel | None = None
     behavior_file: str | None = None
@@ -75,42 +71,24 @@ def build_model(config: ExperimentConfig) -> Behavior:
     raise ValueError(f"unknown model {config.model!r}")
 
 
-def build_run_schedule(config: ExperimentConfig) -> Schedule:
-    return build_schedule(
-        position_a=config.position_a,
-        position_b=config.position_b,
-        source_x=config.source_x,
-        t_prepare=config.t_prepare,
-        t_setting=config.t_setting,
-        t_detection=config.t_detection,
-        t_communication=config.t_communication,
-        signal_speed=config.signal_speed,
-        c=config.c,
-    )
+#: Fields parsed by one loop: JSON type from the default, bounds from metadata.
+_SCALARS = {f.name: f for f in fields(ExperimentConfig) if type(f.default) in (bool, int, float)}
 
-
-_KNOWN_KEYS = {
-    "model",
-    "grid_a",
-    "grid_b",
-    "chsh",
-    "trials_per_pair",
-    "seed",
-    "positions",
-    "stage_times",
-    "signal_speed",
-    "c",
-    "q_setting_width",
-    "q_outcome_width",
-    "preset_settings",
-    "preset_pair",
-    "unresolved_local_setting",
-    "workers",
-    "traced_trials",
-    "keep_records",
-    "lhv",
-    "behavior_file",
+#: JSON keys feeding ``build_schedule``: an object maps its keys to keyword
+#: arguments; ``None`` passes a top-level number under its own name.
+_SCHEDULE_KEYS = {
+    "positions": {"a": "position_a", "b": "position_b", "source": "source_x"},
+    "stage_times": {
+        "prepare": "t_prepare",
+        "setting": "t_setting",
+        "detection": "t_detection",
+        "communication": "t_communication",
+    },
+    "signal_speed": None,
+    "c": None,
 }
+
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"schedule"} | set(_SCHEDULE_KEYS)
 
 
 def _parse_setting(value, path, errors, angles: bool):
@@ -149,16 +127,45 @@ def _parse_grid(raw, path, errors, angles: bool):
     return tuple(out)
 
 
-def _want(raw, key, kind, path, errors, default):
-    if key not in raw:
-        return default
-    value = raw[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+def _typed(value, kind, path, errors):
+    """``value`` if it is a JSON ``kind`` (an integer passes as a float), else None."""
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        errors.append((path, f"expected {kind.__name__}"))
-        return default
-    return value
+    if type(value) is kind:
+        return value
+    errors.append((path, f"expected {kind.__name__}"))
+    return None
+
+
+def _bound_errors(name: str, value, path: str) -> list:
+    meta = _SCALARS[name].metadata
+    if "min" in meta and value < meta["min"]:
+        return [(path, f"must be at least {meta['min']}, got {value}")]
+    if "below" in meta and value >= meta["below"]:
+        return [(path, f"must be below {meta['below']}, got {value}")]
+    return []
+
+
+def _parse_schedule(raw, errors) -> Schedule | None:
+    kwargs = {}
+    for key, names in _SCHEDULE_KEYS.items():
+        if key not in raw:
+            continue
+        if names is None:
+            kwargs[key] = _typed(raw[key], float, key, errors)
+        elif not isinstance(raw[key], dict):
+            errors.append((key, f"must be an object with {', '.join(names)}"))
+        else:
+            for sub in sorted(set(raw[key]) - set(names)):
+                errors.append((f"{key}.{sub}", "unknown key"))
+            for sub, name in names.items():
+                if sub in raw[key]:
+                    kwargs[name] = _typed(raw[key][sub], float, f"{key}.{sub}", errors)
+    try:
+        return build_schedule(**{k: v for k, v in kwargs.items() if v is not None})
+    except InvalidScheduleError as exc:
+        errors.append(("stage_times", str(exc)))
+        return None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -174,26 +181,20 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in sorted(set(raw) - _KNOWN_KEYS):
         errors.append((key, "unknown key"))
 
-    model = _want(raw, "model", str, "model", errors, "singlet")
+    model = raw.get("model", "singlet")
     if model not in MODEL_CHOICES:
         errors.append(("model", f"must be one of {MODEL_CHOICES}"))
         model = "singlet"
 
     # model-appropriate grid and settings defaults; the singlet takes angles
     angles = model == "singlet"
-    if angles:
-        default_grid_a: tuple = (Angle.of(0), Angle.of(1, 2))
-        default_grid_b: tuple = (Angle.of(1, 4), Angle.of(-1, 4))
-        default_chsh = optimal_singlet_settings()
-    else:
-        default_grid_a = (0, 1)
-        default_grid_b = (0, 1)
-        default_chsh = pr_box_settings()
+    chsh = optimal_singlet_settings() if angles else pr_box_settings()
+    grid_a, grid_b = chsh.grids()
+    if "grid_a" in raw:
+        grid_a = _parse_grid(raw["grid_a"], "grid_a", errors, angles)
+    if "grid_b" in raw:
+        grid_b = _parse_grid(raw["grid_b"], "grid_b", errors, angles)
 
-    grid_a = _parse_grid(raw["grid_a"], "grid_a", errors, angles) if "grid_a" in raw else default_grid_a
-    grid_b = _parse_grid(raw["grid_b"], "grid_b", errors, angles) if "grid_b" in raw else default_grid_b
-
-    chsh = default_chsh
     if "chsh" in raw:
         if not isinstance(raw["chsh"], dict):
             errors.append(("chsh", "must be an object with x0, x1, y0, y1"))
@@ -209,53 +210,15 @@ def parse_config(text: str) -> ExperimentConfig:
             if len(vals) == 4 and all(v is not None for v in vals.values()):
                 chsh = ChshSettings(**vals)
 
-    trials = _want(raw, "trials_per_pair", int, "trials_per_pair", errors, 10000)
-    if isinstance(trials, int) and trials < 1:
-        errors.append(("trials_per_pair", f"must be at least 1, got {trials}"))
-    seed = _want(raw, "seed", int, "seed", errors, 0)
-    if isinstance(seed, int) and seed < 0:
-        errors.append(("seed", "must be non-negative"))
+    scalars = {}
+    for name, f in _SCALARS.items():
+        if name in raw:
+            value = _typed(raw[name], type(f.default), name, errors)
+            if value is not None:
+                errors += _bound_errors(name, value, name)
+                scalars[name] = value
 
-    position_a, position_b, source_x = -1.0, 1.0, 0.0
-    if "positions" in raw:
-        if not isinstance(raw["positions"], dict):
-            errors.append(("positions", "must be an object with a, b, source"))
-        else:
-            position_a = _want(raw["positions"], "a", float, "positions.a", errors, -1.0)
-            position_b = _want(raw["positions"], "b", float, "positions.b", errors, 1.0)
-            source_x = _want(raw["positions"], "source", float, "positions.source", errors, 0.0)
-            for k in sorted(set(raw["positions"]) - {"a", "b", "source"}):
-                errors.append((f"positions.{k}", "unknown key"))
-
-    t_prepare, t_setting, t_detection, t_communication = 0.0, 0.1, 0.2, 2.3
-    if "stage_times" in raw:
-        if not isinstance(raw["stage_times"], dict):
-            errors.append(("stage_times", "must be an object"))
-        else:
-            st = raw["stage_times"]
-            t_prepare = _want(st, "prepare", float, "stage_times.prepare", errors, 0.0)
-            t_setting = _want(st, "setting", float, "stage_times.setting", errors, 0.1)
-            t_detection = _want(st, "detection", float, "stage_times.detection", errors, 0.2)
-            t_communication = _want(st, "communication", float, "stage_times.communication", errors, 2.3)
-            for k in sorted(set(st) - {"prepare", "setting", "detection", "communication"}):
-                errors.append((f"stage_times.{k}", "unknown key"))
-
-    signal_speed = _want(raw, "signal_speed", float, "signal_speed", errors, 1.0)
-    c = _want(raw, "c", float, "c", errors, 1.0)
-    q_setting_width = _want(raw, "q_setting_width", float, "q_setting_width", errors, 0.0)
-    q_outcome_width = _want(raw, "q_outcome_width", float, "q_outcome_width", errors, 0.0)
-    for name, width in (("q_setting_width", q_setting_width), ("q_outcome_width", q_outcome_width)):
-        if isinstance(width, float) and width < 0.0:
-            errors.append((name, "must be non-negative"))
-    preset_settings = _want(raw, "preset_settings", bool, "preset_settings", errors, False)
-    unresolved = _want(raw, "unresolved_local_setting", bool, "unresolved_local_setting", errors, False)
-    workers = _want(raw, "workers", int, "workers", errors, 1)
-    if isinstance(workers, int) and workers < 1:
-        errors.append(("workers", "must be at least 1"))
-    traced = _want(raw, "traced_trials", int, "traced_trials", errors, 1)
-    if isinstance(traced, int) and traced < 0:
-        errors.append(("traced_trials", "must be non-negative"))
-    keep_records = _want(raw, "keep_records", bool, "keep_records", errors, True)
+    schedule = _parse_schedule(raw, errors)
 
     preset_pair = None
     if "preset_pair" in raw:
@@ -292,8 +255,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     behavior_file = None
     if model == "custom":
-        behavior_file = _want(raw, "behavior_file", str, "behavior_file", errors, None)
-        if behavior_file is None:
+        if "behavior_file" in raw:
+            behavior_file = _typed(raw["behavior_file"], str, "behavior_file", errors)
+        else:
             errors.append(("behavior_file", "model 'custom' needs a behavior file path"))
     elif "behavior_file" in raw:
         errors.append(("behavior_file", f"only meaningful for model 'custom', not {model!r}"))
@@ -313,23 +277,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(("preset_pair[0]", f"{preset_pair[0]!r} not in grid_a"))
             if preset_pair[1] not in grid_b:
                 errors.append(("preset_pair[1]", f"{preset_pair[1]!r} not in grid_b"))
-    if model == "pr-box" and (grid_a != (0, 1) or grid_b != (0, 1)):
+    if model == "pr-box" and (grid_a, grid_b) != pr_box_settings().grids():
         errors.append(("grid_a", "the pr-box model requires binary grids [0, 1]"))
-
-    try:
-        build_schedule(
-            position_a=position_a if isinstance(position_a, float) else -1.0,
-            position_b=position_b if isinstance(position_b, float) else 1.0,
-            source_x=source_x if isinstance(source_x, float) else 0.0,
-            t_prepare=t_prepare,
-            t_setting=t_setting,
-            t_detection=t_detection,
-            t_communication=t_communication,
-            signal_speed=signal_speed,
-            c=c,
-        )
-    except (InvalidScheduleError, TypeError) as exc:
-        errors.append(("stage_times", str(exc)))
 
     if errors:
         raise ConfigError(errors)
@@ -339,43 +288,26 @@ def parse_config(text: str) -> ExperimentConfig:
         grid_a=grid_a,
         grid_b=grid_b,
         chsh=chsh,
-        trials_per_pair=trials,
-        seed=seed,
-        position_a=position_a,
-        position_b=position_b,
-        source_x=source_x,
-        t_prepare=t_prepare,
-        t_setting=t_setting,
-        t_detection=t_detection,
-        t_communication=t_communication,
-        signal_speed=signal_speed,
-        c=c,
-        q_setting_width=q_setting_width,
-        q_outcome_width=q_outcome_width,
-        preset_settings=preset_settings,
+        schedule=schedule,
         preset_pair=preset_pair,
-        unresolved_local_setting=unresolved,
-        workers=workers,
-        traced_trials=traced,
-        keep_records=keep_records,
         lhv=lhv,
         behavior_file=behavior_file,
+        **scalars,
     )
 
 
-def config_defaults_json() -> str:
-    """A documented minimal config, usable as a starting point."""
-    doc = {
-        "model": "singlet",
-        "grid_a": ["0", "pi/2"],
-        "grid_b": ["pi/4", "-pi/4"],
-        "chsh": {"x0": "0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"},
-        "trials_per_pair": 10000,
-        "seed": 0,
-        "positions": {"a": -1.0, "b": 1.0, "source": 0.0},
-        "stage_times": {"prepare": 0.0, "setting": 0.1, "detection": 0.2, "communication": 2.3},
-        "signal_speed": 1.0,
-        "workers": 1,
-        "traced_trials": 1,
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
+    """Replace scalar fields under the same bounds as the JSON.
+
+    ``overrides`` maps a field name to ``(path, value)``; a ``None`` value
+    leaves the field alone, and a bad value is reported at ``path``.
+    """
+    errors: list = []
+    values = {}
+    for name, (path, value) in overrides.items():
+        if value is not None:
+            errors += _bound_errors(name, value, path)
+            values[name] = value
+    if errors:
+        raise ConfigError(errors)
+    return dataclasses.replace(config, **values)

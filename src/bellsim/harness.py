@@ -22,9 +22,9 @@ from typing import Any, Mapping
 import numpy as np
 
 from .angles import setting_text
-from .config import ExperimentConfig, build_model, build_run_schedule
+from .config import ExperimentConfig, build_model
 from .errors import MissingDataError, RealismViolationError
-from .models import Behavior, ChshSettings
+from .models import Behavior, ChshSettings, chsh_value
 from .observers import (
     ObserverState,
     PooledState,
@@ -34,7 +34,7 @@ from .observers import (
     pool,
     receive,
 )
-from .probability import TOL, Modality, TaggedJoint, condition, keep_only
+from .probability import TOL
 from .spacetime import Detection, Message, Schedule, SettingChoice
 
 #: Uniform draws reserved per trial: one Philox counter block.
@@ -65,8 +65,10 @@ def _block_uniforms(master_seed: int, start_trial: int, count: int) -> np.ndarra
 
 
 def _sample_cells(slice2x2: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(slice2x2.reshape(-1))
-    cum[-1] = 1.0  # guard against a float shortfall at the top
+    p = slice2x2.reshape(-1)
+    cum = np.cumsum(p)
+    # a float shortfall must not leave room for the dead cells after the last live one
+    cum[np.flatnonzero(p > TOL)[-1]:] = 1.0
     return np.searchsorted(cum, u, side="right")
 
 
@@ -89,12 +91,13 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class TrialTrace:
-    """A fully simulated trial: record plus both observers' state histories."""
+    """A fully simulated trial: record, both observers' state histories, and its behavior."""
 
     record: TrialRecord
     observer_a: ObserverState
     observer_b: ObserverState
     pooled: PooledState
+    behavior: Behavior
     preset: bool = False
 
 
@@ -124,19 +127,6 @@ class Dataset:
         i = self.grid_a.index(x)
         j = self.grid_b.index(y)
         return self.counts[i, j]
-
-    def merge(self, other: "Dataset") -> "Dataset":
-        """Count-additive concatenation; grids must match exactly."""
-        if self.grid_a != other.grid_a or self.grid_b != other.grid_b:
-            raise ValueError("datasets cover different setting grids")
-        return Dataset(
-            self.grid_a,
-            self.grid_b,
-            self.counts + other.counts,
-            self.n_per_pair + other.n_per_pair,
-            self.records + other.records,
-            self.master_seed,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +216,7 @@ def run_trial(
         },
         substream=trial_index,
     )
-    return TrialTrace(record, pooled.observer_a, pooled.observer_b, pooled, preset=preset)
+    return TrialTrace(record, pooled.observer_a, pooled.observer_b, pooled, behavior, preset=preset)
 
 
 def run_experiment(config: ExperimentConfig) -> Dataset:
@@ -236,11 +226,9 @@ def run_experiment(config: ExperimentConfig) -> Dataset:
     chunks are merged in trial order.  Sampled outcomes are checked against
     the model's zero cells, which would be the realism-violation signal.
     """
-    behavior = build_model(config)
-    schedule = build_run_schedule(config)
     return sample_dataset(
-        behavior,
-        schedule,
+        build_model(config),
+        config.schedule,
         trials_per_pair=config.trials_per_pair,
         master_seed=config.seed,
         workers=config.workers,
@@ -412,21 +400,6 @@ class ViolationReport:
         }
 
 
-def _form_chsh(initial: TaggedJoint, settings: ChshSettings) -> float:
-    """The signed sum carried by the shared starting table's functional form."""
-    total = 0.0
-    for (x, y), sign in zip(settings.pairs(), settings.signs):
-        t = condition(initial, ("θa", x), Modality.COUNTERFACTUAL)
-        t = condition(t, ("θb", y), Modality.COUNTERFACTUAL)
-        t = keep_only(t, ("±a", "±b"))
-        corr = 0.0
-        for a in (1, -1):
-            for b in (1, -1):
-                corr += a * b * t.prob({"±a": a, "±b": b})
-        total += sign * corr
-    return total
-
-
 def classify_violation(
     traces,
     stage: Stage,
@@ -482,8 +455,8 @@ def classify_violation(
             "pooled multi-trial estimate from factually communicated data",
         )
 
+    s = chsh_value(trace.behavior, settings)
     if trace.preset and posit_alternates:
-        s = _form_chsh(state.initial_ledger, settings)
         return ViolationReport(
             stage,
             observer,
@@ -496,7 +469,6 @@ def classify_violation(
             "alternates of pre-agreed, locally known settings are posited",
         )
 
-    s = _form_chsh(state.initial_ledger, settings)
     if nonlocal_cf:
         classification = ViolationClass.COUNTERFACTUAL_NONLOCAL
         note = f"the far setting {far} enters only counterfactually at {stage.value}"

@@ -114,6 +114,10 @@ class ChshSettings:
     def pairs(self):
         return ((self.x0, self.y0), (self.x1, self.y0), (self.x0, self.y1), (self.x1, self.y1))
 
+    def grids(self):
+        """The two-setting grids ``((x0, x1), (y0, y1))`` these settings span."""
+        return (self.x0, self.x1), (self.y0, self.y1)
+
     @property
     def signs(self):
         return (1.0, 1.0, 1.0, -1.0)
@@ -220,10 +224,7 @@ def chsh_expectation(behavior: Behavior, settings: ChshSettings, prior=None) -> 
         raise ValueError("prior must be a distribution over the four setting pairs")
     total = 0.0
     for (x, y), sign, w in zip(settings.pairs(), settings.signs, weights):
-        s = behavior.slice(x, y)
-        for ia, a in enumerate(OUTCOMES):
-            for ib, b in enumerate(OUTCOMES):
-                total += a * b * sign * float(w) * float(s[ia, ib])
+        total += float(w) * sign * correlator(behavior, x, y)
     return total
 
 

@@ -40,6 +40,7 @@ from .spacetime import (
     SpacetimeEvent,
     StatePreparation,
     Worldline,
+    build_schedule,
     outcome_symbol,
     reception_time,
     setting_symbol,
@@ -215,7 +216,8 @@ def init_beliefs(
     factually on the prepared state and the initial stage label.  Both
     observers must start from the same table; injecting unequal per-observer
     priors is rejected.  ``preset`` optionally pins both settings factually
-    from the start (the pre-agreed-settings mode).
+    from the start (the pre-agreed-settings mode).  Missing worldlines are
+    those of the default schedule.
     """
     nx, ny = len(behavior.grid_a), len(behavior.grid_b)
     if setting_prior is None:
@@ -262,9 +264,11 @@ def init_beliefs(
             )
         return state
 
-    wa = worldline_a if worldline_a is not None else Worldline("A", -1.0)
-    wb = worldline_b if worldline_b is not None else Worldline("B", 1.0)
-    return make("A", wa), make("B", wb)
+    if worldline_a is None or worldline_b is None:
+        default = build_schedule()
+        worldline_a = worldline_a or default.worldline_a
+        worldline_b = worldline_b or default.worldline_b
+    return make("A", worldline_a), make("B", worldline_b)
 
 
 def _replace_stage(d: TaggedJoint, old: Stage, new: Stage) -> TaggedJoint:

@@ -7,7 +7,6 @@ default to c = 1 with positions in light-seconds and times in seconds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -73,9 +72,6 @@ class Message:
         return self.body.propositions()
 
 
-_event_counter = itertools.count()
-
-
 @dataclass(frozen=True)
 class SpacetimeEvent:
     """A lab-frame event whose influence propagates at ``speed`` (<= c)."""
@@ -84,7 +80,7 @@ class SpacetimeEvent:
     x: float
     payload: Any
     speed: float = 1.0
-    index: int = field(default_factory=lambda: next(_event_counter))
+    index: int = field(kw_only=True)
 
     def __post_init__(self):
         if not self.speed > 0.0:

@@ -1,12 +1,15 @@
 """Config parsing and the end-to-end command-line pipeline."""
 
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from bellsim import Angle, ConfigError, behavior_to_csv, parse_config, pr_box
-from bellsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from bellsim import Angle, ConfigError, ExperimentConfig, behavior_to_csv, parse_config, pr_box
+from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 SECTIONS = ("estimates", "no_signaling", "factorizability", "classification", "stage_table")
 
@@ -26,6 +29,21 @@ def test_negative_trials_named_in_error():
     with pytest.raises(ConfigError) as err:
         parse_config('{"trials_per_pair": -5}')
     assert any(path == "trials_per_pair" for path, _ in err.value.errors)
+
+
+def test_seed_beyond_generator_key_is_a_config_error():
+    assert parse_config(json.dumps({"seed": 2**128 - 1})).seed == 2**128 - 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"seed": 2**128}))
+    assert [path for path, _ in err.value.errors] == ["seed"]
+
+
+def test_readme_config_surface_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Full config surface:\s*```json\n(.*?)```", readme, re.S).group(1)
+    doc = json.loads(re.sub(r"\s*//.*", "", block))
+    cfg = parse_config(json.dumps(doc))
+    assert dataclasses.replace(cfg, preset_pair=None) == ExperimentConfig()
 
 
 def test_bad_stage_times_surface_schedule_error():
@@ -215,3 +233,20 @@ def test_seed_and_trials_overrides(tmp_path):
     assert summary["seed"] == 5
     assert summary["estimates"]["trials_per_pair"] == 200
     assert main([str(path), "-o", str(out2), "--seed", "-1"]) == EXIT_CONFIG
+
+
+def test_seed_override_beyond_generator_key_names_the_flag(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": "pr-box", "trials_per_pair": 10}', encoding="utf-8")
+    assert main([str(path), "-o", str(tmp_path / "out"), "--seed", str(2**128)]) == EXIT_CONFIG
+    assert "config error at --seed" in capsys.readouterr().err
+
+
+def test_rerun_into_same_directory_leaves_no_stale_artifacts(tmp_path):
+    code, out = run_cli(tmp_path, {"model": "pr-box", "trials_per_pair": 20, "traced_trials": 1})
+    assert code == EXIT_OK
+    assert {p.name for p in out.iterdir()} == set(ARTIFACTS)
+    doc = {"model": "pr-box", "trials_per_pair": 20, "keep_records": False, "traced_trials": 0}
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_OK
+    assert {p.name for p in out.iterdir()} == set(ARTIFACTS) - {"dataset.csv", "trace.json"}

@@ -15,8 +15,8 @@ from bellsim import (
     MissingDataError,
     Stage,
     ViolationClass,
-    build_run_schedule,
     build_schedule,
+    chsh_value,
     classify_violation,
     dataset_to_csv,
     estimate_behavior,
@@ -30,7 +30,7 @@ from bellsim import (
     sample_dataset,
     singlet_behavior,
 )
-from bellsim.harness import _block_uniforms, substream, trial_uniforms
+from bellsim.harness import _block_uniforms, _sample_cells, substream, trial_uniforms
 from bellsim.models import Behavior
 from conftest import random_behavior
 
@@ -139,6 +139,14 @@ def test_zero_probability_cell_never_sampled():
     assert ds.counts[0, 0, 1, 1] == 0
 
 
+def test_float_shortfall_never_reaches_trailing_zero_cell():
+    # a valid slice whose running sum stops one ulp short of 1 before the dead cell
+    slab = np.array([0.56339548, 0.18519426, 0.25141026, 0.0])
+    assert np.cumsum(slab)[2] < 1.0
+    u = np.array([np.nextafter(1.0, 0.0), 0.0, 0.5])
+    assert np.all(_sample_cells(slab, u) < 3)
+
+
 def test_uniform_cells_concentrate():
     n = 100000
     ds = sample_dataset(uniform_behavior(), None, trials_per_pair=n, master_seed=77)
@@ -160,15 +168,6 @@ def test_records_can_be_dropped():
     assert ds.total_trials == 400
     with pytest.raises(MissingDataError):
         dataset_to_csv(ds)
-
-
-def test_merged_datasets_estimate_like_concatenation():
-    a = run_experiment(config(trials_per_pair=300, seed=1))
-    b = run_experiment(config(trials_per_pair=500, seed=2))
-    merged = a.merge(b)
-    est = estimate_behavior(merged)
-    direct = (a.counts + b.counts) / (a.n_per_pair + b.n_per_pair)[:, :, None, None]
-    assert np.allclose(est.behavior.table, direct, atol=0)
 
 
 # -- estimators ----------------------------------------------------------------------
@@ -282,6 +281,15 @@ def test_standard_run_classified_counterfactual_nonlocal():
         assert "θb" in report.nonlocal_counterfactuals
 
 
+def test_classified_value_is_the_analytic_sum(rng):
+    settings = pr_box_settings()
+    for i in range(50):
+        b = random_behavior(rng)
+        trace = run_trial(b, build_schedule(), master_seed=i, trial_index=0)
+        for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
+            assert classify_violation(trace, stage, settings).s_value == chsh_value(b, settings)
+
+
 def test_counterfactual_list_tracks_stage():
     b = optimal_behavior()
     schedule = build_schedule()
@@ -296,7 +304,7 @@ def test_communication_stage_is_factual_local():
     cfg = config(trials_per_pair=2000, seed=9)
     ds = run_experiment(cfg)
     b = optimal_behavior()
-    trace = run_trial(b, build_run_schedule(cfg), master_seed=9, trial_index=0,
+    trace = run_trial(b, cfg.schedule, master_seed=9, trial_index=0,
                       forced_settings=(b.grid_a[0], b.grid_b[0]))
     report = classify_violation(trace, Stage.COMMUNICATION, cfg.chsh, dataset=ds)
     assert report.classification is ViolationClass.FACTUAL_LOCAL
@@ -318,7 +326,7 @@ def test_preset_run_classified_local():
     b = optimal_behavior()
     trace = run_trial(
         b,
-        build_run_schedule(cfg),
+        cfg.schedule,
         master_seed=10,
         trial_index=0,
         forced_settings=(b.grid_a[0], b.grid_b[0]),

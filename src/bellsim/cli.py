@@ -238,8 +238,9 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
         json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-    if dataset.records:
-        (outdir / "dataset.csv").write_text(dataset_to_csv(dataset), encoding="utf-8")
+    if dataset.records.size:
+        with open(outdir / "dataset.csv", "w", encoding="utf-8", newline="") as fh:
+            dataset_to_csv(dataset, fh)
     (outdir / "behavior_estimate.csv").write_text(
         behavior_to_csv(estimate_behavior(dataset).behavior), encoding="utf-8"
     )

@@ -130,7 +130,11 @@ def _parse_grid(raw, path, errors, angles: bool):
 def _typed(value, kind, path, errors):
     """``value`` if it is a JSON ``kind`` (an integer passes as a float), else None."""
     if kind is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            errors.append((path, "number too large"))
+            return None
     if type(value) is kind:
         return value
     errors.append((path, f"expected {kind.__name__}"))

@@ -7,6 +7,9 @@ any chunked parallel batch therefore produce bit-identical results.
 
 Outcomes are drawn by inverse CDF over the four cells of the behavior slice
 in fixed cell order, so zero-probability cells are structurally unreachable.
+A dataset keeps each trial as one ``uint8`` index into :data:`CELL_OUTCOMES`,
+in trial order; the setting pair is implied by the trial's pair block and the
+reception times by the schedule.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -43,8 +47,11 @@ _SLOT_SETTING_A, _SLOT_SETTING_B, _SLOT_OUTCOME = 0, 1, 2
 
 #: Fixed cell order of the inverse-CDF sampler: row-major over (a, b).
 CELL_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_CELL_A = np.array([1, 1, -1, -1])
-_CELL_B = np.array([1, -1, 1, -1])
+
+#: Trials per sampling task.  Chunks start at multiples of CHUNK within a pair
+#: block and trial ``k`` still draws counter block ``k``, so chunking never
+#: changes a draw; it only bounds the memory one task needs.
+CHUNK = 1 << 16
 
 
 def substream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -78,7 +85,7 @@ def _sample_cells(slice2x2: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
-    """One experiment's factual data point with its reception bookkeeping."""
+    """One traced experiment's factual data point with its reception bookkeeping."""
 
     trial: int
     theta_a: Any
@@ -86,7 +93,6 @@ class TrialRecord:
     outcome_a: int
     outcome_b: int
     reception_times: Mapping[str, Mapping[str, float]]
-    substream: int
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,17 @@ class TrialTrace:
 
 
 class Dataset:
-    """Trial records plus the per-pair outcome counts ``n(a, b, x, y)``."""
+    """Per-pair outcome counts ``n(a, b, x, y)`` and, optionally, every trial's cell.
 
-    def __init__(self, grid_a, grid_b, counts, n_per_pair, records=(), master_seed=0):
+    ``records`` is a ``uint8`` array with one index into :data:`CELL_OUTCOMES`
+    per trial, in trial order; it is empty when records were not kept.  Trials
+    run through the setting pairs in row-major order, ``n_per_pair[i, j]`` of
+    them each, so trial ``k``'s settings follow from its position.
+    ``reception_times`` is the schedule's ``{"A": {...}, "B": {...}}``, shared
+    by every trial.
+    """
+
+    def __init__(self, grid_a, grid_b, counts, n_per_pair, records=(), reception_times=None):
         self.grid_a = tuple(grid_a)
         self.grid_b = tuple(grid_b)
         self.counts = np.asarray(counts, dtype=np.int64)
@@ -116,8 +130,10 @@ class Dataset:
             raise ValueError("counts must be non-negative")
         if not np.array_equal(self.counts.sum(axis=(2, 3)), self.n_per_pair):
             raise ValueError("counts must sum to the per-pair trial totals")
-        self.records = tuple(records)
-        self.master_seed = master_seed
+        self.records = np.asarray(records, dtype=np.uint8).reshape(-1)
+        if self.records.size not in (0, self.total_trials):
+            raise ValueError(f"{self.records.size} records for {self.total_trials} trials")
+        self.reception_times = reception_times or {}
 
     @property
     def total_trials(self) -> int:
@@ -204,27 +220,16 @@ def run_trial(
         state_b = receive(state_b, event, q_for(event))
     pooled = pool(state_a, state_b)
 
-    record = TrialRecord(
-        trial=trial_index,
-        theta_a=theta_a,
-        theta_b=theta_b,
-        outcome_a=outcome_a,
-        outcome_b=outcome_b,
-        reception_times={
-            "A": schedule.data_reception_times("A"),
-            "B": schedule.data_reception_times("B"),
-        },
-        substream=trial_index,
-    )
+    record = TrialRecord(trial_index, theta_a, theta_b, outcome_a, outcome_b, _reception_times(schedule))
     return TrialTrace(record, pooled.observer_a, pooled.observer_b, pooled, behavior, preset=preset)
 
 
 def run_experiment(config: ExperimentConfig) -> Dataset:
     """Sample ``trials_per_pair`` trials at every setting pair of the grids.
 
-    Per-trial substreams make the dataset identical for any worker count;
-    chunks are merged in trial order.  Sampled outcomes are checked against
-    the model's zero cells, which would be the realism-violation signal.
+    Trial ``k`` draws counter block ``k`` whichever chunk and thread sample
+    it, so the dataset is identical for any worker count.  Sampled outcomes are
+    checked against the model's zero cells, the realism-violation signal.
     """
     return sample_dataset(
         build_model(config),
@@ -234,6 +239,10 @@ def run_experiment(config: ExperimentConfig) -> Dataset:
         workers=config.workers,
         keep_records=config.keep_records,
     )
+
+
+def _reception_times(schedule: Schedule) -> dict:
+    return {"A": schedule.data_reception_times("A"), "B": schedule.data_reception_times("B")}
 
 
 def sample_dataset(
@@ -248,61 +257,35 @@ def sample_dataset(
     if trials_per_pair < 1:
         raise ValueError("need at least one trial per setting pair")
     nx, ny = len(behavior.grid_a), len(behavior.grid_b)
-    counts = np.zeros((nx, ny, 2, 2), dtype=np.int64)
-    records: list = []
-    times = (
-        {
-            "A": schedule.data_reception_times("A"),
-            "B": schedule.data_reception_times("B"),
-        }
-        if schedule is not None
-        else {"A": {}, "B": {}}
-    )
+    slabs = behavior.table.reshape(nx * ny, 4)
+    records = np.empty(nx * ny * trials_per_pair if keep_records else 0, dtype=np.uint8)
+    tasks = [(pair, lo) for pair in range(nx * ny) for lo in range(0, trials_per_pair, CHUNK)]
 
-    pair_list = list(itertools.product(range(nx), range(ny)))
-
-    def chunk_bounds(n: int, k: int):
-        k = max(1, min(k, n))
-        step = (n + k - 1) // k
-        return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-    for p_idx, (i, j) in enumerate(pair_list):
-        base = p_idx * trials_per_pair
-        slab = behavior.table[i, j]
-
-        def sample_chunk(bounds):
-            lo, hi = bounds
-            u = _block_uniforms(master_seed, base + lo, hi - lo)
-            return _sample_cells(slab, u[:, _SLOT_OUTCOME])
-
-        bounds = chunk_bounds(trials_per_pair, workers)
-        if workers > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool_:
-                parts = list(pool_.map(sample_chunk, bounds))
-        else:
-            parts = [sample_chunk(b) for b in bounds]
-        cells = np.concatenate(parts)
-
-        pair_counts = np.bincount(cells, minlength=4).reshape(2, 2)
-        dead = slab.reshape(-1) <= TOL
-        if np.any(pair_counts.reshape(-1)[dead] > 0):
-            raise RealismViolationError(
-                f"sampled an outcome of probability zero at settings "
-                f"({setting_text(behavior.grid_a[i])}, {setting_text(behavior.grid_b[j])})"
-            )
-        counts[i, j] = pair_counts
-
+    def sample_chunk(task):
+        pair, lo = task
+        start = pair * trials_per_pair + lo
+        count = min(CHUNK, trials_per_pair - lo)
+        cells = _sample_cells(slabs[pair], _block_uniforms(master_seed, start, count)[:, _SLOT_OUTCOME])
         if keep_records:
-            a_vals = _CELL_A[cells]
-            b_vals = _CELL_B[cells]
-            x, y = behavior.grid_a[i], behavior.grid_b[j]
-            records.extend(
-                TrialRecord(base + m, x, y, int(a_vals[m]), int(b_vals[m]), times, base + m)
-                for m in range(trials_per_pair)
-            )
+            records[start : start + count] = cells
+        return np.bincount(cells, minlength=4)
+
+    counts = np.zeros((nx * ny, 4), dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool_:
+        for (pair, _), pair_counts in zip(tasks, pool_.map(sample_chunk, tasks)):
+            counts[pair] += pair_counts
+
+    dead = (counts > 0) & (slabs <= TOL)
+    if dead.any():
+        i, j = divmod(int(np.flatnonzero(dead.any(axis=1))[0]), ny)
+        raise RealismViolationError(
+            f"sampled an outcome of probability zero at settings "
+            f"({setting_text(behavior.grid_a[i])}, {setting_text(behavior.grid_b[j])})"
+        )
 
     n_per_pair = np.full((nx, ny), trials_per_pair, dtype=np.int64)
-    return Dataset(behavior.grid_a, behavior.grid_b, counts, n_per_pair, records, master_seed)
+    times = _reception_times(schedule) if schedule is not None else None
+    return Dataset(behavior.grid_a, behavior.grid_b, counts.reshape(nx, ny, 2, 2), n_per_pair, records, times)
 
 
 # ---------------------------------------------------------------------------
@@ -495,43 +478,30 @@ def classify_violation(
 # export
 
 
-def dataset_to_csv(dataset: Dataset) -> str:
-    """Delimited per-trial rows; requires records to have been kept."""
-    if not dataset.records:
+#: ``dataset.csv`` columns.  Each wing's three times are when it received its own
+#: setting, its own outcome and the far wing's report, in that order.
+_CSV_HEADER = "trial,x,y,a,b,t_setting_A,t_outcome_A,t_reports_A,t_setting_B,t_outcome_B,t_reports_B\n"
+_CSV_TIMES = (("A", "θa"), ("A", "±a"), ("A", "θb"), ("B", "θb"), ("B", "±b"), ("B", "θa"))
+
+
+def dataset_to_csv(dataset: Dataset, out) -> None:
+    """Stream delimited per-trial rows to the text file ``out``; requires kept records.
+
+    Everything after the trial number is fixed by the pair block and the
+    cell, so each pair's four row tails are rendered once.
+    """
+    if not dataset.records.size:
         raise MissingDataError("dataset was sampled without records; nothing to export")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "trial",
-            "x",
-            "y",
-            "a",
-            "b",
-            "t_setting_A",
-            "t_outcome_A",
-            "t_reports_A",
-            "t_setting_B",
-            "t_outcome_B",
-            "t_reports_B",
-        ]
-    )
-    for r in sorted(dataset.records, key=lambda r: r.trial):
-        ta = r.reception_times.get("A", {})
-        tb = r.reception_times.get("B", {})
-        writer.writerow(
-            [
-                r.trial,
-                setting_text(r.theta_a),
-                setting_text(r.theta_b),
-                r.outcome_a,
-                r.outcome_b,
-                ta.get("θa", ""),
-                ta.get("±a", ""),
-                ta.get("θb", ""),
-                tb.get("θb", ""),
-                tb.get("±b", ""),
-                tb.get("θa", ""),
-            ]
+    times = [dataset.reception_times.get(wing, {}).get(name, "") for wing, name in _CSV_TIMES]
+    out.write(_CSV_HEADER)
+    pairs, end = itertools.product(dataset.grid_a, dataset.grid_b), 0
+    for (x, y), n in zip(pairs, dataset.n_per_pair.ravel().tolist()):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerows(
+            [setting_text(x), setting_text(y), a, b, *times] for a, b in CELL_OUTCOMES
         )
-    return out.getvalue()
+        tails = line.getvalue().splitlines(keepends=True)
+        start, end = end, end + n
+        for lo in range(start, end, CHUNK):
+            cells = dataset.records[lo : min(lo + CHUNK, end)].tolist()
+            out.write("".join([f"{k},{tails[c]}" for k, c in enumerate(cells, lo)]))

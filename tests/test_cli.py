@@ -38,6 +38,16 @@ def test_seed_beyond_generator_key_is_a_config_error():
     assert [path for path, _ in err.value.errors] == ["seed"]
 
 
+def test_float_field_too_large_for_a_float_is_a_config_error():
+    huge = "1" + "0" * 400
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"c": %s}' % huge)
+    assert err.value.errors == [("c", "number too large")]
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"q_setting_width": %s, "stage_times": {"detection": %s}}' % (huge, huge))
+    assert {path for path, _ in err.value.errors} == {"q_setting_width", "stage_times.detection"}
+
+
 def test_readme_config_surface_is_the_default_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"Full config surface:\s*```json\n(.*?)```", readme, re.S).group(1)
@@ -250,3 +260,10 @@ def test_rerun_into_same_directory_leaves_no_stale_artifacts(tmp_path):
     code, out = run_cli(tmp_path, doc)
     assert code == EXIT_OK
     assert {p.name for p in out.iterdir()} == set(ARTIFACTS) - {"dataset.csv", "trace.json"}
+
+
+def test_float_overflow_exits_with_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"c": 1%s}' % ("0" * 400), encoding="utf-8")
+    assert main([str(path), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error at c: number too large" in capsys.readouterr().err

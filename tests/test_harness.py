@@ -1,7 +1,11 @@
 """Sampling, estimation, and classification against statistical oracles."""
 
 import dataclasses
+import io
+import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +34,8 @@ from bellsim import (
     sample_dataset,
     singlet_behavior,
 )
-from bellsim.harness import _block_uniforms, _sample_cells, substream, trial_uniforms
+from bellsim import harness
+from bellsim.harness import CHUNK, _block_uniforms, _sample_cells, substream, trial_uniforms
 from bellsim.models import Behavior
 from conftest import random_behavior
 
@@ -159,15 +164,73 @@ def test_parallel_execution_is_bit_identical():
     c4 = config(trials_per_pair=4000, seed=13, workers=4)
     d1, d4 = run_experiment(c1), run_experiment(c4)
     assert np.array_equal(d1.counts, d4.counts)
-    assert d1.records == d4.records
+    assert np.array_equal(d1.records, d4.records)
+
+
+def test_chunk_boundaries_do_not_change_any_draw():
+    b, n, seed = optimal_behavior(), CHUNK + 3, 19
+    schedule = build_schedule()
+    d1 = sample_dataset(b, schedule, trials_per_pair=n, master_seed=seed, workers=1)
+    d2 = sample_dataset(b, schedule, trials_per_pair=n, master_seed=seed, workers=2)
+    assert np.array_equal(d1.records, d2.records)
+    assert np.array_equal(d1.counts, d2.counts)
+
+    # unchunked oracle: every pair block sampled from one slice of the whole stream
+    u = substream(seed, 0).random((4 * n, 4))[:, 2]
+    slabs = b.table.reshape(4, 4)
+    oracle = np.concatenate([_sample_cells(slabs[p], u[p * n : (p + 1) * n]) for p in range(4)])
+    assert np.array_equal(d1.records, oracle)
+
+    out = io.StringIO()
+    dataset_to_csv(d1, out)
+    rows = out.getvalue().split("\n")
+    pairs = list(itertools.product(b.grid_a, b.grid_b))
+    for k in (0, CHUNK - 1, CHUNK, n, 3 * n + 2):
+        t = run_trial(b, schedule, master_seed=seed, trial_index=k, forced_settings=pairs[k // n])
+        fields = rows[k + 1].split(",")
+        assert fields[0] == str(k)
+        assert (int(fields[3]), int(fields[4])) == (t.record.outcome_a, t.record.outcome_b)
+
+
+def test_sampling_without_records_uses_bounded_memory():
+    tracemalloc.start()
+    try:
+        ds = sample_dataset(pr_box(), None, trials_per_pair=2**20, master_seed=3, keep_records=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.total_trials == 4 * 2**20
+    assert peak < 8 * 2**20
+
+
+def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+    ds = sample_dataset(pr_box(), None, trials_per_pair=8, master_seed=3, workers=10**6)
+    assert ds.total_trials == 32
+    assert seen and all(w <= (os.cpu_count() or 1) for w in seen)
 
 
 def test_records_can_be_dropped():
     ds = run_experiment(config(trials_per_pair=100, keep_records=False))
-    assert ds.records == ()
+    assert ds.records.size == 0
     assert ds.total_trials == 400
     with pytest.raises(MissingDataError):
-        dataset_to_csv(ds)
+        dataset_to_csv(ds, io.StringIO())
 
 
 # -- estimators ----------------------------------------------------------------------
@@ -371,7 +434,9 @@ def test_classifier_soundness_nonlocal_tag_iff_far_setting_unknown():
 
 def test_dataset_csv_shape_and_header():
     ds = run_experiment(config(trials_per_pair=5, seed=1))
-    text = dataset_to_csv(ds)
+    out = io.StringIO()
+    dataset_to_csv(ds, out)
+    text = out.getvalue()
     lines = text.strip().split("\n")
     assert lines[0].startswith("trial,x,y,a,b,")
     assert len(lines) == 1 + ds.total_trials

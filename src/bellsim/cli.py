@@ -10,7 +10,6 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import logging
 import sys
@@ -28,7 +27,7 @@ from .harness import (
     estimate_behavior,
     estimate_chsh,
     run_experiment,
-    run_trial,
+    trace_trials,
 )
 from .models import (
     Behavior,
@@ -175,6 +174,27 @@ def _trace_document(trace, schedule) -> dict:
     }
 
 
+def _trace_json(traces, schedule) -> str:
+    """``json.dumps`` of every trace's document, indented, with a final newline.
+
+    A document is its trial number followed by a body that is fixed by the
+    setting pair and the outcome cell, so each distinct body is rendered once
+    and the trial numbers are spliced in.
+    """
+    bodies = {}
+    items = []
+    for t in traces:
+        r = t.record
+        key = (r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+        if key not in bodies:
+            doc = _trace_document(t, schedule)
+            del doc["trial"]
+            # '[\n  {\n    "data": ...\n  }\n]' -> '\n    "data": ...\n  }'
+            bodies[key] = json.dumps([doc], indent=2, ensure_ascii=False)[len("[\n  {") : -len("\n]")]
+        items.append(f'  {{\n    "trial": {r.trial},{bodies[key]}')
+    return "[\n" + ",\n".join(items) + "\n]\n"
+
+
 def _plot_rows(behavior: Behavior, dataset: Dataset, config: ExperimentConfig) -> str:
     lines = ["# delta_radians correlator stderr source"]
     if config.model == "singlet":
@@ -196,30 +216,11 @@ def _plot_rows(behavior: Behavior, dataset: Dataset, config: ExperimentConfig) -
 def run(config: ExperimentConfig, outdir: Path) -> dict:
     """Execute the configured run and write every artifact into ``outdir``."""
     behavior = build_model(config)
-    schedule = config.schedule
 
     log.info("sampling %d trials per pair (seed %d)", config.trials_per_pair, config.seed)
     dataset = run_experiment(config)
 
-    pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
-    traces = []
-    for k in range(config.traced_trials):
-        pair = pairs[(k // config.trials_per_pair) % len(pairs)]
-        if config.preset_settings and config.preset_pair is not None:
-            pair = config.preset_pair
-        traces.append(
-            run_trial(
-                behavior,
-                schedule,
-                master_seed=config.seed,
-                trial_index=k,
-                forced_settings=pair,
-                preset=config.preset_settings,
-                q_setting_width=config.q_setting_width,
-                q_outcome_width=config.q_outcome_width,
-                unresolved_local_setting=config.unresolved_local_setting,
-            )
-        )
+    traces = trace_trials(config, behavior)
 
     summary = {
         "model": config.model,
@@ -245,11 +246,7 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
         behavior_to_csv(estimate_behavior(dataset).behavior), encoding="utf-8"
     )
     if traces:
-        (outdir / "trace.json").write_text(
-            json.dumps([_trace_document(t, schedule) for t in traces], indent=2, ensure_ascii=False)
-            + "\n",
-            encoding="utf-8",
-        )
+        (outdir / "trace.json").write_text(_trace_json(traces, config.schedule), encoding="utf-8")
     (outdir / "plot_correlator.txt").write_text(_plot_rows(behavior, dataset, config), encoding="utf-8")
     log.info("wrote %s", outdir)
     return summary

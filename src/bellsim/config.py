@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .angles import Angle, setting_from_text
@@ -128,7 +129,11 @@ def _parse_grid(raw, path, errors, angles: bool):
 
 
 def _typed(value, kind, path, errors):
-    """``value`` if it is a JSON ``kind`` (an integer passes as a float), else None."""
+    """``value`` if it is a JSON ``kind`` (an integer passes as a float), else None.
+
+    A float must be finite: ``NaN`` passes every bound check, and ``1e400``
+    parses to infinity.
+    """
     if kind is float and type(value) is int:
         try:
             value = float(value)
@@ -136,6 +141,9 @@ def _typed(value, kind, path, errors):
             errors.append((path, "number too large"))
             return None
     if type(value) is kind:
+        if kind is float and not math.isfinite(value):
+            errors.append((path, f"must be finite, got {value}"))
+            return None
         return value
     errors.append((path, f"expected {kind.__name__}"))
     return None

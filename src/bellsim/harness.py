@@ -154,27 +154,8 @@ def _choose_setting(grid, u: float):
     return grid[idx]
 
 
-def run_trial(
-    behavior: Behavior,
-    schedule: Schedule,
-    *,
-    master_seed: int,
-    trial_index: int,
-    forced_settings=None,
-    preset: bool = False,
-    setting_prior=None,
-    q_setting_width: float = 0.0,
-    q_outcome_width: float = 0.0,
-    unresolved_local_setting: bool = False,
-) -> TrialTrace:
-    """One full-fidelity trial driven through both observers' ledgers.
-
-    Settings are drawn independently per wing from the behavior's grids
-    unless ``forced_settings`` pins them; outcomes are sampled jointly from
-    the behavior's slice.  Every reception goes through the observer update,
-    and the trial ends with pooled information and an extracted data point.
-    Deterministic given (master seed, trial index).
-    """
+def _draw(behavior: Behavior, master_seed: int, trial_index: int, forced_settings=None) -> tuple:
+    """Trial ``trial_index``'s counter block: its settings, then its outcome cell."""
     u = trial_uniforms(master_seed, trial_index)
     if forced_settings is not None:
         theta_a, theta_b = forced_settings
@@ -182,8 +163,28 @@ def run_trial(
         theta_a = _choose_setting(behavior.grid_a, u[_SLOT_SETTING_A])
         theta_b = _choose_setting(behavior.grid_b, u[_SLOT_SETTING_B])
     cell = int(_sample_cells(behavior.slice(theta_a, theta_b), np.array([u[_SLOT_OUTCOME]]))[0])
-    outcome_a, outcome_b = CELL_OUTCOMES[cell]
+    return theta_a, theta_b, cell
 
+
+def _ledgers(
+    behavior: Behavior,
+    schedule: Schedule,
+    theta_a,
+    theta_b,
+    cell: int,
+    *,
+    preset: bool,
+    setting_prior=None,
+    q_setting_width: float,
+    q_outcome_width: float,
+    unresolved_local_setting: bool,
+) -> PooledState:
+    """Both observers' ledgers through every local reception, then pooled.
+
+    Each ledger sees only the events its observer receives, so the result is
+    fixed by the settings, the outcome cell and the run's uncertainty options.
+    """
+    outcome_a, outcome_b = CELL_OUTCOMES[cell]
     events = schedule.trial_events(theta_a, theta_b, outcome_a, outcome_b)
     state_a, state_b = init_beliefs(
         behavior,
@@ -218,10 +219,82 @@ def run_trial(
         state_a = receive(state_a, event, q_for(event))
     for event in schedule.events_for("B", events):
         state_b = receive(state_b, event, q_for(event))
-    pooled = pool(state_a, state_b)
+    return pool(state_a, state_b)
 
-    record = TrialRecord(trial_index, theta_a, theta_b, outcome_a, outcome_b, _reception_times(schedule))
+
+def _trace(trial_index, theta_a, theta_b, cell, pooled, behavior, preset, reception_times) -> TrialTrace:
+    record = TrialRecord(trial_index, theta_a, theta_b, *CELL_OUTCOMES[cell], reception_times)
     return TrialTrace(record, pooled.observer_a, pooled.observer_b, pooled, behavior, preset=preset)
+
+
+def run_trial(
+    behavior: Behavior,
+    schedule: Schedule,
+    *,
+    master_seed: int,
+    trial_index: int,
+    forced_settings=None,
+    preset: bool = False,
+    setting_prior=None,
+    q_setting_width: float = 0.0,
+    q_outcome_width: float = 0.0,
+    unresolved_local_setting: bool = False,
+) -> TrialTrace:
+    """One full-fidelity trial driven through both observers' ledgers.
+
+    Settings are drawn independently per wing from the behavior's grids
+    unless ``forced_settings`` pins them; outcomes are sampled jointly from
+    the behavior's slice.  Every reception goes through the observer update,
+    and the trial ends with pooled information and an extracted data point.
+    Deterministic given (master seed, trial index).
+    """
+    theta_a, theta_b, cell = _draw(behavior, master_seed, trial_index, forced_settings)
+    pooled = _ledgers(
+        behavior,
+        schedule,
+        theta_a,
+        theta_b,
+        cell,
+        preset=preset,
+        setting_prior=setting_prior,
+        q_setting_width=q_setting_width,
+        q_outcome_width=q_outcome_width,
+        unresolved_local_setting=unresolved_local_setting,
+    )
+    return _trace(trial_index, theta_a, theta_b, cell, pooled, behavior, preset, _reception_times(schedule))
+
+
+def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
+    """Trials ``0 .. traced_trials-1`` of the run, each as :func:`run_trial` gives it.
+
+    Each trial's settings are forced to its pair block (or to ``preset_pair``
+    with preset settings), so trial ``k`` matches trial ``k`` of the dataset.
+    Every trial draws its own counter block, but the ledgers are computed once
+    per (settings, outcome cell): trials sharing one share the same frozen
+    observer states, so at most ``4 * nx * ny`` histories are ever built.
+    """
+    schedule = config.schedule
+    pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
+    times = _reception_times(schedule)
+    histories: dict = {}
+    traces = []
+    for k in range(config.traced_trials):
+        pair = pairs[(k // config.trials_per_pair) % len(pairs)]
+        if config.preset_settings and config.preset_pair is not None:
+            pair = config.preset_pair
+        key = _draw(behavior, config.seed, k, pair)
+        if key not in histories:
+            histories[key] = _ledgers(
+                behavior,
+                schedule,
+                *key,
+                preset=config.preset_settings,
+                q_setting_width=config.q_setting_width,
+                q_outcome_width=config.q_outcome_width,
+                unresolved_local_setting=config.unresolved_local_setting,
+            )
+        traces.append(_trace(k, *key, histories[key], behavior, config.preset_settings, times))
+    return traces
 
 
 def run_experiment(config: ExperimentConfig) -> Dataset:

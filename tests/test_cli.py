@@ -1,5 +1,6 @@
 """Config parsing and the end-to-end command-line pipeline."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from bellsim import Angle, ConfigError, ExperimentConfig, behavior_to_csv, parse_config, pr_box
-from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from bellsim import Angle, ConfigError, ExperimentConfig, ViolationClass, behavior_to_csv, parse_config, pr_box
+from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, _trace_document, main
+from conftest import TRACED_CONFIGS, traces_by_run_trial
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SECTIONS = ("estimates", "no_signaling", "factorizability", "classification", "stage_table")
 
@@ -48,12 +52,74 @@ def test_float_field_too_large_for_a_float_is_a_config_error():
     assert {path for path, _ in err.value.errors} == {"q_setting_width", "stage_times.detection"}
 
 
+#: Every float field's JSON path, with a config holding ``{value}`` there.
+FLOAT_FIELDS = {
+    "c": '{"c": %s}',
+    "signal_speed": '{"signal_speed": %s}',
+    "positions.a": '{"positions": {"a": %s}}',
+    "positions.b": '{"positions": {"b": %s}}',
+    "positions.source": '{"positions": {"source": %s}}',
+    "stage_times.prepare": '{"stage_times": {"prepare": %s}}',
+    "stage_times.setting": '{"stage_times": {"setting": %s}}',
+    "stage_times.detection": '{"stage_times": {"detection": %s}}',
+    "stage_times.communication": '{"stage_times": {"communication": %s}}',
+    "q_setting_width": '{"q_setting_width": %s}',
+    "q_outcome_width": '{"q_outcome_width": %s}',
+}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("path", sorted(FLOAT_FIELDS))
+def test_non_finite_float_field_is_a_config_error(path, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(FLOAT_FIELDS[path] % value)
+    assert [p for p, _ in err.value.errors] == [path]
+    assert "must be finite" in err.value.errors[0][1]
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("q_setting_width", '{"q_setting_width": NaN, "trials_per_pair": 10}'),
+        ("q_outcome_width", '{"q_outcome_width": 1e400, "trials_per_pair": 10}'),
+        ("c", '{"c": NaN, "trials_per_pair": 10}'),
+    ],
+)
+def test_non_finite_float_exits_with_config_error(tmp_path, capsys, field, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main([str(path), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error at {field}: must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_surface_is_the_default_config():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = re.search(r"Full config surface:\s*```json\n(.*?)```", readme, re.S).group(1)
     doc = json.loads(re.sub(r"\s*//.*", "", block))
     cfg = parse_config(json.dumps(doc))
     assert dataclasses.replace(cfg, preset_pair=None) == ExperimentConfig()
+
+
+def test_readme_library_sketch_runs_as_its_comments_say():
+    block = re.search(r"## Library sketch\s*```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            source = ast.get_source_segment(block, node)
+            values[source] = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert values["bs.chsh_value(behavior, settings)"] == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
+    assert values["bs.check_factorizable(behavior).is_local"] is False
+    assert values["bs.check_no_signaling(behavior).passed"] is True
+    assert values["bs.stage_table(trace.observer_a, trace.observer_b).pattern"] == ("y", "n", "n", "y")
+    classification = values["bs.classify_violation(trace, bs.Stage.SETTING, settings).classification"]
+    assert classification is ViolationClass.COUNTERFACTUAL_NONLOCAL
+    est = values["bs.estimate_chsh(dataset, cfg.chsh)"]
+    assert abs(est.value + 2 * math.sqrt(2)) <= 5 * est.stderr
 
 
 def test_bad_stage_times_surface_schedule_error():
@@ -147,8 +213,19 @@ def test_rerun_is_byte_identical(tmp_path):
         out = tmp_path / name
         assert main([str(path), "-o", str(out)]) == EXIT_OK
         outs.append(out)
-    for fname in ("summary.json", "dataset.csv", "trace.json", "plot_correlator.txt"):
+    for fname in ("summary.json", "dataset.csv", "behavior_estimate.csv", "trace.json", "plot_correlator.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
+def test_trace_json_is_every_trial_document_dumped(tmp_path, name):
+    doc = TRACED_CONFIGS[name] | {"keep_records": False}
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_OK
+    config = parse_config(json.dumps(doc))
+    documents = [_trace_document(t, config.schedule) for t in traces_by_run_trial(config)]
+    want = json.dumps(documents, indent=2, ensure_ascii=False) + "\n"
+    assert (out / "trace.json").read_bytes() == want.encode("utf-8")
 
 
 def test_box_run_reaches_four(tmp_path):

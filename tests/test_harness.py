@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+import json
 import math
 import os
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 from bellsim import (
     Angle,
+    build_model,
     ChshSettings,
     Dataset,
     ExperimentConfig,
@@ -27,6 +29,7 @@ from bellsim import (
     estimate_chsh,
     lhv_behavior,
     optimal_singlet_settings,
+    parse_config,
     pr_box,
     pr_box_settings,
     run_experiment,
@@ -35,9 +38,9 @@ from bellsim import (
     singlet_behavior,
 )
 from bellsim import harness
-from bellsim.harness import CHUNK, _block_uniforms, _sample_cells, substream, trial_uniforms
+from bellsim.harness import CHUNK, _block_uniforms, _sample_cells, substream, trace_trials, trial_uniforms
 from bellsim.models import Behavior
-from conftest import random_behavior
+from conftest import TRACED_CONFIGS, random_behavior, traces_by_run_trial
 
 ZERO = Angle.of(0)
 HALF = Angle.of(1, 2)
@@ -120,6 +123,53 @@ def test_trial_reception_times_follow_schedule():
     assert ta["θa"] == schedule.t_setting
     assert ta["±a"] == schedule.t_detection
     assert ta["θb"] == pytest.approx(schedule.t_communication)
+
+
+# -- trace_trials ------------------------------------------------------------------
+
+
+def _same_ledger(d1, d2):
+    return (
+        d1.free == d2.free
+        and d1.conditioners == d2.conditioners
+        and d1.label == d2.label
+        and np.array_equal(d1.array, d2.array)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
+def test_shared_histories_equal_a_run_trial_per_trial(name):
+    config = parse_config(json.dumps(TRACED_CONFIGS[name]))
+    got = trace_trials(config, build_model(config))
+    want = traces_by_run_trial(config)
+    assert len(got) == len(want) == config.traced_trials
+    keys = {(t.record.theta_a, t.record.theta_b, t.record.outcome_a, t.record.outcome_b) for t in want}
+    assert len(keys) < len(want)  # some histories really are shared
+    for g, w in zip(got, want):
+        assert g.record == w.record
+        assert g.preset == w.preset
+        assert g.pooled.data == w.pooled.data
+        assert _same_ledger(g.pooled.ledger, w.pooled.ledger)
+        for gs, ws in ((g.observer_a, w.observer_a), (g.observer_b, w.observer_b)):
+            gl, wl = gs.stage_ledgers(), ws.stage_ledgers()
+            assert list(gl) == list(wl)
+            assert all(_same_ledger(gl[stage], wl[stage]) for stage in wl)
+
+
+def test_ledgers_run_once_per_setting_pair_and_cell(monkeypatch):
+    receive = harness.receive
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return receive(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "receive", counted)
+    config = parse_config(json.dumps(TRACED_CONFIGS["spread-widths"] | {"traced_trials": 120}))
+    traces = trace_trials(config, build_model(config))
+    keys = {(t.record.theta_a, t.record.theta_b, t.record.outcome_a, t.record.outcome_b) for t in traces}
+    assert len(keys) <= 4 * 3 * 2
+    assert 0 < len(calls) <= 8 * len(keys) < 8 * len(traces)
 
 
 # -- run_experiment ----------------------------------------------------------------

@@ -79,7 +79,6 @@ from .probability import (
     keep_only,
     marginalize,
     product,
-    render,
 )
 from .spacetime import (
     Detection,

@@ -116,7 +116,7 @@ def _classification_section(traces, dataset: Dataset, config: ExperimentConfig) 
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
         needs_data = stage is Stage.COMMUNICATION or config.preset_settings
         report = classify_violation(
-            traces,
+            traces[0],
             stage,
             config.chsh,
             dataset=dataset if needs_data else None,
@@ -218,7 +218,7 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
     behavior = build_model(config)
 
     log.info("sampling %d trials per pair (seed %d)", config.trials_per_pair, config.seed)
-    dataset = run_experiment(config)
+    dataset = run_experiment(config, behavior)
 
     traces = trace_trials(config, behavior)
 

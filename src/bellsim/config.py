@@ -56,6 +56,7 @@ class ExperimentConfig:
 
 
 def build_model(config: ExperimentConfig) -> Behavior:
+    """The configured behavior; a custom file's grids must hold the chosen settings."""
     if config.model == "singlet":
         return singlet_behavior(config.grid_a, config.grid_b)
     if config.model == "pr-box":
@@ -66,9 +67,13 @@ def build_model(config: ExperimentConfig) -> Behavior:
         with open(config.behavior_file, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
-            return behavior_from_csv(text)
+            behavior = behavior_from_csv(text)
         except (ValueError, MissingDataError) as exc:
             raise ConfigError([("behavior_file", str(exc))]) from exc
+        errors = _grid_errors(config.chsh, config.preset_pair, behavior.grid_a, behavior.grid_b)
+        if errors:
+            raise ConfigError(errors)
+        return behavior
     raise ValueError(f"unknown model {config.model!r}")
 
 
@@ -156,6 +161,25 @@ def _bound_errors(name: str, value, path: str) -> list:
     if "below" in meta and value >= meta["below"]:
         return [(path, f"must be below {meta['below']}, got {value}")]
     return []
+
+
+def _grid_errors(chsh: ChshSettings, preset_pair, grid_a, grid_b) -> list:
+    """The chosen CHSH settings and the preset pair that are missing from the grids."""
+    errors = []
+    for name, value, grid in (
+        ("chsh.x0", chsh.x0, grid_a),
+        ("chsh.x1", chsh.x1, grid_a),
+        ("chsh.y0", chsh.y0, grid_b),
+        ("chsh.y1", chsh.y1, grid_b),
+    ):
+        if value not in grid:
+            errors.append((name, f"setting {value!r} not in the corresponding grid"))
+    if preset_pair is not None:
+        if preset_pair[0] not in grid_a:
+            errors.append(("preset_pair[0]", f"{preset_pair[0]!r} not in grid_a"))
+        if preset_pair[1] not in grid_b:
+            errors.append(("preset_pair[1]", f"{preset_pair[1]!r} not in grid_b"))
+    return errors
 
 
 def _parse_schedule(raw, errors) -> Schedule | None:
@@ -274,21 +298,9 @@ def parse_config(text: str) -> ExperimentConfig:
     elif "behavior_file" in raw:
         errors.append(("behavior_file", f"only meaningful for model 'custom', not {model!r}"))
 
-    # cross-field checks
+    # cross-field checks; a custom model's grids are checked once its file is read
     if grid_a and grid_b and model != "custom":
-        for name, value, grid in (
-            ("chsh.x0", chsh.x0, grid_a),
-            ("chsh.x1", chsh.x1, grid_a),
-            ("chsh.y0", chsh.y0, grid_b),
-            ("chsh.y1", chsh.y1, grid_b),
-        ):
-            if value not in grid:
-                errors.append((name, f"setting {value!r} not in the corresponding grid"))
-        if preset_pair is not None:
-            if preset_pair[0] not in grid_a:
-                errors.append(("preset_pair[0]", f"{preset_pair[0]!r} not in grid_a"))
-            if preset_pair[1] not in grid_b:
-                errors.append(("preset_pair[1]", f"{preset_pair[1]!r} not in grid_b"))
+        errors += _grid_errors(chsh, preset_pair, grid_a, grid_b)
     if model == "pr-box" and (grid_a, grid_b) != pr_box_settings().grids():
         errors.append(("grid_a", "the pr-box model requires binary grids [0, 1]"))
 

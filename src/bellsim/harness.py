@@ -21,12 +21,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
 from .angles import setting_text
-from .config import ExperimentConfig, build_model
+from .config import ExperimentConfig
 from .errors import MissingDataError, RealismViolationError
 from .models import Behavior, ChshSettings, chsh_value
 from .observers import (
@@ -62,10 +62,6 @@ def substream(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def trial_uniforms(master_seed: int, trial_index: int) -> np.ndarray:
-    return substream(master_seed, trial_index).random(DRAWS_PER_TRIAL)
-
-
 def _block_uniforms(master_seed: int, start_trial: int, count: int) -> np.ndarray:
     """Rows ``start_trial .. start_trial+count-1`` of the per-trial uniforms."""
     return substream(master_seed, start_trial).random((count, DRAWS_PER_TRIAL))
@@ -85,26 +81,31 @@ def _sample_cells(slice2x2: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
-    """One traced experiment's factual data point with its reception bookkeeping."""
+    """One traced experiment's factual data point."""
 
     trial: int
     theta_a: Any
     theta_b: Any
     outcome_a: int
     outcome_b: int
-    reception_times: Mapping[str, Mapping[str, float]]
 
 
 @dataclass(frozen=True)
 class TrialTrace:
-    """A fully simulated trial: record, both observers' state histories, and its behavior."""
+    """A fully simulated trial: record, pooled state with both observers' histories, and its behavior."""
 
     record: TrialRecord
-    observer_a: ObserverState
-    observer_b: ObserverState
     pooled: PooledState
     behavior: Behavior
     preset: bool = False
+
+    @property
+    def observer_a(self) -> ObserverState:
+        return self.pooled.observer_a
+
+    @property
+    def observer_b(self) -> ObserverState:
+        return self.pooled.observer_b
 
 
 class Dataset:
@@ -118,22 +119,24 @@ class Dataset:
     by every trial.
     """
 
-    def __init__(self, grid_a, grid_b, counts, n_per_pair, records=(), reception_times=None):
+    def __init__(self, grid_a, grid_b, counts, records=(), reception_times=None):
         self.grid_a = tuple(grid_a)
         self.grid_b = tuple(grid_b)
         self.counts = np.asarray(counts, dtype=np.int64)
-        self.n_per_pair = np.asarray(n_per_pair, dtype=np.int64)
         expected = (len(self.grid_a), len(self.grid_b), 2, 2)
         if self.counts.shape != expected:
             raise ValueError(f"counts shape {self.counts.shape}, expected {expected}")
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
-        if not np.array_equal(self.counts.sum(axis=(2, 3)), self.n_per_pair):
-            raise ValueError("counts must sum to the per-pair trial totals")
         self.records = np.asarray(records, dtype=np.uint8).reshape(-1)
         if self.records.size not in (0, self.total_trials):
             raise ValueError(f"{self.records.size} records for {self.total_trials} trials")
         self.reception_times = reception_times or {}
+
+    @property
+    def n_per_pair(self) -> np.ndarray:
+        """Trials at each setting pair: the counts summed over the outcome cells."""
+        return self.counts.sum(axis=(2, 3))
 
     @property
     def total_trials(self) -> int:
@@ -156,7 +159,7 @@ def _choose_setting(grid, u: float):
 
 def _draw(behavior: Behavior, master_seed: int, trial_index: int, forced_settings=None) -> tuple:
     """Trial ``trial_index``'s counter block: its settings, then its outcome cell."""
-    u = trial_uniforms(master_seed, trial_index)
+    u = _block_uniforms(master_seed, trial_index, 1)[0]
     if forced_settings is not None:
         theta_a, theta_b = forced_settings
     else:
@@ -174,7 +177,6 @@ def _ledgers(
     cell: int,
     *,
     preset: bool,
-    setting_prior=None,
     q_setting_width: float,
     q_outcome_width: float,
     unresolved_local_setting: bool,
@@ -188,7 +190,6 @@ def _ledgers(
     events = schedule.trial_events(theta_a, theta_b, outcome_a, outcome_b)
     state_a, state_b = init_beliefs(
         behavior,
-        setting_prior=setting_prior,
         preset=(theta_a, theta_b) if preset else None,
         worldline_a=schedule.worldline_a,
         worldline_b=schedule.worldline_b,
@@ -222,11 +223,6 @@ def _ledgers(
     return pool(state_a, state_b)
 
 
-def _trace(trial_index, theta_a, theta_b, cell, pooled, behavior, preset, reception_times) -> TrialTrace:
-    record = TrialRecord(trial_index, theta_a, theta_b, *CELL_OUTCOMES[cell], reception_times)
-    return TrialTrace(record, pooled.observer_a, pooled.observer_b, pooled, behavior, preset=preset)
-
-
 def run_trial(
     behavior: Behavior,
     schedule: Schedule,
@@ -235,7 +231,6 @@ def run_trial(
     trial_index: int,
     forced_settings=None,
     preset: bool = False,
-    setting_prior=None,
     q_setting_width: float = 0.0,
     q_outcome_width: float = 0.0,
     unresolved_local_setting: bool = False,
@@ -256,12 +251,11 @@ def run_trial(
         theta_b,
         cell,
         preset=preset,
-        setting_prior=setting_prior,
         q_setting_width=q_setting_width,
         q_outcome_width=q_outcome_width,
         unresolved_local_setting=unresolved_local_setting,
     )
-    return _trace(trial_index, theta_a, theta_b, cell, pooled, behavior, preset, _reception_times(schedule))
+    return TrialTrace(TrialRecord(trial_index, theta_a, theta_b, *CELL_OUTCOMES[cell]), pooled, behavior, preset)
 
 
 def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
@@ -269,53 +263,51 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
 
     Each trial's settings are forced to its pair block (or to ``preset_pair``
     with preset settings), so trial ``k`` matches trial ``k`` of the dataset.
-    Every trial draws its own counter block, but the ledgers are computed once
-    per (settings, outcome cell): trials sharing one share the same frozen
-    observer states, so at most ``4 * nx * ny`` histories are ever built.
+    The cells of each pair block's traced trials come from one draw of their
+    counter blocks, as in :func:`sample_dataset`, and the ledgers are computed
+    once per (settings, outcome cell): trials sharing one share the same
+    frozen observer states, so at most ``4 * nx * ny`` histories are ever built.
     """
-    schedule = config.schedule
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
-    times = _reception_times(schedule)
+    preset_pair = config.preset_pair if config.preset_settings else None
+    n = config.trials_per_pair
     histories: dict = {}
     traces = []
-    for k in range(config.traced_trials):
-        pair = pairs[(k // config.trials_per_pair) % len(pairs)]
-        if config.preset_settings and config.preset_pair is not None:
-            pair = config.preset_pair
-        key = _draw(behavior, config.seed, k, pair)
-        if key not in histories:
-            histories[key] = _ledgers(
-                behavior,
-                schedule,
-                *key,
-                preset=config.preset_settings,
-                q_setting_width=config.q_setting_width,
-                q_outcome_width=config.q_outcome_width,
-                unresolved_local_setting=config.unresolved_local_setting,
-            )
-        traces.append(_trace(k, *key, histories[key], behavior, config.preset_settings, times))
+    for lo in range(0, config.traced_trials, n):
+        pair = preset_pair if preset_pair is not None else pairs[(lo // n) % len(pairs)]
+        u = _block_uniforms(config.seed, lo, min(n, config.traced_trials - lo))[:, _SLOT_OUTCOME]
+        for k, cell in enumerate(_sample_cells(behavior.slice(*pair), u).tolist(), lo):
+            key = (*pair, cell)
+            if key not in histories:
+                histories[key] = _ledgers(
+                    behavior,
+                    config.schedule,
+                    *key,
+                    preset=config.preset_settings,
+                    q_setting_width=config.q_setting_width,
+                    q_outcome_width=config.q_outcome_width,
+                    unresolved_local_setting=config.unresolved_local_setting,
+                )
+            record = TrialRecord(k, *pair, *CELL_OUTCOMES[cell])
+            traces.append(TrialTrace(record, histories[key], behavior, config.preset_settings))
     return traces
 
 
-def run_experiment(config: ExperimentConfig) -> Dataset:
-    """Sample ``trials_per_pair`` trials at every setting pair of the grids.
+def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
+    """Sample ``trials_per_pair`` trials of ``behavior`` at every setting pair of its grids.
 
     Trial ``k`` draws counter block ``k`` whichever chunk and thread sample
     it, so the dataset is identical for any worker count.  Sampled outcomes are
     checked against the model's zero cells, the realism-violation signal.
     """
     return sample_dataset(
-        build_model(config),
+        behavior,
         config.schedule,
         trials_per_pair=config.trials_per_pair,
         master_seed=config.seed,
         workers=config.workers,
         keep_records=config.keep_records,
     )
-
-
-def _reception_times(schedule: Schedule) -> dict:
-    return {"A": schedule.data_reception_times("A"), "B": schedule.data_reception_times("B")}
 
 
 def sample_dataset(
@@ -356,9 +348,8 @@ def sample_dataset(
             f"({setting_text(behavior.grid_a[i])}, {setting_text(behavior.grid_b[j])})"
         )
 
-    n_per_pair = np.full((nx, ny), trials_per_pair, dtype=np.int64)
-    times = _reception_times(schedule) if schedule is not None else None
-    return Dataset(behavior.grid_a, behavior.grid_b, counts.reshape(nx, ny, 2, 2), n_per_pair, records, times)
+    times = None if schedule is None else {w: schedule.data_reception_times(w) for w in ("A", "B")}
+    return Dataset(behavior.grid_a, behavior.grid_b, counts.reshape(nx, ny, 2, 2), records, times)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +448,7 @@ class ViolationReport:
 
 
 def classify_violation(
-    traces,
+    trace: TrialTrace,
     stage: Stage,
     settings: ChshSettings,
     *,
@@ -475,7 +466,6 @@ def classify_violation(
     statistic.  A single trial whose settings are all factual cannot test the
     bound at all: it has only one setting pair.
     """
-    trace = traces[0] if isinstance(traces, (list, tuple)) else traces
     state = trace.observer_a if observer == "A" else trace.observer_b
     ledgers = state.stage_ledgers()
     if stage not in ledgers:

@@ -145,14 +145,13 @@ class ObserverState:
     """
 
     observer: str
-    worldline: Worldline | None
+    worldline: Worldline
     ledger: TaggedJoint
     stage: Stage
     received: tuple = ()
     clock: float = float("-inf")
     factual: Mapping[str, Any] = None
     qs: Mapping[str, QUncertainty] = None
-    uncertain: frozenset = frozenset()
     initial_ledger: TaggedJoint = None
     history: tuple = ()
 
@@ -174,6 +173,11 @@ class ObserverState:
         for e in self.received:
             out.update(e.payload.propositions())
         return out
+
+    @property
+    def uncertain(self) -> frozenset:
+        """Names measured locally with a spread, not exact, uncertainty."""
+        return frozenset(name for name, q in self.qs.items() if not q.is_delta)
 
     @property
     def own_setting(self) -> str:
@@ -294,12 +298,10 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
         raise ValueError(
             f"{state.observer} at stage {state.stage.value} cannot accept a {target_stage.value} event"
         )
-    clock = state.clock
-    if state.worldline is not None:
-        arrived = reception_time(event, state.worldline)
-        if arrived < clock - TOL:
-            raise ValueError("events must be received in causal order")
-        clock = max(clock, arrived)
+    arrived = reception_time(event, state.worldline)
+    if arrived < state.clock - TOL:
+        raise ValueError("events must be received in causal order")
+    clock = max(state.clock, arrived)
 
     if isinstance(payload, StatePreparation):
         return replace(state, received=state.received + (event,), clock=clock)
@@ -308,7 +310,6 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
     ledger = state.ledger
     factual = dict(state.factual)
     qs = dict(state.qs)
-    uncertain = state.uncertain
 
     if name in (c.variable.name for c in ledger.conditioners):
         # already pinned (preset mode or duplicate delivery)
@@ -337,7 +338,6 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
             ct = condition_table(ledger, name)
             ledger = _canonical(product(ct, TaggedJoint((var,), q.array, (), ledger.label)))
             qs[name] = q
-            uncertain = uncertain | {name}
 
     history = state.history
     if target_stage is not state.stage:
@@ -352,7 +352,6 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
         clock=clock,
         factual=factual,
         qs=qs,
-        uncertain=uncertain,
         history=history,
     )
 

@@ -158,11 +158,11 @@ class TaggedJoint:
         arr = np.transpose(self.array, perm) if perm else self.array
         return TaggedJoint([self.free[i] for i in perm], arr, self.conditioners, self.label)
 
-    def equals(self, other: "TaggedJoint", tol: float = TOL, ignore_modality: bool = True) -> bool:
+    def equals(self, other: "TaggedJoint", tol: float = TOL) -> bool:
         """Entrywise equality after aligning axes by variable name.
 
         Conditioners must match as (name, value) pairs; modality is ignored
-        by default because the tag never carries numerical content.
+        because the tag never carries numerical content.
         """
         if sorted(self.free_names) != sorted(other.free_names):
             return False
@@ -171,7 +171,7 @@ class TaggedJoint:
                 return False
 
         def key(c):
-            return (c.variable.name, c.value) if ignore_modality else (c.variable.name, c.value, c.modality)
+            return (c.variable.name, c.value)
 
         if sorted(map(key, self.conditioners), key=repr) != sorted(map(key, other.conditioners), key=repr):
             return False
@@ -449,7 +449,3 @@ def enumerate_factorizations(d: TaggedJoint, ordered_blocks: bool = False) -> tu
         for ordering in itertools.permutations(part):
             out.append(Factorization(ordering))
     return tuple(out)
-
-
-def render(d: TaggedJoint) -> str:
-    return d.render()

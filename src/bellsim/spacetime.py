@@ -212,8 +212,6 @@ def build_schedule(
     t_communication: float = 2.3,
     signal_speed: float = 1.0,
     c: float = 1.0,
-    observer_a: str = "A",
-    observer_b: str = "B",
 ) -> Schedule:
     """Validate timing and geometry, or raise :class:`InvalidScheduleError`.
 
@@ -231,8 +229,8 @@ def build_schedule(
             f"stage times must increase strictly; got {times}"
         )
     schedule = Schedule(
-        Worldline(observer_a, position_a),
-        Worldline(observer_b, position_b),
+        Worldline("A", position_a),
+        Worldline("B", position_b),
         t_prepare,
         t_setting,
         t_detection,

@@ -17,6 +17,7 @@ from bellsim import (
     Stage,
     ViolationClass,
     bayes_invert,
+    build_model,
     build_schedule,
     check_factorizable,
     check_no_signaling,
@@ -66,7 +67,7 @@ def optimal_behavior():
 def test_criterion_01_singlet_chsh_within_four_sigma_under_ten_seconds():
     cfg = ExperimentConfig(trials_per_pair=100000, seed=20260810)
     start = time.perf_counter()
-    dataset = run_experiment(cfg)
+    dataset = run_experiment(cfg, build_model(cfg))
     est = estimate_chsh(dataset, cfg.chsh)
     elapsed = time.perf_counter() - start
     target = 2.0 * math.sqrt(2.0)
@@ -168,7 +169,7 @@ def test_criterion_07_counterfactual_classification_over_100_runs():
                 ok &= "θb" in report.nonlocal_counterfactuals
 
     cfg = ExperimentConfig(trials_per_pair=500, seed=701, preset_settings=True)
-    preset_dataset = run_experiment(cfg)
+    preset_dataset = run_experiment(cfg, build_model(cfg))
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
     preset_local = True
     for i in range(100):

@@ -7,10 +7,22 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bellsim import Angle, ConfigError, ExperimentConfig, ViolationClass, behavior_to_csv, parse_config, pr_box
-from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, _trace_document, main
+from bellsim import (
+    Angle,
+    ConfigError,
+    ExperimentConfig,
+    ViolationClass,
+    behavior_from_csv,
+    behavior_to_csv,
+    parse_config,
+    pr_box,
+)
+from bellsim import config as config_module
+from bellsim import harness
+from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, _trace_document, main
 from conftest import TRACED_CONFIGS, traces_by_run_trial
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -290,21 +302,40 @@ def test_config_error_exit_code(tmp_path):
     assert main([str(path), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
-def test_runtime_error_exit_code(tmp_path):
-    # chosen pairs outside the custom table's grid surface only at run time
+def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a sampler landing on one of the PR box's zero cells is a realism violation
+    monkeypatch.setattr(harness, "_sample_cells", lambda slab, u: np.ones(len(u), dtype=int))
+    code, _ = run_cli(tmp_path, {"model": "pr-box", "trials_per_pair": 10, "traced_trials": 0})
+    assert code == EXIT_RUNTIME
+    assert "probability zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,path", [
+    ({"preset_settings": True, "preset_pair": [5, 7]}, "preset_pair[0]"),
+    ({"chsh": {"x0": 0, "x1": 1, "y0": 0, "y1": 9}}, "chsh.y1"),
+])
+def test_custom_model_settings_must_come_from_the_file_grids(tmp_path, capsys, extra, path):
     table = tmp_path / "behavior.csv"
     table.write_text(behavior_to_csv(pr_box()), encoding="utf-8")
-    doc = {
-        "model": "custom",
-        "behavior_file": str(table),
-        "chsh": {"x0": 0, "x1": 5, "y0": 0, "y1": 1},
-        "trials_per_pair": 10,
-        "traced_trials": 0,
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code = main([str(path), "-o", str(tmp_path / "out")])
-    assert code == 2
+    code, _ = run_cli(tmp_path, {"model": "custom", "behavior_file": str(table), "trials_per_pair": 10, **extra})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert f"config error at {path}: " in err
+
+
+def test_custom_behavior_file_is_parsed_once_per_run(tmp_path, monkeypatch):
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return behavior_from_csv(text)
+
+    monkeypatch.setattr(config_module, "behavior_from_csv", counted)
+    table = tmp_path / "behavior.csv"
+    table.write_text(behavior_to_csv(pr_box()), encoding="utf-8")
+    code, _ = run_cli(tmp_path, {"model": "custom", "behavior_file": str(table), "trials_per_pair": 10})
+    assert code == EXIT_OK
+    assert len(parsed) == 1
 
 
 def test_missing_config_exit_code(tmp_path):

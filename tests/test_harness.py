@@ -38,7 +38,7 @@ from bellsim import (
     singlet_behavior,
 )
 from bellsim import harness
-from bellsim.harness import CHUNK, _block_uniforms, _sample_cells, substream, trace_trials, trial_uniforms
+from bellsim.harness import CHUNK, _block_uniforms, _sample_cells, substream, trace_trials
 from bellsim.models import Behavior
 from conftest import TRACED_CONFIGS, random_behavior, traces_by_run_trial
 
@@ -58,15 +58,10 @@ def uniform_behavior():
 # -- substreams -----------------------------------------------------------------
 
 
-def test_substreams_tile_the_batch():
-    batch = substream(99, 0).random((64, 4))
-    for i in (0, 1, 17, 63):
-        assert np.array_equal(trial_uniforms(99, i), batch[i])
-
-
 def test_block_uniforms_slice_the_batch():
     batch = substream(7, 0).random((100, 4))
-    assert np.array_equal(_block_uniforms(7, 30, 20), batch[30:50])
+    for start, count in ((30, 20), (0, 100), (0, 1), (1, 1), (17, 1), (99, 1)):
+        assert np.array_equal(_block_uniforms(7, start, count), batch[start : start + count])
 
 
 def test_trial_is_deterministic():
@@ -113,16 +108,6 @@ def test_trial_data_extraction_matches_sampled_values():
             "±b": t.record.outcome_b,
             "θb": t.record.theta_b,
         }
-
-
-def test_trial_reception_times_follow_schedule():
-    b = optimal_behavior()
-    schedule = build_schedule()
-    t = run_trial(b, schedule, master_seed=2, trial_index=0)
-    ta = t.record.reception_times["A"]
-    assert ta["θa"] == schedule.t_setting
-    assert ta["±a"] == schedule.t_detection
-    assert ta["θb"] == pytest.approx(schedule.t_communication)
 
 
 # -- trace_trials ------------------------------------------------------------------
@@ -179,8 +164,12 @@ def config(**kwargs) -> ExperimentConfig:
     return dataclasses.replace(ExperimentConfig(), **kwargs)
 
 
+def experiment(cfg: ExperimentConfig):
+    return run_experiment(cfg, build_model(cfg))
+
+
 def test_single_trial_counts_one_hot():
-    ds = run_experiment(config(trials_per_pair=1, seed=5))
+    ds = experiment(config(trials_per_pair=1, seed=5))
     assert ds.total_trials == 4
     for i in range(2):
         for j in range(2):
@@ -212,7 +201,7 @@ def test_uniform_cells_concentrate():
 def test_parallel_execution_is_bit_identical():
     c1 = config(trials_per_pair=4000, seed=13, workers=1)
     c4 = config(trials_per_pair=4000, seed=13, workers=4)
-    d1, d4 = run_experiment(c1), run_experiment(c4)
+    d1, d4 = experiment(c1), experiment(c4)
     assert np.array_equal(d1.counts, d4.counts)
     assert np.array_equal(d1.records, d4.records)
 
@@ -276,7 +265,7 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
 
 
 def test_records_can_be_dropped():
-    ds = run_experiment(config(trials_per_pair=100, keep_records=False))
+    ds = experiment(config(trials_per_pair=100, keep_records=False))
     assert ds.records.size == 0
     assert ds.total_trials == 400
     with pytest.raises(MissingDataError):
@@ -289,7 +278,7 @@ def test_records_can_be_dropped():
 def test_estimate_behavior_degenerate_counts():
     counts = np.zeros((1, 1, 2, 2), dtype=int)
     counts[0, 0, 0, 0] = 50
-    ds = Dataset((0,), (0,), counts, np.array([[50]]))
+    ds = Dataset((0,), (0,), counts)
     est = estimate_behavior(ds)
     assert est.behavior.table[0, 0, 0, 0] == 1.0
     assert np.all(est.stderr == 0.0)
@@ -298,7 +287,7 @@ def test_estimate_behavior_degenerate_counts():
 def test_estimate_behavior_names_missing_pair():
     counts = np.zeros((1, 2, 2, 2), dtype=int)
     counts[0, 0, 0, 0] = 5
-    ds = Dataset((0,), (0, 1), counts, np.array([[5, 0]]))
+    ds = Dataset((0,), (0, 1), counts)
     with pytest.raises(MissingDataError, match=r"\(0, 1\)"):
         estimate_behavior(ds)
 
@@ -413,9 +402,22 @@ def test_counterfactual_list_tracks_stage():
     assert rt.counterfactual_conditioners == ("θb",)
 
 
+def test_far_setting_is_nonlocal_for_observer_b_too():
+    trace = run_trial(optimal_behavior(), build_schedule(), master_seed=21, trial_index=0)
+    settings = optimal_singlet_settings()
+    r0 = classify_violation(trace, Stage.INITIAL, settings, observer="B")
+    assert r0.counterfactual_conditioners == ("θa", "θb")
+    for stage in (Stage.SETTING, Stage.DETECTION):
+        report = classify_violation(trace, stage, settings, observer="B")
+        assert report.observer == "B"
+        assert report.classification is ViolationClass.COUNTERFACTUAL_NONLOCAL
+        assert report.counterfactual_conditioners == ("θa",)
+        assert report.nonlocal_counterfactuals == ("θa",)
+
+
 def test_communication_stage_is_factual_local():
     cfg = config(trials_per_pair=2000, seed=9)
-    ds = run_experiment(cfg)
+    ds = experiment(cfg)
     b = optimal_behavior()
     trace = run_trial(b, cfg.schedule, master_seed=9, trial_index=0,
                       forced_settings=(b.grid_a[0], b.grid_b[0]))
@@ -435,7 +437,7 @@ def test_single_experiment_with_factual_settings_not_applicable():
 
 def test_preset_run_classified_local():
     cfg = config(trials_per_pair=1000, seed=10, preset_settings=True)
-    ds = run_experiment(cfg)
+    ds = experiment(cfg)
     b = optimal_behavior()
     trace = run_trial(
         b,
@@ -483,7 +485,7 @@ def test_classifier_soundness_nonlocal_tag_iff_far_setting_unknown():
 
 
 def test_dataset_csv_shape_and_header():
-    ds = run_experiment(config(trials_per_pair=5, seed=1))
+    ds = experiment(config(trials_per_pair=5, seed=1))
     out = io.StringIO()
     dataset_to_csv(ds, out)
     text = out.getvalue()

@@ -58,6 +58,13 @@ def uniform_behavior():
 # -- substreams -----------------------------------------------------------------
 
 
+def test_substreams_tile_the_batch():
+    batch = substream(99, 0).random((64, 4))
+    for i in (0, 1, 17, 63):
+        assert np.array_equal(substream(99, i).random(4), batch[i])
+        assert np.array_equal(_block_uniforms(99, i, 1)[0], batch[i])
+
+
 def test_block_uniforms_slice_the_batch():
     batch = substream(7, 0).random((100, 4))
     for start, count in ((30, 20), (0, 100), (0, 1), (1, 1), (17, 1), (99, 1)):

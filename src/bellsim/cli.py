@@ -114,14 +114,7 @@ def _classification_section(traces, dataset: Dataset, config: ExperimentConfig) 
         return []
     reports = []
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
-        needs_data = stage is Stage.COMMUNICATION or config.preset_settings
-        report = classify_violation(
-            traces[0],
-            stage,
-            config.chsh,
-            dataset=dataset if needs_data else None,
-            observer="A",
-        )
+        report = classify_violation(traces[0], stage, config.chsh, dataset=dataset, observer="A")
         reports.append(report.to_dict())
     return reports
 
@@ -241,7 +234,7 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
     )
     if dataset.records.size:
         with open(outdir / "dataset.csv", "w", encoding="utf-8", newline="") as fh:
-            dataset_to_csv(dataset, fh)
+            dataset_to_csv(dataset, config.schedule, fh)
     (outdir / "behavior_estimate.csv").write_text(
         behavior_to_csv(estimate_behavior(dataset).behavior), encoding="utf-8"
     )

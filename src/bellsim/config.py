@@ -265,6 +265,8 @@ def parse_config(text: str) -> ExperimentConfig:
             py = _parse_setting(raw["preset_pair"][1], "preset_pair[1]", errors, angles)
             if px is not None and py is not None:
                 preset_pair = (px, py)
+        if not scalars.get("preset_settings", False):
+            errors.append(("preset_pair", "has no effect unless preset_settings is true"))
 
     lhv = None
     if model == "lhv":

@@ -8,8 +8,9 @@ any chunked parallel batch therefore produce bit-identical results.
 Outcomes are drawn by inverse CDF over the four cells of the behavior slice
 in fixed cell order, so zero-probability cells are structurally unreachable.
 A dataset keeps each trial as one ``uint8`` index into :data:`CELL_OUTCOMES`,
-in trial order; the setting pair is implied by the trial's pair block and the
-reception times by the schedule.
+in trial order; the setting pair is implied by the trial's pair block, and the
+reception times, the same for every trial, are read from the run's schedule
+when the dataset is exported.
 """
 
 from __future__ import annotations
@@ -114,12 +115,11 @@ class Dataset:
     ``records`` is a ``uint8`` array with one index into :data:`CELL_OUTCOMES`
     per trial, in trial order; it is empty when records were not kept.  Trials
     run through the setting pairs in row-major order, ``n_per_pair[i, j]`` of
-    them each, so trial ``k``'s settings follow from its position.
-    ``reception_times`` is the schedule's ``{"A": {...}, "B": {...}}``, shared
-    by every trial.
+    them each, so trial ``k``'s settings follow from its position.  Reception
+    times are the same for every trial and belong to the run's schedule.
     """
 
-    def __init__(self, grid_a, grid_b, counts, records=(), reception_times=None):
+    def __init__(self, grid_a, grid_b, counts, records=()):
         self.grid_a = tuple(grid_a)
         self.grid_b = tuple(grid_b)
         self.counts = np.asarray(counts, dtype=np.int64)
@@ -131,7 +131,6 @@ class Dataset:
         self.records = np.asarray(records, dtype=np.uint8).reshape(-1)
         if self.records.size not in (0, self.total_trials):
             raise ValueError(f"{self.records.size} records for {self.total_trials} trials")
-        self.reception_times = reception_times or {}
 
     @property
     def n_per_pair(self) -> np.ndarray:
@@ -188,12 +187,7 @@ def _ledgers(
     """
     outcome_a, outcome_b = CELL_OUTCOMES[cell]
     events = schedule.trial_events(theta_a, theta_b, outcome_a, outcome_b)
-    state_a, state_b = init_beliefs(
-        behavior,
-        preset=(theta_a, theta_b) if preset else None,
-        worldline_a=schedule.worldline_a,
-        worldline_b=schedule.worldline_b,
-    )
+    state_a, state_b = init_beliefs(behavior, schedule, preset=(theta_a, theta_b) if preset else None)
 
     # each wing's uncertainty about its own measurements, fixed up front;
     # a report can only carry the sender's own uncertainty about the value
@@ -302,7 +296,6 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
     """
     return sample_dataset(
         behavior,
-        config.schedule,
         trials_per_pair=config.trials_per_pair,
         master_seed=config.seed,
         workers=config.workers,
@@ -312,7 +305,6 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
 
 def sample_dataset(
     behavior: Behavior,
-    schedule: Schedule | None,
     *,
     trials_per_pair: int,
     master_seed: int,
@@ -348,8 +340,7 @@ def sample_dataset(
             f"({setting_text(behavior.grid_a[i])}, {setting_text(behavior.grid_b[j])})"
         )
 
-    times = None if schedule is None else {w: schedule.data_reception_times(w) for w in ("A", "B")}
-    return Dataset(behavior.grid_a, behavior.grid_b, counts.reshape(nx, ny, 2, 2), records, times)
+    return Dataset(behavior.grid_a, behavior.grid_b, counts.reshape(nx, ny, 2, 2), records)
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +538,16 @@ _CSV_HEADER = "trial,x,y,a,b,t_setting_A,t_outcome_A,t_reports_A,t_setting_B,t_o
 _CSV_TIMES = (("A", "θa"), ("A", "±a"), ("A", "θb"), ("B", "θb"), ("B", "±b"), ("B", "θa"))
 
 
-def dataset_to_csv(dataset: Dataset, out) -> None:
+def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
     """Stream delimited per-trial rows to the text file ``out``; requires kept records.
 
     Everything after the trial number is fixed by the pair block and the
-    cell, so each pair's four row tails are rendered once.
+    cell (the reception times by ``schedule``), so each pair's four row tails
+    are rendered once.
     """
     if not dataset.records.size:
         raise MissingDataError("dataset was sampled without records; nothing to export")
-    times = [dataset.reception_times.get(wing, {}).get(name, "") for wing, name in _CSV_TIMES]
+    times = [schedule.data_reception_times(wing)[name] for wing, name in _CSV_TIMES]
     out.write(_CSV_HEADER)
     pairs, end = itertools.product(dataset.grid_a, dataset.grid_b), 0
     for (x, y), n in zip(pairs, dataset.n_per_pair.ravel().tolist()):

@@ -19,11 +19,11 @@ import numpy as np
 
 from .angles import Angle, cos_between, setting_from_text, setting_text
 from .errors import MissingDataError, UnsupportedScenarioError
+from .probability import TOL
 
 #: Fixed outcome order for every table axis: index 0 is +1, index 1 is -1.
 OUTCOMES = (1, -1)
 
-TOL = 1e-12
 FACET_TOL = 1e-9
 
 
@@ -240,7 +240,7 @@ class NoSignalingReport:
         return self.marginal_setting_independent
 
 
-def check_no_signaling(behavior: Behavior, tol: float = TOL) -> NoSignalingReport:
+def check_no_signaling(behavior: Behavior) -> NoSignalingReport:
     """Check each wing's outcome marginal for dependence on the far setting.
 
     Despite the traditional name, what is tested is marginal measurement
@@ -256,7 +256,7 @@ def check_no_signaling(behavior: Behavior, tol: float = TOL) -> NoSignalingRepor
         max_dev, worst = worst_a, "first wing's outcome marginal varies with the far setting"
     else:
         max_dev, worst = worst_b, "second wing's outcome marginal varies with the far setting"
-    return NoSignalingReport(max_dev, max_dev <= tol, worst if max_dev > tol else "none", tol)
+    return NoSignalingReport(max_dev, max_dev <= TOL, worst if max_dev > TOL else "none", TOL)
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ class FactorizabilityReport:
     tol: float
 
 
-def check_factorizable(behavior: Behavior, tol: float = FACET_TOL) -> FactorizabilityReport:
+def check_factorizable(behavior: Behavior) -> FactorizabilityReport:
     """Exact local-polytope membership for the two-setting/two-outcome case.
 
     A behavior admits a factorizing hidden-variable explanation iff it is
@@ -285,7 +285,7 @@ def check_factorizable(behavior: Behavior, tol: float = FACET_TOL) -> Factorizab
         raise UnsupportedScenarioError(
             "local-polytope membership requires exactly two settings per wing"
         )
-    ns = check_no_signaling(behavior, tol=TOL)
+    ns = check_no_signaling(behavior)
     corr = [[correlator(behavior, x, y) for y in behavior.grid_b] for x in behavior.grid_a]
     best = None
     for signs in itertools.product((1.0, -1.0), repeat=4):
@@ -296,18 +296,18 @@ def check_factorizable(behavior: Behavior, tol: float = FACET_TOL) -> Factorizab
         if best is None or abs(value) > abs(best.value):
             best = FacetValue(signs, value)
     max_facet = abs(best.value)
-    is_local = bool(ns.passed and max_facet <= 2.0 + tol)
-    return FactorizabilityReport(is_local, max_facet, best.signs, ns, tol)
+    is_local = bool(ns.passed and max_facet <= 2.0 + FACET_TOL)
+    return FactorizabilityReport(is_local, max_facet, best.signs, ns, FACET_TOL)
 
 
-def marginal_after_setting_average(behavior: Behavior, x, prior_b) -> np.ndarray:
+def marginal_after_setting_average(behavior: Behavior, x, far_prior) -> np.ndarray:
     """``sum_y p(a|x, y) p(y)``: the far-setting average of a wing marginal.
 
     Equals ``p(a|x, y')`` for every y' exactly when the marginal is setting
     independent; conflating the two in general confuses an average with an
     invariance.
     """
-    weights = np.asarray(prior_b, dtype=float)
+    weights = np.asarray(far_prior, dtype=float)
     if weights.shape != (len(behavior.grid_b),) or abs(weights.sum() - 1.0) > TOL:
         raise ValueError("prior must be a distribution over the far grid")
     pa = behavior.table[behavior.x_index(x)].sum(axis=2)  # [y, a]

@@ -36,12 +36,11 @@ from .spacetime import (
     PREPARED_SYMBOL,
     Detection,
     Message,
+    Schedule,
     SettingChoice,
     SpacetimeEvent,
     StatePreparation,
     Worldline,
-    build_schedule,
-    outcome_symbol,
     reception_time,
     setting_symbol,
 )
@@ -122,13 +121,6 @@ class QUncertainty:
         return cls(variable, tuple(v / norm for v in w))
 
     @classmethod
-    def two_point(cls, variable: Variable, first, second) -> "QUncertainty":
-        w = [0.0] * len(variable.domain)
-        w[variable.index(first)] += 0.5
-        w[variable.index(second)] += 0.5
-        return cls(variable, tuple(w))
-
-    @classmethod
     def uniform(cls, variable: Variable) -> "QUncertainty":
         n = len(variable.domain)
         return cls(variable, tuple(1.0 / n for _ in range(n)))
@@ -183,10 +175,6 @@ class ObserverState:
     def own_setting(self) -> str:
         return setting_symbol(self.observer)
 
-    @property
-    def own_outcome(self) -> str:
-        return outcome_symbol(self.observer)
-
 
 def _canonical(d: TaggedJoint) -> TaggedJoint:
     order = [n for n in CANONICAL if n in d.free_names]
@@ -204,40 +192,19 @@ def data_variables(behavior: Behavior) -> dict:
     }
 
 
-def init_beliefs(
-    behavior: Behavior,
-    *,
-    setting_prior=None,
-    prior_a=None,
-    prior_b=None,
-    preset=None,
-    worldline_a: Worldline | None = None,
-    worldline_b: Worldline | None = None,
-) -> tuple:
+def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tuple:
     """Both observers' shared starting ledger over the four data propositions.
 
-    The ledger is the behavior times a prior over setting pairs, conditioned
-    factually on the prepared state and the initial stage label.  Both
-    observers must start from the same table; injecting unequal per-observer
-    priors is rejected.  ``preset`` optionally pins both settings factually
-    from the start (the pre-agreed-settings mode).  Missing worldlines are
-    those of the default schedule.
+    The ledger is the behavior times a uniform prior over setting pairs,
+    conditioned factually on the prepared state and the initial stage label,
+    so both observers start from the same table.  Each observer sits on its
+    worldline in ``schedule``.  ``preset`` optionally pins both settings
+    factually from the start (the pre-agreed-settings mode).
     """
     nx, ny = len(behavior.grid_a), len(behavior.grid_b)
-    if setting_prior is None:
-        setting_prior = np.full((nx, ny), 1.0 / (nx * ny))
-    setting_prior = np.asarray(setting_prior, dtype=float)
-    if setting_prior.shape != (nx, ny):
-        raise ValueError(f"setting prior must have shape {(nx, ny)}")
-    pa = np.asarray(prior_a, dtype=float) if prior_a is not None else setting_prior
-    pb = np.asarray(prior_b, dtype=float) if prior_b is not None else setting_prior
-    if pa.shape != pb.shape or np.max(np.abs(pa - pb)) > TOL:
-        raise ValueError("observers must start from equal ledgers; per-observer priors differ")
-    setting_prior = pa
-
     variables = data_variables(behavior)
     # canonical axis order (±a, θa, ±b, θb) from table axes [x, y, a, b]
-    joint = np.einsum("xyab->axby", behavior.table) * setting_prior[None, :, None, :]
+    joint = np.einsum("xyab->axby", behavior.table) * (1.0 / (nx * ny))
     conds = (
         Conditioner(Variable.singleton(PREPARED_SYMBOL), PREPARED_SYMBOL, Modality.FACTUAL),
         Conditioner(stage_variable(Stage.INITIAL), Stage.INITIAL.value, Modality.FACTUAL),
@@ -268,11 +235,7 @@ def init_beliefs(
             )
         return state
 
-    if worldline_a is None or worldline_b is None:
-        default = build_schedule()
-        worldline_a = worldline_a or default.worldline_a
-        worldline_b = worldline_b or default.worldline_b
-    return make("A", worldline_a), make("B", worldline_b)
+    return make("A", schedule.worldline_a), make("B", schedule.worldline_b)
 
 
 def _replace_stage(d: TaggedJoint, old: Stage, new: Stage) -> TaggedJoint:
@@ -418,7 +381,7 @@ def stage_table(state_a: ObserverState, state_b: ObserverState) -> StageTable:
         if stage not in la:
             continue
         da, db = la[stage], lb[stage]
-        rows.append(StageRow(stage, da.render(), db.render(), da.equals(db, tol=TOL)))
+        rows.append(StageRow(stage, da.render(), db.render(), da.equals(db)))
     return StageTable(tuple(rows))
 
 
@@ -443,7 +406,7 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     """
     if state_a.stage is Stage.INITIAL and state_b.stage is Stage.INITIAL \
             and not state_a.received and not state_b.received:
-        if not state_a.ledger.equals(state_b.ledger, tol=TOL):
+        if not state_a.ledger.equals(state_b.ledger):
             raise RealismViolationError("observers disagree before any event was received")
         return PooledState(state_a.ledger.relabel("A∪B"), {}, state_a, state_b)
 

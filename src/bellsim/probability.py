@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ImpossibleEvidenceError
 
-#: Tolerance for every normalization / equality comparison in this module.
+#: Tolerance for every normalization / equality comparison in bellsim.
 TOL = 1e-12
 
 
@@ -158,8 +158,8 @@ class TaggedJoint:
         arr = np.transpose(self.array, perm) if perm else self.array
         return TaggedJoint([self.free[i] for i in perm], arr, self.conditioners, self.label)
 
-    def equals(self, other: "TaggedJoint", tol: float = TOL) -> bool:
-        """Entrywise equality after aligning axes by variable name.
+    def equals(self, other: "TaggedJoint") -> bool:
+        """Entrywise equality, to ``TOL``, after aligning axes by variable name.
 
         Conditioners must match as (name, value) pairs; modality is ignored
         because the tag never carries numerical content.
@@ -177,7 +177,7 @@ class TaggedJoint:
             return False
         perm = [other.free_names.index(n) for n in self.free_names]
         arr = np.transpose(other.array, perm) if perm else other.array
-        return bool(np.max(np.abs(self.array - arr), initial=0.0) <= tol)
+        return bool(np.max(np.abs(self.array - arr), initial=0.0) <= TOL)
 
     # -- rendering ---------------------------------------------------------
 

@@ -12,8 +12,7 @@ from enum import Enum
 from typing import Any
 
 from .errors import InvalidScheduleError
-
-TOL = 1e-12
+from .probability import TOL
 
 #: Label of the shared prepared-state proposition.
 PREPARED_SYMBOL = "ψ0"

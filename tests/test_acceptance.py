@@ -82,7 +82,7 @@ def test_criterion_01_singlet_chsh_within_four_sigma_under_ten_seconds():
 
 def test_criterion_02_box_chsh_exactly_four():
     analytic = chsh_value(pr_box(), pr_box_settings())
-    dataset = sample_dataset(pr_box(), None, trials_per_pair=10000, master_seed=7)
+    dataset = sample_dataset(pr_box(), trials_per_pair=10000, master_seed=7)
     est = estimate_chsh(dataset, pr_box_settings())
     ok = analytic == 4.0 and est.value == 4.0 and est.stderr == 0.0
     _report(2, "box-chsh", ok, f"analytic={analytic}, empirical={est.value} ± {est.stderr}")
@@ -134,9 +134,9 @@ def test_criterion_05_no_signaling_analytic_and_empirical():
     empirical_ok = True
     details = []
     for name, behavior in (("singlet", optimal_behavior()), ("box", pr_box())):
-        report = check_no_signaling(behavior, tol=TOL)
+        report = check_no_signaling(behavior)
         analytic_ok &= report.passed
-        ds = sample_dataset(behavior, None, trials_per_pair=n, master_seed=5)
+        ds = sample_dataset(behavior, trials_per_pair=n, master_seed=5)
         pa = ds.counts.sum(axis=3) / n
         pb = ds.counts.sum(axis=2) / n
         dev = max(
@@ -209,9 +209,7 @@ def test_criterion_08_realism_over_one_million_trials_per_model():
         n_pairs = len(behavior.grid_a) * len(behavior.grid_b)
         per_pair = math.ceil(1_000_000 / n_pairs)
         try:
-            ds = sample_dataset(
-                behavior, None, trials_per_pair=per_pair, master_seed=8, keep_records=False
-            )
+            ds = sample_dataset(behavior, trials_per_pair=per_pair, master_seed=8, keep_records=False)
         except RealismViolationError as exc:
             ok = False
             details.append(f"{name}: violated ({exc})")
@@ -224,9 +222,7 @@ def test_criterion_08_realism_over_one_million_trials_per_model():
     # constructed injection: equal angles with equal outcomes is impossible
     schedule = build_schedule()
     events = schedule.trial_events(Angle.of(0), Angle.of(0), 1, 1)
-    state_a, _ = init_beliefs(
-        shared, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b
-    )
+    state_a, _ = init_beliefs(shared, schedule)
     raised = None
     try:
         for e in schedule.events_for("A", events):
@@ -299,7 +295,7 @@ def test_criterion_10_estimator_calibration_at_sixty_degrees():
     behavior = singlet_behavior((Angle.of(0),), (Angle.of(1, 3),))
     expected = (1.0 + math.cos(math.pi / 3.0)) / 4.0
     assert expected == 0.375
-    ds = sample_dataset(behavior, None, trials_per_pair=n, master_seed=10)
+    ds = sample_dataset(behavior, trials_per_pair=n, master_seed=10)
     est = estimate_behavior(ds)
     phat = float(est.behavior.table[0, 0, 0, 1])
     sigma = float(est.stderr[0, 0, 0, 1])

@@ -1,7 +1,6 @@
 """Config parsing and the end-to-end command-line pipeline."""
 
 import ast
-import dataclasses
 import json
 import math
 import re
@@ -112,7 +111,7 @@ def test_readme_config_surface_is_the_default_config():
     block = re.search(r"Full config surface:\s*```json\n(.*?)```", readme, re.S).group(1)
     doc = json.loads(re.sub(r"\s*//.*", "", block))
     cfg = parse_config(json.dumps(doc))
-    assert dataclasses.replace(cfg, preset_pair=None) == ExperimentConfig()
+    assert cfg == ExperimentConfig()
 
 
 def test_readme_library_sketch_runs_as_its_comments_say():
@@ -308,6 +307,14 @@ def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(tmp_path, {"model": "pr-box", "trials_per_pair": 10, "traced_trials": 0})
     assert code == EXIT_RUNTIME
     assert "probability zero" in capsys.readouterr().err
+
+
+def test_preset_pair_without_preset_settings_is_a_config_error(tmp_path, capsys):
+    code, out = run_cli(tmp_path, {"trials_per_pair": 10, "preset_pair": ["0", "pi/4"]})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "config error at preset_pair: has no effect unless preset_settings is true" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra,path", [

@@ -164,6 +164,29 @@ def test_ledgers_run_once_per_setting_pair_and_cell(monkeypatch):
     assert 0 < len(calls) <= 8 * len(keys) < 8 * len(traces)
 
 
+@pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
+def test_ledgers_before_communication_depend_only_on_local_data(name):
+    # factuality is informational locality: until the reports arrive, an observer's
+    # ledgers are fixed by its own setting and outcome (and, when settings are
+    # pre-agreed, by the far setting it knows from t0)
+    config = parse_config(json.dumps(TRACED_CONFIGS[name]))
+    local = {}
+    histories = {}
+    for t in trace_trials(config, build_model(config)):
+        r = t.record
+        for state, own in ((t.observer_a, (r.theta_a, r.outcome_a)), (t.observer_b, (r.theta_b, r.outcome_b))):
+            key = (state.observer, *own, (r.theta_a, r.theta_b) if config.preset_settings else None)
+            ledgers = state.stage_ledgers()
+            seen = tuple(
+                (ledgers[s].render(), ledgers[s].array.tobytes())
+                for s in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION)
+            )
+            assert local.setdefault(key, seen) == seen
+            histories.setdefault(key, set()).add((r.theta_a, r.theta_b, r.outcome_a, r.outcome_b))
+    # not vacuous: some key is reached by more than one (setting pair, outcome cell)
+    assert max(len(h) for h in histories.values()) >= 2
+
+
 # -- run_experiment ----------------------------------------------------------------
 
 
@@ -185,7 +208,7 @@ def test_single_trial_counts_one_hot():
 
 def test_zero_probability_cell_never_sampled():
     b = singlet_behavior((ZERO,), (ZERO,))
-    ds = sample_dataset(b, build_schedule(), trials_per_pair=100000, master_seed=1)
+    ds = sample_dataset(b, trials_per_pair=100000, master_seed=1)
     assert ds.counts[0, 0, 0, 0] == 0  # p(+,+) = 0 exactly
     assert ds.counts[0, 0, 1, 1] == 0
 
@@ -200,7 +223,7 @@ def test_float_shortfall_never_reaches_trailing_zero_cell():
 
 def test_uniform_cells_concentrate():
     n = 100000
-    ds = sample_dataset(uniform_behavior(), None, trials_per_pair=n, master_seed=77)
+    ds = sample_dataset(uniform_behavior(), trials_per_pair=n, master_seed=77)
     bound = 4.0 * math.sqrt(n * 0.25 * 0.75)
     assert np.max(np.abs(ds.counts - n / 4.0)) <= bound
 
@@ -216,8 +239,8 @@ def test_parallel_execution_is_bit_identical():
 def test_chunk_boundaries_do_not_change_any_draw():
     b, n, seed = optimal_behavior(), CHUNK + 3, 19
     schedule = build_schedule()
-    d1 = sample_dataset(b, schedule, trials_per_pair=n, master_seed=seed, workers=1)
-    d2 = sample_dataset(b, schedule, trials_per_pair=n, master_seed=seed, workers=2)
+    d1 = sample_dataset(b, trials_per_pair=n, master_seed=seed, workers=1)
+    d2 = sample_dataset(b, trials_per_pair=n, master_seed=seed, workers=2)
     assert np.array_equal(d1.records, d2.records)
     assert np.array_equal(d1.counts, d2.counts)
 
@@ -228,7 +251,7 @@ def test_chunk_boundaries_do_not_change_any_draw():
     assert np.array_equal(d1.records, oracle)
 
     out = io.StringIO()
-    dataset_to_csv(d1, out)
+    dataset_to_csv(d1, schedule, out)
     rows = out.getvalue().split("\n")
     pairs = list(itertools.product(b.grid_a, b.grid_b))
     for k in (0, CHUNK - 1, CHUNK, n, 3 * n + 2):
@@ -241,7 +264,7 @@ def test_chunk_boundaries_do_not_change_any_draw():
 def test_sampling_without_records_uses_bounded_memory():
     tracemalloc.start()
     try:
-        ds = sample_dataset(pr_box(), None, trials_per_pair=2**20, master_seed=3, keep_records=False)
+        ds = sample_dataset(pr_box(), trials_per_pair=2**20, master_seed=3, keep_records=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -266,7 +289,7 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
-    ds = sample_dataset(pr_box(), None, trials_per_pair=8, master_seed=3, workers=10**6)
+    ds = sample_dataset(pr_box(), trials_per_pair=8, master_seed=3, workers=10**6)
     assert ds.total_trials == 32
     assert seen and all(w <= (os.cpu_count() or 1) for w in seen)
 
@@ -276,7 +299,7 @@ def test_records_can_be_dropped():
     assert ds.records.size == 0
     assert ds.total_trials == 400
     with pytest.raises(MissingDataError):
-        dataset_to_csv(ds, io.StringIO())
+        dataset_to_csv(ds, build_schedule(), io.StringIO())
 
 
 # -- estimators ----------------------------------------------------------------------
@@ -303,7 +326,7 @@ def test_estimate_behavior_calibrated_at_sixty_degrees():
     # cell (+,-) at delta = pi/3 has probability (1 + cos pi/3)/4 = 0.375
     b = singlet_behavior((ZERO,), (Angle.of(1, 3),))
     n = 100000
-    ds = sample_dataset(b, None, trials_per_pair=n, master_seed=2024)
+    ds = sample_dataset(b, trials_per_pair=n, master_seed=2024)
     est = estimate_behavior(ds)
     phat = est.behavior.table[0, 0, 0, 1]
     se = est.stderr[0, 0, 0, 1]
@@ -312,7 +335,7 @@ def test_estimate_behavior_calibrated_at_sixty_degrees():
 
 
 def test_chsh_estimate_box_is_exact():
-    ds = sample_dataset(pr_box(), None, trials_per_pair=10000, master_seed=3)
+    ds = sample_dataset(pr_box(), trials_per_pair=10000, master_seed=3)
     est = estimate_chsh(ds, pr_box_settings())
     assert est.value == 4.0
     assert est.stderr == 0.0
@@ -325,13 +348,13 @@ def test_chsh_estimate_deterministic_strategy_is_two():
         (((1.0, 0.0),), ((1.0, 0.0),)),
         (((1.0, 0.0),), ((1.0, 0.0),)),
     )
-    ds = sample_dataset(lhv_behavior(m), None, trials_per_pair=2000, master_seed=3)
+    ds = sample_dataset(lhv_behavior(m), trials_per_pair=2000, master_seed=3)
     est = estimate_chsh(ds, pr_box_settings())
     assert est.value == 2.0 and est.stderr == 0.0
 
 
 def test_chsh_estimate_requires_all_pairs():
-    ds = sample_dataset(pr_box(), None, trials_per_pair=10, master_seed=3)
+    ds = sample_dataset(pr_box(), trials_per_pair=10, master_seed=3)
     bad = ChshSettings(0, 1, 0, 3)
     with pytest.raises(MissingDataError):
         estimate_chsh(ds, bad)
@@ -343,7 +366,7 @@ def test_empirical_no_signaling_within_sampling_noise():
         (optimal_behavior(), optimal_singlet_settings()),
         (pr_box(), pr_box_settings()),
     ):
-        ds = sample_dataset(behavior, None, trials_per_pair=n, master_seed=8)
+        ds = sample_dataset(behavior, trials_per_pair=n, master_seed=8)
         pa = ds.counts.sum(axis=3) / n
         pb = ds.counts.sum(axis=2) / n
         dev_a = np.max(pa.max(axis=1) - pa.min(axis=1))
@@ -355,7 +378,7 @@ def test_estimator_error_shrinks_with_n(rng):
     b = random_behavior(rng)
     errs = []
     for n in (1000, 100000):
-        ds = sample_dataset(b, None, trials_per_pair=n, master_seed=55)
+        ds = sample_dataset(b, trials_per_pair=n, master_seed=55)
         est = estimate_behavior(ds)
         errs.append(np.max(np.abs(est.behavior.table - b.table)))
     assert errs[1] < errs[0]
@@ -368,7 +391,7 @@ def test_estimator_within_five_sigma_on_nearly_all_seeds(rng):
     sigma = np.sqrt(b.table * (1.0 - b.table) / n)
     good = 0
     for seed in range(100):
-        ds = sample_dataset(b, None, trials_per_pair=n, master_seed=seed, keep_records=False)
+        ds = sample_dataset(b, trials_per_pair=n, master_seed=seed, keep_records=False)
         phat = ds.counts / n
         if np.all(np.abs(phat - b.table) <= 5.0 * sigma):
             good += 1
@@ -494,7 +517,7 @@ def test_classifier_soundness_nonlocal_tag_iff_far_setting_unknown():
 def test_dataset_csv_shape_and_header():
     ds = experiment(config(trials_per_pair=5, seed=1))
     out = io.StringIO()
-    dataset_to_csv(ds, out)
+    dataset_to_csv(ds, build_schedule(), out)
     text = out.getvalue()
     lines = text.strip().split("\n")
     assert lines[0].startswith("trial,x,y,a,b,")

@@ -49,12 +49,7 @@ def optimal_behavior():
 def drive(behavior, theta_a, theta_b, outcome_a, outcome_b, schedule=None, **kwargs):
     schedule = schedule or build_schedule()
     events = schedule.trial_events(theta_a, theta_b, outcome_a, outcome_b)
-    state_a, state_b = init_beliefs(
-        behavior,
-        worldline_a=schedule.worldline_a,
-        worldline_b=schedule.worldline_b,
-        **kwargs,
-    )
+    state_a, state_b = init_beliefs(behavior, schedule, **kwargs)
     for e in schedule.events_for("A", events):
         state_a = receive(state_a, e)
     for e in schedule.events_for("B", events):
@@ -67,8 +62,8 @@ def drive(behavior, theta_a, theta_b, outcome_a, outcome_b, schedule=None, **kwa
 
 def test_initial_ledgers_identical_and_match_model():
     b = optimal_behavior()
-    sa, sb = init_beliefs(b)
-    assert sa.ledger.equals(sb.ledger, tol=TOL)
+    sa, sb = init_beliefs(b, build_schedule())
+    assert sa.ledger.equals(sb.ledger)
     # oracle: each cell is the behavior value over the 4 equally likely pairs
     p = sa.ledger.prob({"±a": 1, "θa": b.grid_a[0], "±b": -1, "θb": b.grid_b[0]})
     assert p == pytest.approx(b.prob(b.grid_a[0], b.grid_b[0], 1, -1) / 4.0, abs=TOL)
@@ -76,18 +71,8 @@ def test_initial_ledgers_identical_and_match_model():
 
 
 def test_initial_ledgers_for_discrete_box_model():
-    sa, sb = init_beliefs(pr_box())
-    assert sa.ledger.equals(sb.ledger, tol=TOL)
-
-
-def test_asymmetric_priors_rejected():
-    b = optimal_behavior()
-    with pytest.raises(ValueError):
-        init_beliefs(
-            b,
-            prior_a=np.array([[0.5, 0.0], [0.25, 0.25]]),
-            prior_b=np.array([[0.25, 0.25], [0.25, 0.25]]),
-        )
+    sa, sb = init_beliefs(pr_box(), build_schedule())
+    assert sa.ledger.equals(sb.ledger)
 
 
 # -- reception ------------------------------------------------------------------
@@ -97,7 +82,7 @@ def test_setting_reception_reaches_documented_form():
     b = optimal_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
-    sa, _ = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, _ = init_beliefs(b, schedule)
     sa = receive(sa, events[1])
     assert sa.stage is Stage.SETTING
     assert sa.ledger.render() == "P_A(±a,±b,θb‖θa,ψ0,tθ)"
@@ -107,7 +92,7 @@ def test_detection_reception_reaches_documented_form():
     b = optimal_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
-    sa, _ = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, _ = init_beliefs(b, schedule)
     sa = receive(sa, events[1])
     sa = receive(sa, events[3])
     assert sa.ledger.render() == "P_A(±b,θb‖±a,θa,ψ0,t±)"
@@ -119,7 +104,7 @@ def test_contradictory_reception_is_realism_violation():
     b = shared_grid_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(ZERO, ZERO, 1, 1)  # forged: both +1
-    sa, _ = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, _ = init_beliefs(b, schedule)
     with pytest.raises(RealismViolationError):
         for e in schedule.events_for("A", events):
             sa = receive(sa, e)
@@ -129,9 +114,9 @@ def test_uncertain_setting_keeps_variable_free():
     b = optimal_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
-    sa, _ = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, _ = init_beliefs(b, schedule)
     var = sa.ledger.variable("θa")
-    q = QUncertainty.two_point(var, b.grid_a[0], b.grid_a[1])
+    q = QUncertainty(var, (0.5, 0.5))
     sa = receive(sa, events[1], q)
     assert "θa" in sa.ledger.free_names
     assert "θa" in sa.uncertain
@@ -150,7 +135,7 @@ def test_uncertain_setting_keeps_variable_free():
 
 def test_initial_expectation_form_matches_quarter_bound():
     b = optimal_behavior()
-    sa, _ = init_beliefs(b)
+    sa, _ = init_beliefs(b, build_schedule())
     value = ledger_chsh_expectation(sa.ledger, optimal_singlet_settings())
     assert value == pytest.approx(-2 * math.sqrt(2) / 4.0, abs=TOL)
     assert abs(value) == pytest.approx(math.sqrt(2) / 2.0, abs=TOL)
@@ -160,7 +145,7 @@ def test_stage_cannot_regress():
     b = optimal_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
-    sa, _ = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, _ = init_beliefs(b, schedule)
     sa = receive(sa, events[3])  # detection first (stages may be skipped)
     with pytest.raises(ValueError):
         receive(sa, events[1])  # then the setting event: too late
@@ -171,7 +156,7 @@ def test_stage_cannot_regress():
 
 def test_initial_inquiry_recovers_model_slice():
     b = optimal_behavior()
-    sa, _ = init_beliefs(b)
+    sa, _ = init_beliefs(b, build_schedule())
     x, y = b.grid_a[0], b.grid_b[1]
     table = inquire(sa, ("±a", "±b"), (("θa", x), ("θb", y)))
     for a in (1, -1):
@@ -211,7 +196,7 @@ def test_post_detection_setting_guess_by_inversion():
 
 def test_counterfactual_inquiry_value_equals_plain_conditioning():
     b = optimal_behavior()
-    sa, _ = init_beliefs(b)
+    sa, _ = init_beliefs(b, build_schedule())
     x = b.grid_a[1]
     via_inquire = inquire(sa, ("±a",), (("θa", x),))
     via_condition = keep_only(condition(sa.ledger, ("θa", x), Modality.FACTUAL), ("±a",))
@@ -222,7 +207,7 @@ def test_counterfactual_on_received_variable_rejected():
     b = optimal_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
-    sa, _ = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, _ = init_beliefs(b, schedule)
     sa = receive(sa, events[1])
     with pytest.raises(ValueError):
         inquire(sa, ("±a",), (("θa", b.grid_a[1]),))
@@ -232,9 +217,7 @@ def test_far_marginal_independent_of_posited_far_setting():
     for behavior in (optimal_behavior(), pr_box()):
         schedule = build_schedule()
         events = schedule.trial_events(behavior.grid_a[0], behavior.grid_b[0], 1, -1)
-        sa, _ = init_beliefs(
-            behavior, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b
-        )
+        sa, _ = init_beliefs(behavior, schedule)
         sa = receive(sa, events[1])
         tables = [
             inquire(sa, ("±a",), (("θb", y),)).array for y in behavior.grid_b
@@ -303,7 +286,7 @@ def test_preset_run_equality_pattern():
 
 def test_run_with_no_detections_has_single_equal_row():
     b = optimal_behavior()
-    sa, sb = init_beliefs(b)
+    sa, sb = init_beliefs(b, build_schedule())
     table = stage_table(sa, sb)
     assert table.pattern == ("y",)
 
@@ -312,7 +295,7 @@ def test_stage_table_rejects_mismatched_histories():
     b = optimal_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
-    sa, sb = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, sb = init_beliefs(b, schedule)
     sa = receive(sa, events[1])
     with pytest.raises(ValueError):
         stage_table(sa, sb)
@@ -328,7 +311,7 @@ def test_pool_point_mass_and_data_extraction():
     pooled = pool(sa, sb)
     assert pooled.data == {"±a": 1, "θa": x, "±b": -1, "θb": y}
     assert pooled.ledger.prob({"±a": 1, "θa": x, "±b": -1, "θb": y}) == pytest.approx(1.0, abs=TOL)
-    assert pooled.observer_a.ledger.equals(pooled.observer_b.ledger, tol=TOL)
+    assert pooled.observer_a.ledger.equals(pooled.observer_b.ledger)
     assert pooled.ledger.render() == "P_A∪B(±a,θa,±b,θb‖ψ0,tc)"
 
 
@@ -362,9 +345,9 @@ def test_pool_tolerates_unresolved_setting_on_colliding_grids():
 
 def test_pool_of_untouched_initial_states_is_unchanged():
     b = optimal_behavior()
-    sa, sb = init_beliefs(b)
+    sa, sb = init_beliefs(b, build_schedule())
     pooled = pool(sa, sb)
-    assert pooled.ledger.equals(sa.ledger, tol=TOL)
+    assert pooled.ledger.equals(sa.ledger)
     assert pooled.data == {}
 
 
@@ -464,7 +447,7 @@ def test_factual_conditioners_track_received_events_exactly():
     b = optimal_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(b.grid_a[0], b.grid_b[1], 1, 1)
-    sa, _ = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, _ = init_beliefs(b, schedule)
     stage_labels = {s.value for s in Stage} | {"ψ0"}
     for e in schedule.events_for("A", events):
         sa = receive(sa, e)
@@ -482,7 +465,7 @@ def test_message_to_wrong_recipient_rejected():
     b = optimal_behavior()
     schedule = build_schedule()
     events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
-    sa, _ = init_beliefs(b, worldline_a=schedule.worldline_a, worldline_b=schedule.worldline_b)
+    sa, _ = init_beliefs(b, schedule)
     to_b = [e for e in events if isinstance(e.payload, Message) and e.payload.recipient == "B"]
     with pytest.raises(ValueError):
         receive(sa, to_b[0])

@@ -213,7 +213,7 @@ def test_product_round_trip_random(rng):
             ct = condition_table(d, name)
             marg = keep_only(d, (name,))
             back = product(ct, marg)
-            assert back.equals(d.reorder(back.free_names), tol=TOL)
+            assert back.equals(d.reorder(back.free_names))
 
 
 def test_product_requires_matching_variables():

@@ -1,12 +1,16 @@
 """Trial sampling, frequency estimation, and the violation classifier.
 
 Randomness is counter-based: the master seed keys a Philox generator and
-trial ``i`` owns counter block ``i`` (four uniform draws: two setting draws,
-one outcome draw, one spare).  A single traced trial, a sequential batch, and
-any chunked parallel batch therefore produce bit-identical results.
+trial ``i`` owns counter block ``i`` (four raw 64-bit words: two setting
+draws, one outcome draw, one spare).  A single traced trial, a sequential
+batch, and any chunked parallel batch therefore produce bit-identical results.
 
 Outcomes are drawn by inverse CDF over the four cells of the behavior slice
-in fixed cell order, so zero-probability cells are structurally unreachable.
+in fixed cell order, in integers: a trial's cell is the number of the three
+thresholds ``ceil(cum_j * 2**53)`` that the top 53 bits of its outcome word
+reach.  That 53-bit draw is the one ``Generator.random`` scales to a float, so
+every cell is the float inverse CDF's, bit for bit.  A zero-probability cell
+has two equal thresholds and so is structurally unreachable.
 A dataset keeps each trial as one ``uint8`` index into :data:`CELL_OUTCOMES`,
 in trial order; the setting pair is implied by the trial's pair block, and the
 reception times, the same for every trial, are read from the run's schedule
@@ -42,11 +46,12 @@ from .observers import (
 from .probability import TOL
 from .spacetime import Detection, Message, Schedule, SettingChoice
 
-#: Uniform draws reserved per trial: one Philox counter block.
+#: Raw 64-bit words reserved per trial: one Philox counter block.
 DRAWS_PER_TRIAL = 4
 _SLOT_SETTING_A, _SLOT_SETTING_B, _SLOT_OUTCOME = 0, 1, 2
 
-#: Fixed cell order of the inverse-CDF sampler: row-major over (a, b).
+#: Fixed cell order of the threshold sampler: row-major over (a, b), so cell
+#: ``j + 1`` starts where the running sum of cells ``0 .. j`` ends.
 CELL_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 #: Trials per sampling task.  Chunks start at multiples of CHUNK within a pair
@@ -63,17 +68,25 @@ def substream(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def _block_words(master_seed: int, start_trial: int, count: int) -> np.ndarray:
+    """Rows ``start_trial .. start_trial+count-1`` of the per-trial raw ``uint64`` words."""
+    bits = substream(master_seed, start_trial).bit_generator
+    return bits.random_raw(count * DRAWS_PER_TRIAL).reshape(count, DRAWS_PER_TRIAL)
+
+
 def _block_uniforms(master_seed: int, start_trial: int, count: int) -> np.ndarray:
-    """Rows ``start_trial .. start_trial+count-1`` of the per-trial uniforms."""
-    return substream(master_seed, start_trial).random((count, DRAWS_PER_TRIAL))
+    """The same rows as floats, as ``Generator.random`` makes them: the top 53 bits times ``2**-53``."""
+    return (_block_words(master_seed, start_trial, count) >> 11) * 2.0**-53
 
 
-def _sample_cells(slice2x2: np.ndarray, u: np.ndarray) -> np.ndarray:
-    p = slice2x2.reshape(-1)
+def _threshold_hits(slab: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Row ``j`` marks the outcome words whose cell is past ``j``; a word's cell is its column sum."""
+    p = slab.reshape(-1)
     cum = np.cumsum(p)
     # a float shortfall must not leave room for the dead cells after the last live one
     cum[np.flatnonzero(p > TOL)[-1]:] = 1.0
-    return np.searchsorted(cum, u, side="right")
+    thresholds = np.ceil(cum[:3] * 2.0**53).astype(np.uint64)
+    return (words >> 11) >= thresholds[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +171,14 @@ def _choose_setting(grid, u: float):
 
 def _draw(behavior: Behavior, master_seed: int, trial_index: int, forced_settings=None) -> tuple:
     """Trial ``trial_index``'s counter block: its settings, then its outcome cell."""
-    u = _block_uniforms(master_seed, trial_index, 1)[0]
     if forced_settings is not None:
         theta_a, theta_b = forced_settings
     else:
+        u = _block_uniforms(master_seed, trial_index, 1)[0]
         theta_a = _choose_setting(behavior.grid_a, u[_SLOT_SETTING_A])
         theta_b = _choose_setting(behavior.grid_b, u[_SLOT_SETTING_B])
-    cell = int(_sample_cells(behavior.slice(theta_a, theta_b), np.array([u[_SLOT_OUTCOME]]))[0])
+    word = _block_words(master_seed, trial_index, 1)[:, _SLOT_OUTCOME]
+    cell = int(_threshold_hits(behavior.slice(theta_a, theta_b), word).sum())
     return theta_a, theta_b, cell
 
 
@@ -269,8 +283,8 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     traces = []
     for lo in range(0, config.traced_trials, n):
         pair = preset_pair if preset_pair is not None else pairs[(lo // n) % len(pairs)]
-        u = _block_uniforms(config.seed, lo, min(n, config.traced_trials - lo))[:, _SLOT_OUTCOME]
-        for k, cell in enumerate(_sample_cells(behavior.slice(*pair), u).tolist(), lo):
+        words = _block_words(config.seed, lo, min(n, config.traced_trials - lo))[:, _SLOT_OUTCOME]
+        for k, cell in enumerate(_threshold_hits(behavior.slice(*pair), words).sum(axis=0).tolist(), lo):
             key = (*pair, cell)
             if key not in histories:
                 histories[key] = _ledgers(
@@ -322,10 +336,12 @@ def sample_dataset(
         pair, lo = task
         start = pair * trials_per_pair + lo
         count = min(CHUNK, trials_per_pair - lo)
-        cells = _sample_cells(slabs[pair], _block_uniforms(master_seed, start, count)[:, _SLOT_OUTCOME])
+        hits = _threshold_hits(slabs[pair], _block_words(master_seed, start, count)[:, _SLOT_OUTCOME])
         if keep_records:
-            records[start : start + count] = cells
-        return np.bincount(cells, minlength=4)
+            hits.sum(axis=0, dtype=np.uint8, out=records[start : start + count])
+        # trials past cell j, for j = -1 .. 3; each cell's count is a difference of two
+        past = [count, *map(np.count_nonzero, hits), 0]
+        return np.subtract(past[:-1], past[1:])
 
     counts = np.zeros((nx * ny, 4), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool_:

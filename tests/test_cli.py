@@ -301,10 +301,16 @@ def test_config_error_exit_code(tmp_path):
     assert main([str(path), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
-def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("keep_records", [True, False])
+def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys, keep_records):
     # a sampler landing on one of the PR box's zero cells is a realism violation
-    monkeypatch.setattr(harness, "_sample_cells", lambda slab, u: np.ones(len(u), dtype=int))
-    code, _ = run_cli(tmp_path, {"model": "pr-box", "trials_per_pair": 10, "traced_trials": 0})
+    def cell_one(slab, words):  # every word reaches the first threshold only
+        return np.repeat([[True], [False], [False]], len(words), axis=1)
+
+    monkeypatch.setattr(harness, "_threshold_hits", cell_one)
+    code, _ = run_cli(
+        tmp_path, {"model": "pr-box", "trials_per_pair": 10, "traced_trials": 0, "keep_records": keep_records}
+    )
     assert code == EXIT_RUNTIME
     assert "probability zero" in capsys.readouterr().err
 

@@ -38,7 +38,7 @@ from bellsim import (
     singlet_behavior,
 )
 from bellsim import harness
-from bellsim.harness import CHUNK, _block_uniforms, _sample_cells, substream, trace_trials
+from bellsim.harness import CHUNK, _block_uniforms, _threshold_hits, substream, trace_trials
 from bellsim.models import Behavior
 from conftest import TRACED_CONFIGS, random_behavior, traces_by_run_trial
 
@@ -217,8 +217,10 @@ def test_float_shortfall_never_reaches_trailing_zero_cell():
     # a valid slice whose running sum stops one ulp short of 1 before the dead cell
     slab = np.array([0.56339548, 0.18519426, 0.25141026, 0.0])
     assert np.cumsum(slab)[2] < 1.0
-    u = np.array([np.nextafter(1.0, 0.0), 0.0, 0.5])
-    assert np.all(_sample_cells(slab, u) < 3)
+    # the words whose 53-bit draws are nextafter(1, 0), 0 and 0.5, then the largest word
+    words = np.array([(2**53 - 1) << 11, 0, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert (words[0] >> 11) * 2.0**-53 == np.nextafter(1.0, 0.0)
+    assert np.all(_threshold_hits(slab, words).sum(axis=0) < 3)
 
 
 def test_uniform_cells_concentrate():
@@ -247,7 +249,9 @@ def test_chunk_boundaries_do_not_change_any_draw():
     # unchunked oracle: every pair block sampled from one slice of the whole stream
     u = substream(seed, 0).random((4 * n, 4))[:, 2]
     slabs = b.table.reshape(4, 4)
-    oracle = np.concatenate([_sample_cells(slabs[p], u[p * n : (p + 1) * n]) for p in range(4)])
+    cum = np.cumsum(slabs, axis=1)
+    cum[:, -1] = 1.0  # every cell is live, so the float shortfall fix only closes the last interval
+    oracle = np.concatenate([np.searchsorted(cum[p], u[p * n : (p + 1) * n], side="right") for p in range(4)])
     assert np.array_equal(d1.records, oracle)
 
     out = io.StringIO()
@@ -259,6 +263,26 @@ def test_chunk_boundaries_do_not_change_any_draw():
         fields = rows[k + 1].split(",")
         assert fields[0] == str(k)
         assert (int(fields[3]), int(fields[4])) == (t.record.outcome_a, t.record.outcome_b)
+
+
+def behavior_with_zero_cells():
+    table = random_behavior(np.random.default_rng(31), 2, 3).table.copy()
+    # zero cells leading, in the middle, trailing, and two trailing at once
+    table[0, 0, 0, 0] = table[0, 1, 0, 1] = table[1, 0, 1, 1] = 0.0
+    table[1, 2, 1, :] = 0.0
+    return Behavior((0, 1), (0, 1, 2), table / table.sum(axis=(2, 3), keepdims=True))
+
+
+@pytest.mark.parametrize("make", [pr_box, optimal_behavior, behavior_with_zero_cells])
+def test_counts_without_records_match_the_records(make):
+    b, n = make(), CHUNK + 3
+    kept = sample_dataset(b, trials_per_pair=n, master_seed=23, workers=2)
+    bare = sample_dataset(b, trials_per_pair=n, master_seed=23, workers=2, keep_records=False)
+    assert bare.records.size == 0
+    assert np.array_equal(bare.counts, kept.counts)
+    per_pair = [np.bincount(r, minlength=4) for r in kept.records.reshape(-1, n)]
+    assert np.array_equal(kept.counts.reshape(-1, 4), per_pair)
+    assert not np.any(kept.counts.reshape(-1, 4)[b.table.reshape(-1, 4) == 0.0])
 
 
 def test_sampling_without_records_uses_bounded_memory():

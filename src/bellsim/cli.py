@@ -13,7 +13,9 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -206,41 +208,58 @@ def _plot_rows(behavior: Behavior, dataset: Dataset, config: ExperimentConfig) -
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _phase(name: str):
+    """Log the wall time of one phase of a run, at INFO."""
+    start = perf_counter()
+    yield
+    log.info("%s: %.3f s", name, perf_counter() - start)
+
+
 def run(config: ExperimentConfig, outdir: Path) -> dict:
     """Execute the configured run and write every artifact into ``outdir``."""
-    behavior = build_model(config)
+    with _phase("build"):
+        behavior = build_model(config)
 
     log.info("sampling %d trials per pair (seed %d)", config.trials_per_pair, config.seed)
-    dataset = run_experiment(config, behavior)
+    with _phase("sample"):
+        dataset = run_experiment(config, behavior)
 
-    traces = trace_trials(config, behavior)
+    with _phase("trace"):
+        traces = trace_trials(config, behavior)
 
-    summary = {
-        "model": config.model,
-        "seed": config.seed,
-        "estimates": _estimates_section(behavior, dataset, config),
-        "no_signaling": _no_signaling_section(behavior, dataset),
-        "factorizability": _factorizability_section(behavior),
-        "classification": _classification_section(traces, dataset, config),
-        "stage_table": _stage_table_section(traces),
-    }
+    with _phase("diagnostics"):
+        summary = {
+            "model": config.model,
+            "seed": config.seed,
+            "estimates": _estimates_section(behavior, dataset, config),
+            "no_signaling": _no_signaling_section(behavior, dataset),
+            "factorizability": _factorizability_section(behavior),
+            "classification": _classification_section(traces, dataset, config),
+            "stage_table": _stage_table_section(traces),
+        }
 
     outdir.mkdir(parents=True, exist_ok=True)
     for name in ARTIFACTS:
         (outdir / name).unlink(missing_ok=True)
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with _phase("write summary.json"):
+        (outdir / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
     if dataset.records.size:
-        with open(outdir / "dataset.csv", "w", encoding="utf-8", newline="") as fh:
-            dataset_to_csv(dataset, config.schedule, fh)
-    (outdir / "behavior_estimate.csv").write_text(
-        behavior_to_csv(estimate_behavior(dataset).behavior), encoding="utf-8"
-    )
+        with _phase("write dataset.csv"):
+            with open(outdir / "dataset.csv", "w", encoding="utf-8", newline="") as fh:
+                dataset_to_csv(dataset, config.schedule, fh)
+    with _phase("write behavior_estimate.csv"):
+        (outdir / "behavior_estimate.csv").write_text(
+            behavior_to_csv(estimate_behavior(dataset).behavior), encoding="utf-8"
+        )
     if traces:
-        (outdir / "trace.json").write_text(_trace_json(traces, config.schedule), encoding="utf-8")
-    (outdir / "plot_correlator.txt").write_text(_plot_rows(behavior, dataset, config), encoding="utf-8")
+        with _phase("write trace.json"):
+            (outdir / "trace.json").write_text(_trace_json(traces, config.schedule), encoding="utf-8")
+    with _phase("write plot_correlator.txt"):
+        (outdir / "plot_correlator.txt").write_text(_plot_rows(behavior, dataset, config), encoding="utf-8")
     log.info("wrote %s", outdir)
     return summary
 

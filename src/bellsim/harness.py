@@ -44,7 +44,7 @@ from .observers import (
     receive,
 )
 from .probability import TOL
-from .spacetime import Detection, Message, Schedule, SettingChoice
+from .spacetime import Schedule
 
 #: Raw 64-bit words reserved per trial: one Philox counter block.
 DRAWS_PER_TRIAL = 4
@@ -188,6 +188,7 @@ def _ledgers(
     theta_a,
     theta_b,
     cell: int,
+    memo: dict,
     *,
     preset: bool,
     q_setting_width: float,
@@ -196,16 +197,27 @@ def _ledgers(
 ) -> PooledState:
     """Both observers' ledgers through every local reception, then pooled.
 
-    Each ledger sees only the events its observer receives, so the result is
-    fixed by the settings, the outcome cell and the run's uncertainty options.
+    Each ledger moves only on the events its observer receives, and how it
+    moves is fixed by the received ``(name, value)`` propositions and the
+    run's uncertainty options.  So each observer's history is a path in a
+    prefix tree over what it has received, rooted at its starting state (one
+    root per preset pair, or one without preset settings).  ``memo`` maps
+    each root to its observers' trees: calls that share it share every state
+    along a common received prefix, so :func:`init_beliefs` runs once per
+    root and :func:`receive` once per distinct (observer, received prefix).
     """
     outcome_a, outcome_b = CELL_OUTCOMES[cell]
     events = schedule.trial_events(theta_a, theta_b, outcome_a, outcome_b)
-    state_a, state_b = init_beliefs(behavior, schedule, preset=(theta_a, theta_b) if preset else None)
+    root = (theta_a, theta_b) if preset else None
+    if root not in memo:
+        # a node is (state, children); its children map each next received
+        # proposition to the node it leads to
+        memo[root] = [(state, {}) for state in init_beliefs(behavior, schedule, preset=root)]
+    roots = memo[root]
 
     # each wing's uncertainty about its own measurements, fixed up front;
     # a report can only carry the sender's own uncertainty about the value
-    variables = {v.name: v for v in state_a.initial_ledger.free}
+    variables = {v.name: v for v in roots[0][0].initial_ledger.free}
     own_qs: dict[str, QUncertainty] = {}
     if not preset:
         for name, value, mine in (("θa", theta_a, "A"), ("θb", theta_b, "B")):
@@ -218,17 +230,15 @@ def _ledgers(
         own_qs["±b"] = QUncertainty.peaked(variables["±b"], outcome_b, q_outcome_width)
     own_qs = {k: v for k, v in own_qs.items() if not v.is_delta}
 
-    def q_for(event) -> QUncertainty | None:
-        payload = event.payload
-        if isinstance(payload, (SettingChoice, Detection, Message)):
-            return own_qs.get(payload.propositions()[0][0])
-        return None
-
-    for event in schedule.events_for("A", events):
-        state_a = receive(state_a, event, q_for(event))
-    for event in schedule.events_for("B", events):
-        state_b = receive(state_b, event, q_for(event))
-    return pool(state_a, state_b)
+    ends = []
+    for state, children in roots:
+        for event in schedule.events_for(state.observer, events):
+            ((name, value),) = event.payload.propositions()
+            if (name, value) not in children:
+                children[name, value] = (receive(state, event, own_qs.get(name)), {})
+            state, children = children[name, value]
+        ends.append(state)
+    return pool(*ends)
 
 
 def run_trial(
@@ -258,6 +268,7 @@ def run_trial(
         theta_a,
         theta_b,
         cell,
+        {},
         preset=preset,
         q_setting_width=q_setting_width,
         q_outcome_width=q_outcome_width,
@@ -272,14 +283,18 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     Each trial's settings are forced to its pair block (or to ``preset_pair``
     with preset settings), so trial ``k`` matches trial ``k`` of the dataset.
     The cells of each pair block's traced trials come from one draw of their
-    counter blocks, as in :func:`sample_dataset`, and the ledgers are computed
-    once per (settings, outcome cell): trials sharing one share the same
-    frozen observer states, so at most ``4 * nx * ny`` histories are ever built.
+    counter blocks, as in :func:`sample_dataset`.  Trials with the same
+    (settings, outcome cell) share one pooled state, and every key shares one
+    prefix tree of observer states (see :func:`_ledgers`): an observer's state
+    after receiving its own setting and outcome is the same whatever the far
+    wing did.  So the cost grows with the distinct received prefixes per
+    observer, not with the number of (settings, outcome cell) keys.
     """
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
     preset_pair = config.preset_pair if config.preset_settings else None
     n = config.trials_per_pair
     histories: dict = {}
+    memo: dict = {}
     traces = []
     for lo in range(0, config.traced_trials, n):
         pair = preset_pair if preset_pair is not None else pairs[(lo // n) % len(pairs)]
@@ -291,6 +306,7 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
                     behavior,
                     config.schedule,
                     *key,
+                    memo,
                     preset=config.preset_settings,
                     q_setting_width=config.q_setting_width,
                     q_outcome_width=config.q_outcome_width,

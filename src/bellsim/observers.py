@@ -251,7 +251,8 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
     factually; with a spread ``q`` the ledger is rebuilt as the conditional
     times ``q``, leaving the variable free but locally measured with
     uncertainty.  A zero-probability reception is a realism violation: a
-    factual report contradicting the observer's own table.
+    factual report contradicting the observer's own table.  So is a spread
+    ``q`` that weighs any value the ledger gives probability zero.
     """
     payload = event.payload
     if isinstance(payload, Message) and payload.recipient != state.observer:
@@ -299,7 +300,14 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
             qs[name] = q
         else:
             ct = condition_table(ledger, name)
-            ledger = _canonical(product(ct, TaggedJoint((var,), q.array, (), ledger.label)))
+            try:
+                joint = product(ct, TaggedJoint((var,), q.array, (), ledger.label))
+            except ImpossibleEvidenceError as exc:
+                raise RealismViolationError(
+                    f"{state.observer} measured {name} with an uncertainty that weighs "
+                    f"values of probability zero"
+                ) from exc
+            ledger = _canonical(joint)
             qs[name] = q
 
     history = state.history

@@ -77,6 +77,38 @@ def _as_name(v) -> str:
     return v.name if isinstance(v, Variable) else str(v)
 
 
+def _check_names(free, conditioners) -> None:
+    names = [v.name for v in free]
+    if len(set(names)) != len(names):
+        raise ValueError("free variables must have distinct names")
+    cond_names = [c.variable.name for c in conditioners]
+    if len(set(cond_names)) != len(cond_names):
+        raise ValueError("conditioners must have distinct names")
+    overlap = set(names) & set(cond_names)
+    if overlap:
+        raise ValueError(f"variables both free and conditioned: {sorted(overlap)}")
+
+
+def _trusted(cls, array: np.ndarray, **slots):
+    """A ``cls`` built from the result of a kernel operation, without re-validating it.
+
+    ``condition``, ``reorder``, ``relabel``, ``with_conditioners``,
+    ``product`` and ``condition_table`` only slice, permute, relabel,
+    renormalize or multiply tables that already passed the public
+    constructor's checks, so their results have the right shape, no negative
+    entry and the right sums by construction.  The array is made
+    C-contiguous, as the public constructor's copy is, so later reductions
+    over it add in the same order.
+    """
+    out = object.__new__(cls)
+    array = np.asarray(array, order="C")
+    array.setflags(write=False)
+    out.array = array
+    for name, value in slots.items():
+        setattr(out, name, value)
+    return out
+
+
 class TaggedJoint:
     """Joint distribution over free variables, given tagged conditioners."""
 
@@ -95,15 +127,7 @@ class TaggedJoint:
         shape = tuple(len(v.domain) for v in free)
         if arr.shape != shape:
             raise ValueError(f"probability array shape {arr.shape} does not match domains {shape}")
-        names = [v.name for v in free]
-        if len(set(names)) != len(names):
-            raise ValueError("free variables must have distinct names")
-        cond_names = [c.variable.name for c in conditioners]
-        if len(set(cond_names)) != len(cond_names):
-            raise ValueError("conditioners must have distinct names")
-        overlap = set(names) & set(cond_names)
-        if overlap:
-            raise ValueError(f"variables both free and conditioned: {sorted(overlap)}")
+        _check_names(free, conditioners)
         if arr.min(initial=0.0) < -TOL:
             raise ValueError("negative probability entry")
         arr = np.where(arr < 0.0, 0.0, arr)
@@ -144,10 +168,12 @@ class TaggedJoint:
     # -- structure helpers ------------------------------------------------
 
     def relabel(self, label: str) -> "TaggedJoint":
-        return TaggedJoint(self.free, self.array, self.conditioners, label)
+        return _trusted(TaggedJoint, self.array, free=self.free, conditioners=self.conditioners, label=label)
 
     def with_conditioners(self, conditioners: Sequence[Conditioner]) -> "TaggedJoint":
-        return TaggedJoint(self.free, self.array, tuple(conditioners), self.label)
+        conditioners = tuple(conditioners)
+        _check_names(self.free, conditioners)
+        return _trusted(TaggedJoint, self.array, free=self.free, conditioners=conditioners, label=self.label)
 
     def reorder(self, names: Sequence) -> "TaggedJoint":
         """Permute the free variables into the given name order."""
@@ -156,7 +182,8 @@ class TaggedJoint:
             raise ValueError(f"reorder names {wanted} must be a permutation of {self.free_names}")
         perm = [self.free_names.index(n) for n in wanted]
         arr = np.transpose(self.array, perm) if perm else self.array
-        return TaggedJoint([self.free[i] for i in perm], arr, self.conditioners, self.label)
+        free = tuple(self.free[i] for i in perm)
+        return _trusted(TaggedJoint, arr, free=free, conditioners=self.conditioners, label=self.label)
 
     def equals(self, other: "TaggedJoint") -> bool:
         """Entrywise equality, to ``TOL``, after aligning axes by variable name.
@@ -266,7 +293,7 @@ def condition(d: TaggedJoint, assignment, modality: Modality = Modality.FACTUAL)
         )
     rest = d.free[:axis] + d.free[axis + 1 :]
     conds = (Conditioner(var, value, modality),) + d.conditioners
-    return TaggedJoint(rest, slab / norm, conds, d.label)
+    return _trusted(TaggedJoint, slab / norm, free=rest, conditioners=conds, label=d.label)
 
 
 def marginalize(d: TaggedJoint, variable) -> TaggedJoint:
@@ -309,7 +336,7 @@ def condition_table(d: TaggedJoint, variable) -> ConditionalTable:
         if norms[j] > TOL:
             out[..., j] = moved[..., j] / norms[j]
     rest = d.free[:axis] + d.free[axis + 1 :]
-    return ConditionalTable(rest, (var,), out, d.conditioners, d.label)
+    return _trusted(ConditionalTable, out, free=rest, given=(var,), conditioners=d.conditioners, label=d.label)
 
 
 def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint:
@@ -317,7 +344,9 @@ def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint
 
     The conditional's given variables must be exactly the marginal's free
     variables.  Conditioning contexts are merged and must agree wherever they
-    overlap.
+    overlap.  A marginal that puts weight on a given value whose conditional
+    slice is undefined (all zero) raises :class:`ImpossibleEvidenceError`:
+    the joint gave that value probability zero.
     """
     if sorted(conditional.given_names) != sorted(marginal.free_names):
         raise ValueError(
@@ -325,6 +354,13 @@ def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint
             f"marginal's free variables {marginal.free_names}"
         )
     aligned = marginal.reorder(conditional.given_names)
+    undefined = conditional.array.reshape(-1, *aligned.array.shape).sum(axis=0) <= TOL
+    stray = float(aligned.array[undefined].sum())
+    if stray > TOL:
+        raise ImpossibleEvidenceError(
+            f"marginal puts {stray:.3e} on values of {', '.join(conditional.given_names)} "
+            f"that have probability zero"
+        )
     out = conditional.array * aligned.array
     merged = list(conditional.conditioners)
     have = {c.variable.name: c for c in merged}
@@ -335,7 +371,9 @@ def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint
         elif prev.value != c.value:
             raise ValueError(f"conflicting conditioner {c.variable.name!r}")
     free = conditional.free + conditional.given
-    return TaggedJoint(free, out, tuple(merged), conditional.label or marginal.label)
+    merged = tuple(merged)
+    _check_names(free, merged)
+    return _trusted(TaggedJoint, out, free=free, conditioners=merged, label=conditional.label or marginal.label)
 
 
 def bayes_invert(prior: TaggedJoint, likelihood: ConditionalTable, observed,

@@ -3,12 +3,16 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellsim
 from bellsim import (
     Angle,
     ConfigError,
@@ -313,6 +317,49 @@ def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys, keep_records):
     )
     assert code == EXIT_RUNTIME
     assert "probability zero" in capsys.readouterr().err
+
+
+def test_spread_outcome_uncertainty_over_an_impossible_outcome_is_a_runtime_error(tmp_path, capsys):
+    # A's outcome is +1 at both settings, so a spread q over ±a weighs an outcome
+    # of probability zero: a realism violation, not a crash
+    doc = {
+        "model": "lhv",
+        "grid_a": [0, 1],
+        "grid_b": [0, 1],
+        "chsh": {"x0": 0, "x1": 1, "y0": 0, "y1": 1},
+        "lhv": {"prior": [1.0], "response_a": [[[1, 0]], [[1, 0]]], "response_b": [[[1, 0]], [[0, 1]]]},
+        "q_outcome_width": 0.5,
+        "traced_trials": 4,
+        "trials_per_pair": 10,
+    }
+    code, _ = run_cli(tmp_path, doc)
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("run failed: A ") and "±a" in err
+
+
+PHASES = ("build", "sample", "trace", "diagnostics", *(f"write {name}" for name in ARTIFACTS))
+
+
+def test_verbose_logs_each_phase_and_leaves_the_summary_unchanged(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"trials_per_pair": 200, "seed": 5, "traced_trials": 3}), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(bellsim.__file__).parents[1])}
+    summaries, logs = [], []
+    for name, flags in (("quiet", []), ("verbose", ["-v"])):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-m", "bellsim.cli", str(path), "-o", str(out), *flags],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        summaries.append((out / "summary.json").read_bytes())
+        logs.append(done.stderr)
+    assert summaries[0] == summaries[1]
+    assert logs[0] == ""
+    timed = re.findall(r"^INFO (.+): (\d+\.\d{3}) s$", logs[1], flags=re.MULTILINE)
+    assert [phase for phase, _ in timed] == list(PHASES)
+    assert all(float(seconds) >= 0.0 for _, seconds in timed)
 
 
 def test_preset_pair_without_preset_settings_is_a_config_error(tmp_path, capsys):

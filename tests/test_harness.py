@@ -148,20 +148,48 @@ def test_shared_histories_equal_a_run_trial_per_trial(name):
             assert all(_same_ledger(gl[stage], wl[stage]) for stage in wl)
 
 
-def test_ledgers_run_once_per_setting_pair_and_cell(monkeypatch):
-    receive = harness.receive
-    calls = []
+@pytest.mark.parametrize("name", ["spread-widths", "preset"])
+def test_ledgers_run_once_per_received_prefix(monkeypatch, name):
+    calls = {"receive": 0, "init_beliefs": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return receive(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(harness, "receive", counted)
-    config = parse_config(json.dumps(TRACED_CONFIGS["spread-widths"] | {"traced_trials": 120}))
+    monkeypatch.setattr(harness, "receive", counted(harness.receive))
+    monkeypatch.setattr(harness, "init_beliefs", counted(harness.init_beliefs))
+    config = parse_config(json.dumps(TRACED_CONFIGS[name] | {"traced_trials": 120}))
     traces = trace_trials(config, build_model(config))
+
+    # one node per (observer, root, what it has received so far), counted from the
+    # records alone; the root is the preset pair, or None without preset settings
+    schedule, roots, nodes = config.schedule, set(), set()
+    for t in traces:
+        r = t.record
+        root = (r.theta_a, r.theta_b) if config.preset_settings else None
+        roots.add(root)
+        events = schedule.trial_events(r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+        for observer in ("A", "B"):
+            received = [e.payload.propositions() for e in schedule.events_for(observer, events)]
+            nodes.update((observer, root, tuple(received[:i])) for i in range(1, len(received) + 1))
     keys = {(t.record.theta_a, t.record.theta_b, t.record.outcome_a, t.record.outcome_b) for t in traces}
-    assert len(keys) <= 4 * 3 * 2
-    assert 0 < len(calls) <= 8 * len(keys) < 8 * len(traces)
+    assert len(nodes) < 8 * len(keys)  # not vacuous: the keys share received prefixes
+    assert calls["receive"] == len(nodes)
+    assert calls["init_beliefs"] == len(roots)
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
+def test_each_observer_received_exactly_its_own_trial_events(name):
+    # a shared history must never hand one trial's events to another
+    config = parse_config(json.dumps(TRACED_CONFIGS[name]))
+    schedule = config.schedule
+    for t in trace_trials(config, build_model(config)):
+        r = t.record
+        events = schedule.trial_events(r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+        for state in (t.observer_a, t.observer_b):
+            assert list(state.received) == list(schedule.events_for(state.observer, events))
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))

@@ -40,6 +40,11 @@ class Angle:
         den = int(m.group(3)) if m.group(3) else 1
         return cls(Fraction(sign * num, den))
 
+    def __hash__(self) -> int:
+        # Fraction.__hash__ takes a modular inverse on every call; a Fraction
+        # is kept in lowest terms, so equal angles have equal (n, d) pairs.
+        return hash((self.fraction.numerator, self.fraction.denominator))
+
     @property
     def radians(self) -> float:
         return float(self.fraction) * math.pi

@@ -128,66 +128,112 @@ def _stage_table_section(traces) -> dict:
     return {"rows": table.to_dicts(), "pattern": "".join(table.pattern)}
 
 
+def _event_entry(e, schedule) -> dict:
+    payload = e.payload
+    entry = {
+        "index": e.index,
+        "t": e.t,
+        "x": e.x,
+        "kind": type(payload).__name__,
+        "speed": e.speed,
+        "received": {
+            "A": reception_time(e, schedule.worldline_a),
+            "B": reception_time(e, schedule.worldline_b),
+        },
+    }
+    if isinstance(payload, Message):
+        entry["sender"] = payload.sender
+        entry["recipient"] = payload.recipient
+        entry["body"] = type(payload.body).__name__
+    for name, value in payload.propositions():
+        entry["proposition"] = name
+        entry["value"] = setting_text(value) if not isinstance(value, str) else value
+    return entry
+
+
+def _stage_entry(stage: Stage, ledger) -> dict:
+    return {"stage": stage.value, "ledger": ledger.render()}
+
+
+def _stage_ledgers(obs_state) -> list:
+    """An observer's ``(stage, ledger)`` pairs in stage order."""
+    return sorted(obs_state.stage_ledgers().items(), key=lambda kv: list(Stage).index(kv[0]))
+
+
+def _trial_events(trace, schedule):
+    r = trace.record
+    return schedule.trial_events(r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+
+
+def _data_block(trace) -> dict:
+    return {k: setting_text(v) if not isinstance(v, int) else v for k, v in trace.pooled.data.items()}
+
+
 def _trace_document(trace, schedule) -> dict:
-    events = []
-    for e in schedule.trial_events(
-        trace.record.theta_a, trace.record.theta_b, trace.record.outcome_a, trace.record.outcome_b
-    ):
-        payload = e.payload
-        entry = {
-            "index": e.index,
-            "t": e.t,
-            "x": e.x,
-            "kind": type(payload).__name__,
-            "speed": e.speed,
-            "received": {
-                "A": reception_time(e, schedule.worldline_a),
-                "B": reception_time(e, schedule.worldline_b),
-            },
-        }
-        if isinstance(payload, Message):
-            entry["sender"] = payload.sender
-            entry["recipient"] = payload.recipient
-            entry["body"] = type(payload.body).__name__
-        for name, value in payload.propositions():
-            entry["proposition"] = name
-            entry["value"] = setting_text(value) if not isinstance(value, str) else value
-        events.append(entry)
-    stages = {}
-    for obs_state in (trace.observer_a, trace.observer_b):
-        stages[obs_state.observer] = [
-            {"stage": stage.value, "ledger": ledger.render()}
-            for stage, ledger in sorted(
-                obs_state.stage_ledgers().items(), key=lambda kv: list(Stage).index(kv[0])
-            )
-        ]
     return {
         "trial": trace.record.trial,
-        "data": {k: setting_text(v) if not isinstance(v, int) else v for k, v in trace.pooled.data.items()},
-        "events": events,
-        "stages": stages,
+        "data": _data_block(trace),
+        "events": [_event_entry(e, schedule) for e in _trial_events(trace, schedule)],
+        "stages": {
+            s.observer: [_stage_entry(stage, ledger) for stage, ledger in _stage_ledgers(s)]
+            for s in (trace.observer_a, trace.observer_b)
+        },
     }
+
+
+def _dumps_at(obj, depth: int) -> str:
+    """``obj`` as an indented ``json.dumps`` writes it ``depth`` levels deep.
+
+    JSON escapes every newline inside a string, so each newline of the dump
+    is a line break and takes the extra indent.
+    """
+    return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
+
+
+def _block(open_: str, close: str, members: list, depth: int) -> str:
+    """A non-empty JSON array or object at ``depth`` from members encoded at ``depth + 1``."""
+    pad = "\n" + "  " * (depth + 1)
+    return open_ + pad + ("," + pad).join(members) + "\n" + "  " * depth + close
 
 
 def _trace_json(traces, schedule) -> str:
     """``json.dumps`` of every trace's document, indented, with a final newline.
 
     A document is its trial number followed by a body that is fixed by the
-    setting pair and the outcome cell, so each distinct body is rendered once
-    and the trial numbers are spliced in.
+    setting pair and the outcome cell, so each distinct body is built once
+    and the trial numbers are spliced in.  A body is spliced in turn from
+    fragments encoded once each: an event entry is fixed by its index and
+    payload, and a stage entry by its stage and ledger, which traces with a
+    common received prefix share.
     """
-    bodies = {}
+    events, stages, bodies = {}, {}, {}
     items = []
     for t in traces:
         r = t.record
         key = (r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
         if key not in bodies:
-            doc = _trace_document(t, schedule)
-            del doc["trial"]
-            # '[\n  {\n    "data": ...\n  }\n]' -> '\n    "data": ...\n  }'
-            bodies[key] = json.dumps([doc], indent=2, ensure_ascii=False)[len("[\n  {") : -len("\n]")]
-        items.append(f'  {{\n    "trial": {r.trial},{bodies[key]}')
-    return "[\n" + ",\n".join(items) + "\n]\n"
+            event_items = []
+            for e in _trial_events(t, schedule):
+                ekey = (e.index, e.payload)
+                if ekey not in events:
+                    events[ekey] = _dumps_at(_event_entry(e, schedule), 3)
+                event_items.append(events[ekey])
+            observers = []
+            for s in (t.observer_a, t.observer_b):
+                stage_items = []
+                for skey in _stage_ledgers(s):
+                    if skey not in stages:
+                        stages[skey] = _dumps_at(_stage_entry(*skey), 4)
+                    stage_items.append(stages[skey])
+                name = json.dumps(s.observer, ensure_ascii=False)
+                observers.append(f"{name}: {_block('[', ']', stage_items, 3)}")
+            bodies[key] = (
+                f'\n    "data": {_dumps_at(_data_block(t), 2)},'
+                f'\n    "events": {_block("[", "]", event_items, 2)},'
+                f'\n    "stages": {_block("{", "}", observers, 2)}\n  }}'
+            )
+        items.append(f'{{\n    "trial": {r.trial},{bodies[key]}')
+    return _block("[", "]", items, 0) + "\n"
 
 
 def _plot_rows(behavior: Behavior, dataset: Dataset, config: ExperimentConfig) -> str:

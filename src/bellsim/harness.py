@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ from .observers import (
 )
 from .probability import TOL
 from .spacetime import Schedule
+
+log = logging.getLogger(__name__)
 
 #: Raw 64-bit words reserved per trial: one Philox counter block.
 DRAWS_PER_TRIAL = 4
@@ -361,8 +364,10 @@ def sample_dataset(
 
     counts = np.zeros((nx * ny, 4), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool_:
-        for (pair, _), pair_counts in zip(tasks, pool_.map(sample_chunk, tasks)):
+        for (pair, lo), pair_counts in zip(tasks, pool_.map(sample_chunk, tasks)):
             counts[pair] += pair_counts
+            if lo + CHUNK >= trials_per_pair:
+                log.debug("sampled pair %d/%d: %d trials", pair + 1, nx * ny, trials_per_pair)
 
     dead = (counts > 0) & (slabs <= TOL)
     if dead.any():

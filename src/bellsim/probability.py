@@ -98,7 +98,8 @@ def _trusted(cls, array: np.ndarray, **slots):
     constructor's checks, so their results have the right shape, no negative
     entry and the right sums by construction.  The array is made
     C-contiguous, as the public constructor's copy is, so later reductions
-    over it add in the same order.
+    over it add in the same order, and the variable-name tuples are stored
+    once, as the public constructors store them.
     """
     out = object.__new__(cls)
     array = np.asarray(array, order="C")
@@ -106,13 +107,16 @@ def _trusted(cls, array: np.ndarray, **slots):
     out.array = array
     for name, value in slots.items():
         setattr(out, name, value)
+    out.free_names = tuple(v.name for v in out.free)
+    if cls is ConditionalTable:
+        out.given_names = tuple(v.name for v in out.given)
     return out
 
 
 class TaggedJoint:
     """Joint distribution over free variables, given tagged conditioners."""
 
-    __slots__ = ("free", "conditioners", "array", "label")
+    __slots__ = ("free", "free_names", "conditioners", "array", "label")
 
     def __init__(
         self,
@@ -136,15 +140,12 @@ class TaggedJoint:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         arr.setflags(write=False)
         self.free = free
+        self.free_names = tuple(v.name for v in free)
         self.conditioners = conditioners
         self.array = arr
         self.label = label
 
     # -- lookups ---------------------------------------------------------
-
-    @property
-    def free_names(self) -> tuple:
-        return tuple(v.name for v in self.free)
 
     def variable(self, name) -> Variable:
         name = _as_name(name)
@@ -237,7 +238,7 @@ class ConditionalTable:
     such slices.
     """
 
-    __slots__ = ("free", "given", "array", "conditioners", "label")
+    __slots__ = ("free", "free_names", "given", "given_names", "array", "conditioners", "label")
 
     def __init__(self, free, given, table, conditioners=(), label=""):
         free = tuple(free)
@@ -256,18 +257,12 @@ class ConditionalTable:
             raise ValueError("a conditional slice sums to neither 1 nor 0")
         arr.setflags(write=False)
         self.free = free
+        self.free_names = tuple(v.name for v in free)
         self.given = given
+        self.given_names = tuple(v.name for v in given)
         self.array = arr
         self.conditioners = tuple(conditioners)
         self.label = label
-
-    @property
-    def free_names(self):
-        return tuple(v.name for v in self.free)
-
-    @property
-    def given_names(self):
-        return tuple(v.name for v in self.given)
 
 
 # ---------------------------------------------------------------------------

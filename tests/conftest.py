@@ -41,7 +41,9 @@ def rng():
 
 #: Run configs whose traced trials repeat (setting pair, outcome cell) keys, one per
 #: ledger option: spread uncertainty widths, preset settings with and without a
-#: preset pair, an unresolved local setting, and integer settings.
+#: preset pair, an unresolved local setting, and integer settings; and one with
+#: moved wings, a slow signal and a late communication stage, whose reception
+#: times are not round numbers.
 TRACED_CONFIGS = {
     "spread-widths": {"trials_per_pair": 3, "traced_trials": 30, "seed": 5,
                       "q_setting_width": 1.0, "q_outcome_width": 0.5,
@@ -53,6 +55,12 @@ TRACED_CONFIGS = {
     "unresolved": {"trials_per_pair": 2, "traced_trials": 20, "seed": 8,
                    "unresolved_local_setting": True, "q_setting_width": 0.7},
     "pr-box": {"model": "pr-box", "trials_per_pair": 5, "traced_trials": 40, "seed": 9},
+    "moved-wings": {"trials_per_pair": 3, "traced_trials": 27, "seed": 10,
+                    "grid_a": ["0", "pi/3", "2pi/3"], "grid_b": ["pi/6", "-pi/6", "pi/2"],
+                    "chsh": {"x0": "0", "x1": "pi/3", "y0": "pi/6", "y1": "-pi/6"},
+                    "positions": {"a": -0.9, "b": 1.3, "source": 0.1},
+                    "stage_times": {"communication": 4.0}, "signal_speed": 0.7,
+                    "q_outcome_width": 0.5},
 }
 
 

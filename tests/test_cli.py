@@ -342,24 +342,42 @@ def test_spread_outcome_uncertainty_over_an_impossible_outcome_is_a_runtime_erro
 PHASES = ("build", "sample", "trace", "diagnostics", *(f"write {name}" for name in ARTIFACTS))
 
 
-def test_verbose_logs_each_phase_and_leaves_the_summary_unchanged(tmp_path):
+def run_with_flags(tmp_path, doc, *runs):
+    """Run the CLI in a fresh process once per flag list; each run's summary.json and stderr."""
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"trials_per_pair": 200, "seed": 5, "traced_trials": 3}), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(bellsim.__file__).parents[1])}
     summaries, logs = [], []
-    for name, flags in (("quiet", []), ("verbose", ["-v"])):
-        out = tmp_path / name
+    for k, flags in enumerate(runs):
+        out = tmp_path / f"out{k}"
         done = subprocess.run(
             [sys.executable, "-m", "bellsim.cli", str(path), "-o", str(out), *flags],
             capture_output=True, text=True, env=env, check=True,
         )
         summaries.append((out / "summary.json").read_bytes())
         logs.append(done.stderr)
+    return summaries, logs
+
+
+def test_verbose_logs_each_phase_and_leaves_the_summary_unchanged(tmp_path):
+    doc = {"trials_per_pair": 200, "seed": 5, "traced_trials": 3}
+    summaries, logs = run_with_flags(tmp_path, doc, [], ["-v"])
     assert summaries[0] == summaries[1]
     assert logs[0] == ""
     timed = re.findall(r"^INFO (.+): (\d+\.\d{3}) s$", logs[1], flags=re.MULTILINE)
     assert [phase for phase, _ in timed] == list(PHASES)
     assert all(float(seconds) >= 0.0 for _, seconds in timed)
+
+
+def test_very_verbose_logs_each_sampled_pair_and_leaves_the_summary_unchanged(tmp_path):
+    # two chunks per pair, so a pair is reported once, when its last chunk is in
+    n = harness.CHUNK + 1
+    doc = {"trials_per_pair": n, "seed": 5, "traced_trials": 1, "keep_records": False}
+    summaries, logs = run_with_flags(tmp_path, doc, [], ["-vv"])
+    assert summaries[0] == summaries[1]
+    assert logs[0] == ""
+    sampled = re.findall(r"^DEBUG sampled pair (\d+)/(\d+): (\d+) trials$", logs[1], flags=re.MULTILINE)
+    assert sampled == [(str(k), "4", str(n)) for k in range(1, 5)]
 
 
 def test_preset_pair_without_preset_settings_is_a_config_error(tmp_path, capsys):

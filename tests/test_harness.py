@@ -148,7 +148,7 @@ def test_shared_histories_equal_a_run_trial_per_trial(name):
             assert all(_same_ledger(gl[stage], wl[stage]) for stage in wl)
 
 
-@pytest.mark.parametrize("name", ["spread-widths", "preset"])
+@pytest.mark.parametrize("name", ["spread-widths", "preset", "moved-wings"])
 def test_ledgers_run_once_per_received_prefix(monkeypatch, name):
     calls = {"receive": 0, "init_beliefs": 0}
 

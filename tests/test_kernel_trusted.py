@@ -64,6 +64,9 @@ def assert_valid(result):
     assert again.array.shape == result.array.shape
     assert np.array_equal(again.array, result.array)
     assert not result.array.flags.writeable
+    assert result.free_names == tuple(v.name for v in result.free)
+    if isinstance(result, ConditionalTable):
+        assert result.given_names == tuple(v.name for v in result.given)
 
 
 @hypothesis.settings(deadline=None, max_examples=200)

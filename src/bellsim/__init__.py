@@ -31,7 +31,6 @@ from .harness import (
     estimate_chsh,
     run_experiment,
     run_trial,
-    sample_dataset,
 )
 from .models import (
     Behavior,

@@ -34,7 +34,7 @@ import numpy as np
 from .angles import setting_text
 from .config import ExperimentConfig
 from .errors import MissingDataError, RealismViolationError
-from .models import Behavior, ChshSettings, chsh_value
+from .models import OUTCOMES, Behavior, ChshSettings, chsh_value
 from .observers import (
     ObserverState,
     PooledState,
@@ -53,9 +53,10 @@ log = logging.getLogger(__name__)
 DRAWS_PER_TRIAL = 4
 _SLOT_SETTING_A, _SLOT_SETTING_B, _SLOT_OUTCOME = 0, 1, 2
 
-#: Fixed cell order of the threshold sampler: row-major over (a, b), so cell
-#: ``j + 1`` starts where the running sum of cells ``0 .. j`` ends.
-CELL_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+#: Fixed cell order of the threshold sampler: row-major over the table's
+#: ``[a, b]`` axes, so cell ``j + 1`` starts where the running sum of cells
+#: ``0 .. j`` ends.
+CELL_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=2))
 
 #: Trials per sampling task.  Chunks start at multiples of CHUNK within a pair
 #: block and trial ``k`` still draws counter block ``k``, so chunking never
@@ -172,32 +173,7 @@ def _choose_setting(grid, u: float):
     return grid[idx]
 
 
-def _draw(behavior: Behavior, master_seed: int, trial_index: int, forced_settings=None) -> tuple:
-    """Trial ``trial_index``'s counter block: its settings, then its outcome cell."""
-    if forced_settings is not None:
-        theta_a, theta_b = forced_settings
-    else:
-        u = _block_uniforms(master_seed, trial_index, 1)[0]
-        theta_a = _choose_setting(behavior.grid_a, u[_SLOT_SETTING_A])
-        theta_b = _choose_setting(behavior.grid_b, u[_SLOT_SETTING_B])
-    word = _block_words(master_seed, trial_index, 1)[:, _SLOT_OUTCOME]
-    cell = int(_threshold_hits(behavior.slice(theta_a, theta_b), word).sum())
-    return theta_a, theta_b, cell
-
-
-def _ledgers(
-    behavior: Behavior,
-    schedule: Schedule,
-    theta_a,
-    theta_b,
-    cell: int,
-    memo: dict,
-    *,
-    preset: bool,
-    q_setting_width: float,
-    q_outcome_width: float,
-    unresolved_local_setting: bool,
-) -> PooledState:
+def _ledgers(config: ExperimentConfig, behavior: Behavior, theta_a, theta_b, cell: int, memo: dict) -> PooledState:
     """Both observers' ledgers through every local reception, then pooled.
 
     Each ledger moves only on the events its observer receives, and how it
@@ -210,8 +186,9 @@ def _ledgers(
     root and :func:`receive` once per distinct (observer, received prefix).
     """
     outcome_a, outcome_b = CELL_OUTCOMES[cell]
+    schedule = config.schedule
     events = schedule.trial_events(theta_a, theta_b, outcome_a, outcome_b)
-    root = (theta_a, theta_b) if preset else None
+    root = (theta_a, theta_b) if config.preset_settings else None
     if root not in memo:
         # a node is (state, children); its children map each next received
         # proposition to the node it leads to
@@ -222,15 +199,15 @@ def _ledgers(
     # a report can only carry the sender's own uncertainty about the value
     variables = {v.name: v for v in roots[0][0].initial_ledger.free}
     own_qs: dict[str, QUncertainty] = {}
-    if not preset:
+    if not config.preset_settings:
         for name, value, mine in (("θa", theta_a, "A"), ("θb", theta_b, "B")):
-            if unresolved_local_setting and mine == "A" and name == "θa":
+            if config.unresolved_local_setting and mine == "A" and name == "θa":
                 own_qs[name] = QUncertainty.uniform(variables[name])
-            elif q_setting_width > 0.0:
-                own_qs[name] = QUncertainty.peaked(variables[name], value, q_setting_width)
-    if q_outcome_width > 0.0:
-        own_qs["±a"] = QUncertainty.peaked(variables["±a"], outcome_a, q_outcome_width)
-        own_qs["±b"] = QUncertainty.peaked(variables["±b"], outcome_b, q_outcome_width)
+            elif config.q_setting_width > 0.0:
+                own_qs[name] = QUncertainty.peaked(variables[name], value, config.q_setting_width)
+    if config.q_outcome_width > 0.0:
+        own_qs["±a"] = QUncertainty.peaked(variables["±a"], outcome_a, config.q_outcome_width)
+        own_qs["±b"] = QUncertainty.peaked(variables["±b"], outcome_b, config.q_outcome_width)
     own_qs = {k: v for k, v in own_qs.items() if not v.is_delta}
 
     ends = []
@@ -244,49 +221,40 @@ def _ledgers(
     return pool(*ends)
 
 
-def run_trial(
-    behavior: Behavior,
-    schedule: Schedule,
-    *,
-    master_seed: int,
-    trial_index: int,
-    forced_settings=None,
-    preset: bool = False,
-    q_setting_width: float = 0.0,
-    q_outcome_width: float = 0.0,
-    unresolved_local_setting: bool = False,
-) -> TrialTrace:
-    """One full-fidelity trial driven through both observers' ledgers.
+def run_trial(config: ExperimentConfig, behavior: Behavior, trial_index: int, forced_settings=None) -> TrialTrace:
+    """Trial ``trial_index`` of the run, driven through both observers' ledgers.
 
-    Settings are drawn independently per wing from the behavior's grids
-    unless ``forced_settings`` pins them; outcomes are sampled jointly from
-    the behavior's slice.  Every reception goes through the observer update,
-    and the trial ends with pooled information and an extracted data point.
-    Deterministic given (master seed, trial index).
+    Trial ``k`` reads counter block ``k`` of ``config.seed``: unless
+    ``forced_settings`` pins them, each wing's setting is drawn from its own
+    slot over the behavior's grid; the outcome cell is sampled jointly from
+    the behavior's slice.  Every reception goes through the observer update
+    with the config's schedule and uncertainty options, and the trial ends
+    with pooled information and an extracted data point.  ``preset_pair`` is
+    not read: with preset settings the caller forces the pair.
     """
-    theta_a, theta_b, cell = _draw(behavior, master_seed, trial_index, forced_settings)
-    pooled = _ledgers(
-        behavior,
-        schedule,
-        theta_a,
-        theta_b,
-        cell,
-        {},
-        preset=preset,
-        q_setting_width=q_setting_width,
-        q_outcome_width=q_outcome_width,
-        unresolved_local_setting=unresolved_local_setting,
-    )
-    return TrialTrace(TrialRecord(trial_index, theta_a, theta_b, *CELL_OUTCOMES[cell]), pooled, behavior, preset)
+    if forced_settings is not None:
+        theta_a, theta_b = forced_settings
+    else:
+        u = _block_uniforms(config.seed, trial_index, 1)[0]
+        theta_a = _choose_setting(behavior.grid_a, u[_SLOT_SETTING_A])
+        theta_b = _choose_setting(behavior.grid_b, u[_SLOT_SETTING_B])
+    word = _block_words(config.seed, trial_index, 1)[:, _SLOT_OUTCOME]
+    cell = int(_threshold_hits(behavior.slice(theta_a, theta_b), word).sum())
+    pooled = _ledgers(config, behavior, theta_a, theta_b, cell, {})
+    record = TrialRecord(trial_index, theta_a, theta_b, *CELL_OUTCOMES[cell])
+    return TrialTrace(record, pooled, behavior, config.preset_settings)
 
 
 def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     """Trials ``0 .. traced_trials-1`` of the run, each as :func:`run_trial` gives it.
 
     Each trial's settings are forced to its pair block (or to ``preset_pair``
-    with preset settings), so trial ``k`` matches trial ``k`` of the dataset.
+    with preset settings), so trial ``k`` matches trial ``k`` of the dataset
+    for ``k < trials_per_pair * len(pairs)``.  Past that the pair blocks wrap
+    around (``(k // trials_per_pair) % len(pairs)``) and the trials draw
+    counter blocks that no dataset trial owns.
     The cells of each pair block's traced trials come from one draw of their
-    counter blocks, as in :func:`sample_dataset`.  Trials with the same
+    counter blocks, as in :func:`run_experiment`.  Trials with the same
     (settings, outcome cell) share one pooled state, and every key shares one
     prefix tree of observer states (see :func:`_ledgers`): an observer's state
     after receiving its own setting and outcome is the same whatever the far
@@ -305,16 +273,7 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
         for k, cell in enumerate(_threshold_hits(behavior.slice(*pair), words).sum(axis=0).tolist(), lo):
             key = (*pair, cell)
             if key not in histories:
-                histories[key] = _ledgers(
-                    behavior,
-                    config.schedule,
-                    *key,
-                    memo,
-                    preset=config.preset_settings,
-                    q_setting_width=config.q_setting_width,
-                    q_outcome_width=config.q_outcome_width,
-                    unresolved_local_setting=config.unresolved_local_setting,
-                )
+                histories[key] = _ledgers(config, behavior, *key, memo)
             record = TrialRecord(k, *pair, *CELL_OUTCOMES[cell])
             traces.append(TrialTrace(record, histories[key], behavior, config.preset_settings))
     return traces
@@ -327,23 +286,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
     it, so the dataset is identical for any worker count.  Sampled outcomes are
     checked against the model's zero cells, the realism-violation signal.
     """
-    return sample_dataset(
-        behavior,
-        trials_per_pair=config.trials_per_pair,
-        master_seed=config.seed,
-        workers=config.workers,
-        keep_records=config.keep_records,
-    )
-
-
-def sample_dataset(
-    behavior: Behavior,
-    *,
-    trials_per_pair: int,
-    master_seed: int,
-    workers: int = 1,
-    keep_records: bool = True,
-) -> Dataset:
+    trials_per_pair, keep_records = config.trials_per_pair, config.keep_records
     if trials_per_pair < 1:
         raise ValueError("need at least one trial per setting pair")
     nx, ny = len(behavior.grid_a), len(behavior.grid_b)
@@ -355,7 +298,7 @@ def sample_dataset(
         pair, lo = task
         start = pair * trials_per_pair + lo
         count = min(CHUNK, trials_per_pair - lo)
-        hits = _threshold_hits(slabs[pair], _block_words(master_seed, start, count)[:, _SLOT_OUTCOME])
+        hits = _threshold_hits(slabs[pair], _block_words(config.seed, start, count)[:, _SLOT_OUTCOME])
         if keep_records:
             hits.sum(axis=0, dtype=np.uint8, out=records[start : start + count])
         # trials past cell j, for j = -1 .. 3; each cell's count is a difference of two
@@ -363,7 +306,7 @@ def sample_dataset(
         return np.subtract(past[:-1], past[1:])
 
     counts = np.zeros((nx * ny, 4), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool_:
+    with ThreadPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool_:
         for (pair, lo), pair_counts in zip(tasks, pool_.map(sample_chunk, tasks)):
             counts[pair] += pair_counts
             if lo + CHUNK >= trials_per_pair:

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, RealismViolationError
-from .models import Behavior, ChshSettings
+from .models import OUTCOMES, Behavior, ChshSettings
 from .probability import (
     TOL,
     Conditioner,
@@ -44,8 +44,6 @@ from .spacetime import (
     reception_time,
     setting_symbol,
 )
-
-OUTCOME_VALUES = (1, -1)
 
 #: Canonical free-variable order for ledgers over the four data propositions.
 CANONICAL = ("±a", "θa", "±b", "θb")
@@ -185,9 +183,9 @@ def _canonical(d: TaggedJoint) -> TaggedJoint:
 def data_variables(behavior: Behavior) -> dict:
     """The four proposition variables induced by a behavior's grids."""
     return {
-        "±a": Variable("±a", OUTCOME_VALUES),
+        "±a": Variable("±a", OUTCOMES),
         "θa": Variable("θa", tuple(behavior.grid_a)),
-        "±b": Variable("±b", OUTCOME_VALUES),
+        "±b": Variable("±b", OUTCOMES),
         "θb": Variable("θb", tuple(behavior.grid_b)),
     }
 

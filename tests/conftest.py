@@ -73,15 +73,5 @@ def traces_by_run_trial(config):
         pair = pairs[(k // config.trials_per_pair) % len(pairs)]
         if config.preset_settings and config.preset_pair is not None:
             pair = config.preset_pair
-        traces.append(run_trial(
-            behavior,
-            config.schedule,
-            master_seed=config.seed,
-            trial_index=k,
-            forced_settings=pair,
-            preset=config.preset_settings,
-            q_setting_width=config.q_setting_width,
-            q_outcome_width=config.q_outcome_width,
-            unresolved_local_setting=config.unresolved_local_setting,
-        ))
+        traces.append(run_trial(config, behavior, k, pair))
     return traces

@@ -41,7 +41,6 @@ from bellsim import (
     receive,
     run_experiment,
     run_trial,
-    sample_dataset,
     singlet_behavior,
     stage_table,
 )
@@ -82,7 +81,7 @@ def test_criterion_01_singlet_chsh_within_four_sigma_under_ten_seconds():
 
 def test_criterion_02_box_chsh_exactly_four():
     analytic = chsh_value(pr_box(), pr_box_settings())
-    dataset = sample_dataset(pr_box(), trials_per_pair=10000, master_seed=7)
+    dataset = run_experiment(ExperimentConfig(trials_per_pair=10000, seed=7), pr_box())
     est = estimate_chsh(dataset, pr_box_settings())
     ok = analytic == 4.0 and est.value == 4.0 and est.stderr == 0.0
     _report(2, "box-chsh", ok, f"analytic={analytic}, empirical={est.value} ± {est.stderr}")
@@ -136,7 +135,7 @@ def test_criterion_05_no_signaling_analytic_and_empirical():
     for name, behavior in (("singlet", optimal_behavior()), ("box", pr_box())):
         report = check_no_signaling(behavior)
         analytic_ok &= report.passed
-        ds = sample_dataset(behavior, trials_per_pair=n, master_seed=5)
+        ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=5), behavior)
         pa = ds.counts.sum(axis=3) / n
         pb = ds.counts.sum(axis=2) / n
         dev = max(
@@ -149,7 +148,7 @@ def test_criterion_05_no_signaling_analytic_and_empirical():
 
 
 def test_criterion_06_stage_table_equality_column():
-    trace = run_trial(optimal_behavior(), build_schedule(), master_seed=6, trial_index=0)
+    trace = run_trial(ExperimentConfig(seed=6), optimal_behavior(), 0)
     table = stage_table(trace.observer_a, trace.observer_b)
     ok = table.pattern == ("y", "n", "n", "y")
     _report(6, "stage-table", ok, "pattern=" + "".join(table.pattern))
@@ -161,7 +160,7 @@ def test_criterion_07_counterfactual_classification_over_100_runs():
     settings = optimal_singlet_settings()
     ok = True
     for i in range(100):
-        trace = run_trial(behavior, schedule, master_seed=700, trial_index=i)
+        trace = run_trial(ExperimentConfig(seed=700, schedule=schedule), behavior, i)
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
             report = classify_violation(trace, stage, settings)
             if abs(report.s_value) > 2.0:
@@ -173,14 +172,7 @@ def test_criterion_07_counterfactual_classification_over_100_runs():
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
     preset_local = True
     for i in range(100):
-        trace = run_trial(
-            behavior,
-            schedule,
-            master_seed=701,
-            trial_index=i,
-            forced_settings=pairs[i % 4],
-            preset=True,
-        )
+        trace = run_trial(cfg, behavior, i, pairs[i % 4])
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
             report = classify_violation(trace, stage, settings, dataset=preset_dataset)
             preset_local &= report.classification in (
@@ -209,7 +201,7 @@ def test_criterion_08_realism_over_one_million_trials_per_model():
         n_pairs = len(behavior.grid_a) * len(behavior.grid_b)
         per_pair = math.ceil(1_000_000 / n_pairs)
         try:
-            ds = sample_dataset(behavior, trials_per_pair=per_pair, master_seed=8, keep_records=False)
+            ds = run_experiment(ExperimentConfig(trials_per_pair=per_pair, seed=8, keep_records=False), behavior)
         except RealismViolationError as exc:
             ok = False
             details.append(f"{name}: violated ({exc})")
@@ -295,7 +287,7 @@ def test_criterion_10_estimator_calibration_at_sixty_degrees():
     behavior = singlet_behavior((Angle.of(0),), (Angle.of(1, 3),))
     expected = (1.0 + math.cos(math.pi / 3.0)) / 4.0
     assert expected == 0.375
-    ds = sample_dataset(behavior, trials_per_pair=n, master_seed=10)
+    ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=10), behavior)
     est = estimate_behavior(ds)
     phat = float(est.behavior.table[0, 0, 0, 1])
     sigma = float(est.stderr[0, 0, 0, 1])

@@ -34,7 +34,6 @@ from bellsim import (
     pr_box_settings,
     run_experiment,
     run_trial,
-    sample_dataset,
     singlet_behavior,
 )
 from bellsim import harness
@@ -74,10 +73,10 @@ def test_block_uniforms_slice_the_batch():
 def test_trial_is_deterministic():
     b = optimal_behavior()
     schedule = build_schedule()
-    t1 = run_trial(b, schedule, master_seed=3, trial_index=5)
-    t2 = run_trial(b, schedule, master_seed=3, trial_index=5)
+    t1 = run_trial(ExperimentConfig(seed=3, schedule=schedule), b, 5)
+    t2 = run_trial(ExperimentConfig(seed=3, schedule=schedule), b, 5)
     assert t1.record == t2.record
-    t3 = run_trial(b, schedule, master_seed=4, trial_index=5)
+    t3 = run_trial(ExperimentConfig(seed=4, schedule=schedule), b, 5)
     assert (t1.record.theta_a, t1.record.outcome_a, t1.record.outcome_b) != (
         t3.record.theta_a,
         t3.record.outcome_a,
@@ -92,7 +91,7 @@ def test_equal_angles_always_anticorrelated():
     b = singlet_behavior((ZERO, HALF), (ZERO, HALF))
     schedule = build_schedule()
     for i in range(50):
-        t = run_trial(b, schedule, master_seed=11, trial_index=i, forced_settings=(ZERO, ZERO))
+        t = run_trial(ExperimentConfig(seed=11, schedule=schedule), b, i, (ZERO, ZERO))
         assert t.record.outcome_a == -t.record.outcome_b
 
 
@@ -100,7 +99,7 @@ def test_box_at_both_ones_always_anticorrelated():
     b = pr_box()
     schedule = build_schedule()
     for i in range(50):
-        t = run_trial(b, schedule, master_seed=11, trial_index=i, forced_settings=(1, 1))
+        t = run_trial(ExperimentConfig(seed=11, schedule=schedule), b, i, (1, 1))
         assert t.record.outcome_a == -t.record.outcome_b
 
 
@@ -108,7 +107,7 @@ def test_trial_data_extraction_matches_sampled_values():
     b = optimal_behavior()
     schedule = build_schedule()
     for i in range(20):
-        t = run_trial(b, schedule, master_seed=2, trial_index=i)
+        t = run_trial(ExperimentConfig(seed=2, schedule=schedule), b, i)
         assert t.pooled.data == {
             "±a": t.record.outcome_a,
             "θa": t.record.theta_a,
@@ -234,9 +233,15 @@ def test_single_trial_counts_one_hot():
             assert ds.counts[i, j].sum() == 1
 
 
+def test_fewer_than_one_trial_per_pair_is_rejected():
+    # ExperimentConfig does not validate its fields; parse_config does
+    with pytest.raises(ValueError, match="at least one trial"):
+        run_experiment(ExperimentConfig(trials_per_pair=0), pr_box())
+
+
 def test_zero_probability_cell_never_sampled():
     b = singlet_behavior((ZERO,), (ZERO,))
-    ds = sample_dataset(b, trials_per_pair=100000, master_seed=1)
+    ds = run_experiment(ExperimentConfig(trials_per_pair=100000, seed=1), b)
     assert ds.counts[0, 0, 0, 0] == 0  # p(+,+) = 0 exactly
     assert ds.counts[0, 0, 1, 1] == 0
 
@@ -253,7 +258,7 @@ def test_float_shortfall_never_reaches_trailing_zero_cell():
 
 def test_uniform_cells_concentrate():
     n = 100000
-    ds = sample_dataset(uniform_behavior(), trials_per_pair=n, master_seed=77)
+    ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=77), uniform_behavior())
     bound = 4.0 * math.sqrt(n * 0.25 * 0.75)
     assert np.max(np.abs(ds.counts - n / 4.0)) <= bound
 
@@ -269,8 +274,8 @@ def test_parallel_execution_is_bit_identical():
 def test_chunk_boundaries_do_not_change_any_draw():
     b, n, seed = optimal_behavior(), CHUNK + 3, 19
     schedule = build_schedule()
-    d1 = sample_dataset(b, trials_per_pair=n, master_seed=seed, workers=1)
-    d2 = sample_dataset(b, trials_per_pair=n, master_seed=seed, workers=2)
+    d1 = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed, workers=1), b)
+    d2 = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed, workers=2), b)
     assert np.array_equal(d1.records, d2.records)
     assert np.array_equal(d1.counts, d2.counts)
 
@@ -287,7 +292,7 @@ def test_chunk_boundaries_do_not_change_any_draw():
     rows = out.getvalue().split("\n")
     pairs = list(itertools.product(b.grid_a, b.grid_b))
     for k in (0, CHUNK - 1, CHUNK, n, 3 * n + 2):
-        t = run_trial(b, schedule, master_seed=seed, trial_index=k, forced_settings=pairs[k // n])
+        t = run_trial(ExperimentConfig(seed=seed, schedule=schedule), b, k, pairs[k // n])
         fields = rows[k + 1].split(",")
         assert fields[0] == str(k)
         assert (int(fields[3]), int(fields[4])) == (t.record.outcome_a, t.record.outcome_b)
@@ -304,8 +309,8 @@ def behavior_with_zero_cells():
 @pytest.mark.parametrize("make", [pr_box, optimal_behavior, behavior_with_zero_cells])
 def test_counts_without_records_match_the_records(make):
     b, n = make(), CHUNK + 3
-    kept = sample_dataset(b, trials_per_pair=n, master_seed=23, workers=2)
-    bare = sample_dataset(b, trials_per_pair=n, master_seed=23, workers=2, keep_records=False)
+    kept = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, workers=2), b)
+    bare = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, workers=2, keep_records=False), b)
     assert bare.records.size == 0
     assert np.array_equal(bare.counts, kept.counts)
     per_pair = [np.bincount(r, minlength=4) for r in kept.records.reshape(-1, n)]
@@ -316,7 +321,7 @@ def test_counts_without_records_match_the_records(make):
 def test_sampling_without_records_uses_bounded_memory():
     tracemalloc.start()
     try:
-        ds = sample_dataset(pr_box(), trials_per_pair=2**20, master_seed=3, keep_records=False)
+        ds = run_experiment(ExperimentConfig(trials_per_pair=2**20, seed=3, keep_records=False), pr_box())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -341,7 +346,7 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
-    ds = sample_dataset(pr_box(), trials_per_pair=8, master_seed=3, workers=10**6)
+    ds = run_experiment(ExperimentConfig(trials_per_pair=8, seed=3, workers=10**6), pr_box())
     assert ds.total_trials == 32
     assert seen and all(w <= (os.cpu_count() or 1) for w in seen)
 
@@ -378,7 +383,7 @@ def test_estimate_behavior_calibrated_at_sixty_degrees():
     # cell (+,-) at delta = pi/3 has probability (1 + cos pi/3)/4 = 0.375
     b = singlet_behavior((ZERO,), (Angle.of(1, 3),))
     n = 100000
-    ds = sample_dataset(b, trials_per_pair=n, master_seed=2024)
+    ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=2024), b)
     est = estimate_behavior(ds)
     phat = est.behavior.table[0, 0, 0, 1]
     se = est.stderr[0, 0, 0, 1]
@@ -387,7 +392,7 @@ def test_estimate_behavior_calibrated_at_sixty_degrees():
 
 
 def test_chsh_estimate_box_is_exact():
-    ds = sample_dataset(pr_box(), trials_per_pair=10000, master_seed=3)
+    ds = run_experiment(ExperimentConfig(trials_per_pair=10000, seed=3), pr_box())
     est = estimate_chsh(ds, pr_box_settings())
     assert est.value == 4.0
     assert est.stderr == 0.0
@@ -400,13 +405,13 @@ def test_chsh_estimate_deterministic_strategy_is_two():
         (((1.0, 0.0),), ((1.0, 0.0),)),
         (((1.0, 0.0),), ((1.0, 0.0),)),
     )
-    ds = sample_dataset(lhv_behavior(m), trials_per_pair=2000, master_seed=3)
+    ds = run_experiment(ExperimentConfig(trials_per_pair=2000, seed=3), lhv_behavior(m))
     est = estimate_chsh(ds, pr_box_settings())
     assert est.value == 2.0 and est.stderr == 0.0
 
 
 def test_chsh_estimate_requires_all_pairs():
-    ds = sample_dataset(pr_box(), trials_per_pair=10, master_seed=3)
+    ds = run_experiment(ExperimentConfig(trials_per_pair=10, seed=3), pr_box())
     bad = ChshSettings(0, 1, 0, 3)
     with pytest.raises(MissingDataError):
         estimate_chsh(ds, bad)
@@ -418,7 +423,7 @@ def test_empirical_no_signaling_within_sampling_noise():
         (optimal_behavior(), optimal_singlet_settings()),
         (pr_box(), pr_box_settings()),
     ):
-        ds = sample_dataset(behavior, trials_per_pair=n, master_seed=8)
+        ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=8), behavior)
         pa = ds.counts.sum(axis=3) / n
         pb = ds.counts.sum(axis=2) / n
         dev_a = np.max(pa.max(axis=1) - pa.min(axis=1))
@@ -430,7 +435,7 @@ def test_estimator_error_shrinks_with_n(rng):
     b = random_behavior(rng)
     errs = []
     for n in (1000, 100000):
-        ds = sample_dataset(b, trials_per_pair=n, master_seed=55)
+        ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=55), b)
         est = estimate_behavior(ds)
         errs.append(np.max(np.abs(est.behavior.table - b.table)))
     assert errs[1] < errs[0]
@@ -443,7 +448,7 @@ def test_estimator_within_five_sigma_on_nearly_all_seeds(rng):
     sigma = np.sqrt(b.table * (1.0 - b.table) / n)
     good = 0
     for seed in range(100):
-        ds = sample_dataset(b, trials_per_pair=n, master_seed=seed, keep_records=False)
+        ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed, keep_records=False), b)
         phat = ds.counts / n
         if np.all(np.abs(phat - b.table) <= 5.0 * sigma):
             good += 1
@@ -456,7 +461,7 @@ def test_estimator_within_five_sigma_on_nearly_all_seeds(rng):
 def test_standard_run_classified_counterfactual_nonlocal():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(b, schedule, master_seed=21, trial_index=0)
+    trace = run_trial(ExperimentConfig(seed=21, schedule=schedule), b, 0)
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
         report = classify_violation(trace, stage, optimal_singlet_settings())
         assert abs(report.s_value) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
@@ -469,7 +474,7 @@ def test_classified_value_is_the_analytic_sum(rng):
     settings = pr_box_settings()
     for i in range(50):
         b = random_behavior(rng)
-        trace = run_trial(b, build_schedule(), master_seed=i, trial_index=0)
+        trace = run_trial(ExperimentConfig(seed=i), b, 0)
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
             assert classify_violation(trace, stage, settings).s_value == chsh_value(b, settings)
 
@@ -477,7 +482,7 @@ def test_classified_value_is_the_analytic_sum(rng):
 def test_counterfactual_list_tracks_stage():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(b, schedule, master_seed=21, trial_index=0)
+    trace = run_trial(ExperimentConfig(seed=21, schedule=schedule), b, 0)
     r0 = classify_violation(trace, Stage.INITIAL, optimal_singlet_settings())
     rt = classify_violation(trace, Stage.SETTING, optimal_singlet_settings())
     assert r0.counterfactual_conditioners == ("θa", "θb")
@@ -485,7 +490,7 @@ def test_counterfactual_list_tracks_stage():
 
 
 def test_far_setting_is_nonlocal_for_observer_b_too():
-    trace = run_trial(optimal_behavior(), build_schedule(), master_seed=21, trial_index=0)
+    trace = run_trial(ExperimentConfig(seed=21), optimal_behavior(), 0)
     settings = optimal_singlet_settings()
     r0 = classify_violation(trace, Stage.INITIAL, settings, observer="B")
     assert r0.counterfactual_conditioners == ("θa", "θb")
@@ -501,8 +506,7 @@ def test_communication_stage_is_factual_local():
     cfg = config(trials_per_pair=2000, seed=9)
     ds = experiment(cfg)
     b = optimal_behavior()
-    trace = run_trial(b, cfg.schedule, master_seed=9, trial_index=0,
-                      forced_settings=(b.grid_a[0], b.grid_b[0]))
+    trace = run_trial(cfg, b, 0, (b.grid_a[0], b.grid_b[0]))
     report = classify_violation(trace, Stage.COMMUNICATION, cfg.chsh, dataset=ds)
     assert report.classification is ViolationClass.FACTUAL_LOCAL
     assert report.violated
@@ -511,7 +515,7 @@ def test_communication_stage_is_factual_local():
 
 def test_single_experiment_with_factual_settings_not_applicable():
     b = optimal_behavior()
-    trace = run_trial(b, build_schedule(), master_seed=9, trial_index=0)
+    trace = run_trial(ExperimentConfig(seed=9), b, 0)
     report = classify_violation(trace, Stage.COMMUNICATION, optimal_singlet_settings())
     assert report.classification is ViolationClass.NOT_APPLICABLE
     assert report.s_value is None
@@ -521,14 +525,7 @@ def test_preset_run_classified_local():
     cfg = config(trials_per_pair=1000, seed=10, preset_settings=True)
     ds = experiment(cfg)
     b = optimal_behavior()
-    trace = run_trial(
-        b,
-        cfg.schedule,
-        master_seed=10,
-        trial_index=0,
-        forced_settings=(b.grid_a[0], b.grid_b[0]),
-        preset=True,
-    )
+    trace = run_trial(cfg, b, 0, (b.grid_a[0], b.grid_b[0]))
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
         report = classify_violation(trace, stage, cfg.chsh, dataset=ds)
         assert report.classification is ViolationClass.FACTUAL_LOCAL
@@ -537,14 +534,7 @@ def test_preset_run_classified_local():
 
 def test_preset_posited_alternates_are_counterfactual_local():
     b = optimal_behavior()
-    trace = run_trial(
-        b,
-        build_schedule(),
-        master_seed=10,
-        trial_index=0,
-        forced_settings=(b.grid_a[0], b.grid_b[0]),
-        preset=True,
-    )
+    trace = run_trial(ExperimentConfig(seed=10, preset_settings=True), b, 0, (b.grid_a[0], b.grid_b[0]))
     report = classify_violation(
         trace, Stage.SETTING, optimal_singlet_settings(), posit_alternates=True
     )
@@ -555,7 +545,7 @@ def test_preset_posited_alternates_are_counterfactual_local():
 def test_classifier_soundness_nonlocal_tag_iff_far_setting_unknown():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(b, schedule, master_seed=33, trial_index=4)
+    trace = run_trial(ExperimentConfig(seed=33, schedule=schedule), b, 4)
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
         report = classify_violation(trace, stage, optimal_singlet_settings())
         ledger = trace.observer_a.stage_ledgers()[stage]

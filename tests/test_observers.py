@@ -8,6 +8,7 @@ import pytest
 
 from bellsim import (
     Angle,
+    ExperimentConfig,
     Modality,
     QUncertainty,
     RealismViolationError,
@@ -232,7 +233,7 @@ def test_far_marginal_independent_of_posited_far_setting():
 def test_standard_run_equality_pattern():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(b, schedule, master_seed=5, trial_index=0)
+    trace = run_trial(ExperimentConfig(seed=5, schedule=schedule), b, 0)
     table = stage_table(trace.observer_a, trace.observer_b)
     assert table.pattern == ("y", "n", "n", "y")
     assert [r.rendered_a for r in table.rows] == [
@@ -253,13 +254,7 @@ def test_run_with_peaked_setting_uncertainty():
     grid = tuple(Angle.of(k, 6) for k in range(4))
     b = singlet_behavior(grid, grid)
     schedule = build_schedule()
-    trace = run_trial(
-        b,
-        schedule,
-        master_seed=17,
-        trial_index=3,
-        q_setting_width=0.8,
-    )
+    trace = run_trial(ExperimentConfig(seed=17, schedule=schedule, q_setting_width=0.8), b, 3)
     sa = trace.observer_a
     assert "θa" in sa.uncertain
     # the bump is centered on the true setting, so the extracted point
@@ -273,12 +268,7 @@ def test_preset_run_equality_pattern():
     b = optimal_behavior()
     schedule = build_schedule()
     trace = run_trial(
-        b,
-        schedule,
-        master_seed=5,
-        trial_index=0,
-        forced_settings=(b.grid_a[0], b.grid_b[0]),
-        preset=True,
+        ExperimentConfig(seed=5, schedule=schedule, preset_settings=True), b, 0, (b.grid_a[0], b.grid_b[0])
     )
     table = stage_table(trace.observer_a, trace.observer_b)
     assert table.pattern == ("y", "y", "n", "y")
@@ -322,7 +312,7 @@ def test_pool_never_violates_realism_on_model_sampled_runs():
     b = shared_grid_behavior()
     schedule = build_schedule()
     for i in range(100):
-        t = run_trial(b, schedule, master_seed=123, trial_index=i)
+        t = run_trial(ExperimentConfig(seed=123, schedule=schedule), b, i)
         assert t.pooled.data["±a"] == t.record.outcome_a
         assert t.pooled.data["±b"] == t.record.outcome_b
 
@@ -333,13 +323,7 @@ def test_pool_tolerates_unresolved_setting_on_colliding_grids():
     b = shared_grid_behavior()
     schedule = build_schedule()
     for i in range(40):
-        t = run_trial(
-            b,
-            schedule,
-            master_seed=31,
-            trial_index=i,
-            unresolved_local_setting=True,
-        )
+        t = run_trial(ExperimentConfig(seed=31, schedule=schedule, unresolved_local_setting=True), b, i)
         assert t.pooled.data["θa"] == b.grid_a[0]  # lowest-index tie break
 
 
@@ -410,12 +394,7 @@ def test_retrodiction_with_unresolved_setting_is_a_mixture():
     b = shared_grid_behavior()
     schedule = build_schedule()
     trace = run_trial(
-        b,
-        schedule,
-        master_seed=9,
-        trial_index=0,
-        forced_settings=(ZERO, HALF),
-        unresolved_local_setting=True,
+        ExperimentConfig(seed=9, schedule=schedule, unresolved_local_setting=True), b, 0, (ZERO, HALF)
     )
     table = retrodict(trace.observer_a, "±a", Stage.SETTING)
     # oracle: weight each candidate own-setting by its posterior after seeing

@@ -38,6 +38,8 @@ class Angle:
         sign = -1 if m.group(1) else 1
         num = int(m.group(2)) if m.group(2) else 1
         den = int(m.group(3)) if m.group(3) else 1
+        if den == 0:
+            raise ValueError(f"not an angle: {text!r} (zero denominator)")
         return cls(Fraction(sign * num, den))
 
     def __hash__(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .angles import Angle, cos_between, setting_from_text, setting_text
 from .errors import MissingDataError, UnsupportedScenarioError
-from .probability import TOL
+from .probability import TOL, distribution
 
 #: Fixed outcome order for every table axis: index 0 is +1, index 1 is -1.
 OUTCOMES = (1, -1)
@@ -35,18 +35,7 @@ class Behavior:
     def __init__(self, grid_a, grid_b, table):
         self.grid_a = tuple(grid_a)
         self.grid_b = tuple(grid_b)
-        arr = np.asarray(table, dtype=float)
-        shape = (len(self.grid_a), len(self.grid_b), 2, 2)
-        if arr.shape != shape:
-            raise ValueError(f"table shape {arr.shape}, expected {shape}")
-        if arr.min() < -TOL:
-            raise ValueError("negative probability entry")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        sums = arr.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > TOL:
-            raise ValueError("a conditional slice does not sum to 1")
-        arr.setflags(write=False)
-        self.table = arr
+        self.table = distribution(table, (len(self.grid_a), len(self.grid_b), 2, 2), (2, 3))
 
     def x_index(self, x) -> int:
         try:
@@ -85,17 +74,9 @@ class LhvModel:
     response_b: tuple  # shape (ny, nlam, 2) nested
 
     def arrays(self):
-        p = np.asarray(self.prior, dtype=float)
-        ra = np.asarray(self.response_a, dtype=float)
-        rb = np.asarray(self.response_b, dtype=float)
         nlam = len(self.lambda_domain)
-        if p.shape != (nlam,) or abs(p.sum() - 1.0) > TOL or p.min() < -TOL:
-            raise ValueError("prior must be a distribution over the hidden domain")
-        for r, name in ((ra, "response_a"), (rb, "response_b")):
-            if r.ndim != 3 or r.shape[1] != nlam or r.shape[2] != 2:
-                raise ValueError(f"{name} must have shape (settings, {nlam}, 2)")
-            if np.max(np.abs(r.sum(axis=2) - 1.0)) > TOL or r.min() < -TOL:
-                raise ValueError(f"{name} slices must be distributions")
+        p = distribution(self.prior, (nlam,))
+        ra, rb = (distribution(r, (len(r), nlam, 2), 2) for r in (self.response_a, self.response_b))
         return p, ra, rb
 
 
@@ -219,9 +200,7 @@ def chsh_expectation(behavior: Behavior, settings: ChshSettings, prior=None) -> 
     ``prior`` weights the four setting pairs (uniform by default, giving a
     quarter of the signed sum and a bound of 1/2 for factorizing models).
     """
-    weights = np.asarray(prior if prior is not None else [0.25] * 4, dtype=float)
-    if weights.shape != (4,) or weights.min() < -TOL or abs(weights.sum() - 1.0) > TOL:
-        raise ValueError("prior must be a distribution over the four setting pairs")
+    weights = distribution(prior if prior is not None else [0.25] * 4, (4,))
     total = 0.0
     for (x, y), sign, w in zip(settings.pairs(), settings.signs, weights):
         total += float(w) * sign * correlator(behavior, x, y)
@@ -307,9 +286,7 @@ def marginal_after_setting_average(behavior: Behavior, x, far_prior) -> np.ndarr
     independent; conflating the two in general confuses an average with an
     invariance.
     """
-    weights = np.asarray(far_prior, dtype=float)
-    if weights.shape != (len(behavior.grid_b),) or abs(weights.sum() - 1.0) > TOL:
-        raise ValueError("prior must be a distribution over the far grid")
+    weights = distribution(far_prior, (len(behavior.grid_b),))
     pa = behavior.table[behavior.x_index(x)].sum(axis=2)  # [y, a]
     return np.einsum("y,ya->a", weights, pa)
 

@@ -29,6 +29,7 @@ from .probability import (
     Variable,
     condition,
     condition_table,
+    distribution,
     keep_only,
     product,
 )
@@ -79,21 +80,16 @@ def _payload_stage(payload) -> Stage:
 
 @dataclass(frozen=True)
 class QUncertainty:
-    """Measurement-uncertainty distribution over one variable's domain."""
+    """Measurement-uncertainty distribution over one variable's domain.
+
+    ``array`` holds the checked weights as a read-only array.
+    """
 
     variable: Variable
     weights: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.variable.domain),):
-            raise ValueError("weights must cover the variable's domain")
-        if w.min() < -TOL or abs(w.sum() - 1.0) > TOL:
-            raise ValueError("weights must form a distribution")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "array", distribution(self.weights, (len(self.variable.domain),)))
 
     @property
     def is_delta(self) -> bool:

@@ -12,6 +12,9 @@ Rendering uses a double-bar grammar that is a stable text format:
 counterfactual slots sit between two single bars, factual slots follow a
 double bar, e.g. ``P_A(±b|θb|±a,θa,ψ0,t±)`` or ``P_A(±b,θb‖±a,θa,ψ0,t±)``.
 
+What counts as a distribution is decided once, by :func:`distribution`:
+every table, weight vector and prior in bellsim passes that one check.
+
 All tables are immutable after construction and every operation is a pure
 function, so values may be shared freely across threads.
 """
@@ -89,6 +92,32 @@ def _check_names(free, conditioners) -> None:
         raise ValueError(f"variables both free and conditioned: {sorted(overlap)}")
 
 
+def distribution(values, shape, axes=None, *, empty_slices=False) -> np.ndarray:
+    """A read-only float copy of ``values``, checked to be a distribution.
+
+    The copy must have exactly ``shape``, no entry below ``-TOL`` (entries in
+    ``[-TOL, 0)`` are stored as 0), and every slice over ``axes`` -- the whole
+    array when ``None`` -- must sum to 1 within ``TOL``; with
+    ``empty_slices`` a slice may also sum to 0.  A NaN fails every
+    comparison and an infinity fails the sum, so non-finite entries are
+    rejected too.
+    """
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"probability array shape {arr.shape} does not match {shape}")
+    if not arr.min(initial=0.0) >= -TOL:
+        raise ValueError("probability entry below zero or not a number")
+    np.maximum(arr, 0.0, out=arr)
+    sums = arr.sum(axis=axes)
+    ok = abs(sums - 1.0) <= TOL
+    if empty_slices:
+        ok |= sums <= TOL
+    if not ok.all():
+        raise ValueError(f"probabilities sum to {float(np.asarray(sums)[~ok][0])!r}, not 1")
+    arr.setflags(write=False)
+    return arr
+
+
 def _trusted(cls, array: np.ndarray, **slots):
     """A ``cls`` built from the result of a kernel operation, without re-validating it.
 
@@ -127,22 +156,11 @@ class TaggedJoint:
     ):
         free = tuple(free)
         conditioners = tuple(conditioners)
-        arr = np.asarray(probabilities, dtype=float)
-        shape = tuple(len(v.domain) for v in free)
-        if arr.shape != shape:
-            raise ValueError(f"probability array shape {arr.shape} does not match domains {shape}")
         _check_names(free, conditioners)
-        if arr.min(initial=0.0) < -TOL:
-            raise ValueError("negative probability entry")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        total = float(arr.sum())
-        if abs(total - 1.0) > TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        arr.setflags(write=False)
+        self.array = distribution(probabilities, tuple(len(v.domain) for v in free))
         self.free = free
         self.free_names = tuple(v.name for v in free)
         self.conditioners = conditioners
-        self.array = arr
         self.label = label
 
     # -- lookups ---------------------------------------------------------
@@ -243,24 +261,13 @@ class ConditionalTable:
     def __init__(self, free, given, table, conditioners=(), label=""):
         free = tuple(free)
         given = tuple(given)
-        arr = np.asarray(table, dtype=float)
-        shape = tuple(len(v.domain) for v in free) + tuple(len(v.domain) for v in given)
-        if arr.shape != shape:
-            raise ValueError(f"table shape {arr.shape} does not match domains {shape}")
-        if arr.min(initial=0.0) < -TOL:
-            raise ValueError("negative probability entry")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        nfree = int(np.prod([len(v.domain) for v in free], dtype=int)) if free else 1
-        sums = arr.reshape(nfree, -1).sum(axis=0)
-        bad = np.abs(sums - 1.0) > TOL
-        if np.any(bad & (sums > TOL)):
-            raise ValueError("a conditional slice sums to neither 1 nor 0")
-        arr.setflags(write=False)
+        self.array = distribution(
+            table, tuple(len(v.domain) for v in free + given), tuple(range(len(free))), empty_slices=True
+        )
         self.free = free
         self.free_names = tuple(v.name for v in free)
         self.given = given
         self.given_names = tuple(v.name for v in given)
-        self.array = arr
         self.conditioners = tuple(conditioners)
         self.label = label
 

@@ -95,14 +95,16 @@ class Worldline:
 
 
 def interval(e1: SpacetimeEvent, e2: SpacetimeEvent, c: float = 1.0) -> IntervalKind:
-    """Classify the separation by the sign of ``(c dt)^2 - dx^2``."""
-    dt2 = (c * (e2.t - e1.t)) ** 2
-    dx2 = (e2.x - e1.x) ** 2
-    s2 = dt2 - dx2
-    scale = max(dt2, dx2, 1.0)
-    if abs(s2) < TOL * scale:
+    """Classify the separation by the sign of ``(c dt)^2 - dx^2``.
+
+    ``|c dt|`` and ``|dx|`` are compared directly, not squared, so no finite
+    input overflows.
+    """
+    ct = abs(c * (e2.t - e1.t))
+    dx = abs(e2.x - e1.x)
+    if ct == dx or abs(ct - dx) < TOL * max(ct, dx, 1.0):
         return IntervalKind.LIGHTLIKE
-    return IntervalKind.TIMELIKE if s2 > 0.0 else IntervalKind.SPACELIKE
+    return IntervalKind.TIMELIKE if ct > dx else IntervalKind.SPACELIKE
 
 
 def reception_time(event: SpacetimeEvent, worldline: Worldline) -> float:

@@ -453,3 +453,36 @@ def test_float_overflow_exits_with_config_error(tmp_path, capsys):
     path.write_text('{"c": 1%s}' % ("0" * 400), encoding="utf-8")
     assert main([str(path), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "config error at c: number too large" in capsys.readouterr().err
+
+
+LHV_RESPONSES = {"response_a": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+                 "response_b": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"model": "lhv", "lhv": {"prior": [math.nan, 1.0], **LHV_RESPONSES}}, "lhv"),
+    ({"grid_a": ["0", "pi/0"]}, "grid_a[1]"),
+    ({"chsh": {"x0": "pi/0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}}, "chsh.x0"),
+    # c * dt no longer overflows; so large a c makes the wings time-like separated
+    ({"c": 1e308}, "stage_times"),
+])
+def test_bad_config_exits_with_config_error_and_no_traceback(tmp_path, capsys, doc, path):
+    code, out = run_cli(tmp_path, {**doc, "trials_per_pair": 10})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert f"config error at {path}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_custom_behavior_file_with_a_nan_cell_is_a_config_error(tmp_path, capsys):
+    rows = behavior_to_csv(pr_box()).splitlines()
+    rows[1] = rows[1].rpartition(",")[0] + ",nan"
+    table = tmp_path / "behavior.csv"
+    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out = run_cli(tmp_path, {"model": "custom", "behavior_file": str(table), "trials_per_pair": 10})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "config error at behavior_file: " in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -7,20 +7,27 @@ import numpy as np
 import pytest
 
 from bellsim import (
+    Behavior,
     ConditionalTable,
     Conditioner,
     ImpossibleEvidenceError,
+    LhvModel,
     Modality,
+    QUncertainty,
     TaggedJoint,
     Variable,
     bayes_invert,
+    chsh_expectation,
     condition,
     condition_table,
     enumerate_factorizations,
     keep_only,
     marginalize,
+    pr_box,
+    pr_box_settings,
     product,
 )
+from bellsim.models import marginal_after_setting_average
 from conftest import random_joint
 
 TOL = 1e-12
@@ -345,3 +352,80 @@ def test_degenerate_joint_is_legal_but_conditioning_errors():
 def test_no_variable_both_free_and_conditioned():
     with pytest.raises(ValueError):
         TaggedJoint((A,), [0.5, 0.5], (Conditioner(A, 1, Modality.FACTUAL),))
+
+
+# -- the one distribution check ------------------------------------------------
+
+C3 = Variable("c", (0, 1, 2))
+RESPONSE = (((1.0, 0.0), (0.0, 1.0)), ((0.5, 0.5), (0.5, 0.5)))  # [setting, lambda, outcome]
+
+
+def _lhv_arrays(prior=(0.5, 0.5), response_a=RESPONSE, response_b=RESPONSE):
+    return LhvModel((0, 1), prior, response_a, response_b).arrays()
+
+
+def _chsh_prior(v):
+    chsh_expectation(pr_box(), pr_box_settings(), v)
+
+
+def _far_prior(v):
+    marginal_after_setting_average(pr_box(), 0, v)
+
+
+#: Every place that decides whether values form a distribution: a call that
+#: returns the array it stores or returns (``None`` where it keeps none), a
+#: valid input, and a flat index in the same slice as flat index 0.  The
+#: conditional table's second slice is all zero, which it must accept.
+DISTRIBUTION_SITES = {
+    "TaggedJoint": (lambda v: TaggedJoint((A, C3), v).array, np.full((2, 3), 1 / 6), 1),
+    "ConditionalTable": (lambda v: ConditionalTable((A,), (B,), v).array, [[0.4, 0.0], [0.6, 0.0]], 2),
+    "Behavior": (lambda v: Behavior((0, 1), (0, 1), v).table, pr_box().table, 1),
+    "LhvModel.prior": (lambda v: _lhv_arrays(prior=v)[0], [0.5, 0.5], 1),
+    "LhvModel.response_a": (lambda v: _lhv_arrays(response_a=v)[1], RESPONSE, 1),
+    "LhvModel.response_b": (lambda v: _lhv_arrays(response_b=v)[2], RESPONSE, 1),
+    "chsh_expectation": (_chsh_prior, [0.25] * 4, 1),
+    "marginal_after_setting_average": (_far_prior, [0.5, 0.5], 1),
+    "QUncertainty": (lambda v: QUncertainty(C3, tuple(v)).array, [0.25, 0.5, 0.25], 1),
+}
+
+
+def _with_first(base, mate, value, move_mass=False):
+    """``base`` with flat entry 0 set to ``value``; ``move_mass`` keeps its slice's sum."""
+    v = np.array(base, dtype=float)
+    flat = v.reshape(-1)
+    if move_mass:
+        flat[mate] += flat[0] - value
+    flat[0] = value
+    return v
+
+
+@pytest.mark.parametrize("site", sorted(DISTRIBUTION_SITES))
+def test_every_distribution_site_makes_the_one_check(site):
+    build, base, mate = DISTRIBUTION_SITES[site]
+    rejected = {
+        "NaN": _with_first(base, mate, math.nan),
+        "+inf": _with_first(base, mate, math.inf),
+        "-inf": _with_first(base, mate, -math.inf),
+        "entry -1e-9": _with_first(base, mate, -1e-9, move_mass=True),
+        "slice sums to 0.9": _with_first(base, mate, np.ravel(base)[0] - 0.1),
+        "wrong shape": np.append(base, 0.0),
+    }
+    accepted = []
+    for label, values in rejected.items():
+        try:
+            build(values)
+        except ValueError:
+            continue
+        accepted.append(label)
+    assert accepted == []
+
+    stored = build(base)
+    assert stored is None or np.array_equal(stored, base)
+    stored = build(_with_first(base, mate, -TOL / 2, move_mass=True))
+    if stored is not None:
+        assert stored.flat[0] == 0.0 and not stored.flags.writeable
+
+
+def test_setting_average_rejects_weights_outside_the_simplex():
+    with pytest.raises(ValueError):
+        marginal_after_setting_average(pr_box(), 0, [1.5, -0.5])

@@ -41,6 +41,13 @@ def test_interval_respects_configurable_speed():
     assert interval(ev(0.0, 0.0), ev(1.0, 1.0), c=2.0) is IntervalKind.TIMELIKE
 
 
+def test_interval_of_extreme_finite_coordinates_neither_overflows_nor_gives_nan():
+    assert interval(ev(0.0, 0.0), ev(2.0, 1.0), c=1e308) is IntervalKind.TIMELIKE
+    assert interval(ev(-1e308, 0.0), ev(1e308, 0.0)) is IntervalKind.TIMELIKE
+    assert interval(ev(0.0, -1e308), ev(0.0, 1e308)) is IntervalKind.SPACELIKE
+    assert interval(ev(-1e308, -1e308), ev(1e308, 1e308)) is IntervalKind.LIGHTLIKE
+
+
 # -- reception ------------------------------------------------------------------
 
 

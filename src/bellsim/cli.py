@@ -23,6 +23,7 @@ from .angles import Angle, setting_text
 from .config import ExperimentConfig, apply_overrides, build_model, parse_config
 from .errors import ConfigError, SimulationError, UnsupportedScenarioError
 from .harness import (
+    ChshEstimate,
     Dataset,
     classify_violation,
     dataset_to_csv,
@@ -38,6 +39,8 @@ from .models import (
     check_no_signaling,
     chsh_value,
     correlator,
+    correlators,
+    marginal_spreads,
     singlet_behavior,
 )
 from .observers import Stage, stage_table
@@ -54,8 +57,7 @@ EXIT_IO = 3
 ARTIFACTS = ("summary.json", "dataset.csv", "behavior_estimate.csv", "trace.json", "plot_correlator.txt")
 
 
-def _estimates_section(behavior: Behavior, dataset: Dataset, config: ExperimentConfig) -> dict:
-    est = estimate_chsh(dataset, config.chsh)
+def _estimates_section(behavior: Behavior, est: ChshEstimate, config: ExperimentConfig) -> dict:
     analytic = chsh_value(behavior, config.chsh)
     return {
         "chsh": {"value": est.value, "stderr": est.stderr, "analytic": analytic},
@@ -75,13 +77,9 @@ def _estimates_section(behavior: Behavior, dataset: Dataset, config: ExperimentC
 
 def _no_signaling_section(behavior: Behavior, dataset: Dataset) -> dict:
     analytic = check_no_signaling(behavior)
-    n = dataset.n_per_pair.astype(float)
-    pa = dataset.counts.sum(axis=3) / n[:, :, None]
-    pb = dataset.counts.sum(axis=2) / n[:, :, None]
-    dev_a = float(np.max(pa.max(axis=1) - pa.min(axis=1), initial=0.0))
-    dev_b = float(np.max(pb.max(axis=0) - pb.min(axis=0), initial=0.0))
+    n = dataset.n_per_pair
+    empirical = max(marginal_spreads(dataset.counts, n))
     bound = 5.0 / float(np.sqrt(n.min()))
-    empirical = max(dev_a, dev_b)
     return {
         "analytic": {
             "max_deviation": analytic.max_deviation,
@@ -236,15 +234,13 @@ def _trace_json(traces, schedule) -> str:
     return _block("[", "]", items, 0) + "\n"
 
 
-def _plot_rows(behavior: Behavior, dataset: Dataset, config: ExperimentConfig) -> str:
+def _plot_rows(behavior: Behavior, est: ChshEstimate, config: ExperimentConfig) -> str:
     lines = ["# delta_radians correlator stderr source"]
     if config.model == "singlet":
         dense = [Angle.of(k, 24) for k in range(-24, 25)]
-        curve = singlet_behavior((Angle.of(0),), dense)
-        for y in dense:
-            c = correlator(curve, Angle.of(0), y)
+        curve = correlators(singlet_behavior((Angle.of(0),), dense).table[0])
+        for y, c in zip(dense, curve.tolist()):
             lines.append(f"{-y.radians + 0.0!r} {c!r} 0.0 analytic")
-    est = estimate_chsh(dataset, config.chsh)
     for x, y, v, se in est.correlators:
         if isinstance(x, Angle) and isinstance(y, Angle):
             delta = (x - y).radians + 0.0
@@ -275,10 +271,11 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
         traces = trace_trials(config, behavior)
 
     with _phase("diagnostics"):
+        est = estimate_chsh(dataset, config.chsh)
         summary = {
             "model": config.model,
             "seed": config.seed,
-            "estimates": _estimates_section(behavior, dataset, config),
+            "estimates": _estimates_section(behavior, est, config),
             "no_signaling": _no_signaling_section(behavior, dataset),
             "factorizability": _factorizability_section(behavior),
             "classification": _classification_section(traces, dataset, config),
@@ -305,7 +302,7 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
         with _phase("write trace.json"):
             (outdir / "trace.json").write_text(_trace_json(traces, config.schedule), encoding="utf-8")
     with _phase("write plot_correlator.txt"):
-        (outdir / "plot_correlator.txt").write_text(_plot_rows(behavior, dataset, config), encoding="utf-8")
+        (outdir / "plot_correlator.txt").write_text(_plot_rows(behavior, est, config), encoding="utf-8")
     log.info("wrote %s", outdir)
     return summary
 

@@ -284,10 +284,14 @@ def parse_config(text: str) -> ExperimentConfig:
                     tuple(tuple(map(tuple, x)) for x in tables["response_a"]),
                     tuple(tuple(map(tuple, y)) for y in tables["response_b"]),
                 )
-                lhv.arrays()
             except (KeyError, TypeError, ValueError) as exc:
                 errors.append(("lhv", f"bad hidden-variable tables: {exc}"))
-                lhv = None
+            else:
+                for field in LhvModel.TABLES:
+                    try:
+                        lhv.table(field)
+                    except (TypeError, ValueError) as exc:
+                        errors.append((f"lhv.{field}", f"bad hidden-variable table: {exc}"))
     elif "lhv" in raw:
         errors.append(("lhv", f"only meaningful for model 'lhv', not {model!r}"))
 

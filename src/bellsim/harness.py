@@ -34,7 +34,7 @@ import numpy as np
 from .angles import setting_text
 from .config import ExperimentConfig
 from .errors import MissingDataError, RealismViolationError
-from .models import OUTCOMES, Behavior, ChshSettings, chsh_value
+from .models import OUTCOMES, Behavior, ChshSettings, chsh_sum, chsh_value, correlators
 from .observers import (
     ObserverState,
     PooledState,
@@ -157,11 +157,6 @@ class Dataset:
     @property
     def total_trials(self) -> int:
         return int(self.n_per_pair.sum())
-
-    def counts_for(self, x, y) -> np.ndarray:
-        i = self.grid_a.index(x)
-        j = self.grid_b.index(y)
-        return self.counts[i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -358,27 +353,26 @@ class ChshEstimate:
 
 
 def estimate_chsh(dataset: Dataset, settings: ChshSettings) -> ChshEstimate:
-    """The signed sum from empirical correlators, errors added in quadrature."""
-    total, var = 0.0, 0.0
-    per_pair = []
-    for (x, y), sign in zip(settings.pairs(), settings.signs):
-        try:
-            c = dataset.counts_for(x, y)
-        except ValueError:
-            raise MissingDataError(
-                f"dataset lacks setting pair ({setting_text(x)}, {setting_text(y)})"
-            ) from None
-        n = int(c.sum())
+    """The signed sum from empirical correlators, errors added in quadrature.
+
+    Each correlator is the integer reduction of a pair's counts over its trials.
+    """
+    sums, trials = correlators(dataset.counts), dataset.n_per_pair
+    per_pair, var = [], 0.0
+    for x, y in settings.pairs():
+        pair = f"setting pair ({setting_text(x)}, {setting_text(y)})"
+        if x not in dataset.grid_a or y not in dataset.grid_b:
+            raise MissingDataError(f"dataset lacks {pair}")
+        ij = dataset.grid_a.index(x), dataset.grid_b.index(y)
+        n = int(trials[ij])
         if n == 0:
-            raise MissingDataError(
-                f"no trials for setting pair ({setting_text(x)}, {setting_text(y)})"
-            )
-        corr = float(c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / n
+            raise MissingDataError(f"no trials for {pair}")
+        corr = float(sums[ij]) / n
         se = float(np.sqrt(max(1.0 - corr * corr, 0.0) / n))
         per_pair.append((x, y, corr, se))
-        total += sign * corr
         var += se * se
-    return ChshEstimate(total, float(np.sqrt(var)), tuple(per_pair))
+    value = chsh_sum([corr for _, _, corr, _ in per_pair])
+    return ChshEstimate(value, float(np.sqrt(var)), tuple(per_pair))
 
 
 # ---------------------------------------------------------------------------
@@ -474,19 +468,10 @@ def classify_violation(
 
     s = chsh_value(trace.behavior, settings)
     if trace.preset and posit_alternates:
-        return ViolationReport(
-            stage,
-            observer,
-            s,
-            0.0,
-            abs(s) > 2.0,
-            ViolationClass.COUNTERFACTUAL_LOCAL,
-            ("θa", "θb"),
-            (),
-            "alternates of pre-agreed, locally known settings are posited",
-        )
-
-    if nonlocal_cf:
+        classification = ViolationClass.COUNTERFACTUAL_LOCAL
+        cf_settings, nonlocal_cf = ("θa", "θb"), ()
+        note = "alternates of pre-agreed, locally known settings are posited"
+    elif nonlocal_cf:
         classification = ViolationClass.COUNTERFACTUAL_NONLOCAL
         note = f"the far setting {far} enters only counterfactually at {stage.value}"
     elif cf_settings:
@@ -496,15 +481,7 @@ def classify_violation(
         classification = ViolationClass.FACTUAL_LOCAL
         note = ""
     return ViolationReport(
-        stage,
-        observer,
-        s,
-        0.0,
-        abs(s) > 2.0,
-        classification,
-        cf_settings,
-        nonlocal_cf,
-        note,
+        stage, observer, s, 0.0, abs(s) > 2.0, classification, cf_settings, nonlocal_cf, note
     )
 
 

@@ -26,6 +26,9 @@ OUTCOMES = (1, -1)
 
 FACET_TOL = 1e-9
 
+#: Signs of the signed sum's four terms, in the order of :meth:`ChshSettings.pairs`.
+CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
+
 
 class Behavior:
     """``p(a, b | x, y)`` stored as an array indexed ``[x, y, a, b]``."""
@@ -73,11 +76,17 @@ class LhvModel:
     response_a: tuple  # shape (nx, nlam, 2) nested
     response_b: tuple  # shape (ny, nlam, 2) nested
 
+    TABLES = ("prior", "response_a", "response_b")
+
+    def table(self, field: str) -> np.ndarray:
+        """One of the :attr:`TABLES` fields as an array, checked by :func:`distribution`."""
+        values, nlam = getattr(self, field), len(self.lambda_domain)
+        if field == "prior":
+            return distribution(values, (nlam,))
+        return distribution(values, (len(values), nlam, 2), 2)
+
     def arrays(self):
-        nlam = len(self.lambda_domain)
-        p = distribution(self.prior, (nlam,))
-        ra, rb = (distribution(r, (len(r), nlam, 2), 2) for r in (self.response_a, self.response_b))
-        return p, ra, rb
+        return tuple(map(self.table, self.TABLES))
 
 
 @dataclass(frozen=True)
@@ -101,13 +110,7 @@ class ChshSettings:
 
     @property
     def signs(self):
-        return (1.0, 1.0, 1.0, -1.0)
-
-    def sign_of(self, x, y) -> float:
-        for (px, py), s in zip(self.pairs(), self.signs):
-            if px == x and py == y:
-                return s
-        return 0.0
+        return CHSH_SIGNS
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +179,35 @@ def deterministic_lhv_models():
 # diagnostics
 
 
+def correlators(table) -> np.ndarray:
+    """``sum_ab a b t[..., a, b]`` for any table ``t`` whose last two axes are the outcomes.
+
+    Every correlator in bellsim, analytic, counted or from a ledger, is this
+    one reduction, so equal cells always give equal bits.
+    """
+    t = np.asarray(table)
+    return ((t[..., 0, 0] - t[..., 0, 1]) - t[..., 1, 0]) + t[..., 1, 1]
+
+
+def chsh_sum(terms, weights=None) -> float:
+    """``sum_k w_k s_k terms[k]``, added in term order, with ``s`` the :data:`CHSH_SIGNS`.
+
+    Every signed sum in bellsim is this one fold; ``weights`` defaults to 1.
+    """
+    total = 0.0
+    for term, sign, w in zip(terms, CHSH_SIGNS, weights if weights is not None else (1.0,) * 4):
+        total += float(w) * sign * float(term)
+    return total
+
+
 def correlator(behavior: Behavior, x, y) -> float:
     """Signed-outcome expectation ``sum_ab a b p(a,b|x,y)``; lies in [-1, 1]."""
-    s = behavior.slice(x, y)
-    total = 0.0
-    for ia, a in enumerate(OUTCOMES):
-        for ib, b in enumerate(OUTCOMES):
-            total += a * b * float(s[ia, ib])
-    return total
+    return float(correlators(behavior.slice(x, y)))
 
 
 def chsh_value(behavior: Behavior, settings: ChshSettings) -> float:
     """The signed four-correlator sum; at most 2 for any factorizing model."""
-    total = 0.0
-    for (x, y), sign in zip(settings.pairs(), settings.signs):
-        total += sign * correlator(behavior, x, y)
-    return total
+    return chsh_sum([correlator(behavior, x, y) for x, y in settings.pairs()])
 
 
 def chsh_expectation(behavior: Behavior, settings: ChshSettings, prior=None) -> float:
@@ -201,10 +217,7 @@ def chsh_expectation(behavior: Behavior, settings: ChshSettings, prior=None) -> 
     quarter of the signed sum and a bound of 1/2 for factorizing models).
     """
     weights = distribution(prior if prior is not None else [0.25] * 4, (4,))
-    total = 0.0
-    for (x, y), sign, w in zip(settings.pairs(), settings.signs, weights):
-        total += float(w) * sign * correlator(behavior, x, y)
-    return total
+    return chsh_sum([correlator(behavior, x, y) for x, y in settings.pairs()], weights)
 
 
 @dataclass(frozen=True)
@@ -219,6 +232,20 @@ class NoSignalingReport:
         return self.marginal_setting_independent
 
 
+def marginal_spreads(table, n_per_pair=1.0) -> tuple:
+    """The largest spread of ``p(a|x, y)`` over y and of ``p(b|x, y)`` over x.
+
+    ``table`` is indexed ``[x, y, a, b]``: probabilities, or counts of
+    ``n_per_pair[x, y]`` trials each, summed before they are divided.
+    """
+    n = np.asarray(n_per_pair, dtype=float)[..., None]
+    pa, pb = table.sum(axis=3) / n, table.sum(axis=2) / n  # [x, y, a], [x, y, b]
+    return (
+        float(np.max(pa.max(axis=1) - pa.min(axis=1), initial=0.0)),
+        float(np.max(pb.max(axis=0) - pb.min(axis=0), initial=0.0)),
+    )
+
+
 def check_no_signaling(behavior: Behavior) -> NoSignalingReport:
     """Check each wing's outcome marginal for dependence on the far setting.
 
@@ -226,22 +253,12 @@ def check_no_signaling(behavior: Behavior) -> NoSignalingReport:
     setting independence: ``p(a|x,y)`` must not vary with y, and ``p(b|x,y)``
     must not vary with x.
     """
-    t = behavior.table
-    pa = t.sum(axis=3)  # [x, y, a]
-    pb = t.sum(axis=2)  # [x, y, b]
-    worst_a = float(np.max(pa.max(axis=1) - pa.min(axis=1), initial=0.0))
-    worst_b = float(np.max(pb.max(axis=0) - pb.min(axis=0), initial=0.0))
+    worst_a, worst_b = marginal_spreads(behavior.table)
     if worst_a >= worst_b:
         max_dev, worst = worst_a, "first wing's outcome marginal varies with the far setting"
     else:
         max_dev, worst = worst_b, "second wing's outcome marginal varies with the far setting"
     return NoSignalingReport(max_dev, max_dev <= TOL, worst if max_dev > TOL else "none", TOL)
-
-
-@dataclass(frozen=True)
-class FacetValue:
-    signs: tuple
-    value: float
 
 
 @dataclass(frozen=True)
@@ -265,18 +282,19 @@ def check_factorizable(behavior: Behavior) -> FactorizabilityReport:
             "local-polytope membership requires exactly two settings per wing"
         )
     ns = check_no_signaling(behavior)
-    corr = [[correlator(behavior, x, y) for y in behavior.grid_b] for x in behavior.grid_a]
-    best = None
+    # the four terms in the order of ChshSettings.pairs: x0y0, x1y0, x0y1, x1y1
+    terms = correlators(behavior.table).T.ravel()
+    # a facet's signs, an odd number of them negative, go in as the fold's
+    # weights times CHSH_SIGNS, so the fold's own signs cancel out
+    max_facet, worst_signs = -1.0, None
     for signs in itertools.product((1.0, -1.0), repeat=4):
         if signs[0] * signs[1] * signs[2] * signs[3] >= 0:
             continue
-        s00, s10, s01, s11 = signs
-        value = s00 * corr[0][0] + s10 * corr[1][0] + s01 * corr[0][1] + s11 * corr[1][1]
-        if best is None or abs(value) > abs(best.value):
-            best = FacetValue(signs, value)
-    max_facet = abs(best.value)
+        value = abs(chsh_sum(terms, np.multiply(signs, CHSH_SIGNS)))
+        if value > max_facet:
+            max_facet, worst_signs = value, signs
     is_local = bool(ns.passed and max_facet <= 2.0 + FACET_TOL)
-    return FactorizabilityReport(is_local, max_facet, best.signs, ns, FACET_TOL)
+    return FactorizabilityReport(is_local, max_facet, worst_signs, ns, FACET_TOL)
 
 
 def marginal_after_setting_average(behavior: Behavior, x, far_prior) -> np.ndarray:

@@ -11,7 +11,6 @@ measurement-uncertainty factors from which the trial's data point is read.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -20,7 +19,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, RealismViolationError
-from .models import OUTCOMES, Behavior, ChshSettings
+from .models import OUTCOMES, Behavior, ChshSettings, chsh_sum, correlators
 from .probability import (
     TOL,
     Conditioner,
@@ -499,26 +498,23 @@ def retrodict(state: ObserverState, target: str, past_stage: Stage) -> TaggedJoi
 def ledger_chsh_expectation(ledger: TaggedJoint, settings: ChshSettings) -> float:
     """Signed outcome expectation over whatever the ledger still distributes.
 
-    Variables already pinned by conditioning contribute their fixed value;
-    free variables are summed with their ledger weights.  Setting pairs
-    outside the four chosen ones carry sign zero.
+    The ledger is laid out over ``[θa, θb, ±a, ±b]``, each variable already
+    pinned by conditioning as a one-hot axis at its value, and reduced to a
+    probability-weighted correlator per setting pair.  Each of the four
+    chosen pairs enters the signed sum once per term, even when two coincide.
     """
-    roles = ("±a", "θa", "±b", "θb")
-    fixed = {}
-    for name in roles:
-        if name not in ledger.free_names:
-            fixed[name] = ledger.conditioned_value(name)
-    other_free = [v.name for v in ledger.free if v.name not in roles]
+    roles = ("θa", "θb", "±a", "±b")
+    other_free = [n for n in ledger.free_names if n not in roles]
     if other_free:
         raise ValueError(f"ledger has unexpected free variables {other_free}")
-
-    total = 0.0
-    domains = [v.domain for v in ledger.free]
-    for combo in itertools.product(*domains) if domains else [()]:
-        assignment = dict(zip(ledger.free_names, combo))
-        values = {**fixed, **assignment}
-        sign = settings.sign_of(values["θa"], values["θb"])
-        if sign == 0.0:
-            continue
-        total += values["±a"] * values["±b"] * sign * ledger.prob(assignment)
-    return total
+    variables = {v.name: v for v in (*ledger.free, *(c.variable for c in ledger.conditioners))}
+    table, names = ledger.array, list(ledger.free_names)
+    for name in roles:
+        if name not in names:
+            v = variables[name]
+            table = np.multiply.outer(table, np.eye(len(v.domain))[v.index(ledger.conditioned_value(name))])
+            names.append(name)
+    # the outcome axes follow OUTCOMES, as data_variables lays them out
+    grid = correlators(table.transpose([names.index(n) for n in roles]))
+    theta_a, theta_b = variables["θa"], variables["θb"]
+    return chsh_sum([grid[theta_a.index(x), theta_b.index(y)] for x, y in settings.pairs()])

@@ -460,7 +460,7 @@ LHV_RESPONSES = {"response_a": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
 
 
 @pytest.mark.parametrize("doc, path", [
-    ({"model": "lhv", "lhv": {"prior": [math.nan, 1.0], **LHV_RESPONSES}}, "lhv"),
+    ({"model": "lhv", "lhv": {"prior": [math.nan, 1.0], **LHV_RESPONSES}}, "lhv.prior"),
     ({"grid_a": ["0", "pi/0"]}, "grid_a[1]"),
     ({"chsh": {"x0": "pi/0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}}, "chsh.x0"),
     # c * dt no longer overflows; so large a c makes the wings time-like separated
@@ -471,6 +471,19 @@ def test_bad_config_exits_with_config_error_and_no_traceback(tmp_path, capsys, d
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert f"config error at {path}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["prior", "response_a", "response_b"])
+def test_bad_lhv_table_is_reported_at_its_field(tmp_path, capsys, field):
+    tables = {"prior": [0.5, 0.5], **LHV_RESPONSES}
+    tables[field] = [math.nan, 1.0] if field == "prior" else [[[1, 0], [0, 1]], [[1, 0], [0.5, 0.4]]]
+    code, out = run_cli(tmp_path, {"model": "lhv", "lhv": tables, "trials_per_pair": 10})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error at lhv.{field}: bad hidden-variable table")
     assert "Traceback" not in err
     assert not out.exists()
 

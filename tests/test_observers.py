@@ -128,9 +128,8 @@ def test_uncertain_setting_keeps_variable_free():
     # oracle: mixture over the two-point setting and the uniform far prior
     s = optimal_singlet_settings()
     oracle = 0.0
-    for x, wx in ((s.x0, 0.5), (s.x1, 0.5)):
-        for y, wy in ((s.y0, 0.5), (s.y1, 0.5)):
-            oracle += wx * wy * s.sign_of(x, y) * -math.cos(x.radians - y.radians)
+    for (x, y), sign in zip(s.pairs(), s.signs):
+        oracle += 0.5 * 0.5 * sign * -math.cos(x.radians - y.radians)
     assert value == pytest.approx(oracle, abs=TOL)
 
 

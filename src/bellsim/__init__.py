@@ -78,6 +78,7 @@ from .probability import (
     keep_only,
     marginalize,
     product,
+    reweight,
 )
 from .spacetime import (
     Detection,

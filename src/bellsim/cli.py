@@ -109,12 +109,12 @@ def _factorizability_section(behavior: Behavior) -> dict:
     }
 
 
-def _classification_section(traces, dataset: Dataset, config: ExperimentConfig) -> list:
+def _classification_section(traces, est: ChshEstimate, config: ExperimentConfig) -> list:
     if not traces:
         return []
     reports = []
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
-        report = classify_violation(traces[0], stage, config.chsh, dataset=dataset, observer="A")
+        report = classify_violation(traces[0], stage, config.chsh, estimate=est, observer="A")
         reports.append(report.to_dict())
     return reports
 
@@ -278,7 +278,7 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
             "estimates": _estimates_section(behavior, est, config),
             "no_signaling": _no_signaling_section(behavior, dataset),
             "factorizability": _factorizability_section(behavior),
-            "classification": _classification_section(traces, dataset, config),
+            "classification": _classification_section(traces, est, config),
             "stage_table": _stage_table_section(traces),
         }
 

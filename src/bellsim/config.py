@@ -71,6 +71,7 @@ def build_model(config: ExperimentConfig) -> Behavior:
         except (ValueError, MissingDataError) as exc:
             raise ConfigError([("behavior_file", str(exc))]) from exc
         errors = _grid_errors(config.chsh, config.preset_pair, behavior.grid_a, behavior.grid_b)
+        errors += _count_errors(config.trials_per_pair, behavior.grid_a, behavior.grid_b, "trials_per_pair")
         if errors:
             raise ConfigError(errors)
         return behavior
@@ -161,6 +162,13 @@ def _bound_errors(name: str, value, path: str) -> list:
     if "below" in meta and value >= meta["below"]:
         return [(path, f"must be below {meta['below']}, got {value}")]
     return []
+
+
+def _count_errors(trials_per_pair: int, grid_a, grid_b, path: str) -> list:
+    """A run's trials must stay below 2^63, the limit of its ``int64`` counts."""
+    if trials_per_pair * len(grid_a) * len(grid_b) < 2**63:
+        return []
+    return [(path, f"{trials_per_pair} trials at each of {len(grid_a) * len(grid_b)} setting pairs reach 2^63")]
 
 
 def _grid_errors(chsh: ChshSettings, preset_pair, grid_a, grid_b) -> list:
@@ -307,6 +315,8 @@ def parse_config(text: str) -> ExperimentConfig:
     # cross-field checks; a custom model's grids are checked once its file is read
     if grid_a and grid_b and model != "custom":
         errors += _grid_errors(chsh, preset_pair, grid_a, grid_b)
+        if "trials_per_pair" in scalars:
+            errors += _count_errors(scalars["trials_per_pair"], grid_a, grid_b, "trials_per_pair")
     if model == "pr-box" and (grid_a, grid_b) != pr_box_settings().grids():
         errors.append(("grid_a", "the pr-box model requires binary grids [0, 1]"))
 
@@ -337,6 +347,8 @@ def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConf
     for name, (path, value) in overrides.items():
         if value is not None:
             errors += _bound_errors(name, value, path)
+            if name == "trials_per_pair":
+                errors += _count_errors(value, config.grid_a, config.grid_b, path)
             values[name] = value
     if errors:
         raise ConfigError(errors)

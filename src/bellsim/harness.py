@@ -33,7 +33,7 @@ import numpy as np
 
 from .angles import setting_text
 from .config import ExperimentConfig
-from .errors import MissingDataError, RealismViolationError
+from .errors import ConfigError, MissingDataError, RealismViolationError
 from .models import OUTCOMES, Behavior, ChshSettings, chsh_sum, chsh_value, correlators
 from .observers import (
     ObserverState,
@@ -62,6 +62,9 @@ CELL_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=2))
 #: block and trial ``k`` still draws counter block ``k``, so chunking never
 #: changes a draw; it only bounds the memory one task needs.
 CHUNK = 1 << 16
+
+#: Sampling tasks submitted per worker at a time.
+TASKS_PER_WORKER = 4
 
 
 def substream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -190,30 +193,33 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, theta_a, theta_b, cel
         memo[root] = [(state, {}) for state in init_beliefs(behavior, schedule, preset=root)]
     roots = memo[root]
 
-    # each wing's uncertainty about its own measurements, fixed up front;
-    # a report can only carry the sender's own uncertainty about the value
-    variables = {v.name: v for v in roots[0][0].initial_ledger.free}
-    own_qs: dict[str, QUncertainty] = {}
-    if not config.preset_settings:
-        for name, value, mine in (("θa", theta_a, "A"), ("θb", theta_b, "B")):
-            if config.unresolved_local_setting and mine == "A" and name == "θa":
-                own_qs[name] = QUncertainty.uniform(variables[name])
-            elif config.q_setting_width > 0.0:
-                own_qs[name] = QUncertainty.peaked(variables[name], value, config.q_setting_width)
-    if config.q_outcome_width > 0.0:
-        own_qs["±a"] = QUncertainty.peaked(variables["±a"], outcome_a, config.q_outcome_width)
-        own_qs["±b"] = QUncertainty.peaked(variables["±b"], outcome_b, config.q_outcome_width)
-    own_qs = {k: v for k, v in own_qs.items() if not v.is_delta}
-
+    # a report carries the sender's own uncertainty about its value, which
+    # depends on nothing else, so the run builds each one once
+    qs = memo.setdefault("qs", {})
     ends = []
     for state, children in roots:
         for event in schedule.events_for(state.observer, events):
             ((name, value),) = event.payload.propositions()
             if (name, value) not in children:
-                children[name, value] = (receive(state, event, own_qs.get(name)), {})
+                if (name, value) not in qs:
+                    qs[name, value] = _own_q(config, state.initial_ledger, name, value)
+                children[name, value] = (receive(state, event, qs[name, value]), {})
             state, children = children[name, value]
         ends.append(state)
     return pool(*ends)
+
+
+def _own_q(config: ExperimentConfig, ledger, name: str, value) -> QUncertainty | None:
+    """The measuring wing's spread uncertainty about ``name=value``, or None if it is exact."""
+    q = None
+    if name in ("θa", "θb") and not config.preset_settings:
+        if config.unresolved_local_setting and name == "θa":
+            q = QUncertainty.uniform(ledger.variable(name))
+        elif config.q_setting_width > 0.0:
+            q = QUncertainty.peaked(ledger.variable(name), value, config.q_setting_width)
+    elif name in ("±a", "±b") and config.q_outcome_width > 0.0:
+        q = QUncertainty.peaked(ledger.variable(name), value, config.q_outcome_width)
+    return None if q is None or q.is_delta else q
 
 
 def run_trial(config: ExperimentConfig, behavior: Behavior, trial_index: int, forced_settings=None) -> TrialTrace:
@@ -286,8 +292,11 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
         raise ValueError("need at least one trial per setting pair")
     nx, ny = len(behavior.grid_a), len(behavior.grid_b)
     slabs = behavior.table.reshape(nx * ny, 4)
-    records = np.empty(nx * ny * trials_per_pair if keep_records else 0, dtype=np.uint8)
-    tasks = [(pair, lo) for pair in range(nx * ny) for lo in range(0, trials_per_pair, CHUNK)]
+    try:
+        records = np.empty(nx * ny * trials_per_pair if keep_records else 0, dtype=np.uint8)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError([("trials_per_pair", f"too many trials to keep every record: {exc}")]) from exc
+    tasks = ((pair, lo) for pair in range(nx * ny) for lo in range(0, trials_per_pair, CHUNK))
 
     def sample_chunk(task):
         pair, lo = task
@@ -301,11 +310,14 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
         return np.subtract(past[:-1], past[1:])
 
     counts = np.zeros((nx * ny, 4), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool_:
-        for (pair, lo), pair_counts in zip(tasks, pool_.map(sample_chunk, tasks)):
-            counts[pair] += pair_counts
-            if lo + CHUNK >= trials_per_pair:
-                log.debug("sampled pair %d/%d: %d trials", pair + 1, nx * ny, trials_per_pair)
+    workers = min(config.workers, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool_:
+        # a few tasks per worker at a time, so memory does not grow with the number of chunks
+        while batch := list(itertools.islice(tasks, TASKS_PER_WORKER * workers)):
+            for (pair, lo), pair_counts in zip(batch, pool_.map(sample_chunk, batch)):
+                counts[pair] += pair_counts
+                if lo + CHUNK >= trials_per_pair:
+                    log.debug("sampled pair %d/%d: %d trials", pair + 1, nx * ny, trials_per_pair)
 
     dead = (counts > 0) & (slabs <= TOL)
     if dead.any():
@@ -417,7 +429,7 @@ def classify_violation(
     stage: Stage,
     settings: ChshSettings,
     *,
-    dataset: Dataset | None = None,
+    estimate: ChshEstimate | None = None,
     observer: str = "A",
     posit_alternates: bool = False,
 ) -> ViolationReport:
@@ -427,8 +439,8 @@ def classify_violation(
     violation there is counterfactual and nonlocal.  With pre-agreed settings
     everything relevant is factual from the start and the evaluation is a
     local statement (counterfactual-local if alternates are posited).  At
-    communication time the pooled multi-trial estimate is an ordinary local
-    statistic.  A single trial whose settings are all factual cannot test the
+    communication time the pooled multi-trial ``estimate`` of the run is an
+    ordinary local statistic.  A single trial whose settings are all factual cannot test the
     bound at all: it has only one setting pair.
     """
     state = trace.observer_a if observer == "A" else trace.observer_b
@@ -441,7 +453,7 @@ def classify_violation(
     nonlocal_cf = tuple(n for n in cf_settings if n == far)
 
     if stage is Stage.COMMUNICATION or (trace.preset and not posit_alternates):
-        if dataset is None:
+        if estimate is None:
             return ViolationReport(
                 stage,
                 observer,
@@ -453,13 +465,12 @@ def classify_violation(
                 (),
                 "a single experiment has only one factual set of measurement settings",
             )
-        est = estimate_chsh(dataset, settings)
         return ViolationReport(
             stage,
             observer,
-            est.value,
-            est.stderr,
-            abs(est.value) > 2.0,
+            estimate.value,
+            estimate.stderr,
+            abs(estimate.value) > 2.0,
             ViolationClass.FACTUAL_LOCAL,
             (),
             (),

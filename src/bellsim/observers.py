@@ -4,7 +4,10 @@ Each observer keeps a :class:`~bellsim.probability.TaggedJoint` over the four
 data propositions (own/far setting and outcome).  Factual conditioning happens
 only when an event physically arrives on the observer's worldline; anything
 not yet received can still be *inquired about* counterfactually, which is
-numerically ordinary conditioning but keeps the counterfactual tag.  After
+numerically ordinary conditioning but keeps the counterfactual tag.  A value
+measured with a spread uncertainty ``q`` instead turns the ledger into
+``p(rest | v) · q(v)``, computed as one rescale of the table along v's axis
+(:func:`~bellsim.probability.reweight`).  After
 both wings exchange reports, the two ledgers pool into a single product of
 measurement-uncertainty factors from which the trial's data point is read.
 """
@@ -26,11 +29,11 @@ from .probability import (
     Modality,
     TaggedJoint,
     Variable,
+    _trusted,
     condition,
-    condition_table,
     distribution,
     keep_only,
-    product,
+    reweight,
 )
 from .spacetime import (
     PREPARED_SYMBOL,
@@ -61,8 +64,9 @@ class Stage(Enum):
 _STAGE_ORDER = {s: i for i, s in enumerate(Stage)}
 
 
-def stage_variable(stage: Stage) -> Variable:
-    return Variable.singleton(stage.value)
+#: The factual conditioners every ledger carries: the shared prepared state and the stage label.
+_PREPARED = Conditioner(Variable.singleton(PREPARED_SYMBOL), PREPARED_SYMBOL, Modality.FACTUAL)
+_AT_STAGE = {s: Conditioner(Variable.singleton(s.value), s.value, Modality.FACTUAL) for s in Stage}
 
 
 def _payload_stage(payload) -> Stage:
@@ -169,12 +173,6 @@ class ObserverState:
         return setting_symbol(self.observer)
 
 
-def _canonical(d: TaggedJoint) -> TaggedJoint:
-    order = [n for n in CANONICAL if n in d.free_names]
-    order += [n for n in d.free_names if n not in order]
-    return d.reorder(order)
-
-
 def data_variables(behavior: Behavior) -> dict:
     """The four proposition variables induced by a behavior's grids."""
     return {
@@ -198,10 +196,7 @@ def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tupl
     variables = data_variables(behavior)
     # canonical axis order (±a, θa, ±b, θb) from table axes [x, y, a, b]
     joint = np.einsum("xyab->axby", behavior.table) * (1.0 / (nx * ny))
-    conds = (
-        Conditioner(Variable.singleton(PREPARED_SYMBOL), PREPARED_SYMBOL, Modality.FACTUAL),
-        Conditioner(stage_variable(Stage.INITIAL), Stage.INITIAL.value, Modality.FACTUAL),
-    )
+    conds = (_PREPARED, _AT_STAGE[Stage.INITIAL])
     free = tuple(variables[n] for n in CANONICAL)
 
     def make(observer, worldline):
@@ -231,21 +226,15 @@ def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tupl
     return make("A", schedule.worldline_a), make("B", schedule.worldline_b)
 
 
-def _replace_stage(d: TaggedJoint, old: Stage, new: Stage) -> TaggedJoint:
-    conds = [c for c in d.conditioners if c.variable.name != old.value]
-    conds.append(Conditioner(stage_variable(new), new.value, Modality.FACTUAL))
-    return d.with_conditioners(conds)
-
-
 def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None = None) -> ObserverState:
     """Factually absorb an event that has reached the observer's worldline.
 
     With an exact (delta) uncertainty the payload value is conditioned
-    factually; with a spread ``q`` the ledger is rebuilt as the conditional
-    times ``q``, leaving the variable free but locally measured with
-    uncertainty.  A zero-probability reception is a realism violation: a
-    factual report contradicting the observer's own table.  So is a spread
-    ``q`` that weighs any value the ledger gives probability zero.
+    factually; with a spread ``q`` the ledger becomes ``p(rest | v) · q(v)``,
+    leaving the variable free but locally measured with uncertainty.  A
+    zero-probability reception is a realism violation: a factual report
+    contradicting the observer's own table.  So is a spread ``q`` that weighs
+    any value the ledger gives probability zero.
     """
     payload = event.payload
     if isinstance(payload, Message) and payload.recipient != state.observer:
@@ -261,7 +250,8 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
     clock = max(state.clock, arrived)
 
     if isinstance(payload, StatePreparation):
-        return replace(state, received=state.received + (event,), clock=clock)
+        return ObserverState(state.observer, state.worldline, state.ledger, state.stage, state.received + (event,),
+                             clock, state.factual, state.qs, state.initial_ledger, state.history)
 
     ((name, value),) = payload.propositions()
     ledger = state.ledger
@@ -276,9 +266,8 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
                 f"already-established value {ledger.conditioned_value(name)!r}"
             )
     else:
-        var = ledger.variable(name)
         if q is None:
-            q = QUncertainty.delta(var, value)
+            q = QUncertainty.delta(ledger.variable(name), value)
         if q.variable.name != name:
             raise ValueError(f"uncertainty is over {q.variable.name!r}, event carries {name!r}")
         if q.is_delta:
@@ -290,34 +279,24 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
                     f"an event of probability zero"
                 ) from exc
             factual[name] = value
-            qs[name] = q
         else:
-            ct = condition_table(ledger, name)
             try:
-                joint = product(ct, TaggedJoint((var,), q.array, (), ledger.label))
+                ledger = reweight(ledger, name, q.array)
             except ImpossibleEvidenceError as exc:
                 raise RealismViolationError(
                     f"{state.observer} measured {name} with an uncertainty that weighs "
                     f"values of probability zero"
                 ) from exc
-            ledger = _canonical(joint)
-            qs[name] = q
+        qs[name] = q
 
     history = state.history
     if target_stage is not state.stage:
         history = history + ((state.stage, state.ledger),)
-        ledger = _replace_stage(ledger, state.stage, target_stage)
+        conds = [c for c in ledger.conditioners if c.variable.name != state.stage.value]
+        ledger = ledger.with_conditioners(conds + [_AT_STAGE[target_stage]])
 
-    return replace(
-        state,
-        ledger=ledger,
-        stage=target_stage,
-        received=state.received + (event,),
-        clock=clock,
-        factual=factual,
-        qs=qs,
-        history=history,
-    )
+    return ObserverState(state.observer, state.worldline, ledger, target_stage, state.received + (event,),
+                         clock, factual, qs, state.initial_ledger, history)
 
 
 def inquire(state: ObserverState, targets: Iterable, counterfactuals: Iterable = ()) -> TaggedJoint:
@@ -444,14 +423,14 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
             "pooled records lie entirely outside the shared starting table's support"
         )
 
-    conds = (
-        Conditioner(Variable.singleton(PREPARED_SYMBOL), PREPARED_SYMBOL, Modality.FACTUAL),
-        Conditioner(stage_variable(Stage.COMMUNICATION), Stage.COMMUNICATION.value, Modality.FACTUAL),
-    )
-    ledger = TaggedJoint(base.free, pooled, conds, label="A∪B")
+    conds = (_PREPARED, _AT_STAGE[Stage.COMMUNICATION])
+    ledger = _trusted(TaggedJoint, pooled, free=base.free, conditioners=conds, label="A∪B")
     data = {n: qs[n].mode() for n in base.free_names}
-    new_a = replace(state_a, ledger=ledger.relabel("A"))
-    new_b = replace(state_b, ledger=ledger.relabel("B"))
+    new_a, new_b = (
+        ObserverState(s.observer, s.worldline, ledger.relabel(s.observer), s.stage, s.received, s.clock,
+                      s.factual, s.qs, s.initial_ledger, s.history)
+        for s in (state_a, state_b)
+    )
     return PooledState(ledger, data, new_a, new_b)
 
 
@@ -488,10 +467,10 @@ def retrodict(state: ObserverState, target: str, past_stage: Stage) -> TaggedJoi
     if state.own_setting in state.factual and state.own_setting != target:
         names.append(state.own_setting)
     names.extend(n for n in conditioned if n not in names)
-    conds = [Conditioner(stage_variable(past_stage), past_stage.value, Modality.COUNTERFACTUAL)]
+    conds = [Conditioner(_AT_STAGE[past_stage].variable, past_stage.value, Modality.COUNTERFACTUAL)]
     for n in names:
         conds.append(Conditioner(state.initial_ledger.variable(n), state.factual[n], Modality.FACTUAL))
-    conds.append(Conditioner(stage_variable(Stage.COMMUNICATION), Stage.COMMUNICATION.value, Modality.FACTUAL))
+    conds.append(_AT_STAGE[Stage.COMMUNICATION])
     return TaggedJoint(d.free, d.array, tuple(conds), label=state.observer)
 
 

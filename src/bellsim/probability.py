@@ -122,10 +122,10 @@ def _trusted(cls, array: np.ndarray, **slots):
     """A ``cls`` built from the result of a kernel operation, without re-validating it.
 
     ``condition``, ``reorder``, ``relabel``, ``with_conditioners``,
-    ``product`` and ``condition_table`` only slice, permute, relabel,
-    renormalize or multiply tables that already passed the public
-    constructor's checks, so their results have the right shape, no negative
-    entry and the right sums by construction.  The array is made
+    ``product``, ``condition_table``, ``reweight`` and ``observers.pool``
+    only slice, permute, relabel, renormalize or multiply tables or weights
+    that already passed the public checks, so their results have the right
+    shape, no negative entry and the right sums by construction.  The array is made
     C-contiguous, as the public constructor's copy is, so later reductions
     over it add in the same order, and the variable-name tuples are stored
     once, as the public constructors store them.
@@ -331,12 +331,8 @@ def condition_table(d: TaggedJoint, variable) -> ConditionalTable:
     axis = d.free.index(var)
     moved = np.moveaxis(d.array, axis, -1)
     n = len(var.domain)
-    flat = moved.reshape(-1, n)
-    norms = flat.sum(axis=0)
-    out = np.zeros_like(moved)
-    for j in range(n):
-        if norms[j] > TOL:
-            out[..., j] = moved[..., j] / norms[j]
+    norms = moved.reshape(-1, n).sum(axis=0)
+    out = np.divide(moved, norms, out=np.zeros_like(moved), where=norms > TOL)
     rest = d.free[:axis] + d.free[axis + 1 :]
     return _trusted(ConditionalTable, out, free=rest, given=(var,), conditioners=d.conditioners, label=d.label)
 
@@ -376,6 +372,25 @@ def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint
     merged = tuple(merged)
     _check_names(free, merged)
     return _trusted(TaggedJoint, out, free=free, conditioners=merged, label=conditional.label or marginal.label)
+
+
+def reweight(d: TaggedJoint, variable, weights) -> TaggedJoint:
+    """``product(condition_table(d, v), q)`` in ``d``'s own axis order, for checked weights ``q`` over v.
+
+    It is one rescale of the table by ``q(v) / p(v)`` along v's axis, 0 where
+    the marginal ``p(v)`` is dead; weights on a dead value raise
+    :class:`ImpossibleEvidenceError`, as in :func:`product`.
+    """
+    var = d.variable(variable)
+    axis = d.free.index(var)
+    marginal = d.array.sum(axis=tuple(i for i in range(d.array.ndim) if i != axis))
+    live = marginal > TOL
+    stray = float(weights[~live].sum())
+    if stray > TOL:
+        raise ImpossibleEvidenceError(f"weights put {stray:.3e} on values of {var.name} of probability zero")
+    scale = np.divide(weights, marginal, out=np.zeros(len(var.domain)), where=live)
+    scale = scale.reshape([-1 if i == axis else 1 for i in range(d.array.ndim)])
+    return _trusted(TaggedJoint, d.array * scale, free=d.free, conditioners=d.conditioners, label=d.label)
 
 
 def bayes_invert(prior: TaggedJoint, likelihood: ConditionalTable, observed,

@@ -168,13 +168,13 @@ def test_criterion_07_counterfactual_classification_over_100_runs():
                 ok &= "θb" in report.nonlocal_counterfactuals
 
     cfg = ExperimentConfig(trials_per_pair=500, seed=701, preset_settings=True)
-    preset_dataset = run_experiment(cfg, build_model(cfg))
+    preset_estimate = estimate_chsh(run_experiment(cfg, build_model(cfg)), settings)
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
     preset_local = True
     for i in range(100):
         trace = run_trial(cfg, behavior, i, pairs[i % 4])
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
-            report = classify_violation(trace, stage, settings, dataset=preset_dataset)
+            report = classify_violation(trace, stage, settings, estimate=preset_estimate)
             preset_local &= report.classification in (
                 ViolationClass.FACTUAL_LOCAL,
                 ViolationClass.COUNTERFACTUAL_LOCAL,

@@ -455,6 +455,34 @@ def test_float_overflow_exits_with_config_error(tmp_path, capsys):
     assert "config error at c: number too large" in capsys.readouterr().err
 
 
+def test_trial_count_bound_counts_every_setting_pair():
+    grids = {"grid_a": ["0", "pi/4", "pi/2", "3pi/4"], "grid_b": ["pi/4", "-pi/4", "pi/2", "0"]}
+    assert parse_config(json.dumps({**grids, "trials_per_pair": 2**59 - 1})).trials_per_pair == 2**59 - 1
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({**grids, "trials_per_pair": 2**59}))
+    assert info.value.errors == [("trials_per_pair", f"{2**59} trials at each of 16 setting pairs reach 2^63")]
+
+
+@pytest.mark.parametrize("doc, flags, path", [
+    # 2^62 trials at each of 4 setting pairs: the counts would overflow int64
+    ({"trials_per_pair": 2**62}, [], "trials_per_pair"),
+    ({"trials_per_pair": 10}, ["--trials", str(2**62)], "--trials"),
+    ({"model": "custom", "trials_per_pair": 2**62}, [], "trials_per_pair"),
+    # within the count bound, but 2^62 one-byte records cannot be allocated
+    ({"trials_per_pair": 2**60}, [], "trials_per_pair"),
+])
+def test_huge_trials_per_pair_exits_with_config_error(tmp_path, capsys, doc, flags, path):
+    if doc.get("model") == "custom":
+        doc["behavior_file"] = str(tmp_path / "behavior.csv")
+        (tmp_path / "behavior.csv").write_text(behavior_to_csv(pr_box()), encoding="utf-8")
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([str(cfg), "-o", str(out), *flags]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error at {path}: ")
+    assert not out.exists()
+
+
 LHV_RESPONSES = {"response_a": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
                  "response_b": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bellsim import (
     Angle,
     build_model,
     ChshSettings,
+    ConfigError,
     Dataset,
     ExperimentConfig,
     LhvModel,
@@ -231,6 +233,45 @@ def test_single_trial_counts_one_hot():
     for i in range(2):
         for j in range(2):
             assert ds.counts[i, j].sum() == 1
+
+
+def test_sampling_submits_a_bounded_window_of_tasks(monkeypatch):
+    # 4 pairs of 26 four-trial chunks: far more tasks than the window may hold
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    waiting, peak = [0], [0]
+
+    class Counting(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            waiting[0] += 1
+            peak[0] = max(peak[0], waiting[0])
+            result = future.result
+
+            def consumed(timeout=None):
+                waiting[0] -= 1
+                return result(timeout)
+
+            future.result = consumed
+            return future
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Counting)
+    cfg = config(trials_per_pair=101, seed=23, workers=2)
+    windowed = experiment(cfg)
+    assert 0 < peak[0] <= harness.TASKS_PER_WORKER * min(2, os.cpu_count() or 1)
+    assert waiting[0] == 0
+    # trial k still draws counter block k
+    monkeypatch.setattr(harness, "CHUNK", CHUNK)
+    whole = experiment(cfg)
+    assert np.array_equal(windowed.counts, whole.counts)
+    assert np.array_equal(windowed.records, whole.records)
+
+
+def test_records_that_cannot_be_allocated_are_a_config_error():
+    # 2^62 one-byte records: the count bound holds, no allocator can give them
+    with pytest.raises(ConfigError) as info:
+        experiment(config(trials_per_pair=2**60))
+    ((path, reason),) = info.value.errors
+    assert path == "trials_per_pair" and reason.startswith("too many trials to keep every record")
 
 
 def test_fewer_than_one_trial_per_pair_is_rejected():
@@ -507,7 +548,7 @@ def test_communication_stage_is_factual_local():
     ds = experiment(cfg)
     b = optimal_behavior()
     trace = run_trial(cfg, b, 0, (b.grid_a[0], b.grid_b[0]))
-    report = classify_violation(trace, Stage.COMMUNICATION, cfg.chsh, dataset=ds)
+    report = classify_violation(trace, Stage.COMMUNICATION, cfg.chsh, estimate=estimate_chsh(ds, cfg.chsh))
     assert report.classification is ViolationClass.FACTUAL_LOCAL
     assert report.violated
     assert report.s_stderr > 0.0
@@ -523,11 +564,11 @@ def test_single_experiment_with_factual_settings_not_applicable():
 
 def test_preset_run_classified_local():
     cfg = config(trials_per_pair=1000, seed=10, preset_settings=True)
-    ds = experiment(cfg)
+    est = estimate_chsh(experiment(cfg), cfg.chsh)
     b = optimal_behavior()
     trace = run_trial(cfg, b, 0, (b.grid_a[0], b.grid_b[0]))
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
-        report = classify_violation(trace, stage, cfg.chsh, dataset=ds)
+        report = classify_violation(trace, stage, cfg.chsh, estimate=est)
         assert report.classification is ViolationClass.FACTUAL_LOCAL
         assert not report.nonlocal_counterfactuals
 

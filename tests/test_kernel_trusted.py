@@ -1,7 +1,7 @@
 """Kernel operations build their results without re-validating them.
 
-``condition``, ``reorder``, ``relabel``, ``with_conditioners``, ``product`` and
-``condition_table`` skip the public constructors' shape, sign and sum checks,
+``condition``, ``reorder``, ``relabel``, ``with_conditioners``, ``product``,
+``condition_table`` and ``reweight`` skip the public constructors' shape, sign and sum checks,
 since their operands already passed them.  Each result must still be exactly
 what the public constructor accepts: rebuilding it through ``TaggedJoint(...)``
 or ``ConditionalTable(...)`` raises nothing and gives an equal object, and its
@@ -26,6 +26,7 @@ from bellsim.probability import (  # noqa: E402
     condition_table,
     keep_only,
     product,
+    reweight,
 )
 
 CONTEXT = (
@@ -92,6 +93,7 @@ def test_kernel_results_pass_the_public_constructor(d, data):
         ct,
         product(ct, mass),
         product(ct, TaggedJoint((var,), spread)),
+        reweight(d, var.name, spread),
     ]
     for result in results:
         assert_valid(result)

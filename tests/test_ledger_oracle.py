@@ -1,7 +1,7 @@
 """Every traced stage ledger recomputed with plain numpy.
 
 The observers reach their ledgers through the general kernel (``condition``,
-``condition_table``, ``product``, ``reorder``) along the prefix tree that
+``reweight``, ``with_conditioners``) along the prefix tree that
 ``trace_trials`` shares between trials.  This oracle shares none of that code:
 it starts from the behavior's table over ``(±a, θa, ±b, θb)`` and applies the
 paper's update rules directly.

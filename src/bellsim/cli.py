@@ -20,7 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from .angles import Angle, setting_text
-from .config import ExperimentConfig, apply_overrides, build_model, parse_config
+from .config import ExperimentConfig, build_model, parse_config
 from .errors import ConfigError, SimulationError, UnsupportedScenarioError
 from .harness import (
     ChshEstimate,
@@ -330,20 +330,14 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    # a flag replaces its field before validation, and errors at that field name the flag
+    flags = {"seed": ("--seed", args.seed), "trials_per_pair": ("--trials", args.trials)}
+    overrides = {name: value for name, (_, value) in flags.items() if value is not None}
     try:
-        config = apply_overrides(
-            parse_config(text),
-            {"seed": ("--seed", args.seed), "trials_per_pair": ("--trials", args.trials)},
-        )
+        summary = run(parse_config(text, overrides), Path(args.outdir))
     except ConfigError as exc:
         for path, reason in exc.errors:
-            print(f"config error at {path or '<root>'}: {reason}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        summary = run(config, Path(args.outdir))
-    except ConfigError as exc:
-        for path, reason in exc.errors:
+            path = flags[path][0] if path in overrides else path
             print(f"config error at {path or '<root>'}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

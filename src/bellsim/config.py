@@ -8,12 +8,11 @@ Parsing reports *every* problem found, not just the first.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .angles import Angle, setting_from_text
+from .angles import Angle, setting_from_text, setting_text
 from .errors import ConfigError, InvalidScheduleError, MissingDataError
 from .models import (
     Behavior,
@@ -71,7 +70,7 @@ def build_model(config: ExperimentConfig) -> Behavior:
         except (ValueError, MissingDataError) as exc:
             raise ConfigError([("behavior_file", str(exc))]) from exc
         errors = _grid_errors(config.chsh, config.preset_pair, behavior.grid_a, behavior.grid_b)
-        errors += _count_errors(config.trials_per_pair, behavior.grid_a, behavior.grid_b, "trials_per_pair")
+        errors += _count_errors(config.trials_per_pair, behavior.grid_a, behavior.grid_b)
         if errors:
             raise ConfigError(errors)
         return behavior
@@ -155,39 +154,35 @@ def _typed(value, kind, path, errors):
     return None
 
 
-def _bound_errors(name: str, value, path: str) -> list:
+def _bound_errors(name: str, value) -> list:
     meta = _SCALARS[name].metadata
     if "min" in meta and value < meta["min"]:
-        return [(path, f"must be at least {meta['min']}, got {value}")]
+        return [(name, f"must be at least {meta['min']}, got {value}")]
     if "below" in meta and value >= meta["below"]:
-        return [(path, f"must be below {meta['below']}, got {value}")]
+        return [(name, f"must be below {meta['below']}, got {value}")]
     return []
 
 
-def _count_errors(trials_per_pair: int, grid_a, grid_b, path: str) -> list:
+def _count_errors(trials_per_pair: int, grid_a, grid_b) -> list:
     """A run's trials must stay below 2^63, the limit of its ``int64`` counts."""
-    if trials_per_pair * len(grid_a) * len(grid_b) < 2**63:
+    pairs = len(grid_a) * len(grid_b)
+    if trials_per_pair * pairs < 2**63:
         return []
-    return [(path, f"{trials_per_pair} trials at each of {len(grid_a) * len(grid_b)} setting pairs reach 2^63")]
+    return [("trials_per_pair", f"{trials_per_pair} trials at each of {pairs} setting pairs reach 2^63")]
 
 
 def _grid_errors(chsh: ChshSettings, preset_pair, grid_a, grid_b) -> list:
-    """The chosen CHSH settings and the preset pair that are missing from the grids."""
-    errors = []
-    for name, value, grid in (
-        ("chsh.x0", chsh.x0, grid_a),
-        ("chsh.x1", chsh.x1, grid_a),
-        ("chsh.y0", chsh.y0, grid_b),
-        ("chsh.y1", chsh.y1, grid_b),
-    ):
-        if value not in grid:
-            errors.append((name, f"setting {value!r} not in the corresponding grid"))
+    """The chosen CHSH settings and preset pair missing from the grids, written as output files write them."""
+    grids = {"grid_a": grid_a, "grid_b": grid_b}
+    wanted = [("chsh.x0", chsh.x0, "grid_a"), ("chsh.x1", chsh.x1, "grid_a"),
+              ("chsh.y0", chsh.y0, "grid_b"), ("chsh.y1", chsh.y1, "grid_b")]
     if preset_pair is not None:
-        if preset_pair[0] not in grid_a:
-            errors.append(("preset_pair[0]", f"{preset_pair[0]!r} not in grid_a"))
-        if preset_pair[1] not in grid_b:
-            errors.append(("preset_pair[1]", f"{preset_pair[1]!r} not in grid_b"))
-    return errors
+        wanted += [("preset_pair[0]", preset_pair[0], "grid_a"), ("preset_pair[1]", preset_pair[1], "grid_b")]
+    return [
+        (path, f"setting {setting_text(value)} not in {name} ({', '.join(map(setting_text, grids[name]))})")
+        for path, value, name in wanted
+        if value not in grids[name]
+    ]
 
 
 def _parse_schedule(raw, errors) -> Schedule | None:
@@ -212,8 +207,14 @@ def _parse_schedule(raw, errors) -> Schedule | None:
         return None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a JSON config; raise with every error found."""
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and fully validate a JSON config; raise with every error found.
+
+    ``overrides`` maps top-level keys to values that replace the document's
+    before anything is checked (the CLI's ``--seed`` and ``--trials``).  They
+    pass the same checks as the file and are reported at the key's path; a
+    file value they replace is never read, so it is not checked either.
+    """
     errors: list = []
     try:
         raw = json.loads(text)
@@ -221,18 +222,19 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([("", f"not valid JSON: {exc}")]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([("", "top level must be a JSON object")])
+    raw.update(overrides or {})
 
     for key in sorted(set(raw) - _KNOWN_KEYS):
         errors.append((key, "unknown key"))
 
-    model = raw.get("model", "singlet")
+    model = raw.get("model", ExperimentConfig.model)
     if model not in MODEL_CHOICES:
         errors.append(("model", f"must be one of {MODEL_CHOICES}"))
-        model = "singlet"
+        model = ExperimentConfig.model
 
     # model-appropriate grid and settings defaults; the singlet takes angles
     angles = model == "singlet"
-    chsh = optimal_singlet_settings() if angles else pr_box_settings()
+    chsh = ExperimentConfig.chsh if angles else pr_box_settings()
     grid_a, grid_b = chsh.grids()
     if "grid_a" in raw:
         grid_a = _parse_grid(raw["grid_a"], "grid_a", errors, angles)
@@ -259,7 +261,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if name in raw:
             value = _typed(raw[name], type(f.default), name, errors)
             if value is not None:
-                errors += _bound_errors(name, value, name)
+                errors += _bound_errors(name, value)
                 scalars[name] = value
 
     schedule = _parse_schedule(raw, errors)
@@ -300,6 +302,10 @@ def parse_config(text: str) -> ExperimentConfig:
                         lhv.table(field)
                     except (TypeError, ValueError) as exc:
                         errors.append((f"lhv.{field}", f"bad hidden-variable table: {exc}"))
+                for wing, grid, rows in (("a", grid_a, lhv.response_a), ("b", grid_b, lhv.response_b)):
+                    if grid and len(grid) != len(rows):
+                        reason = f"has {len(grid)} settings but lhv.response_{wing} has {len(rows)}"
+                        errors.append((f"grid_{wing}", reason))
     elif "lhv" in raw:
         errors.append(("lhv", f"only meaningful for model 'lhv', not {model!r}"))
 
@@ -316,7 +322,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if grid_a and grid_b and model != "custom":
         errors += _grid_errors(chsh, preset_pair, grid_a, grid_b)
         if "trials_per_pair" in scalars:
-            errors += _count_errors(scalars["trials_per_pair"], grid_a, grid_b, "trials_per_pair")
+            errors += _count_errors(scalars["trials_per_pair"], grid_a, grid_b)
     if model == "pr-box" and (grid_a, grid_b) != pr_box_settings().grids():
         errors.append(("grid_a", "the pr-box model requires binary grids [0, 1]"))
 
@@ -334,22 +340,3 @@ def parse_config(text: str) -> ExperimentConfig:
         behavior_file=behavior_file,
         **scalars,
     )
-
-
-def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Replace scalar fields under the same bounds as the JSON.
-
-    ``overrides`` maps a field name to ``(path, value)``; a ``None`` value
-    leaves the field alone, and a bad value is reported at ``path``.
-    """
-    errors: list = []
-    values = {}
-    for name, (path, value) in overrides.items():
-        if value is not None:
-            errors += _bound_errors(name, value, path)
-            if name == "trials_per_pair":
-                errors += _count_errors(value, config.grid_a, config.grid_b, path)
-            values[name] = value
-    if errors:
-        raise ConfigError(errors)
-    return dataclasses.replace(config, **values)

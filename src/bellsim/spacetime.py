@@ -138,9 +138,9 @@ class Schedule:
     t_setting: float
     t_detection: float
     t_communication: float
-    signal_speed: float = 1.0
-    c: float = 1.0
-    source_x: float = 0.0
+    signal_speed: float
+    c: float
+    source_x: float
 
     @property
     def distance(self) -> float:

@@ -75,3 +75,69 @@ def traces_by_run_trial(config):
             pair = config.preset_pair
         traces.append(run_trial(config, behavior, k, pair))
     return traces
+
+
+#: Hidden-variable tables over two settings per wing: one cause with fixed
+#: outcomes, and an even mixture of two causes.
+LHV_TABLES = (
+    {"prior": [1.0], "response_a": [[[1.0, 0.0]], [[0.0, 1.0]]], "response_b": [[[0.0, 1.0]], [[1.0, 0.0]]]},
+    {"hidden": ["l0", "l1"], "prior": [0.5, 0.5],
+     "response_a": [[[1.0, 0.0], [0.0, 1.0]], [[0.25, 0.75], [1.0, 0.0]]],
+     "response_b": [[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.5, 0.5]]]},
+)
+
+ANGLES = ("0", "pi/2", "pi/4", "-pi/4", "pi/8", "-pi/8", "3pi/4", "pi")
+
+
+def valid_configs(behavior_file=None):
+    """A hypothesis strategy for small JSON config documents that ``parse_config`` accepts.
+
+    Each model appears, with its own settings; a custom model needs the path of
+    a behavior file with the integer grids ``0, 1`` and is drawn only when one
+    is given.  Every other key is present or absent at random.  Trial counts
+    stay small enough for a run.
+    """
+    st = pytest.importorskip("hypothesis.strategies")
+    scalars = {
+        "trials_per_pair": st.integers(1, 20),
+        "seed": st.integers(0, 2**128 - 1),
+        "q_setting_width": st.floats(0.0, 2.0),
+        "q_outcome_width": st.floats(0.0, 2.0),
+        "preset_settings": st.booleans(),
+        "unresolved_local_setting": st.booleans(),
+        "workers": st.integers(1, 2),
+        "traced_trials": st.integers(0, 3),
+        "keep_records": st.booleans(),
+    }
+
+    @st.composite
+    def configs(draw):
+        models = ["singlet", "pr-box", "lhv"] + (["custom"] if behavior_file else [])
+        model = draw(st.sampled_from(models))
+        doc = {} if model == "singlet" and draw(st.booleans()) else {"model": model}
+        if model == "singlet":
+            grid_a = draw(st.lists(st.sampled_from(ANGLES), min_size=1, max_size=3, unique=True))
+            grid_b = draw(st.lists(st.sampled_from(ANGLES), min_size=1, max_size=3, unique=True))
+        else:
+            grid_a = grid_b = [0, 1]
+        if model == "lhv":
+            doc["lhv"] = draw(st.sampled_from(LHV_TABLES))
+        if model == "custom":
+            doc["behavior_file"] = str(behavior_file)
+        if model == "singlet" or draw(st.booleans()):
+            doc["grid_a"], doc["grid_b"] = grid_a, grid_b
+            x, y = st.sampled_from(grid_a), st.sampled_from(grid_b)
+            doc["chsh"] = {"x0": draw(x), "x1": draw(x), "y0": draw(y), "y1": draw(y)}
+        doc.update(draw(st.fixed_dictionaries({}, optional=scalars)))
+        if doc.get("preset_settings") and draw(st.booleans()):
+            doc["preset_pair"] = [draw(st.sampled_from(grid_a)), draw(st.sampled_from(grid_b))]
+        # a wider layout keeps the wings space-like separated and the reports
+        # emitted after detection
+        scale = draw(st.sampled_from([None, 1.0, 2.5]))
+        if scale is not None:
+            doc["positions"] = {"a": -scale, "b": scale, "source": draw(st.floats(-scale, scale))}
+            doc["stage_times"] = {"prepare": 0.0, "setting": 0.1, "detection": 0.2, "communication": 0.3 + 2 * scale}
+            doc["signal_speed"], doc["c"] = 1.0, 1.0
+        return doc
+
+    return configs()

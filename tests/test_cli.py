@@ -15,6 +15,7 @@ import pytest
 import bellsim
 from bellsim import (
     Angle,
+    Behavior,
     ConfigError,
     ExperimentConfig,
     ViolationClass,
@@ -22,6 +23,7 @@ from bellsim import (
     behavior_to_csv,
     parse_config,
     pr_box,
+    singlet_behavior,
 )
 from bellsim import config as config_module
 from bellsim import harness
@@ -463,23 +465,59 @@ def test_trial_count_bound_counts_every_setting_pair():
     assert info.value.errors == [("trials_per_pair", f"{2**59} trials at each of 16 setting pairs reach 2^63")]
 
 
-@pytest.mark.parametrize("doc, flags, path", [
+@pytest.mark.parametrize("doc, flags, where", [
     # 2^62 trials at each of 4 setting pairs: the counts would overflow int64
     ({"trials_per_pair": 2**62}, [], "trials_per_pair"),
     ({"trials_per_pair": 10}, ["--trials", str(2**62)], "--trials"),
+    # the custom file's grids, 3 x 3, are known only once the run reads it
     ({"model": "custom", "trials_per_pair": 2**62}, [], "trials_per_pair"),
     # within the count bound, but 2^62 one-byte records cannot be allocated
     ({"trials_per_pair": 2**60}, [], "trials_per_pair"),
+    ({"trials_per_pair": 10}, ["--trials", str(2**60)], "--trials"),
+    ({"model": "custom", "trials_per_pair": 10}, ["--trials", str(2**62)], "--trials"),
+    # 2^61 - 1 trials fit the config's 4 setting pairs, but not the file's 9
+    ({"model": "custom", "trials_per_pair": 10}, ["--trials", str(2**61 - 1)],
+     f"--trials: {2**61 - 1} trials at each of 9 setting pairs reach 2^63"),
 ])
-def test_huge_trials_per_pair_exits_with_config_error(tmp_path, capsys, doc, flags, path):
+def test_huge_trials_per_pair_exits_with_config_error(tmp_path, capsys, doc, flags, where):
     if doc.get("model") == "custom":
         doc["behavior_file"] = str(tmp_path / "behavior.csv")
-        (tmp_path / "behavior.csv").write_text(behavior_to_csv(pr_box()), encoding="utf-8")
+        grid = (0, 1, 2)
+        (tmp_path / "behavior.csv").write_text(
+            behavior_to_csv(Behavior(grid, grid, np.full((3, 3, 2, 2), 0.25))), encoding="utf-8"
+        )
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main([str(cfg), "-o", str(out), *flags]) == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"config error at {path}: ")
+    assert len(lines) == 1 and lines[0].startswith(f"config error at {where}")
+    assert not out.exists()
+
+
+def test_flags_replace_file_values_before_validation(tmp_path):
+    assert parse_config('{"trials_per_pair": 0, "seed": -1}', {"trials_per_pair": 10, "seed": 3}).seed == 3
+    code, out = run_cli(tmp_path, {"model": "pr-box", "trials_per_pair": 0}, extra=["--trials", "10"])
+    assert code == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["estimates"]["trials_per_pair"] == 10
+
+
+@pytest.mark.parametrize("doc, lines", [
+    ({"chsh": {"x0": "0", "x1": "pi/3", "y0": "pi/4", "y1": "-pi/4"},
+      "preset_settings": True, "preset_pair": ["pi/5", "pi/4"]},
+     ["config error at chsh.x1: setting pi/3 not in grid_a (0pi, pi/2)",
+      "config error at preset_pair[0]: setting pi/5 not in grid_a (0pi, pi/2)"]),
+    # a custom model reads "0" as the integer label, and the file's grid holds the zero angle
+    ({"model": "custom", "chsh": {"x0": "0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}},
+     ["config error at chsh.x0: setting 0 not in grid_a (0pi, pi/2)"]),
+])
+def test_missing_settings_are_written_as_in_the_config(tmp_path, capsys, doc, lines):
+    if doc.get("model") == "custom":
+        doc["behavior_file"] = str(tmp_path / "behavior.csv")
+        (tmp_path / "behavior.csv").write_text(behavior_to_csv(singlet_behavior(
+            (Angle.of(0), Angle.of(1, 2)), (Angle.of(1, 4), Angle.of(-1, 4)))), encoding="utf-8")
+    code, out = run_cli(tmp_path, {**doc, "trials_per_pair": 10})
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == lines
     assert not out.exists()
 
 
@@ -493,6 +531,8 @@ LHV_RESPONSES = {"response_a": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
     ({"chsh": {"x0": "pi/0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}}, "chsh.x0"),
     # c * dt no longer overflows; so large a c makes the wings time-like separated
     ({"c": 1e308}, "stage_times"),
+    # the hidden-variable tables answer two settings per wing, not three
+    ({"model": "lhv", "lhv": {"prior": [0.5, 0.5], **LHV_RESPONSES}, "grid_a": [0, 1, 2]}, "grid_a"),
 ])
 def test_bad_config_exits_with_config_error_and_no_traceback(tmp_path, capsys, doc, path):
     code, out = run_cli(tmp_path, {**doc, "trials_per_pair": 10})

@@ -30,7 +30,7 @@ from .harness import (
     estimate_behavior,
     estimate_chsh,
     run_experiment,
-    run_trial,
+    trace_trials,
 )
 from .models import (
     Behavior,

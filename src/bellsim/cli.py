@@ -167,18 +167,6 @@ def _data_block(trace) -> dict:
     return {k: setting_text(v) if not isinstance(v, int) else v for k, v in trace.pooled.data.items()}
 
 
-def _trace_document(trace, schedule) -> dict:
-    return {
-        "trial": trace.record.trial,
-        "data": _data_block(trace),
-        "events": [_event_entry(e, schedule) for e in _trial_events(trace, schedule)],
-        "stages": {
-            s.observer: [_stage_entry(stage, ledger) for stage, ledger in _stage_ledgers(s)]
-            for s in (trace.observer_a, trace.observer_b)
-        },
-    }
-
-
 def _dumps_at(obj, depth: int) -> str:
     """``obj`` as an indented ``json.dumps`` writes it ``depth`` levels deep.
 

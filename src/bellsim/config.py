@@ -48,7 +48,8 @@ class ExperimentConfig:
     preset_pair: tuple | None = None
     unresolved_local_setting: bool = False
     workers: int = field(default=1, metadata={"min": 1})
-    traced_trials: int = field(default=1, metadata={"min": 0})
+    # about 3.7 kB of trace.json per default traced trial: the file stays under about 1 GB
+    traced_trials: int = field(default=1, metadata={"min": 0, "below": 2**18})
     keep_records: bool = True
     lhv: LhvModel | None = None
     behavior_file: str | None = None

@@ -1,9 +1,11 @@
 """Trial sampling, frequency estimation, and the violation classifier.
 
 Randomness is counter-based: the master seed keys a Philox generator and
-trial ``i`` owns counter block ``i`` (four raw 64-bit words: two setting
-draws, one outcome draw, one spare).  A single traced trial, a sequential
-batch, and any chunked parallel batch therefore produce bit-identical results.
+trial ``i`` owns counter block ``i``, four raw 64-bit words of which only word
+2, the outcome draw, is read.  Words 0, 1 and 3 are unread; they stay reserved
+so that every trial keeps its block and every draw its value.  A traced
+trial, a sequential batch, and any chunked parallel batch therefore produce
+bit-identical results.
 
 Outcomes are drawn by inverse CDF over the four cells of the behavior slice
 in fixed cell order, in integers: a trial's cell is the number of the three
@@ -51,7 +53,7 @@ log = logging.getLogger(__name__)
 
 #: Raw 64-bit words reserved per trial: one Philox counter block.
 DRAWS_PER_TRIAL = 4
-_SLOT_SETTING_A, _SLOT_SETTING_B, _SLOT_OUTCOME = 0, 1, 2
+_SLOT_OUTCOME = 2
 
 #: Fixed cell order of the threshold sampler: row-major over the table's
 #: ``[a, b]`` axes, so cell ``j + 1`` starts where the running sum of cells
@@ -67,23 +69,11 @@ CHUNK = 1 << 16
 TASKS_PER_WORKER = 4
 
 
-def substream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """The generator owning trial ``trial_index``'s counter block."""
-    bg = np.random.Philox(key=master_seed)
-    if trial_index:
-        bg.advance(trial_index)
-    return np.random.Generator(bg)
-
-
 def _block_words(master_seed: int, start_trial: int, count: int) -> np.ndarray:
     """Rows ``start_trial .. start_trial+count-1`` of the per-trial raw ``uint64`` words."""
-    bits = substream(master_seed, start_trial).bit_generator
+    bits = np.random.Philox(key=master_seed)
+    bits.advance(start_trial)
     return bits.random_raw(count * DRAWS_PER_TRIAL).reshape(count, DRAWS_PER_TRIAL)
-
-
-def _block_uniforms(master_seed: int, start_trial: int, count: int) -> np.ndarray:
-    """The same rows as floats, as ``Generator.random`` makes them: the top 53 bits times ``2**-53``."""
-    return (_block_words(master_seed, start_trial, count) >> 11) * 2.0**-53
 
 
 def _threshold_hits(slab: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -166,11 +156,6 @@ class Dataset:
 # running trials
 
 
-def _choose_setting(grid, u: float):
-    idx = min(int(u * len(grid)), len(grid) - 1)
-    return grid[idx]
-
-
 def _ledgers(config: ExperimentConfig, behavior: Behavior, theta_a, theta_b, cell: int, memo: dict) -> PooledState:
     """Both observers' ledgers through every local reception, then pooled.
 
@@ -222,38 +207,17 @@ def _own_q(config: ExperimentConfig, ledger, name: str, value) -> QUncertainty |
     return None if q is None or q.is_delta else q
 
 
-def run_trial(config: ExperimentConfig, behavior: Behavior, trial_index: int, forced_settings=None) -> TrialTrace:
-    """Trial ``trial_index`` of the run, driven through both observers' ledgers.
-
-    Trial ``k`` reads counter block ``k`` of ``config.seed``: unless
-    ``forced_settings`` pins them, each wing's setting is drawn from its own
-    slot over the behavior's grid; the outcome cell is sampled jointly from
-    the behavior's slice.  Every reception goes through the observer update
-    with the config's schedule and uncertainty options, and the trial ends
-    with pooled information and an extracted data point.  ``preset_pair`` is
-    not read: with preset settings the caller forces the pair.
-    """
-    if forced_settings is not None:
-        theta_a, theta_b = forced_settings
-    else:
-        u = _block_uniforms(config.seed, trial_index, 1)[0]
-        theta_a = _choose_setting(behavior.grid_a, u[_SLOT_SETTING_A])
-        theta_b = _choose_setting(behavior.grid_b, u[_SLOT_SETTING_B])
-    word = _block_words(config.seed, trial_index, 1)[:, _SLOT_OUTCOME]
-    cell = int(_threshold_hits(behavior.slice(theta_a, theta_b), word).sum())
-    pooled = _ledgers(config, behavior, theta_a, theta_b, cell, {})
-    record = TrialRecord(trial_index, theta_a, theta_b, *CELL_OUTCOMES[cell])
-    return TrialTrace(record, pooled, behavior, config.preset_settings)
-
-
 def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
-    """Trials ``0 .. traced_trials-1`` of the run, each as :func:`run_trial` gives it.
+    """Trials ``0 .. traced_trials-1`` of the run, each driven through both observers' ledgers.
 
-    Each trial's settings are forced to its pair block (or to ``preset_pair``
-    with preset settings), so trial ``k`` matches trial ``k`` of the dataset
-    for ``k < trials_per_pair * len(pairs)``.  Past that the pair blocks wrap
+    Trial ``k`` takes the settings of its pair block (or ``preset_pair`` with
+    preset settings) and samples its outcome cell from counter block ``k`` of
+    ``config.seed``, so it is trial ``k`` of the dataset for
+    ``k < trials_per_pair * len(pairs)``.  Past that the pair blocks wrap
     around (``(k // trials_per_pair) % len(pairs)``) and the trials draw
-    counter blocks that no dataset trial owns.
+    counter blocks that no dataset trial owns.  Every reception goes through
+    the observer update with the config's schedule and uncertainty options,
+    and each trial ends with pooled information and its data point.
     The cells of each pair block's traced trials come from one draw of their
     counter blocks, as in :func:`run_experiment`.  Trials with the same
     (settings, outcome cell) share one pooled state, and every key shares one

@@ -1,9 +1,21 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bellsim import Behavior, LhvModel, TaggedJoint, Variable, build_model, run_trial
+from bellsim import (
+    Behavior,
+    LhvModel,
+    TaggedJoint,
+    TrialRecord,
+    TrialTrace,
+    Variable,
+    build_model,
+    run_experiment,
+    trace_trials,
+)
+from bellsim import harness
 
 
 def random_joint(rng, n_vars=None, max_domain=3, label=""):
@@ -64,16 +76,34 @@ TRACED_CONFIGS = {
 }
 
 
+def trial(config, behavior, k):
+    """Trial ``k`` of the run, traced."""
+    return trace_trials(replace(config, traced_trials=k + 1), behavior)[k]
+
+
 def traces_by_run_trial(config):
-    """The reference for ``harness.trace_trials``: one plain ``run_trial`` per traced trial."""
+    """The reference for ``harness.trace_trials``: each traced trial built on its own.
+
+    Each trial's ledgers start from a fresh memo, so nothing is shared between
+    trials.  A trial that the dataset owns takes its cell from the dataset's
+    records, so traced trial ``k`` must be dataset trial ``k``; a trial at
+    ``preset_pair`` or past the dataset's end takes it from counter block ``k``.
+    """
     behavior = build_model(config)
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
+    records = run_experiment(replace(config, keep_records=True), behavior).records
+    preset_pair = config.preset_pair if config.preset_settings else None
     traces = []
     for k in range(config.traced_trials):
-        pair = pairs[(k // config.trials_per_pair) % len(pairs)]
-        if config.preset_settings and config.preset_pair is not None:
-            pair = config.preset_pair
-        traces.append(run_trial(config, behavior, k, pair))
+        pair = preset_pair or pairs[(k // config.trials_per_pair) % len(pairs)]
+        if preset_pair is None and k < records.size:
+            cell = int(records[k])
+        else:
+            word = harness._block_words(config.seed, k, 1)[:, harness._SLOT_OUTCOME]
+            cell = int(harness._threshold_hits(behavior.slice(*pair), word).sum())
+        pooled = harness._ledgers(config, behavior, *pair, cell, {})
+        record = TrialRecord(k, *pair, *harness.CELL_OUTCOMES[cell])
+        traces.append(TrialTrace(record, pooled, behavior, config.preset_settings))
     return traces
 
 

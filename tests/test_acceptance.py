@@ -4,9 +4,9 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.  Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
-import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from bellsim import (
     product,
     receive,
     run_experiment,
-    run_trial,
     singlet_behavior,
     stage_table,
+    trace_trials,
 )
 from bellsim.probability import ImpossibleEvidenceError
 from conftest import random_behavior, random_joint, random_lhv
@@ -148,7 +148,7 @@ def test_criterion_05_no_signaling_analytic_and_empirical():
 
 
 def test_criterion_06_stage_table_equality_column():
-    trace = run_trial(ExperimentConfig(seed=6), optimal_behavior(), 0)
+    (trace,) = trace_trials(ExperimentConfig(seed=6), optimal_behavior())
     table = stage_table(trace.observer_a, trace.observer_b)
     ok = table.pattern == ("y", "n", "n", "y")
     _report(6, "stage-table", ok, "pattern=" + "".join(table.pattern))
@@ -159,8 +159,9 @@ def test_criterion_07_counterfactual_classification_over_100_runs():
     schedule = build_schedule()
     settings = optimal_singlet_settings()
     ok = True
-    for i in range(100):
-        trace = run_trial(ExperimentConfig(seed=700, schedule=schedule), behavior, i)
+    # one trial per pair block, so the 100 runs cycle through the four setting pairs
+    standard = ExperimentConfig(trials_per_pair=1, seed=700, schedule=schedule, traced_trials=100)
+    for trace in trace_trials(standard, behavior):
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
             report = classify_violation(trace, stage, settings)
             if abs(report.s_value) > 2.0:
@@ -169,10 +170,8 @@ def test_criterion_07_counterfactual_classification_over_100_runs():
 
     cfg = ExperimentConfig(trials_per_pair=500, seed=701, preset_settings=True)
     preset_estimate = estimate_chsh(run_experiment(cfg, build_model(cfg)), settings)
-    pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
     preset_local = True
-    for i in range(100):
-        trace = run_trial(cfg, behavior, i, pairs[i % 4])
+    for trace in trace_trials(replace(cfg, trials_per_pair=1, traced_trials=100), behavior):
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
             report = classify_violation(trace, stage, settings, estimate=preset_estimate)
             preset_local &= report.classification in (

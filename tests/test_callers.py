@@ -1,7 +1,9 @@
-"""Every public function, method and class in ``src/bellsim`` has a reader.
+"""Every function, method and class in ``src/bellsim`` has a reader.
 
 A public name (no leading underscore) that appears nowhere but its own
-definition is a helper with no caller: delete it, or use it.
+definition is a helper with no caller: delete it, or use it.  A private
+module-level function or class must be read by ``src/bellsim`` itself; a
+helper that only the tests read belongs in the tests.
 """
 
 import ast
@@ -11,22 +13,42 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bellsim"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions() -> Counter:
     names = Counter()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, DEFINITIONS):
                 if not node.name.startswith("_"):
                     names[node.name] += 1
     return names
 
 
-def test_every_public_definition_is_used_elsewhere():
-    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), ROOT / "README.md"]
+def _private_definitions() -> Counter:
+    names = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, DEFINITIONS) and node.name.startswith("_"):
+                names[node.name] += 1
+    return names
+
+
+def _words(files) -> Counter:
     words = Counter()
     for path in files:
         words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return words
+
+
+def test_every_public_definition_is_used_elsewhere():
+    words = _words([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), ROOT / "README.md"])
     unused = sorted(name for name, n in _definitions().items() if words[name] <= n)
+    assert unused == []
+
+
+def test_every_private_module_definition_is_read_in_the_package():
+    words = _words(SRC.glob("*.py"))
+    unused = sorted(name for name, n in _private_definitions().items() if words[name] <= n)
     assert unused == []

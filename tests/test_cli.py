@@ -25,9 +25,9 @@ from bellsim import (
     pr_box,
     singlet_behavior,
 )
+from bellsim import cli, harness
 from bellsim import config as config_module
-from bellsim import harness
-from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, _trace_document, main
+from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from conftest import TRACED_CONFIGS, traces_by_run_trial
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,6 +57,14 @@ def test_seed_beyond_generator_key_is_a_config_error():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps({"seed": 2**128}))
     assert [path for path, _ in err.value.errors] == ["seed"]
+
+
+def test_traced_trials_beyond_the_trace_bound_is_a_config_error():
+    # 2^18 traced trials of the default singlet would write about 1 GB of trace.json
+    assert parse_config(json.dumps({"traced_trials": 2**18 - 1})).traced_trials == 2**18 - 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"traced_trials": 2**18}))
+    assert [path for path, _ in err.value.errors] == ["traced_trials"]
 
 
 def test_float_field_too_large_for_a_float_is_a_config_error():
@@ -232,6 +240,19 @@ def test_rerun_is_byte_identical(tmp_path):
         outs.append(out)
     for fname in ("summary.json", "dataset.csv", "behavior_estimate.csv", "trace.json", "plot_correlator.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _trace_document(trace, schedule) -> dict:
+    """One trace's ``trace.json`` document, built whole: the reference for ``cli._trace_json``."""
+    return {
+        "trial": trace.record.trial,
+        "data": cli._data_block(trace),
+        "events": [cli._event_entry(e, schedule) for e in cli._trial_events(trace, schedule)],
+        "stages": {
+            s.observer: [cli._stage_entry(stage, ledger) for stage, ledger in cli._stage_ledgers(s)]
+            for s in (trace.observer_a, trace.observer_b)
+        },
+    }
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))

@@ -2,7 +2,6 @@
 
 import dataclasses
 import io
-import itertools
 import json
 import math
 import os
@@ -35,13 +34,13 @@ from bellsim import (
     pr_box,
     pr_box_settings,
     run_experiment,
-    run_trial,
     singlet_behavior,
+    trace_trials,
 )
 from bellsim import harness
-from bellsim.harness import CHUNK, _block_uniforms, _threshold_hits, substream, trace_trials
+from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _block_words, _threshold_hits
 from bellsim.models import Behavior
-from conftest import TRACED_CONFIGS, random_behavior, traces_by_run_trial
+from conftest import TRACED_CONFIGS, random_behavior, traces_by_run_trial, trial
 
 ZERO = Angle.of(0)
 HALF = Angle.of(1, 2)
@@ -56,60 +55,59 @@ def uniform_behavior():
     return Behavior((0, 1), (0, 1), np.full((2, 2, 2, 2), 0.25))
 
 
-# -- substreams -----------------------------------------------------------------
+# -- counter blocks --------------------------------------------------------------
+
+
+def _whole_stream(seed, trials):
+    """Every word of trials ``0 .. trials-1`` from one ``random_raw`` of the seed's stream."""
+    words = np.random.Philox(key=seed).random_raw(trials * DRAWS_PER_TRIAL)
+    return words.reshape(trials, DRAWS_PER_TRIAL)
 
 
 def test_substreams_tile_the_batch():
-    batch = substream(99, 0).random((64, 4))
+    batch = _whole_stream(99, 64)
     for i in (0, 1, 17, 63):
-        assert np.array_equal(substream(99, i).random(4), batch[i])
-        assert np.array_equal(_block_uniforms(99, i, 1)[0], batch[i])
+        assert np.array_equal(_block_words(99, i, 1)[0], batch[i])
 
 
 def test_block_uniforms_slice_the_batch():
-    batch = substream(7, 0).random((100, 4))
+    batch = _whole_stream(7, 100)
     for start, count in ((30, 20), (0, 100), (0, 1), (1, 1), (17, 1), (99, 1)):
-        assert np.array_equal(_block_uniforms(7, start, count), batch[start : start + count])
+        assert np.array_equal(_block_words(7, start, count), batch[start : start + count])
 
 
 def test_trial_is_deterministic():
     b = optimal_behavior()
-    schedule = build_schedule()
-    t1 = run_trial(ExperimentConfig(seed=3, schedule=schedule), b, 5)
-    t2 = run_trial(ExperimentConfig(seed=3, schedule=schedule), b, 5)
-    assert t1.record == t2.record
-    t3 = run_trial(ExperimentConfig(seed=4, schedule=schedule), b, 5)
-    assert (t1.record.theta_a, t1.record.outcome_a, t1.record.outcome_b) != (
-        t3.record.theta_a,
-        t3.record.outcome_a,
-        t3.record.outcome_b,
-    ) or t1.record.theta_b != t3.record.theta_b
+    cfg = ExperimentConfig(trials_per_pair=5, seed=3, schedule=build_schedule(), traced_trials=20)
+    records = [t.record for t in trace_trials(cfg, b)]
+    assert records == [t.record for t in trace_trials(cfg, b)]
+    assert records != [t.record for t in trace_trials(dataclasses.replace(cfg, seed=4), b)]
 
 
-# -- run_trial ---------------------------------------------------------------------
+# -- trace_trials ------------------------------------------------------------------
 
 
 def test_equal_angles_always_anticorrelated():
+    # the equal-angle pair is the first pair block
     b = singlet_behavior((ZERO, HALF), (ZERO, HALF))
-    schedule = build_schedule()
-    for i in range(50):
-        t = run_trial(ExperimentConfig(seed=11, schedule=schedule), b, i, (ZERO, ZERO))
+    traces = trace_trials(ExperimentConfig(trials_per_pair=50, seed=11, traced_trials=50), b)
+    for t in traces:
+        assert (t.record.theta_a, t.record.theta_b) == (ZERO, ZERO)
         assert t.record.outcome_a == -t.record.outcome_b
 
 
 def test_box_at_both_ones_always_anticorrelated():
-    b = pr_box()
-    schedule = build_schedule()
-    for i in range(50):
-        t = run_trial(ExperimentConfig(seed=11, schedule=schedule), b, i, (1, 1))
+    # (1, 1) is the last of the four pair blocks
+    traces = trace_trials(ExperimentConfig(trials_per_pair=50, seed=11, traced_trials=200), pr_box())
+    for t in traces[150:]:
+        assert (t.record.theta_a, t.record.theta_b) == (1, 1)
         assert t.record.outcome_a == -t.record.outcome_b
 
 
 def test_trial_data_extraction_matches_sampled_values():
     b = optimal_behavior()
     schedule = build_schedule()
-    for i in range(20):
-        t = run_trial(ExperimentConfig(seed=2, schedule=schedule), b, i)
+    for t in trace_trials(ExperimentConfig(trials_per_pair=1, seed=2, schedule=schedule, traced_trials=20), b):
         assert t.pooled.data == {
             "±a": t.record.outcome_a,
             "θa": t.record.theta_a,
@@ -321,7 +319,7 @@ def test_chunk_boundaries_do_not_change_any_draw():
     assert np.array_equal(d1.counts, d2.counts)
 
     # unchunked oracle: every pair block sampled from one slice of the whole stream
-    u = substream(seed, 0).random((4 * n, 4))[:, 2]
+    u = np.random.Generator(np.random.Philox(key=seed)).random((4 * n, DRAWS_PER_TRIAL))[:, 2]
     slabs = b.table.reshape(4, 4)
     cum = np.cumsum(slabs, axis=1)
     cum[:, -1] = 1.0  # every cell is live, so the float shortfall fix only closes the last interval
@@ -331,9 +329,10 @@ def test_chunk_boundaries_do_not_change_any_draw():
     out = io.StringIO()
     dataset_to_csv(d1, schedule, out)
     rows = out.getvalue().split("\n")
-    pairs = list(itertools.product(b.grid_a, b.grid_b))
+    traced = ExperimentConfig(trials_per_pair=n, seed=seed, schedule=schedule, traced_trials=3 * n + 3)
+    traces = trace_trials(traced, b)
     for k in (0, CHUNK - 1, CHUNK, n, 3 * n + 2):
-        t = run_trial(ExperimentConfig(seed=seed, schedule=schedule), b, k, pairs[k // n])
+        t = traces[k]
         fields = rows[k + 1].split(",")
         assert fields[0] == str(k)
         assert (int(fields[3]), int(fields[4])) == (t.record.outcome_a, t.record.outcome_b)
@@ -387,9 +386,16 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
-    ds = run_experiment(ExperimentConfig(trials_per_pair=8, seed=3, workers=10**6), pr_box())
-    assert ds.total_trials == 32
-    assert seen and all(w <= (os.cpu_count() or 1) for w in seen)
+    # workers has no upper bound in a config: any count, however large, is capped
+    configs = (
+        ExperimentConfig(trials_per_pair=8, seed=3, workers=10**6),
+        parse_config(json.dumps({"trials_per_pair": 8, "seed": 3, "workers": 10**28})),
+    )
+    for cfg in configs:
+        seen.clear()
+        ds = run_experiment(cfg, pr_box())
+        assert ds.total_trials == 32
+        assert seen and all(w <= (os.cpu_count() or 1) for w in seen)
 
 
 def test_records_can_be_dropped():
@@ -502,7 +508,7 @@ def test_estimator_within_five_sigma_on_nearly_all_seeds(rng):
 def test_standard_run_classified_counterfactual_nonlocal():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(ExperimentConfig(seed=21, schedule=schedule), b, 0)
+    (trace,) = trace_trials(ExperimentConfig(seed=21, schedule=schedule), b)
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
         report = classify_violation(trace, stage, optimal_singlet_settings())
         assert abs(report.s_value) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
@@ -515,7 +521,7 @@ def test_classified_value_is_the_analytic_sum(rng):
     settings = pr_box_settings()
     for i in range(50):
         b = random_behavior(rng)
-        trace = run_trial(ExperimentConfig(seed=i), b, 0)
+        (trace,) = trace_trials(ExperimentConfig(seed=i), b)
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
             assert classify_violation(trace, stage, settings).s_value == chsh_value(b, settings)
 
@@ -523,7 +529,7 @@ def test_classified_value_is_the_analytic_sum(rng):
 def test_counterfactual_list_tracks_stage():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(ExperimentConfig(seed=21, schedule=schedule), b, 0)
+    (trace,) = trace_trials(ExperimentConfig(seed=21, schedule=schedule), b)
     r0 = classify_violation(trace, Stage.INITIAL, optimal_singlet_settings())
     rt = classify_violation(trace, Stage.SETTING, optimal_singlet_settings())
     assert r0.counterfactual_conditioners == ("θa", "θb")
@@ -531,7 +537,7 @@ def test_counterfactual_list_tracks_stage():
 
 
 def test_far_setting_is_nonlocal_for_observer_b_too():
-    trace = run_trial(ExperimentConfig(seed=21), optimal_behavior(), 0)
+    (trace,) = trace_trials(ExperimentConfig(seed=21), optimal_behavior())
     settings = optimal_singlet_settings()
     r0 = classify_violation(trace, Stage.INITIAL, settings, observer="B")
     assert r0.counterfactual_conditioners == ("θa", "θb")
@@ -547,7 +553,7 @@ def test_communication_stage_is_factual_local():
     cfg = config(trials_per_pair=2000, seed=9)
     ds = experiment(cfg)
     b = optimal_behavior()
-    trace = run_trial(cfg, b, 0, (b.grid_a[0], b.grid_b[0]))
+    (trace,) = trace_trials(cfg, b)
     report = classify_violation(trace, Stage.COMMUNICATION, cfg.chsh, estimate=estimate_chsh(ds, cfg.chsh))
     assert report.classification is ViolationClass.FACTUAL_LOCAL
     assert report.violated
@@ -556,7 +562,7 @@ def test_communication_stage_is_factual_local():
 
 def test_single_experiment_with_factual_settings_not_applicable():
     b = optimal_behavior()
-    trace = run_trial(ExperimentConfig(seed=9), b, 0)
+    (trace,) = trace_trials(ExperimentConfig(seed=9), b)
     report = classify_violation(trace, Stage.COMMUNICATION, optimal_singlet_settings())
     assert report.classification is ViolationClass.NOT_APPLICABLE
     assert report.s_value is None
@@ -566,7 +572,7 @@ def test_preset_run_classified_local():
     cfg = config(trials_per_pair=1000, seed=10, preset_settings=True)
     est = estimate_chsh(experiment(cfg), cfg.chsh)
     b = optimal_behavior()
-    trace = run_trial(cfg, b, 0, (b.grid_a[0], b.grid_b[0]))
+    (trace,) = trace_trials(cfg, b)
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
         report = classify_violation(trace, stage, cfg.chsh, estimate=est)
         assert report.classification is ViolationClass.FACTUAL_LOCAL
@@ -575,7 +581,7 @@ def test_preset_run_classified_local():
 
 def test_preset_posited_alternates_are_counterfactual_local():
     b = optimal_behavior()
-    trace = run_trial(ExperimentConfig(seed=10, preset_settings=True), b, 0, (b.grid_a[0], b.grid_b[0]))
+    (trace,) = trace_trials(ExperimentConfig(seed=10, preset_settings=True), b)
     report = classify_violation(
         trace, Stage.SETTING, optimal_singlet_settings(), posit_alternates=True
     )
@@ -586,7 +592,7 @@ def test_preset_posited_alternates_are_counterfactual_local():
 def test_classifier_soundness_nonlocal_tag_iff_far_setting_unknown():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(ExperimentConfig(seed=33, schedule=schedule), b, 4)
+    trace = trial(ExperimentConfig(seed=33, schedule=schedule), b, 4)
     for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
         report = classify_violation(trace, stage, optimal_singlet_settings())
         ledger = trace.observer_a.stage_ledgers()[stage]

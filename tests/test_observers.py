@@ -24,11 +24,12 @@ from bellsim import (
     pr_box,
     receive,
     retrodict,
-    run_trial,
     singlet_behavior,
     stage_table,
+    trace_trials,
 )
 from bellsim.spacetime import Message
+from conftest import trial
 
 TOL = 1e-12
 
@@ -232,7 +233,7 @@ def test_far_marginal_independent_of_posited_far_setting():
 def test_standard_run_equality_pattern():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(ExperimentConfig(seed=5, schedule=schedule), b, 0)
+    (trace,) = trace_trials(ExperimentConfig(seed=5, schedule=schedule), b)
     table = stage_table(trace.observer_a, trace.observer_b)
     assert table.pattern == ("y", "n", "n", "y")
     assert [r.rendered_a for r in table.rows] == [
@@ -253,7 +254,8 @@ def test_run_with_peaked_setting_uncertainty():
     grid = tuple(Angle.of(k, 6) for k in range(4))
     b = singlet_behavior(grid, grid)
     schedule = build_schedule()
-    trace = run_trial(ExperimentConfig(seed=17, schedule=schedule, q_setting_width=0.8), b, 3)
+    # trial 9, one per pair block, has the inner settings (grid[2], grid[1])
+    trace = trial(ExperimentConfig(trials_per_pair=1, seed=17, schedule=schedule, q_setting_width=0.8), b, 9)
     sa = trace.observer_a
     assert "θa" in sa.uncertain
     # the bump is centered on the true setting, so the extracted point
@@ -266,9 +268,7 @@ def test_run_with_peaked_setting_uncertainty():
 def test_preset_run_equality_pattern():
     b = optimal_behavior()
     schedule = build_schedule()
-    trace = run_trial(
-        ExperimentConfig(seed=5, schedule=schedule, preset_settings=True), b, 0, (b.grid_a[0], b.grid_b[0])
-    )
+    (trace,) = trace_trials(ExperimentConfig(seed=5, schedule=schedule, preset_settings=True), b)
     table = stage_table(trace.observer_a, trace.observer_b)
     assert table.pattern == ("y", "y", "n", "y")
 
@@ -305,13 +305,12 @@ def test_pool_point_mass_and_data_extraction():
 
 
 def test_pool_never_violates_realism_on_model_sampled_runs():
-    # settings drawn freely per wing, including the colliding equal-angle
-    # pair with its zero-probability cells; honest sampling never trips
-    # the contradiction check
+    # every setting pair in turn, including the colliding equal-angle pair
+    # with its zero-probability cells; honest sampling never trips the
+    # contradiction check
     b = shared_grid_behavior()
     schedule = build_schedule()
-    for i in range(100):
-        t = run_trial(ExperimentConfig(seed=123, schedule=schedule), b, i)
+    for t in trace_trials(ExperimentConfig(trials_per_pair=1, seed=123, schedule=schedule, traced_trials=100), b):
         assert t.pooled.data["±a"] == t.record.outcome_a
         assert t.pooled.data["±b"] == t.record.outcome_b
 
@@ -321,8 +320,10 @@ def test_pool_tolerates_unresolved_setting_on_colliding_grids():
     # true setting; that is a guess, not a contradiction
     b = shared_grid_behavior()
     schedule = build_schedule()
-    for i in range(40):
-        t = run_trial(ExperimentConfig(seed=31, schedule=schedule, unresolved_local_setting=True), b, i)
+    cfg = ExperimentConfig(
+        trials_per_pair=1, seed=31, schedule=schedule, unresolved_local_setting=True, traced_trials=40
+    )
+    for t in trace_trials(cfg, b):
         assert t.pooled.data["θa"] == b.grid_a[0]  # lowest-index tie break
 
 
@@ -392,9 +393,9 @@ def test_retrodiction_at_orthogonal_angles_is_even():
 def test_retrodiction_with_unresolved_setting_is_a_mixture():
     b = shared_grid_behavior()
     schedule = build_schedule()
-    trace = run_trial(
-        ExperimentConfig(seed=9, schedule=schedule, unresolved_local_setting=True), b, 0, (ZERO, HALF)
-    )
+    # trial 1, one per pair block, is at (ZERO, HALF)
+    trace = trial(ExperimentConfig(trials_per_pair=1, seed=9, schedule=schedule, unresolved_local_setting=True), b, 1)
+    assert (trace.record.theta_a, trace.record.theta_b) == (ZERO, HALF)
     table = retrodict(trace.observer_a, "±a", Stage.SETTING)
     # oracle: weight each candidate own-setting by its posterior after seeing
     # the far data, then mix the outcome likelihoods

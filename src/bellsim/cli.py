@@ -20,7 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from .angles import Angle, setting_text
-from .config import ExperimentConfig, build_model, parse_config
+from .config import ExperimentConfig, build_model, decode_text, parse_config
 from .errors import ConfigError, SimulationError, UnsupportedScenarioError
 from .harness import (
     ChshEstimate,
@@ -153,9 +153,13 @@ def _stage_entry(stage: Stage, ledger) -> dict:
     return {"stage": stage.value, "ledger": ledger.render()}
 
 
+#: Each stage's position in the order the stages happen.
+_STAGE_ORDER = {stage: i for i, stage in enumerate(Stage)}
+
+
 def _stage_ledgers(obs_state) -> list:
     """An observer's ``(stage, ledger)`` pairs in stage order."""
-    return sorted(obs_state.stage_ledgers().items(), key=lambda kv: list(Stage).index(kv[0]))
+    return sorted(obs_state.stage_ledgers().items(), key=lambda kv: _STAGE_ORDER[kv[0]])
 
 
 def _trial_events(trace, schedule):
@@ -313,7 +317,7 @@ def main(argv=None) -> int:
     )
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        data = Path(args.config).read_bytes()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -322,7 +326,7 @@ def main(argv=None) -> int:
     flags = {"seed": ("--seed", args.seed), "trials_per_pair": ("--trials", args.trials)}
     overrides = {name: value for name, (_, value) in flags.items() if value is not None}
     try:
-        summary = run(parse_config(text, overrides), Path(args.outdir))
+        summary = run(parse_config(decode_text(data, ""), overrides), Path(args.outdir))
     except ConfigError as exc:
         for path, reason in exc.errors:
             path = flags[path][0] if path in overrides else path

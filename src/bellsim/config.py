@@ -55,6 +55,18 @@ class ExperimentConfig:
     behavior_file: str | None = None
 
 
+def decode_text(data: bytes, path: str) -> str:
+    """``data`` as UTF-8 text with universal newlines, as a text-mode read gives it.
+
+    Bytes that do not decode are a config error at ``path``.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([(path, f"not valid UTF-8: {exc}")]) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def build_model(config: ExperimentConfig) -> Behavior:
     """The configured behavior; a custom file's grids must hold the chosen settings."""
     if config.model == "singlet":
@@ -64,8 +76,8 @@ def build_model(config: ExperimentConfig) -> Behavior:
     if config.model == "lhv":
         return lhv_behavior(config.lhv, config.grid_a, config.grid_b)
     if config.model == "custom":
-        with open(config.behavior_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(config.behavior_file, "rb") as fh:
+            text = decode_text(fh.read(), "behavior_file")
         try:
             behavior = behavior_from_csv(text)
         except (ValueError, MissingDataError) as exc:
@@ -219,7 +231,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     errors: list = []
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a malformed document, too deep a nesting, or an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([("", f"not valid JSON: {exc}")]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([("", "top level must be a JSON object")])

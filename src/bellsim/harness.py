@@ -9,9 +9,13 @@ bit-identical results.
 
 Outcomes are drawn by inverse CDF over the four cells of the behavior slice
 in fixed cell order, in integers: a trial's cell is the number of the three
-thresholds ``ceil(cum_j * 2**53)`` that the top 53 bits of its outcome word
-reach.  That 53-bit draw is the one ``Generator.random`` scales to a float, so
-every cell is the float inverse CDF's, bit for bit.  A zero-probability cell
+thresholds ``t_j = ceil(cum_j * 2**53)`` that the top 53 bits of its outcome
+word reach.  That 53-bit draw is the one ``Generator.random`` scales to a
+float, so every cell is the float inverse CDF's, bit for bit.  Since
+``w >> 11 >= t`` exactly when ``w >= t << 11``, each pair's raw-word bounds
+``t_j << 11`` are computed once per run and compared with the words as drawn.
+A threshold of ``2**53`` (from the last live cell on) is never reached and has
+no bound, as ``t << 11`` would wrap in ``uint64``.  A zero-probability cell
 has two equal thresholds and so is structurally unreachable.
 A dataset keeps each trial as one ``uint8`` index into :data:`CELL_OUTCOMES`,
 in trial order; the setting pair is implied by the trial's pair block, and the
@@ -27,6 +31,7 @@ import itertools
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -76,14 +81,21 @@ def _block_words(master_seed: int, start_trial: int, count: int) -> np.ndarray:
     return bits.random_raw(count * DRAWS_PER_TRIAL).reshape(count, DRAWS_PER_TRIAL)
 
 
-def _threshold_hits(slab: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Row ``j`` marks the outcome words whose cell is past ``j``; a word's cell is its column sum."""
-    p = slab.reshape(-1)
-    cum = np.cumsum(p)
-    # a float shortfall must not leave room for the dead cells after the last live one
-    cum[np.flatnonzero(p > TOL)[-1]:] = 1.0
-    thresholds = np.ceil(cum[:3] * 2.0**53).astype(np.uint64)
-    return (words >> 11) >= thresholds[:, None]
+def _word_bounds(table: np.ndarray) -> list:
+    """Each setting pair's reachable raw-word bounds, in pair order; a word's cell is how many it reaches."""
+    slabs = np.reshape(table, (-1, 4))
+    cum = np.cumsum(slabs, axis=1)
+    for row, p in zip(cum, slabs):
+        # a float shortfall must not leave room for the dead cells after the last live one
+        row[np.flatnonzero(p > TOL)[-1]:] = 1.0
+    return [[int(t) << 11 for t in row if t < 2**53] for row in np.ceil(cum[:, :3] * 2.0**53).tolist()]
+
+
+def _cells(words: np.ndarray, bounds: list, out: np.ndarray) -> np.ndarray:
+    """Add each outcome word's cell, the number of ``bounds`` it reaches, into the zeroed ``out``."""
+    for b in bounds:
+        out += words >= b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +241,15 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
     preset_pair = config.preset_pair if config.preset_settings else None
     n = config.trials_per_pair
+    pair_bounds = dict(zip(pairs, _word_bounds(behavior.table)))
     histories: dict = {}
     memo: dict = {}
     traces = []
     for lo in range(0, config.traced_trials, n):
         pair = preset_pair if preset_pair is not None else pairs[(lo // n) % len(pairs)]
         words = _block_words(config.seed, lo, min(n, config.traced_trials - lo))[:, _SLOT_OUTCOME]
-        for k, cell in enumerate(_threshold_hits(behavior.slice(*pair), words).sum(axis=0).tolist(), lo):
+        cells = _cells(words, pair_bounds[pair], np.zeros(len(words), dtype=np.uint8))
+        for k, cell in enumerate(cells.tolist(), lo):
             key = (*pair, cell)
             if key not in histories:
                 histories[key] = _ledgers(config, behavior, *key, memo)
@@ -257,28 +271,33 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
     nx, ny = len(behavior.grid_a), len(behavior.grid_b)
     slabs = behavior.table.reshape(nx * ny, 4)
     try:
-        records = np.empty(nx * ny * trials_per_pair if keep_records else 0, dtype=np.uint8)
+        records = np.zeros(nx * ny * trials_per_pair if keep_records else 0, dtype=np.uint8)
     except (MemoryError, ValueError) as exc:
         raise ConfigError([("trials_per_pair", f"too many trials to keep every record: {exc}")]) from exc
+    pair_bounds = _word_bounds(slabs)
     tasks = ((pair, lo) for pair in range(nx * ny) for lo in range(0, trials_per_pair, CHUNK))
 
     def sample_chunk(task):
         pair, lo = task
         start = pair * trials_per_pair + lo
         count = min(CHUNK, trials_per_pair - lo)
-        hits = _threshold_hits(slabs[pair], _block_words(config.seed, start, count)[:, _SLOT_OUTCOME])
+        words, bounds = _block_words(config.seed, start, count)[:, _SLOT_OUTCOME], pair_bounds[pair]
         if keep_records:
-            hits.sum(axis=0, dtype=np.uint8, out=records[start : start + count])
-        # trials past cell j, for j = -1 .. 3; each cell's count is a difference of two
-        past = [count, *map(np.count_nonzero, hits), 0]
+            return np.bincount(_cells(words, bounds, records[start : start + count]), minlength=4)
+        # trials past cell j, for j = -1 .. 3, with one pass per distinct bound and
+        # none past a missing one; each cell's count is a difference of two
+        reached = {b: np.count_nonzero(words >= b) for b in set(bounds)}
+        past = [count, *(reached[b] for b in bounds), *[0] * (4 - len(bounds))]
         return np.subtract(past[:-1], past[1:])
 
     counts = np.zeros((nx * ny, 4), dtype=np.int64)
     workers = min(config.workers, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool_:
+    # one worker samples in the calling thread; only more than one pays for a pool
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool_:
+        mapper = pool_.map if pool_ else map
         # a few tasks per worker at a time, so memory does not grow with the number of chunks
         while batch := list(itertools.islice(tasks, TASKS_PER_WORKER * workers)):
-            for (pair, lo), pair_counts in zip(batch, pool_.map(sample_chunk, batch)):
+            for (pair, lo), pair_counts in zip(batch, mapper(sample_chunk, batch)):
                 counts[pair] += pair_counts
                 if lo + CHUNK >= trials_per_pair:
                     log.debug("sampled pair %d/%d: %d trials", pair + 1, nx * ny, trials_per_pair)

@@ -100,7 +100,8 @@ def traces_by_run_trial(config):
             cell = int(records[k])
         else:
             word = harness._block_words(config.seed, k, 1)[:, harness._SLOT_OUTCOME]
-            cell = int(harness._threshold_hits(behavior.slice(*pair), word).sum())
+            (bounds,) = harness._word_bounds(behavior.slice(*pair))
+            cell = int(harness._cells(word, bounds, np.zeros(1, dtype=np.uint8))[0])
         pooled = harness._ledgers(config, behavior, *pair, cell, {})
         record = TrialRecord(k, *pair, *harness.CELL_OUTCOMES[cell])
         traces.append(TrialTrace(record, pooled, behavior, config.preset_settings))

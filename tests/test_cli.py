@@ -331,10 +331,10 @@ def test_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("keep_records", [True, False])
 def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys, keep_records):
     # a sampler landing on one of the PR box's zero cells is a realism violation
-    def cell_one(slab, words):  # every word reaches the first threshold only
-        return np.repeat([[True], [False], [False]], len(words), axis=1)
+    def cell_one(table):  # every pair's one bound is 0, so every word reaches cell 1
+        return [[0] for _ in range(np.size(table) // 4)]
 
-    monkeypatch.setattr(harness, "_threshold_hits", cell_one)
+    monkeypatch.setattr(harness, "_word_bounds", cell_one)
     code, _ = run_cli(
         tmp_path, {"model": "pr-box", "trials_per_pair": 10, "traced_trials": 0, "keep_records": keep_records}
     )
@@ -588,3 +588,46 @@ def test_custom_behavior_file_with_a_nan_cell_is_a_config_error(tmp_path, capsys
     assert "config error at behavior_file: " in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+#: An integer literal longer than the interpreter converts (4300 digits by default).
+LONG_INTEGER = b'{"trials_per_pair": 1' + b"0" * 5000 + b"}"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 200000, LONG_INTEGER],
+    ids=["utf-16-bom", "deep-nesting", "long-integer"],
+)
+def test_unreadable_config_bytes_are_a_config_error_at_the_root(tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    code = main([str(path), "-o", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    # an interpreter without a conversion limit reads the literal, which is then too large
+    limited = hasattr(sys, "get_int_max_str_digits")
+    where = "trials_per_pair" if content is LONG_INTEGER and not limited else "<root>"
+    assert code == EXIT_CONFIG
+    assert len(lines) == 1 and lines[0].startswith(f"config error at {where}: ")
+    assert "Traceback" not in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_custom_behavior_file_with_undecodable_bytes_is_a_config_error(tmp_path, capsys):
+    table = tmp_path / "behavior.csv"
+    table.write_bytes(behavior_to_csv(pr_box()).encode("utf-8") + b"\xff\n")
+    code, out = run_cli(tmp_path, {"model": "custom", "behavior_file": str(table), "trials_per_pair": 10})
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(lines) == 1 and lines[0].startswith("config error at behavior_file: not valid UTF-8")
+    assert "Traceback" not in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_behavior_file_line_endings_read_as_in_text_mode(tmp_path, newline):
+    # a behavior file decoded from its bytes keeps the universal newlines of a text-mode read
+    table = tmp_path / "behavior.csv"
+    table.write_bytes(newline.join(behavior_to_csv(pr_box()).splitlines()).encode("utf-8") + newline.encode())
+    cfg = parse_config(json.dumps({"model": "custom", "behavior_file": str(table), "trials_per_pair": 10}))
+    assert np.array_equal(bellsim.build_model(cfg).table, pr_box().table)

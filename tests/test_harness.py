@@ -38,7 +38,7 @@ from bellsim import (
     trace_trials,
 )
 from bellsim import harness
-from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _block_words, _threshold_hits
+from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _block_words, _cells, _word_bounds
 from bellsim.models import Behavior
 from conftest import TRACED_CONFIGS, random_behavior, traces_by_run_trial, trial
 
@@ -292,7 +292,10 @@ def test_float_shortfall_never_reaches_trailing_zero_cell():
     # the words whose 53-bit draws are nextafter(1, 0), 0 and 0.5, then the largest word
     words = np.array([(2**53 - 1) << 11, 0, 2**63, 2**64 - 1], dtype=np.uint64)
     assert (words[0] >> 11) * 2.0**-53 == np.nextafter(1.0, 0.0)
-    assert np.all(_threshold_hits(slab, words).sum(axis=0) < 3)
+    # the last threshold is 2**53, which no word reaches, so it has no bound
+    (bounds,) = _word_bounds(slab)
+    assert len(bounds) == 2
+    assert np.all(_cells(words, bounds, np.zeros(len(words), dtype=np.uint8)) < 3)
 
 
 def test_uniform_cells_concentrate():
@@ -338,6 +341,23 @@ def test_chunk_boundaries_do_not_change_any_draw():
         assert (int(fields[3]), int(fields[4])) == (t.record.outcome_a, t.record.outcome_b)
 
 
+@pytest.mark.parametrize("behavior", [optimal_behavior(), pr_box()], ids=["singlet", "pr-box"])
+def test_one_worker_samples_in_the_calling_thread(monkeypatch, behavior):
+    # CHUNK + 3 trials per pair, so every pair block crosses a chunk boundary
+    cfg = ExperimentConfig(trials_per_pair=CHUNK + 3, seed=29, workers=2)
+    pooled = run_experiment(cfg, behavior)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker run built a thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    inline = run_experiment(dataclasses.replace(cfg, workers=1), behavior)
+    counts_only = run_experiment(dataclasses.replace(cfg, workers=1, keep_records=False), behavior)
+    assert np.array_equal(inline.records, pooled.records)
+    assert np.array_equal(inline.counts, pooled.counts)
+    assert np.array_equal(counts_only.counts, pooled.counts)
+
+
 def behavior_with_zero_cells():
     table = random_behavior(np.random.default_rng(31), 2, 3).table.copy()
     # zero cells leading, in the middle, trailing, and two trailing at once
@@ -346,7 +366,13 @@ def behavior_with_zero_cells():
     return Behavior((0, 1), (0, 1, 2), table / table.sum(axis=(2, 3), keepdims=True))
 
 
-@pytest.mark.parametrize("make", [pr_box, optimal_behavior, behavior_with_zero_cells])
+def certain_behavior():
+    # one certain cell per pair, first to last: its pairs have no bound, then one,
+    # two and three bounds, all equal to 0
+    return Behavior((0, 1), (0, 1), np.eye(4).reshape(2, 2, 2, 2))
+
+
+@pytest.mark.parametrize("make", [pr_box, optimal_behavior, behavior_with_zero_cells, certain_behavior])
 def test_counts_without_records_match_the_records(make):
     b, n = make(), CHUNK + 3
     kept = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, workers=2), b)
@@ -395,7 +421,9 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
         seen.clear()
         ds = run_experiment(cfg, pr_box())
         assert ds.total_trials == 32
-        assert seen and all(w <= (os.cpu_count() or 1) for w in seen)
+        # a pool is built only when the cap leaves more than one thread
+        assert bool(seen) == ((os.cpu_count() or 1) > 1)
+        assert all(w <= (os.cpu_count() or 1) for w in seen)
 
 
 def test_records_can_be_dropped():

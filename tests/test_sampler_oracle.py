@@ -1,8 +1,9 @@
-"""The integer threshold sampler against the float inverse CDF it replaces.
+"""The raw-word bound sampler against the float inverse CDF it replaces.
 
 ``Generator.random`` turns a raw Philox word ``w`` into ``(w >> 11) * 2**-53``;
 ``np.searchsorted`` over the cumulative sums then picks the cell.  The sampler
-must pick the same cell from the raw word on every slab and every word,
+compares the raw word itself against ``t << 11`` for each threshold
+``t < 2**53``; it must pick the same cell on every slab and every word,
 including the words just either side of each of its thresholds.
 """
 
@@ -12,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from bellsim.harness import _threshold_hits  # noqa: E402
+from bellsim.harness import _cells, _word_bounds  # noqa: E402
 from bellsim.probability import TOL  # noqa: E402
 
 SHORTFALL = (0.56339548, 0.18519426, 0.25141026, 0.0)
@@ -41,6 +42,9 @@ def fixed_cum(slab):
 @hypothesis.example(slab=(0.0, 0.5, 0.25, 0.25), extra=[])
 @hypothesis.example(slab=(0.5, 0.0, 0.0, 0.5), extra=[])
 @hypothesis.example(slab=(0.25, 0.75, 0.0, 0.0), extra=[])
+@hypothesis.example(slab=(0.5, 0.25, 0.25, 0.0), extra=[])  # the last threshold is exactly 2**53
+@hypothesis.example(slab=(1.0, 0.0, 0.0, 0.0), extra=[])  # every threshold is 2**53
+@hypothesis.example(slab=(0.25, 0.25, 0.25, 0.25), extra=[])  # every threshold is below 2**53
 def test_threshold_cells_equal_the_float_inverse_cdf(slab, extra):
     cum = fixed_cum(slab)
     near = [
@@ -49,10 +53,14 @@ def test_threshold_cells_equal_the_float_inverse_cdf(slab, extra):
         for h in (t - 1, t, t + 1)
         if 0 <= h < 2**53
     ]
-    words = np.array([0, 2**64 - 1, *near, *extra], dtype=np.uint64)
+    # the largest word and the largest whose 53-bit draw is below 1
+    words = np.array([0, 2**64 - 1, (2**53 - 1) << 11, *near, *extra], dtype=np.uint64)
     expected = np.searchsorted(cum, (words >> 11) * 2.0**-53, side="right")
 
-    hits = _threshold_hits(np.array(slab), words)
-    assert np.array_equal(hits.sum(axis=0), expected)
-    assert np.array_equal(hits, expected > np.arange(3)[:, None])
+    (bounds,) = _word_bounds(np.array(slab))
+    assert np.array_equal(_cells(words, bounds, np.zeros(len(words), dtype=np.uint8)), expected)
+    # bound j marks the words past cell j; past the reachable bounds, no word is
+    assert len(bounds) <= 3 and not np.any(expected > len(bounds))
+    for j, bound in enumerate(bounds):
+        assert np.array_equal(words >= bound, expected > j)
     assert np.all(np.asarray(slab)[expected] != 0.0)

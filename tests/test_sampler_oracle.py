@@ -53,7 +53,7 @@ def test_threshold_cells_equal_the_float_inverse_cdf(slab, extra):
         for h in (t - 1, t, t + 1)
         if 0 <= h < 2**53
     ]
-    # the largest word and the largest whose 53-bit draw is below 1
+    # the smallest word, the largest, and the largest whose 53-bit draw is below 1
     words = np.array([0, 2**64 - 1, (2**53 - 1) << 11, *near, *extra], dtype=np.uint64)
     expected = np.searchsorted(cum, (words >> 11) * 2.0**-53, side="right")
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from time import perf_counter
 
@@ -153,20 +153,6 @@ def _stage_entry(stage: Stage, ledger) -> dict:
     return {"stage": stage.value, "ledger": ledger.render()}
 
 
-#: Each stage's position in the order the stages happen.
-_STAGE_ORDER = {stage: i for i, stage in enumerate(Stage)}
-
-
-def _stage_ledgers(obs_state) -> list:
-    """An observer's ``(stage, ledger)`` pairs in stage order."""
-    return sorted(obs_state.stage_ledgers().items(), key=lambda kv: _STAGE_ORDER[kv[0]])
-
-
-def _trial_events(trace, schedule):
-    r = trace.record
-    return schedule.trial_events(r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
-
-
 def _data_block(trace) -> dict:
     return {k: setting_text(v) if not isinstance(v, int) else v for k, v in trace.pooled.data.items()}
 
@@ -186,24 +172,24 @@ def _block(open_: str, close: str, members: list, depth: int) -> str:
     return open_ + pad + ("," + pad).join(members) + "\n" + "  " * depth + close
 
 
-def _trace_json(traces, schedule) -> str:
-    """``json.dumps`` of every trace's document, indented, with a final newline.
+def _write_trace(traces, schedule, out) -> None:
+    """Write ``json.dumps`` of every trace's document, indented, to ``out`` one trial at a time.
 
     A document is its trial number followed by a body that is fixed by the
     setting pair and the outcome cell, so each distinct body is built once
     and the trial numbers are spliced in.  A body is spliced in turn from
     fragments encoded once each: an event entry is fixed by its index and
     payload, and a stage entry by its stage and ledger, which traces with a
-    common received prefix share.
+    common received prefix share.  ``stage_ledgers`` yields stages in order.
     """
     events, stages, bodies = {}, {}, {}
-    items = []
+    sep = "[\n  "
     for t in traces:
         r = t.record
         key = (r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
         if key not in bodies:
             event_items = []
-            for e in _trial_events(t, schedule):
+            for e in schedule.trial_events(*key):
                 ekey = (e.index, e.payload)
                 if ekey not in events:
                     events[ekey] = _dumps_at(_event_entry(e, schedule), 3)
@@ -211,7 +197,7 @@ def _trace_json(traces, schedule) -> str:
             observers = []
             for s in (t.observer_a, t.observer_b):
                 stage_items = []
-                for skey in _stage_ledgers(s):
+                for skey in s.stage_ledgers().items():
                     if skey not in stages:
                         stages[skey] = _dumps_at(_stage_entry(*skey), 4)
                     stage_items.append(stages[skey])
@@ -222,8 +208,9 @@ def _trace_json(traces, schedule) -> str:
                 f'\n    "events": {_block("[", "]", event_items, 2)},'
                 f'\n    "stages": {_block("{", "}", observers, 2)}\n  }}'
             )
-        items.append(f'{{\n    "trial": {r.trial},{bodies[key]}')
-    return _block("[", "]", items, 0) + "\n"
+        out.write(f'{sep}{{\n    "trial": {r.trial},{bodies[key]}')
+        sep = ",\n  "
+    out.write("\n]\n")
 
 
 def _plot_rows(behavior: Behavior, est: ChshEstimate, config: ExperimentConfig) -> str:
@@ -283,20 +270,26 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
             encoding="utf-8",
         )
     if dataset.records.size:
-        with _phase("write dataset.csv"):
-            with open(outdir / "dataset.csv", "w", encoding="utf-8", newline="") as fh:
-                dataset_to_csv(dataset, config.schedule, fh)
+        with _phase("write dataset.csv"), open(outdir / "dataset.csv", "w", encoding="utf-8", newline="") as fh:
+            dataset_to_csv(dataset, config.schedule, fh)
     with _phase("write behavior_estimate.csv"):
         (outdir / "behavior_estimate.csv").write_text(
             behavior_to_csv(estimate_behavior(dataset).behavior), encoding="utf-8"
         )
     if traces:
-        with _phase("write trace.json"):
-            (outdir / "trace.json").write_text(_trace_json(traces, config.schedule), encoding="utf-8")
+        with _phase("write trace.json"), open(outdir / "trace.json", "w", encoding="utf-8") as fh:
+            _write_trace(traces, config.schedule, fh)
     with _phase("write plot_correlator.txt"):
         (outdir / "plot_correlator.txt").write_text(_plot_rows(behavior, est, config), encoding="utf-8")
     log.info("wrote %s", outdir)
     return summary
+
+
+def _flag_value(text: str):
+    """The int that ``text`` spells, or ``text``: ``parse_config`` checks the type."""
+    with suppress(ValueError):
+        return int(text)
+    return text
 
 
 def main(argv=None) -> int:
@@ -306,10 +299,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", help="path to the JSON run configuration")
     parser.add_argument("-o", "--outdir", default="bellsim-out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--trials", type=int, default=None, help="override trials per setting pair")
+    parser.add_argument("--seed", type=_flag_value, default=None, help="override the master seed")
+    parser.add_argument("--trials", type=_flag_value, default=None, help="override trials per setting pair")
     parser.add_argument("-v", "--verbose", action="count", default=0)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, such as an unknown flag
+        return EXIT_CONFIG if exc.code else EXIT_OK
 
     logging.basicConfig(
         level=logging.DEBUG if args.verbose > 1 else logging.INFO if args.verbose else logging.WARNING,

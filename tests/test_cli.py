@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,15 @@ from bellsim import (
     Behavior,
     ConfigError,
     ExperimentConfig,
+    Stage,
     ViolationClass,
     behavior_from_csv,
     behavior_to_csv,
+    build_model,
     parse_config,
     pr_box,
     singlet_behavior,
+    trace_trials,
 )
 from bellsim import cli, harness
 from bellsim import config as config_module
@@ -243,13 +247,20 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def _trace_document(trace, schedule) -> dict:
-    """One trace's ``trace.json`` document, built whole: the reference for ``cli._trace_json``."""
+    """One trace's ``trace.json`` document, built whole: the reference for ``cli._write_trace``."""
+    r = trace.record
     return {
-        "trial": trace.record.trial,
+        "trial": r.trial,
         "data": cli._data_block(trace),
-        "events": [cli._event_entry(e, schedule) for e in cli._trial_events(trace, schedule)],
+        "events": [
+            cli._event_entry(e, schedule)
+            for e in schedule.trial_events(r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+        ],
         "stages": {
-            s.observer: [cli._stage_entry(stage, ledger) for stage, ledger in cli._stage_ledgers(s)]
+            s.observer: [
+                cli._stage_entry(stage, ledger)
+                for stage, ledger in sorted(s.stage_ledgers().items(), key=lambda kv: list(Stage).index(kv[0]))
+            ]
             for s in (trace.observer_a, trace.observer_b)
         },
     }
@@ -264,6 +275,35 @@ def test_trace_json_is_every_trial_document_dumped(tmp_path, name):
     documents = [_trace_document(t, config.schedule) for t in traces_by_run_trial(config)]
     want = json.dumps(documents, indent=2, ensure_ascii=False) + "\n"
     assert (out / "trace.json").read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
+def test_stage_ledgers_come_in_stage_order(name):
+    # the trace writer relies on this order and does not sort
+    config = parse_config(json.dumps(TRACED_CONFIGS[name]))
+    for trace in trace_trials(config, build_model(config)):
+        for state in (trace.observer_a, trace.observer_b):
+            stages = list(state.stage_ledgers())
+            assert stages == sorted(stages, key=list(Stage).index)
+
+
+def _trace_write_peak(traces, schedule) -> int:
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            cli._write_trace(traces, schedule, sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_trace_writer_memory_does_not_grow_with_the_traced_trials():
+    small, large = (parse_config(json.dumps({"traced_trials": n})) for n in (2**10, 2**14))
+    behavior = build_model(large)
+    traces = [trace_trials(c, behavior) for c in (small, large)]
+    small_peak, large_peak = (_trace_write_peak(t, large.schedule) for t in traces)
+    # building the whole document would hold 16 times the text for 16 times the trials
+    assert large_peak < 2 * small_peak + 2**20
 
 
 def test_box_run_reaches_four(tmp_path):
@@ -459,6 +499,38 @@ def test_seed_override_beyond_generator_key_names_the_flag(tmp_path, capsys):
     path.write_text('{"model": "pr-box", "trials_per_pair": 10}', encoding="utf-8")
     assert main([str(path), "-o", str(tmp_path / "out"), "--seed", str(2**128)]) == EXIT_CONFIG
     assert "config error at --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, where", [
+    (["--trials", "abc"], "--trials"),
+    (["--trials", "1.5"], "--trials"),
+    (["--seed", "x"], "--seed"),
+])
+def test_flag_text_that_is_not_an_int_is_a_config_error_at_the_flag(tmp_path, capsys, flags, where):
+    code, out = run_cli(tmp_path, {"model": "pr-box", "trials_per_pair": 10}, extra=flags)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert lines == [f"config error at {where}: expected int"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["10", "+10", " 10 ", "1_0"])
+def test_flag_text_that_int_reads_still_runs(tmp_path, text):
+    code, out = run_cli(tmp_path, {"model": "pr-box", "trials_per_pair": 3}, extra=["--trials", text])
+    assert code == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["estimates"]["trials_per_pair"] == 10
+
+
+@pytest.mark.parametrize("argv", [["run.json", "--bogus"], []], ids=["unknown-flag", "missing-config"])
+def test_usage_errors_exit_as_config_errors(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bellsim") and "Traceback" not in err
+
+
+def test_help_exits_ok(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: bellsim")
 
 
 def test_rerun_into_same_directory_leaves_no_stale_artifacts(tmp_path):

@@ -21,7 +21,6 @@ from .harness import (
     ChshEstimate,
     Dataset,
     EstimatedBehavior,
-    TrialRecord,
     TrialTrace,
     ViolationClass,
     ViolationReport,

@@ -175,18 +175,17 @@ def _block(open_: str, close: str, members: list, depth: int) -> str:
 def _write_trace(traces, schedule, out) -> None:
     """Write ``json.dumps`` of every trace's document, indented, to ``out`` one trial at a time.
 
-    A document is its trial number followed by a body that is fixed by the
-    setting pair and the outcome cell, so each distinct body is built once
-    and the trial numbers are spliced in.  A body is spliced in turn from
-    fragments encoded once each: an event entry is fixed by its index and
-    payload, and a stage entry by its stage and ledger, which traces with a
-    common received prefix share.  ``stage_ledgers`` yields stages in order.
+    A document is its trial number, its position in ``traces``, followed by a
+    body fixed by the setting pair and the outcome cell, so each distinct body
+    is built once and the trial numbers are spliced in.  A body is spliced in
+    turn from fragments encoded once each: an event entry is fixed by its
+    index and payload, and a stage entry by its stage and ledger, which traces
+    with a common received prefix share.  ``stage_ledgers`` yields stages in order.
     """
     events, stages, bodies = {}, {}, {}
     sep = "[\n  "
-    for t in traces:
-        r = t.record
-        key = (r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+    for k, t in enumerate(traces):
+        key = (t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
         if key not in bodies:
             event_items = []
             for e in schedule.trial_events(*key):
@@ -208,7 +207,7 @@ def _write_trace(traces, schedule, out) -> None:
                 f'\n    "events": {_block("[", "]", event_items, 2)},'
                 f'\n    "stages": {_block("{", "}", observers, 2)}\n  }}'
             )
-        out.write(f'{sep}{{\n    "trial": {r.trial},{bodies[key]}')
+        out.write(f'{sep}{{\n    "trial": {k},{bodies[key]}')
         sep = ",\n  "
     out.write("\n]\n")
 

@@ -8,6 +8,7 @@ Parsing reports *every* problem found, not just the first.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -76,11 +77,12 @@ def build_model(config: ExperimentConfig) -> Behavior:
     if config.model == "lhv":
         return lhv_behavior(config.lhv, config.grid_a, config.grid_b)
     if config.model == "custom":
-        with open(config.behavior_file, "rb") as fh:
-            text = decode_text(fh.read(), "behavior_file")
+        # open raises ValueError for a path with a NUL byte or a lone surrogate,
+        # and csv raises csv.Error for a field past its size limit
         try:
-            behavior = behavior_from_csv(text)
-        except (ValueError, MissingDataError) as exc:
+            with open(config.behavior_file, "rb") as fh:
+                behavior = behavior_from_csv(decode_text(fh.read(), "behavior_file"))
+        except (ValueError, MissingDataError, csv.Error) as exc:
             raise ConfigError([("behavior_file", str(exc))]) from exc
         errors = _grid_errors(config.chsh, config.preset_pair, behavior.grid_a, behavior.grid_b)
         errors += _count_errors(config.trials_per_pair, behavior.grid_a, behavior.grid_b)

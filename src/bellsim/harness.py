@@ -102,22 +102,18 @@ def _cells(words: np.ndarray, bounds: list, out: np.ndarray) -> np.ndarray:
 # records and datasets
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One traced experiment's factual data point."""
+@dataclass(frozen=True)
+class TrialTrace:
+    """A traced trial's settings and outcomes, both observers' pooled histories, and its behavior.
 
-    trial: int
+    All of it is fixed by the setting pair and the outcome cell, so trials
+    with the same key share one object; a trial's number is its list position.
+    """
+
     theta_a: Any
     theta_b: Any
     outcome_a: int
     outcome_b: int
-
-
-@dataclass(frozen=True)
-class TrialTrace:
-    """A fully simulated trial: record, pooled state with both observers' histories, and its behavior."""
-
-    record: TrialRecord
     pooled: PooledState
     behavior: Behavior
     preset: bool = False
@@ -222,21 +218,21 @@ def _own_q(config: ExperimentConfig, ledger, name: str, value) -> QUncertainty |
 def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     """Trials ``0 .. traced_trials-1`` of the run, each driven through both observers' ledgers.
 
-    Trial ``k`` takes the settings of its pair block (or ``preset_pair`` with
-    preset settings) and samples its outcome cell from counter block ``k`` of
-    ``config.seed``, so it is trial ``k`` of the dataset for
-    ``k < trials_per_pair * len(pairs)``.  Past that the pair blocks wrap
-    around (``(k // trials_per_pair) % len(pairs)``) and the trials draw
-    counter blocks that no dataset trial owns.  Every reception goes through
-    the observer update with the config's schedule and uncertainty options,
-    and each trial ends with pooled information and its data point.
+    Entry ``k`` is trial ``k``: it takes the settings of its pair block (or
+    ``preset_pair`` with preset settings) and samples its outcome cell from
+    counter block ``k`` of ``config.seed``, so it is trial ``k`` of the
+    dataset for ``k < trials_per_pair * len(pairs)``.  Past that the pair
+    blocks wrap around (``(k // trials_per_pair) % len(pairs)``) and the
+    trials draw counter blocks that no dataset trial owns.  Every reception
+    goes through the observer update with the config's schedule and
+    uncertainty options, and each trial ends with pooled information.
     The cells of each pair block's traced trials come from one draw of their
     counter blocks, as in :func:`run_experiment`.  Trials with the same
-    (settings, outcome cell) share one pooled state, and every key shares one
-    prefix tree of observer states (see :func:`_ledgers`): an observer's state
-    after receiving its own setting and outcome is the same whatever the far
-    wing did.  So the cost grows with the distinct received prefixes per
-    observer, not with the number of (settings, outcome cell) keys.
+    (settings, outcome cell) are one shared :class:`TrialTrace`, and every key
+    shares one prefix tree of observer states (see :func:`_ledgers`): an
+    observer's state after receiving its own setting and outcome is the same
+    whatever the far wing did.  So the cost grows with the distinct received
+    prefixes per observer, not with the number of (settings, outcome cell) keys.
     """
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
     preset_pair = config.preset_pair if config.preset_settings else None
@@ -249,12 +245,12 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
         pair = preset_pair if preset_pair is not None else pairs[(lo // n) % len(pairs)]
         words = _block_words(config.seed, lo, min(n, config.traced_trials - lo))[:, _SLOT_OUTCOME]
         cells = _cells(words, pair_bounds[pair], np.zeros(len(words), dtype=np.uint8))
-        for k, cell in enumerate(cells.tolist(), lo):
+        for cell in cells.tolist():
             key = (*pair, cell)
             if key not in histories:
-                histories[key] = _ledgers(config, behavior, *key, memo)
-            record = TrialRecord(k, *pair, *CELL_OUTCOMES[cell])
-            traces.append(TrialTrace(record, histories[key], behavior, config.preset_settings))
+                pooled = _ledgers(config, behavior, *key, memo)
+                histories[key] = TrialTrace(*pair, *CELL_OUTCOMES[cell], pooled, behavior, config.preset_settings)
+            traces.append(histories[key])
     return traces
 
 

@@ -8,7 +8,6 @@ from bellsim import (
     Behavior,
     LhvModel,
     TaggedJoint,
-    TrialRecord,
     TrialTrace,
     Variable,
     build_model,
@@ -81,6 +80,11 @@ def trial(config, behavior, k):
     return trace_trials(replace(config, traced_trials=k + 1), behavior)[k]
 
 
+def trial_records(traces) -> list:
+    """Each trace's ``(trial, θa, θb, ±a, ±b)``: its list position, settings and outcomes."""
+    return [(k, t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) for k, t in enumerate(traces)]
+
+
 def traces_by_run_trial(config):
     """The reference for ``harness.trace_trials``: each traced trial built on its own.
 
@@ -103,8 +107,7 @@ def traces_by_run_trial(config):
             (bounds,) = harness._word_bounds(behavior.slice(*pair))
             cell = int(harness._cells(word, bounds, np.zeros(1, dtype=np.uint8))[0])
         pooled = harness._ledgers(config, behavior, *pair, cell, {})
-        record = TrialRecord(k, *pair, *harness.CELL_OUTCOMES[cell])
-        traces.append(TrialTrace(record, pooled, behavior, config.preset_settings))
+        traces.append(TrialTrace(*pair, *harness.CELL_OUTCOMES[cell], pooled, behavior, config.preset_settings))
     return traces
 
 

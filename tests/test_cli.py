@@ -246,15 +246,14 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def _trace_document(trace, schedule) -> dict:
-    """One trace's ``trace.json`` document, built whole: the reference for ``cli._write_trace``."""
-    r = trace.record
+def _trace_document(k, trace, schedule) -> dict:
+    """Trial ``k``'s ``trace.json`` document, built whole: the reference for ``cli._write_trace``."""
     return {
-        "trial": r.trial,
+        "trial": k,
         "data": cli._data_block(trace),
         "events": [
             cli._event_entry(e, schedule)
-            for e in schedule.trial_events(r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+            for e in schedule.trial_events(trace.theta_a, trace.theta_b, trace.outcome_a, trace.outcome_b)
         ],
         "stages": {
             s.observer: [
@@ -272,7 +271,7 @@ def test_trace_json_is_every_trial_document_dumped(tmp_path, name):
     code, out = run_cli(tmp_path, doc)
     assert code == EXIT_OK
     config = parse_config(json.dumps(doc))
-    documents = [_trace_document(t, config.schedule) for t in traces_by_run_trial(config)]
+    documents = [_trace_document(k, t, config.schedule) for k, t in enumerate(traces_by_run_trial(config))]
     want = json.dumps(documents, indent=2, ensure_ascii=False) + "\n"
     assert (out / "trace.json").read_bytes() == want.encode("utf-8")
 
@@ -693,6 +692,26 @@ def test_custom_behavior_file_with_undecodable_bytes_is_a_config_error(tmp_path,
     assert code == EXIT_CONFIG
     assert len(lines) == 1 and lines[0].startswith("config error at behavior_file: not valid UTF-8")
     assert "Traceback" not in lines[0]
+    assert not out.exists()
+
+
+def test_behavior_file_field_past_the_csv_limit_is_a_config_error(tmp_path, capsys):
+    # the csv module refuses a field of more than 131072 characters with csv.Error
+    table = tmp_path / "behavior.csv"
+    table.write_text(behavior_to_csv(pr_box()) + "1" * 140000 + ",0,1,1,0\n", encoding="utf-8")
+    code, out = run_cli(tmp_path, {"model": "custom", "behavior_file": str(table), "trials_per_pair": 10})
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(lines) == 1 and lines[0].startswith("config error at behavior_file: field larger than field limit")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["a\u0000b", "\ud800"], ids=["nul-byte", "lone-surrogate"])
+def test_behavior_file_path_that_names_no_file_is_a_config_error(tmp_path, capsys, path):
+    code, out = run_cli(tmp_path, {"model": "custom", "behavior_file": path, "trials_per_pair": 10})
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(lines) == 1 and lines[0].startswith("config error at behavior_file: ")
     assert not out.exists()
 
 

@@ -40,7 +40,7 @@ from bellsim import (
 from bellsim import harness
 from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _block_words, _cells, _word_bounds
 from bellsim.models import Behavior
-from conftest import TRACED_CONFIGS, random_behavior, traces_by_run_trial, trial
+from conftest import TRACED_CONFIGS, random_behavior, trial, trial_records, traces_by_run_trial
 
 ZERO = Angle.of(0)
 HALF = Angle.of(1, 2)
@@ -79,9 +79,9 @@ def test_block_uniforms_slice_the_batch():
 def test_trial_is_deterministic():
     b = optimal_behavior()
     cfg = ExperimentConfig(trials_per_pair=5, seed=3, schedule=build_schedule(), traced_trials=20)
-    records = [t.record for t in trace_trials(cfg, b)]
-    assert records == [t.record for t in trace_trials(cfg, b)]
-    assert records != [t.record for t in trace_trials(dataclasses.replace(cfg, seed=4), b)]
+    records = trial_records(trace_trials(cfg, b))
+    assert records == trial_records(trace_trials(cfg, b))
+    assert records != trial_records(trace_trials(dataclasses.replace(cfg, seed=4), b))
 
 
 # -- trace_trials ------------------------------------------------------------------
@@ -92,16 +92,16 @@ def test_equal_angles_always_anticorrelated():
     b = singlet_behavior((ZERO, HALF), (ZERO, HALF))
     traces = trace_trials(ExperimentConfig(trials_per_pair=50, seed=11, traced_trials=50), b)
     for t in traces:
-        assert (t.record.theta_a, t.record.theta_b) == (ZERO, ZERO)
-        assert t.record.outcome_a == -t.record.outcome_b
+        assert (t.theta_a, t.theta_b) == (ZERO, ZERO)
+        assert t.outcome_a == -t.outcome_b
 
 
 def test_box_at_both_ones_always_anticorrelated():
     # (1, 1) is the last of the four pair blocks
     traces = trace_trials(ExperimentConfig(trials_per_pair=50, seed=11, traced_trials=200), pr_box())
     for t in traces[150:]:
-        assert (t.record.theta_a, t.record.theta_b) == (1, 1)
-        assert t.record.outcome_a == -t.record.outcome_b
+        assert (t.theta_a, t.theta_b) == (1, 1)
+        assert t.outcome_a == -t.outcome_b
 
 
 def test_trial_data_extraction_matches_sampled_values():
@@ -109,10 +109,10 @@ def test_trial_data_extraction_matches_sampled_values():
     schedule = build_schedule()
     for t in trace_trials(ExperimentConfig(trials_per_pair=1, seed=2, schedule=schedule, traced_trials=20), b):
         assert t.pooled.data == {
-            "±a": t.record.outcome_a,
-            "θa": t.record.theta_a,
-            "±b": t.record.outcome_b,
-            "θb": t.record.theta_b,
+            "±a": t.outcome_a,
+            "θa": t.theta_a,
+            "±b": t.outcome_b,
+            "θb": t.theta_b,
         }
 
 
@@ -134,10 +134,10 @@ def test_shared_histories_equal_a_run_trial_per_trial(name):
     got = trace_trials(config, build_model(config))
     want = traces_by_run_trial(config)
     assert len(got) == len(want) == config.traced_trials
-    keys = {(t.record.theta_a, t.record.theta_b, t.record.outcome_a, t.record.outcome_b) for t in want}
+    keys = {(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) for t in want}
     assert len(keys) < len(want)  # some histories really are shared
+    assert trial_records(got) == trial_records(want)
     for g, w in zip(got, want):
-        assert g.record == w.record
         assert g.preset == w.preset
         assert g.pooled.data == w.pooled.data
         assert _same_ledger(g.pooled.ledger, w.pooled.ledger)
@@ -145,6 +145,33 @@ def test_shared_histories_equal_a_run_trial_per_trial(name):
             gl, wl = gs.stage_ledgers(), ws.stage_ledgers()
             assert list(gl) == list(wl)
             assert all(_same_ledger(gl[stage], wl[stage]) for stage in wl)
+
+
+def test_trials_with_one_key_are_one_trace():
+    # a traced trial is its position in the list plus its (settings, outcome cell) history
+    config = ExperimentConfig(traced_trials=2**14)
+    traces = trace_trials(config, build_model(config))
+    keys = {(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) for t in traces}
+    assert len(traces) == 2**14
+    assert len({id(t) for t in traces}) == len(keys) <= 16
+
+
+def _trace_peak(config, behavior) -> int:
+    tracemalloc.start()
+    try:
+        trace_trials(config, behavior)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_memory_grows_by_a_reference_per_traced_trial():
+    small, large = (ExperimentConfig(traced_trials=n) for n in (2**10, 2**14))
+    behavior = build_model(large)
+    trace_trials(small, behavior)  # warm caches that are built once per process
+    small_peak, large_peak = (_trace_peak(c, behavior) for c in (small, large))
+    # a new object per trial would take about 200 bytes each, over 3 MB for 15 * 2^10 more trials
+    assert large_peak < small_peak + 2**20
 
 
 @pytest.mark.parametrize("name", ["spread-widths", "preset", "moved-wings"])
@@ -166,14 +193,13 @@ def test_ledgers_run_once_per_received_prefix(monkeypatch, name):
     # records alone; the root is the preset pair, or None without preset settings
     schedule, roots, nodes = config.schedule, set(), set()
     for t in traces:
-        r = t.record
-        root = (r.theta_a, r.theta_b) if config.preset_settings else None
+        root = (t.theta_a, t.theta_b) if config.preset_settings else None
         roots.add(root)
-        events = schedule.trial_events(r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+        events = schedule.trial_events(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
         for observer in ("A", "B"):
             received = [e.payload.propositions() for e in schedule.events_for(observer, events)]
             nodes.update((observer, root, tuple(received[:i])) for i in range(1, len(received) + 1))
-    keys = {(t.record.theta_a, t.record.theta_b, t.record.outcome_a, t.record.outcome_b) for t in traces}
+    keys = {(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) for t in traces}
     assert len(nodes) < 8 * len(keys)  # not vacuous: the keys share received prefixes
     assert calls["receive"] == len(nodes)
     assert calls["init_beliefs"] == len(roots)
@@ -185,8 +211,7 @@ def test_each_observer_received_exactly_its_own_trial_events(name):
     config = parse_config(json.dumps(TRACED_CONFIGS[name]))
     schedule = config.schedule
     for t in trace_trials(config, build_model(config)):
-        r = t.record
-        events = schedule.trial_events(r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+        events = schedule.trial_events(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
         for state in (t.observer_a, t.observer_b):
             assert list(state.received) == list(schedule.events_for(state.observer, events))
 
@@ -200,16 +225,15 @@ def test_ledgers_before_communication_depend_only_on_local_data(name):
     local = {}
     histories = {}
     for t in trace_trials(config, build_model(config)):
-        r = t.record
-        for state, own in ((t.observer_a, (r.theta_a, r.outcome_a)), (t.observer_b, (r.theta_b, r.outcome_b))):
-            key = (state.observer, *own, (r.theta_a, r.theta_b) if config.preset_settings else None)
+        for state, own in ((t.observer_a, (t.theta_a, t.outcome_a)), (t.observer_b, (t.theta_b, t.outcome_b))):
+            key = (state.observer, *own, (t.theta_a, t.theta_b) if config.preset_settings else None)
             ledgers = state.stage_ledgers()
             seen = tuple(
                 (ledgers[s].render(), ledgers[s].array.tobytes())
                 for s in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION)
             )
             assert local.setdefault(key, seen) == seen
-            histories.setdefault(key, set()).add((r.theta_a, r.theta_b, r.outcome_a, r.outcome_b))
+            histories.setdefault(key, set()).add((t.theta_a, t.theta_b, t.outcome_a, t.outcome_b))
     # not vacuous: some key is reached by more than one (setting pair, outcome cell)
     assert max(len(h) for h in histories.values()) >= 2
 
@@ -340,7 +364,7 @@ def test_chunk_boundaries_do_not_change_any_draw():
         t = traces[k]
         fields = rows[k + 1].split(",")
         assert fields[0] == str(k)
-        assert (int(fields[3]), int(fields[4])) == (t.record.outcome_a, t.record.outcome_b)
+        assert (int(fields[3]), int(fields[4])) == (t.outcome_a, t.outcome_b)
 
 
 @pytest.mark.parametrize("behavior", [optimal_behavior(), pr_box()], ids=["singlet", "pr-box"])

@@ -35,10 +35,10 @@ def _uncertainty(n, k, width):
     return None if w.max() >= 1.0 - 1e-12 else w
 
 
-def _expected_ledgers(config, behavior, record, observer):
+def _expected_ledgers(config, behavior, trace, observer):
     """Stage label -> (free names, array, conditioners) for one observer of one trial."""
     domains = {"±a": OUTCOMES, "θa": behavior.grid_a, "±b": OUTCOMES, "θb": behavior.grid_b}
-    values = {"±a": record.outcome_a, "θa": record.theta_a, "±b": record.outcome_b, "θb": record.theta_b}
+    values = {"±a": trace.outcome_a, "θa": trace.theta_a, "±b": trace.outcome_b, "θb": trace.theta_b}
     index = {n: domains[n].index(values[n]) for n in AXES}
     nx, ny = len(behavior.grid_a), len(behavior.grid_b)
 
@@ -118,13 +118,12 @@ def test_every_stage_ledger_matches_the_plain_numpy_oracle(name):
     behavior = build_model(config)
     seen = set()
     for trace in trace_trials(config, behavior):
-        r = trace.record
-        key = (r.theta_a, r.theta_b, r.outcome_a, r.outcome_b)
+        key = (trace.theta_a, trace.theta_b, trace.outcome_a, trace.outcome_b)
         if key in seen:
             continue
         seen.add(key)
         for state in (trace.observer_a, trace.observer_b):
-            initial, expected = _expected_ledgers(config, behavior, r, state.observer)
+            initial, expected = _expected_ledgers(config, behavior, trace, state.observer)
             _assert_matches(state.initial_ledger, initial, (key, state.observer, "initial"))
             got = {stage.value: ledger for stage, ledger in state.stage_ledgers().items()}
             assert sorted(got) == sorted(expected), (key, state.observer)

@@ -260,9 +260,9 @@ def test_run_with_peaked_setting_uncertainty():
     assert "θa" in sa.uncertain
     # the bump is centered on the true setting, so the extracted point
     # estimate recovers it
-    assert trace.pooled.data["θa"] == trace.record.theta_a
+    assert trace.pooled.data["θa"] == trace.theta_a
     marg = keep_only(sa.stage_ledgers()[Stage.SETTING], ("θa",))
-    assert int(np.argmax(marg.array)) == grid.index(trace.record.theta_a)
+    assert int(np.argmax(marg.array)) == grid.index(trace.theta_a)
 
 
 def test_preset_run_equality_pattern():
@@ -311,8 +311,8 @@ def test_pool_never_violates_realism_on_model_sampled_runs():
     b = shared_grid_behavior()
     schedule = build_schedule()
     for t in trace_trials(ExperimentConfig(trials_per_pair=1, seed=123, schedule=schedule, traced_trials=100), b):
-        assert t.pooled.data["±a"] == t.record.outcome_a
-        assert t.pooled.data["±b"] == t.record.outcome_b
+        assert t.pooled.data["±a"] == t.outcome_a
+        assert t.pooled.data["±b"] == t.outcome_b
 
 
 def test_pool_tolerates_unresolved_setting_on_colliding_grids():
@@ -395,17 +395,16 @@ def test_retrodiction_with_unresolved_setting_is_a_mixture():
     schedule = build_schedule()
     # trial 1, one per pair block, is at (ZERO, HALF)
     trace = trial(ExperimentConfig(trials_per_pair=1, seed=9, schedule=schedule, unresolved_local_setting=True), b, 1)
-    assert (trace.record.theta_a, trace.record.theta_b) == (ZERO, HALF)
+    assert (trace.theta_a, trace.theta_b) == (ZERO, HALF)
     table = retrodict(trace.observer_a, "±a", Stage.SETTING)
     # oracle: weight each candidate own-setting by its posterior after seeing
     # the far data, then mix the outcome likelihoods
-    rec = trace.record
     w = []
     lik = []
     for x in b.grid_a:
-        p_far = b.prob(x, rec.theta_b, 1, rec.outcome_b) + b.prob(x, rec.theta_b, -1, rec.outcome_b)
+        p_far = b.prob(x, trace.theta_b, 1, trace.outcome_b) + b.prob(x, trace.theta_b, -1, trace.outcome_b)
         w.append(0.5 * p_far)
-        lik.append(b.prob(x, rec.theta_b, 1, rec.outcome_b) / p_far)
+        lik.append(b.prob(x, trace.theta_b, 1, trace.outcome_b) / p_far)
     w = np.array(w) / sum(w)
     expected = float(np.dot(w, lik))
     assert table.prob({"±a": 1}) == pytest.approx(expected, abs=TOL)

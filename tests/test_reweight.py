@@ -188,7 +188,7 @@ def test_one_traced_run_builds_each_uncertainty_once_and_never_composes():
         sys.setprofile(None)
 
     assert len(traces) == 48
-    assert len({(t.record.theta_a, t.record.theta_b) for t in traces}) == 6
+    assert len({(t.theta_a, t.theta_b) for t in traces}) == 6
     assert built and len(built) == len(set(built))
     assert {name for name, _ in built} == set(CANONICAL)
     assert composed_calls == []

@@ -20,7 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from .angles import Angle, setting_text
-from .config import ExperimentConfig, build_model, decode_text, parse_config
+from .config import INPUT_LIMIT, ExperimentConfig, build_model, decode_text, parse_config
 from .errors import ConfigError, SimulationError, UnsupportedScenarioError
 from .harness import (
     ChshEstimate,
@@ -312,7 +312,8 @@ def main(argv=None) -> int:
     )
 
     try:
-        data = Path(args.config).read_bytes()
+        with open(args.config, "rb") as fh:
+            data = fh.read(INPUT_LIMIT + 1)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

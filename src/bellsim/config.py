@@ -56,11 +56,19 @@ class ExperimentConfig:
     behavior_file: str | None = None
 
 
+#: Bytes read at most from the config file or a behavior file, each read as
+#: ``read(INPUT_LIMIT + 1)`` so that an endless file is never read whole.
+INPUT_LIMIT = 1 << 26
+
+
 def decode_text(data: bytes, path: str) -> str:
     """``data`` as UTF-8 text with universal newlines, as a text-mode read gives it.
 
-    Bytes that do not decode are a config error at ``path``.
+    Bytes that do not decode, or more than :data:`INPUT_LIMIT` of them, are a
+    config error at ``path``.
     """
+    if len(data) > INPUT_LIMIT:
+        raise ConfigError([(path, f"file is larger than {INPUT_LIMIT} bytes")])
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -81,7 +89,7 @@ def build_model(config: ExperimentConfig) -> Behavior:
         # and csv raises csv.Error for a field past its size limit
         try:
             with open(config.behavior_file, "rb") as fh:
-                behavior = behavior_from_csv(decode_text(fh.read(), "behavior_file"))
+                behavior = behavior_from_csv(decode_text(fh.read(INPUT_LIMIT + 1), "behavior_file"))
         except (ValueError, MissingDataError, csv.Error) as exc:
             raise ConfigError([("behavior_file", str(exc))]) from exc
         errors = _grid_errors(config.chsh, config.preset_pair, behavior.grid_a, behavior.grid_b)

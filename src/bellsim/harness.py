@@ -490,7 +490,8 @@ def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
 
     Everything after the trial number is fixed by the pair block and the
     cell (the reception times by ``schedule``), so each pair's four row tails
-    are rendered once.
+    are rendered once, and each chunk of :data:`CHUNK` rows is one ``%`` format
+    of its trial numbers and its cells' tails, which stay ``%s`` arguments.
     """
     if not dataset.records.size:
         raise MissingDataError("dataset was sampled without records; nothing to export")
@@ -502,8 +503,11 @@ def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
         csv.writer(line, lineterminator="\n").writerows(
             [setting_text(x), setting_text(y), a, b, *times] for a, b in CELL_OUTCOMES
         )
-        tails = line.getvalue().splitlines(keepends=True)
+        tails = np.array(line.getvalue().splitlines(keepends=True), dtype=object)
         start, end = end, end + n
         for lo in range(start, end, CHUNK):
-            cells = dataset.records[lo : min(lo + CHUNK, end)].tolist()
-            out.write("".join([f"{k},{tails[c]}" for k, c in enumerate(cells, lo)]))
+            cells = dataset.records[lo : min(lo + CHUNK, end)]
+            row = [None] * (2 * len(cells))
+            row[::2] = range(lo, lo + len(cells))
+            row[1::2] = tails[cells].tolist()
+            out.write(("%d,%s" * len(cells)) % tuple(row))

@@ -715,6 +715,39 @@ def test_behavior_file_path_that_names_no_file_is_a_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+def _sparse_file_past_the_limit(path) -> str:
+    # INPUT_LIMIT + 1 zero bytes as one hole, so the file takes no disk space
+    path.touch()
+    os.truncate(path, config_module.INPUT_LIMIT + 1)
+    return str(path)
+
+
+#: An endless file: without a bound its read grows until memory runs out.
+DEV_ZERO = pytest.param(
+    "/dev/zero", id="dev-zero", marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+)
+
+
+@pytest.mark.parametrize("source", [pytest.param(None, id="sparse"), DEV_ZERO])
+def test_config_past_the_input_limit_is_a_config_error_at_the_root(tmp_path, capsys, source):
+    path = source or _sparse_file_past_the_limit(tmp_path / "run.json")
+    code = main([path, "-o", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert lines == [f"config error at <root>: file is larger than {config_module.INPUT_LIMIT} bytes"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", [pytest.param(None, id="sparse"), DEV_ZERO])
+def test_behavior_file_past_the_input_limit_is_a_config_error(tmp_path, capsys, source):
+    table = source or _sparse_file_past_the_limit(tmp_path / "behavior.csv")
+    code, out = run_cli(tmp_path, {"model": "custom", "behavior_file": table, "trials_per_pair": 10})
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert lines == [f"config error at behavior_file: file is larger than {config_module.INPUT_LIMIT} bytes"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_behavior_file_line_endings_read_as_in_text_mode(tmp_path, newline):
     # a behavior file decoded from its bytes keeps the universal newlines of a text-mode read

@@ -1,5 +1,6 @@
 """Sampling, estimation, and classification against statistical oracles."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -38,8 +39,9 @@ from bellsim import (
     trace_trials,
 )
 from bellsim import harness
+from bellsim.angles import setting_text
 from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _block_words, _cells, _word_bounds
-from bellsim.models import Behavior
+from bellsim.models import OUTCOMES, Behavior, behavior_to_csv
 from conftest import TRACED_CONFIGS, random_behavior, trial, trial_records, traces_by_run_trial
 
 ZERO = Angle.of(0)
@@ -666,3 +668,64 @@ def test_dataset_csv_shape_and_header():
     assert lines[0].startswith("trial,x,y,a,b,")
     assert len(lines) == 1 + ds.total_trials
     assert lines[1].split(",")[0] == "0"
+
+
+def _dataset_csv_oracle(dataset, schedule) -> str:
+    """``dataset.csv`` rebuilt row by row with ``csv.writer`` from the records alone."""
+    at_a, at_b = schedule.data_reception_times("A"), schedule.data_reception_times("B")
+    times = [at_a["θa"], at_a["±a"], at_a["θb"], at_b["θb"], at_b["±b"], at_b["θa"]]
+    pairs = [(x, y) for x in dataset.grid_a for y in dataset.grid_b]
+    pair_of = [p for p, n in zip(pairs, dataset.n_per_pair.ravel().tolist()) for _ in range(n)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["trial", "x", "y", "a", "b", "t_setting_A", "t_outcome_A", "t_reports_A",
+                     "t_setting_B", "t_outcome_B", "t_reports_B"])
+    for k, cell in enumerate(dataset.records.tolist()):
+        (x, y), a, b = pair_of[k], OUTCOMES[cell // 2], OUTCOMES[cell % 2]
+        writer.writerow([k, setting_text(x), setting_text(y), a, b, *times])
+    return out.getvalue()
+
+
+def _custom_config(tmp_path) -> ExperimentConfig:
+    # integer setting labels, read back from a behavior file
+    table = tmp_path / "behavior.csv"
+    table.write_text(behavior_to_csv(random_behavior(np.random.default_rng(37), 3, 2)), encoding="utf-8")
+    return parse_config(json.dumps({
+        "model": "custom", "behavior_file": str(table), "trials_per_pair": 1000, "seed": 41,
+        "chsh": {"x0": "0", "x1": "2", "y0": "0", "y1": "1"},
+    }))
+
+
+@pytest.mark.parametrize("make", [
+    # every pair block ends in a partial chunk
+    lambda tmp_path: ExperimentConfig(trials_per_pair=CHUNK + 3, seed=43),
+    _custom_config,
+], ids=["singlet-chunk-plus-3", "custom-integer-labels"])
+def test_dataset_csv_is_every_row_written_by_csv_writer(tmp_path, make):
+    cfg = make(tmp_path)
+    ds = experiment(cfg)
+    out = io.StringIO()
+    dataset_to_csv(ds, cfg.schedule, out)
+    # equal lines are equal text, and a failure names the first differing row without a slow text diff
+    assert out.getvalue().split("\n") == _dataset_csv_oracle(ds, cfg.schedule).split("\n")
+
+
+def _csv_write_peak(dataset, schedule) -> int:
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            dataset_to_csv(dataset, schedule, sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_trials():
+    # one setting pair, so the rows are CHUNK against 4 * CHUNK
+    behavior = Behavior((0,), (0,), np.full((1, 1, 2, 2), 0.25))
+    small, large = (run_experiment(config(trials_per_pair=n, seed=47), behavior) for n in (CHUNK, 4 * CHUNK))
+    schedule = build_schedule()
+    dataset_to_csv(small, schedule, io.StringIO())  # warm caches that are built once per process
+    small_peak, large_peak = (_csv_write_peak(d, schedule) for d in (small, large))
+    # building the whole text would hold about 9 MB more for 3 * 2^16 more rows
+    assert large_peak < small_peak + 2**20

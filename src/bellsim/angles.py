@@ -10,28 +10,38 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import total_ordering
 
 _ANGLE_RE = re.compile(r"^(-?)(\d+)?(?:pi|π)(?:/(\d+))?$")
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Angle:
-    """An angle equal to ``fraction * pi`` radians."""
+    """``value / denominator`` of pi radians, for an int ``value`` or any with ``numerator`` and ``denominator``.
 
-    fraction: Fraction
+    The pair is kept in lowest terms with a positive denominator, as a
+    ``Fraction`` keeps it, so equal angles have equal pairs.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, value, denominator: int = 1):
+        n, d = value.numerator, value.denominator * denominator
+        if not d:
+            raise ZeroDivisionError(f"Angle({n}, 0)")
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+        self.numerator, self.denominator = n // g, d // g
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "Angle":
-        return cls(Fraction(numerator, denominator))
+        return cls(numerator, denominator)
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
         """Parse ``"0"``, ``"pi/4"``, ``"-pi/4"``, ``"3pi/4"``, ``"2pi"`` etc."""
         s = text.strip().replace(" ", "")
         if s in ("0", "-0"):
-            return cls(Fraction(0))
+            return cls(0)
         m = _ANGLE_RE.match(s)
         if not m:
             raise ValueError(f"not an angle: {text!r} (expected e.g. '0', 'pi/4', '-3pi/4')")
@@ -40,28 +50,41 @@ class Angle:
         den = int(m.group(3)) if m.group(3) else 1
         if den == 0:
             raise ValueError(f"not an angle: {text!r} (zero denominator)")
-        return cls(Fraction(sign * num, den))
+        return cls(sign * num, den)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Angle:
+            return NotImplemented
+        return self.numerator == other.numerator and self.denominator == other.denominator
+
+    def __lt__(self, other) -> bool:
+        if type(other) is not Angle:
+            return NotImplemented
+        return self.numerator * other.denominator < other.numerator * self.denominator
 
     def __hash__(self) -> int:
-        # Fraction.__hash__ takes a modular inverse on every call; a Fraction
-        # is kept in lowest terms, so equal angles have equal (n, d) pairs.
-        return hash((self.fraction.numerator, self.fraction.denominator))
+        return hash((self.numerator, self.denominator))
 
     @property
     def radians(self) -> float:
-        return float(self.fraction) * math.pi
+        # int / int is correctly rounded, as float(Fraction(n, d)) is
+        return self.numerator / self.denominator * math.pi
 
     def __sub__(self, other: "Angle") -> "Angle":
-        return Angle(self.fraction - other.fraction)
+        return self + -other
 
     def __add__(self, other: "Angle") -> "Angle":
-        return Angle(self.fraction + other.fraction)
+        n, d = self.numerator, self.denominator
+        return Angle(n * other.denominator + other.numerator * d, d * other.denominator)
 
     def __neg__(self) -> "Angle":
-        return Angle(-self.fraction)
+        return Angle(-self.numerator, self.denominator)
+
+    def __repr__(self) -> str:
+        return f"Angle({self.numerator}, {self.denominator})"
 
     def __str__(self) -> str:
-        n, d = self.fraction.numerator, self.fraction.denominator
+        n, d = self.numerator, self.denominator
         if n == 0:
             return "0"
         sign = "-" if n < 0 else ""
@@ -82,7 +105,7 @@ def setting_text(value) -> str:
     label ``0`` on the way back in.
     """
     if isinstance(value, Angle):
-        return "0pi" if value.fraction == 0 else str(value)
+        return "0pi" if value.numerator == 0 else str(value)
     return str(int(value))
 
 

@@ -30,11 +30,9 @@ import io
 import itertools
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -73,6 +71,9 @@ CHUNK = 1 << 16
 #: Sampling tasks submitted per worker at a time.
 TASKS_PER_WORKER = 4
 
+#: The thread pool class, imported by the first run that samples with more than one worker.
+ThreadPoolExecutor = None
+
 
 def _block_words(master_seed: int, start_trial: int, count: int) -> np.ndarray:
     """Rows ``start_trial .. start_trial+count-1`` of the per-trial raw ``uint64`` words."""
@@ -102,8 +103,7 @@ def _cells(words: np.ndarray, bounds: list, out: np.ndarray) -> np.ndarray:
 # records and datasets
 
 
-@dataclass(frozen=True)
-class TrialTrace:
+class TrialTrace(NamedTuple):
     """A traced trial's settings and outcomes, both observers' pooled histories, and its behavior.
 
     All of it is fixed by the setting pair and the outcome cell, so trials
@@ -286,9 +286,12 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
         past = [count, *(reached[b] for b in bounds), *[0] * (4 - len(bounds))]
         return np.subtract(past[:-1], past[1:])
 
+    global ThreadPoolExecutor
     counts = np.zeros((nx * ny, 4), dtype=np.int64)
     workers = min(config.workers, os.cpu_count() or 1)
-    # one worker samples in the calling thread; only more than one pays for a pool
+    # one worker samples in the calling thread; only more than one pays for a pool, or imports it
+    if workers > 1 and ThreadPoolExecutor is None:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool_:
         mapper = pool_.map if pool_ else map
         # a few tasks per worker at a time, so memory does not grow with the number of chunks
@@ -313,8 +316,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
 # estimation
 
 
-@dataclass(frozen=True)
-class EstimatedBehavior:
+class EstimatedBehavior(NamedTuple):
     """Frequency estimate of a behavior with per-cell standard errors."""
 
     behavior: Behavior
@@ -336,8 +338,7 @@ def estimate_behavior(dataset: Dataset) -> EstimatedBehavior:
     return EstimatedBehavior(Behavior(dataset.grid_a, dataset.grid_b, phat), stderr)
 
 
-@dataclass(frozen=True)
-class ChshEstimate:
+class ChshEstimate(NamedTuple):
     value: float
     stderr: float
     correlators: tuple  # (x, y, estimate, stderr) per chosen pair
@@ -377,8 +378,7 @@ class ViolationClass(Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     stage: Stage
     observer: str
     s_value: float | None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,13 @@ FACET_TOL = 1e-9
 CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
 
+def _grid_index(grid: tuple, setting) -> int:
+    try:
+        return grid.index(setting)
+    except ValueError:
+        raise ValueError(f"setting {setting!r} not in grid {grid}") from None
+
+
 class Behavior:
     """``p(a, b | x, y)`` stored as an array indexed ``[x, y, a, b]``."""
 
@@ -40,21 +47,9 @@ class Behavior:
         self.grid_b = tuple(grid_b)
         self.table = distribution(table, (len(self.grid_a), len(self.grid_b), 2, 2), (2, 3))
 
-    def x_index(self, x) -> int:
-        try:
-            return self.grid_a.index(x)
-        except ValueError:
-            raise ValueError(f"setting {x!r} not in grid {self.grid_a}") from None
-
-    def y_index(self, y) -> int:
-        try:
-            return self.grid_b.index(y)
-        except ValueError:
-            raise ValueError(f"setting {y!r} not in grid {self.grid_b}") from None
-
     def slice(self, x, y) -> np.ndarray:
         """2x2 outcome table at a setting pair, rows a, columns b."""
-        return self.table[self.x_index(x), self.y_index(y)]
+        return self.table[_grid_index(self.grid_a, x), _grid_index(self.grid_b, y)]
 
     def prob(self, x, y, a, b) -> float:
         return float(self.slice(x, y)[OUTCOMES.index(a), OUTCOMES.index(b)])
@@ -63,8 +58,7 @@ class Behavior:
         return tuple(itertools.product(self.grid_a, self.grid_b))
 
 
-@dataclass(frozen=True)
-class LhvModel:
+class LhvModel(NamedTuple):
     """Hidden-variable mixture: prior over a finite cause, per-wing responses.
 
     ``response_a[x, lam, a]`` is ``p(a | x, lam)`` and likewise for b; the
@@ -89,8 +83,7 @@ class LhvModel:
         return tuple(map(self.table, self.TABLES))
 
 
-@dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(NamedTuple):
     """The four setting pairs entering the signed sum, signs (+, +, +, -).
 
     The single negative sign sits on the (x1, y1) term.
@@ -101,16 +94,14 @@ class ChshSettings:
     y0: object
     y1: object
 
+    signs = CHSH_SIGNS  # not a field: the terms' signs, in the order of pairs()
+
     def pairs(self):
         return ((self.x0, self.y0), (self.x1, self.y0), (self.x0, self.y1), (self.x1, self.y1))
 
     def grids(self):
         """The two-setting grids ``((x0, x1), (y0, y1))`` these settings span."""
         return (self.x0, self.x1), (self.y0, self.y1)
-
-    @property
-    def signs(self):
-        return CHSH_SIGNS
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +211,7 @@ def chsh_expectation(behavior: Behavior, settings: ChshSettings, prior=None) -> 
     return chsh_sum([correlator(behavior, x, y) for x, y in settings.pairs()], weights)
 
 
-@dataclass(frozen=True)
-class NoSignalingReport:
+class NoSignalingReport(NamedTuple):
     max_deviation: float
     marginal_setting_independent: bool
     worst: str
@@ -261,8 +251,7 @@ def check_no_signaling(behavior: Behavior) -> NoSignalingReport:
     return NoSignalingReport(max_dev, max_dev <= TOL, worst if max_dev > TOL else "none", TOL)
 
 
-@dataclass(frozen=True)
-class FactorizabilityReport:
+class FactorizabilityReport(NamedTuple):
     is_local: bool
     max_facet: float
     worst_signs: tuple
@@ -305,7 +294,7 @@ def marginal_after_setting_average(behavior: Behavior, x, far_prior) -> np.ndarr
     invariance.
     """
     weights = distribution(far_prior, (len(behavior.grid_b),))
-    pa = behavior.table[behavior.x_index(x)].sum(axis=2)  # [y, a]
+    pa = behavior.table[_grid_index(behavior.grid_a, x)].sum(axis=2)  # [y, a]
     return np.einsum("y,ya->a", weights, pa)
 
 

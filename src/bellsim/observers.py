@@ -15,9 +15,10 @@ measurement-uncertainty factors from which the trial's data point is read.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,9 @@ class Stage(Enum):
 
 
 _STAGE_ORDER = {s: i for i, s in enumerate(Stage)}
+#: The stage a reception moves the observer's clock to, by payload type.
+_PAYLOAD_STAGE = {StatePreparation: Stage.INITIAL, SettingChoice: Stage.SETTING, Detection: Stage.DETECTION,
+                  Message: Stage.COMMUNICATION}
 
 
 #: The factual conditioners every ledger carries: the shared prepared state and the stage label.
@@ -69,30 +73,18 @@ _PREPARED = Conditioner(Variable.singleton(PREPARED_SYMBOL), PREPARED_SYMBOL, Mo
 _AT_STAGE = {s: Conditioner(Variable.singleton(s.value), s.value, Modality.FACTUAL) for s in Stage}
 
 
-def _payload_stage(payload) -> Stage:
-    if isinstance(payload, StatePreparation):
-        return Stage.INITIAL
-    if isinstance(payload, SettingChoice):
-        return Stage.SETTING
-    if isinstance(payload, Detection):
-        return Stage.DETECTION
-    if isinstance(payload, Message):
-        return Stage.COMMUNICATION
-    raise TypeError(f"unknown payload {payload!r}")
-
-
-@dataclass(frozen=True)
-class QUncertainty:
+class QUncertainty(namedtuple("QUncertainty", "variable weights")):
     """Measurement-uncertainty distribution over one variable's domain.
 
-    ``array`` holds the checked weights as a read-only array.
+    ``array``, kept in the instance's own dict, holds the checked weights as a read-only array.
     """
 
-    variable: Variable
-    weights: tuple
+    def __new__(cls, variable: Variable, weights: tuple):
+        self = super().__new__(cls, variable, weights)
+        self.array = distribution(weights, (len(variable.domain),))
+        return self
 
-    def __post_init__(self):
-        object.__setattr__(self, "array", distribution(self.weights, (len(self.variable.domain),)))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks again and sets array
 
     @property
     def is_delta(self) -> bool:
@@ -239,7 +231,7 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
     payload = event.payload
     if isinstance(payload, Message) and payload.recipient != state.observer:
         raise ValueError(f"message addressed to {payload.recipient!r} delivered to {state.observer!r}")
-    target_stage = _payload_stage(payload)
+    target_stage = _PAYLOAD_STAGE[type(payload)]
     if _STAGE_ORDER[target_stage] < _STAGE_ORDER[state.stage]:
         raise ValueError(
             f"{state.observer} at stage {state.stage.value} cannot accept a {target_stage.value} event"
@@ -319,8 +311,7 @@ def inquire(state: ObserverState, targets: Iterable, counterfactuals: Iterable =
     return keep_only(d, targets)
 
 
-@dataclass(frozen=True)
-class StageRow:
+class StageRow(NamedTuple):
     stage: Stage
     rendered_a: str
     rendered_b: str
@@ -331,8 +322,7 @@ class StageRow:
         return "y" if self.equal else "n"
 
 
-@dataclass(frozen=True)
-class StageTable:
+class StageTable(NamedTuple):
     rows: tuple
 
     @property
@@ -354,8 +344,6 @@ def stage_table(state_a: ObserverState, state_b: ObserverState) -> StageTable:
             f"incomplete run: observers completed different stages "
             f"({sorted(s.value for s in la)} vs {sorted(s.value for s in lb)})"
         )
-    if not la:
-        raise ValueError("incomplete run: no stages recorded")
     rows = []
     for stage in Stage:
         if stage not in la:
@@ -365,8 +353,7 @@ def stage_table(state_a: ObserverState, state_b: ObserverState) -> StageTable:
     return StageTable(tuple(rows))
 
 
-@dataclass(frozen=True)
-class PooledState:
+class PooledState(NamedTuple):
     """The post-communication union of both observers' information."""
 
     ledger: TaggedJoint

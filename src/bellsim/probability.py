@@ -22,9 +22,9 @@ function, so values may be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,22 +39,23 @@ class Modality(Enum):
     COUNTERFACTUAL = "counterfactual"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(namedtuple("Variable", "name domain")):
     """A named proposition with an ordered finite domain.
 
     The domain order is fixed and meaningful: it is used for deterministic
     tie-breaking in argmax queries and for the fixed cell order of samplers.
     """
 
-    name: str
-    domain: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.domain:
-            raise ValueError(f"variable {self.name!r} needs a non-empty domain")
-        if len(set(self.domain)) != len(self.domain):
-            raise ValueError(f"variable {self.name!r} has duplicate domain values")
+    def __new__(cls, name: str, domain: tuple):
+        if not domain:
+            raise ValueError(f"variable {name!r} needs a non-empty domain")
+        if len(set(domain)) != len(domain):
+            raise ValueError(f"variable {name!r} has duplicate domain values")
+        return super().__new__(cls, name, domain)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks again
 
     def index(self, value) -> int:
         try:
@@ -67,8 +68,7 @@ class Variable:
         return cls(label, (label,))
 
 
-@dataclass(frozen=True)
-class Conditioner:
+class Conditioner(NamedTuple):
     """One conditioning slot: a variable pinned to a value, with its tag."""
 
     variable: Variable
@@ -428,8 +428,7 @@ def bayes_invert(prior: TaggedJoint, likelihood: ConditionalTable, observed,
 # factorization enumeration
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Chain-rule rewrite ``p(B1|B2..Bm) p(B2|B3..Bm) ... p(Bm)``.
 
     Blocks are disjoint groups of free variables; an all-singleton block list

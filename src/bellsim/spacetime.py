@@ -7,9 +7,9 @@ default to c = 1 with positions in light-seconds and times in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
-from typing import Any
+from typing import NamedTuple
 
 from .errors import InvalidScheduleError
 from .probability import TOL
@@ -35,59 +35,62 @@ class IntervalKind(Enum):
 # -- event payloads ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatePreparation:
-    label: str = PREPARED_SYMBOL
+class _Typed:
+    """Tuple-record equality that tells record types apart: ``SettingChoice("A", 1) != Detection("A", 1)``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's would compare fields only
+    __hash__ = tuple.__hash__
+
+
+class StatePreparation(_Typed, namedtuple("StatePreparation", "label", defaults=(PREPARED_SYMBOL,))):
+    __slots__ = ()
 
     def propositions(self):
         return ((self.label, self.label),)
 
 
-@dataclass(frozen=True)
-class SettingChoice:
-    observer: str
-    value: Any
+class SettingChoice(_Typed, namedtuple("SettingChoice", "observer value")):
+    __slots__ = ()
 
     def propositions(self):
         return ((setting_symbol(self.observer), self.value),)
 
 
-@dataclass(frozen=True)
-class Detection:
-    observer: str
-    value: int
+class Detection(_Typed, namedtuple("Detection", "observer value")):
+    __slots__ = ()
 
     def propositions(self):
         return ((outcome_symbol(self.observer), self.value),)
 
 
-@dataclass(frozen=True)
-class Message:
-    sender: str
-    recipient: str
-    body: Any  # a SettingChoice or Detection being reported
+class Message(_Typed, namedtuple("Message", "sender recipient body")):
+    """A report from one wing to the other; ``body`` is the SettingChoice or Detection reported."""
+
+    __slots__ = ()
 
     def propositions(self):
         return self.body.propositions()
 
 
-@dataclass(frozen=True)
-class SpacetimeEvent:
+class SpacetimeEvent(_Typed, namedtuple("SpacetimeEvent", "t x payload speed index")):
     """A lab-frame event whose influence propagates at ``speed`` (<= c)."""
 
-    t: float
-    x: float
-    payload: Any
-    speed: float = 1.0
-    index: int = field(kw_only=True)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.speed > 0.0:
+    def __new__(cls, t: float, x: float, payload, speed: float = 1.0, *, index: int):
+        if not speed > 0.0:
             raise ValueError("emission speed must be positive")
+        return super().__new__(cls, t, x, payload, speed, index)
+
+    _make = classmethod(lambda cls, fields: cls(*(f := tuple(fields))[:4], index=f[4]))  # _replace checks again
 
 
-@dataclass(frozen=True)
-class Worldline:
+class Worldline(NamedTuple):
     """A stationary observer's trajectory: a fixed position."""
 
     observer: str
@@ -123,8 +126,7 @@ def reception_order(worldline: Worldline, events) -> list:
 # -- the experiment's stage schedule ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Validated timing and geometry for one run.
 
     ``t_communication`` is when the exchanged reports have *arrived*; the

@@ -6,10 +6,12 @@ and ``pool`` without a second implementation.
 """
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from bellsim import build_model, parse_config, trace_trials
+from bellsim import ChshSettings, build_model, build_schedule, harness, parse_config, trace_trials
 from bellsim.cli import EXIT_OK, main
 from conftest import TRACED_CONFIGS
 
@@ -84,3 +86,79 @@ def test_translation_moves_the_event_coordinates_and_nothing_else(tmp_path, name
         assert stage_ledgers(moved) == ledgers, (dt, dx)
         trace, moved_trace = (json.loads((d / "trace.json").read_text(encoding="utf-8")) for d in (out, moved_out))
         assert_events_moved(trace, moved_trace, dt, dx)
+
+
+#: The wing swap's renaming: each wing's setting and outcome, and each observer, take the other's name.
+MIRROR = {"θa": "θb", "θb": "θa", "±a": "±b", "±b": "±a", "A": "B", "B": "A"}
+
+
+def wing_swapped(config):
+    """``config`` with the wings exchanged: the grids, the chosen settings, the preset pair and the positions."""
+    c, s = config.chsh, config.schedule
+    schedule = build_schedule(
+        position_a=s.worldline_b.x, position_b=s.worldline_a.x, source_x=s.source_x,
+        t_prepare=s.t_prepare, t_setting=s.t_setting, t_detection=s.t_detection,
+        t_communication=s.t_communication, signal_speed=s.signal_speed, c=s.c,
+    )
+    preset_pair = config.preset_pair[::-1] if config.preset_pair else None
+    return replace(config, grid_a=config.grid_b, grid_b=config.grid_a, chsh=ChshSettings(c.y0, c.y1, c.x0, c.x1),
+                   preset_pair=preset_pair, schedule=schedule)
+
+
+def pooled_by_key(config, behavior) -> dict:
+    """The pooled state of every live ``(θa, θb, cell)`` key, all built through one shared memo as a run builds them."""
+    memo, out = {}, {}
+    for x, y in behavior.pairs():
+        for cell, p in enumerate(behavior.slice(x, y).ravel().tolist()):
+            if p > 0.0:
+                out[x, y, cell] = harness._ledgers(config, behavior, x, y, cell, memo)
+    return out
+
+
+def named(ledger, rename=lambda n: n):
+    """A ledger as (label, free variables, conditioners, array), renamed, with the axes sorted by their new names.
+
+    The conditioners are sorted by their new names too: their order is how the
+    ledger is written, and a preset pair is conditioned θa first on both wings.
+    """
+    free = [(rename(v.name), v.domain) for v in ledger.free]
+    order = sorted(range(len(free)), key=lambda i: free[i][0])
+    conditioners = sorted(
+        (rename(c.variable.name), c.variable.domain, c.value, c.modality) for c in ledger.conditioners
+    )
+    return rename(ledger.label), tuple(free[i] for i in order), conditioners, ledger.array.transpose(order)
+
+
+def assert_same_ledger(ledger, mirror):
+    """``mirror``, renamed by :data:`MIRROR`, is ``ledger``: names and conditioners exactly, the array to 1e-12."""
+    *names, array = named(ledger)
+    *mirror_names, mirror_array = named(mirror, lambda n: MIRROR.get(n, n))
+    assert mirror_names == names
+    np.testing.assert_allclose(mirror_array, array, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(set(TRACED_CONFIGS) - {"unresolved"}))
+def test_wing_swap_exchanges_the_observers_ledgers(name):
+    # Alice and Bob are interchangeable: exchange the wings, and each observer's
+    # ledgers are the other's in the original run with the wings' names exchanged.
+    # An unresolved local setting is A's alone, so that config is left out.
+    config = parse_config(json.dumps(TRACED_CONFIGS[name]))
+    behavior, swapped = build_model(config), wing_swapped(config)
+    swapped_behavior = build_model(swapped)
+    assert np.array_equal(swapped_behavior.table, behavior.table.transpose(1, 0, 3, 2))
+    base, mirror = pooled_by_key(config, behavior), pooled_by_key(swapped, swapped_behavior)
+    assert len(mirror) == len(base) > 0
+    compared = 0
+    for (x, y, cell), pooled in base.items():
+        # cells run row-major over (±a, ±b), so the swapped cell exchanges the two bits
+        swapped_pooled = mirror[y, x, (cell % 2) * 2 + cell // 2]
+        assert {MIRROR[n]: v for n, v in swapped_pooled.data.items()} == pooled.data
+        assert_same_ledger(pooled.ledger, swapped_pooled.ledger)
+        for state, mirror_state in ((pooled.observer_a, swapped_pooled.observer_b),
+                                    (pooled.observer_b, swapped_pooled.observer_a)):
+            ledgers, mirror_ledgers = state.stage_ledgers(), mirror_state.stage_ledgers()
+            assert list(mirror_ledgers) == list(ledgers)
+            for stage, ledger in ledgers.items():
+                assert_same_ledger(ledger, mirror_ledgers[stage])
+                compared += 1
+    assert compared >= 8 * len(base)

@@ -429,3 +429,13 @@ def test_every_distribution_site_makes_the_one_check(site):
 def test_setting_average_rejects_weights_outside_the_simplex():
     with pytest.raises(ValueError):
         marginal_after_setting_average(pr_box(), 0, [1.5, -0.5])
+
+
+def test_replaced_variables_and_uncertainties_are_checked_again():
+    v = Variable("v", (0, 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        v._replace(domain=(0, 0))
+    q = QUncertainty(v, (1.0, 0.0))._replace(weights=(0.25, 0.75))
+    assert q.array.tolist() == [0.25, 0.75] and not q.array.flags.writeable
+    with pytest.raises(ValueError):
+        q._replace(weights=(0.5, 0.6))

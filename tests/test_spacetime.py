@@ -170,3 +170,12 @@ def test_events_for_filters_and_orders():
     assert all(
         e.payload.recipient == "A" for e in mine if isinstance(e.payload, Message)
     )
+
+
+def test_an_event_needs_a_positive_speed_also_when_replaced():
+    with pytest.raises(ValueError, match="speed must be positive"):
+        ev(0.0, 0.0, speed=0.0)
+    e = ev(0.1, -1.0, SettingChoice("A", 1), index=1)
+    assert e._replace(t=0.2) == ev(0.2, -1.0, SettingChoice("A", 1), index=1)
+    with pytest.raises(ValueError, match="speed must be positive"):
+        e._replace(speed=-1.0)

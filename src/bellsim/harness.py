@@ -50,7 +50,7 @@ from .observers import (
     receive,
 )
 from .probability import TOL
-from .spacetime import Schedule
+from .spacetime import Schedule, reception_time
 
 log = logging.getLogger(__name__)
 
@@ -234,7 +234,7 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     whatever the far wing did.  So the cost grows with the distinct received
     prefixes per observer, not with the number of (settings, outcome cell) keys.
     """
-    pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
+    pairs = behavior.pairs()
     preset_pair = config.preset_pair if config.preset_settings else None
     n = config.trials_per_pair
     pair_bounds = dict(zip(pairs, _word_bounds(behavior.table)))
@@ -482,7 +482,6 @@ def classify_violation(
 #: ``dataset.csv`` columns.  Each wing's three times are when it received its own
 #: setting, its own outcome and the far wing's report, in that order.
 _CSV_HEADER = "trial,x,y,a,b,t_setting_A,t_outcome_A,t_reports_A,t_setting_B,t_outcome_B,t_reports_B\n"
-_CSV_TIMES = (("A", "θa"), ("A", "±a"), ("A", "θb"), ("B", "θb"), ("B", "±b"), ("B", "θa"))
 
 
 def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
@@ -495,7 +494,10 @@ def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
     """
     if not dataset.records.size:
         raise MissingDataError("dataset was sampled without records; nothing to export")
-    times = [schedule.data_reception_times(wing)[name] for wing, name in _CSV_TIMES]
+    # each wing's first three receptions; any trial's events do, as no setting or outcome moves them
+    events = schedule.trial_events(dataset.grid_a[0], dataset.grid_b[0], *CELL_OUTCOMES[0])
+    wings = (schedule.worldline_a, schedule.worldline_b)
+    times = [reception_time(e, w) for w in wings for e in schedule.events_for(w.observer, events)[:3]]
     out.write(_CSV_HEADER)
     pairs, end = itertools.product(dataset.grid_a, dataset.grid_b), 0
     for (x, y), n in zip(pairs, dataset.n_per_pair.ravel().tolist()):

@@ -149,17 +149,6 @@ class ObserverState:
         out[self.stage] = self.ledger
         return out
 
-    def received_propositions(self) -> set:
-        out = set()
-        for e in self.received:
-            out.update(e.payload.propositions())
-        return out
-
-    @property
-    def uncertain(self) -> frozenset:
-        """Names measured locally with a spread, not exact, uncertainty."""
-        return frozenset(name for name, q in self.qs.items() if not q.is_delta)
-
     @property
     def own_setting(self) -> str:
         return setting_symbol(self.observer)
@@ -240,10 +229,6 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
     if arrived < state.clock - TOL:
         raise ValueError("events must be received in causal order")
     clock = max(state.clock, arrived)
-
-    if isinstance(payload, StatePreparation):
-        return ObserverState(state.observer, state.worldline, state.ledger, state.stage, state.received + (event,),
-                             clock, state.factual, state.qs, state.initial_ledger, state.history)
 
     ((name, value),) = payload.propositions()
     ledger = state.ledger
@@ -363,7 +348,7 @@ class PooledState(NamedTuple):
 
 
 def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
-    """Merge the two observers' information after communication completes.
+    """Merge the two observers' information once both have reached tc.
 
     The pooled ledger is the product of the per-variable measurement
     uncertainties; exact measurements make it a point mass.  The trial's data
@@ -371,12 +356,6 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     index).  Contradictory reports, or reports the shared starting table gave
     probability zero, violate realism.
     """
-    if state_a.stage is Stage.INITIAL and state_b.stage is Stage.INITIAL \
-            and not state_a.received and not state_b.received:
-        if not state_a.ledger.equals(state_b.ledger):
-            raise RealismViolationError("observers disagree before any event was received")
-        return PooledState(state_a.ledger.relabel("A∪B"), {}, state_a, state_b)
-
     for s in (state_a, state_b):
         if s.stage is not Stage.COMMUNICATION:
             raise ValueError(f"{s.observer} has not reached {Stage.COMMUNICATION.value}")

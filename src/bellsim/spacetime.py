@@ -191,18 +191,6 @@ class Schedule(NamedTuple):
                 mine.append(e)
         return reception_order(w, mine)
 
-    def data_reception_times(self, observer: str) -> dict:
-        """When each of the four data propositions becomes known locally."""
-        own = observer
-        other = self.worldline_b.observer if own == self.worldline_a.observer else self.worldline_a.observer
-        arrive = self.message_emit_time + self.distance / self.signal_speed
-        return {
-            setting_symbol(own): self.t_setting,
-            outcome_symbol(own): self.t_detection,
-            setting_symbol(other): arrive,
-            outcome_symbol(other): arrive,
-        }
-
 
 def build_schedule(
     *,

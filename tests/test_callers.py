@@ -1,7 +1,9 @@
 """Every function, method and class in ``src/bellsim`` has a reader.
 
 A public name (no leading underscore) that appears nowhere but its own
-definition is a helper with no caller: delete it, or use it.  A private
+definition is a helper with no caller: delete it, or use it.  A public name
+that only tests read is surface no run or user needs, unless the README
+documents it or an acceptance criterion exercises it.  A private
 module-level function or class must be read by ``src/bellsim`` itself; a
 helper that only the tests read belongs in the tests.
 """
@@ -52,3 +54,20 @@ def test_every_private_module_definition_is_read_in_the_package():
     words = _words(SRC.glob("*.py"))
     unused = sorted(name for name, n in _private_definitions().items() if words[name] <= n)
     assert unused == []
+
+
+#: Library API on purpose that no module, README line or acceptance test reads, each with its reason.
+TEST_ONLY_API = {
+    "prob": "the point lookups of Behavior and TaggedJoint, the readable form of a table entry",
+    "describe": "the text form of criterion 09's chain-rule rewrites",
+}
+
+
+def test_every_public_definition_has_a_reader_besides_the_unit_tests():
+    # the package's re-exports in __init__ name everything, so they read nothing
+    readers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    words = _words([*readers, ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"])
+    test_only = {name for name, n in _definitions().items() if words[name] <= n}
+    assert sorted(test_only - set(TEST_ONLY_API)) == []
+    # an entry whose name gained a reader, or lost its definition, is stale
+    assert sorted(set(TEST_ONLY_API) - test_only) == []

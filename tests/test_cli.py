@@ -755,3 +755,24 @@ def test_behavior_file_line_endings_read_as_in_text_mode(tmp_path, newline):
     table.write_bytes(newline.join(behavior_to_csv(pr_box()).splitlines()).encode("utf-8") + newline.encode())
     cfg = parse_config(json.dumps({"model": "custom", "behavior_file": str(table), "trials_per_pair": 10}))
     assert np.array_equal(bellsim.build_model(cfg).table, pr_box().table)
+
+
+_FULL_CHSH = {"x0": "0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}
+
+
+@pytest.mark.parametrize("doc, lines", [
+    ([], ["config error at <root>: top level must be a JSON object"]),
+    ({"grid_a": ["0", "0"]}, ["config error at grid_a: settings must be distinct"]),
+    ({"chsh": {"x0": "0"}}, [f"config error at chsh.{k}: missing" for k in ("x1", "y0", "y1")]),
+    ({"chsh": {**_FULL_CHSH, "z": "0"}}, ["config error at chsh.z: unknown key"]),
+    ({"model": "lhv", "lhv": []}, ["config error at lhv: must be an object"]),
+    ({"model": "custom"}, ["config error at behavior_file: model 'custom' needs a behavior file path"]),
+    ({"grid_a": [0.5, "pi/2"]},
+     ["config error at grid_a[0]: setting must be an integer label or an angle string, got 0.5"]),
+], ids=["not-an-object", "repeated-setting", "missing-chsh-keys", "unknown-chsh-key", "lhv-not-an-object",
+        "custom-without-file", "float-setting"])
+def test_config_shape_errors_exit_with_one_line_per_error(tmp_path, capsys, doc, lines):
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == lines
+    assert not out.exists()

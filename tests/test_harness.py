@@ -34,6 +34,7 @@ from bellsim import (
     parse_config,
     pr_box,
     pr_box_settings,
+    reception_time,
     run_experiment,
     singlet_behavior,
     trace_trials,
@@ -672,8 +673,10 @@ def test_dataset_csv_shape_and_header():
 
 def _dataset_csv_oracle(dataset, schedule) -> str:
     """``dataset.csv`` rebuilt row by row with ``csv.writer`` from the records alone."""
-    at_a, at_b = schedule.data_reception_times("A"), schedule.data_reception_times("B")
-    times = [at_a["θa"], at_a["±a"], at_a["θb"], at_b["θb"], at_b["±b"], at_b["θa"]]
+    # each wing's own setting, own outcome and the far wing's setting report, which no value moves
+    events = schedule.trial_events(dataset.grid_a[0], dataset.grid_b[0], 1, 1)
+    times = [reception_time(events[i], schedule.worldline_a) for i in (1, 3, 7)]
+    times += [reception_time(events[i], schedule.worldline_b) for i in (2, 4, 5)]
     pairs = [(x, y) for x in dataset.grid_a for y in dataset.grid_b]
     pair_of = [p for p, n in zip(pairs, dataset.n_per_pair.ravel().tolist()) for _ in range(n)]
     out = io.StringIO()
@@ -700,7 +703,11 @@ def _custom_config(tmp_path) -> ExperimentConfig:
     # every pair block ends in a partial chunk
     lambda tmp_path: ExperimentConfig(trials_per_pair=CHUNK + 3, seed=43),
     _custom_config,
-], ids=["singlet-chunk-plus-3", "custom-integer-labels"])
+    # slower reports that arrive later: the times are the schedule's, not the defaults
+    lambda tmp_path: ExperimentConfig(
+        trials_per_pair=7, seed=53, schedule=build_schedule(signal_speed=0.8, t_communication=3.0)
+    ),
+], ids=["singlet-chunk-plus-3", "custom-integer-labels", "slow-reports"])
 def test_dataset_csv_is_every_row_written_by_csv_writer(tmp_path, make):
     cfg = make(tmp_path)
     ds = experiment(cfg)

@@ -15,6 +15,7 @@ from bellsim import (
     Stage,
     build_schedule,
     condition,
+    correlator,
     init_beliefs,
     inquire,
     keep_only,
@@ -22,13 +23,14 @@ from bellsim import (
     optimal_singlet_settings,
     pool,
     pr_box,
+    pr_box_settings,
     receive,
     retrodict,
     singlet_behavior,
     stage_table,
     trace_trials,
 )
-from bellsim.spacetime import Message
+from bellsim.spacetime import Detection, Message, SpacetimeEvent
 from conftest import trial
 
 TOL = 1e-12
@@ -120,8 +122,7 @@ def test_uncertain_setting_keeps_variable_free():
     var = sa.ledger.variable("θa")
     q = QUncertainty(var, (0.5, 0.5))
     sa = receive(sa, events[1], q)
-    assert "θa" in sa.ledger.free_names
-    assert "θa" in sa.uncertain
+    assert "θa" in sa.ledger.free_names and not sa.qs["θa"].is_delta
     marg = keep_only(sa.ledger, ("θa",))
     assert np.allclose(marg.array, [0.5, 0.5], atol=TOL)
     # the bound-as-expectation inquiry stays available on the full ledger
@@ -132,6 +133,19 @@ def test_uncertain_setting_keeps_variable_free():
     for (x, y), sign in zip(s.pairs(), s.signs):
         oracle += 0.5 * 0.5 * sign * -math.cos(x.radians - y.radians)
     assert value == pytest.approx(oracle, abs=TOL)
+
+
+@pytest.mark.parametrize("behavior, settings", [
+    (optimal_behavior(), optimal_singlet_settings()),
+    (pr_box(), pr_box_settings()),
+], ids=["singlet", "pr-box"])
+def test_expectation_on_pinned_settings_is_their_correlator(behavior, settings):
+    # both settings posited, so the ledger holds them only as conditioners
+    sa, _ = init_beliefs(behavior, build_schedule())
+    ledger = inquire(sa, ["±a", "±b"], [("θa", settings.x0), ("θb", settings.y0)])
+    assert ledger.free_names == ("±a", "±b")
+    value = ledger_chsh_expectation(ledger, settings)
+    assert value == pytest.approx(correlator(behavior, settings.x0, settings.y0), abs=TOL)
 
 
 def test_initial_expectation_form_matches_quarter_bound():
@@ -150,6 +164,51 @@ def test_stage_cannot_regress():
     sa = receive(sa, events[3])  # detection first (stages may be skipped)
     with pytest.raises(ValueError):
         receive(sa, events[1])  # then the setting event: too late
+
+
+@pytest.mark.parametrize("preset", [False, True], ids=["free", "preset"])
+def test_receiving_the_preparation_changes_no_belief(preset):
+    # the shared state is pinned in every ledger from the start, so its arrival adds nothing
+    b = optimal_behavior()
+    schedule = build_schedule()
+    events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
+    sa, _ = init_beliefs(b, schedule, preset=(b.grid_a[0], b.grid_b[0]) if preset else None)
+    after = receive(sa, events[0])
+    assert after.ledger.equals(sa.ledger) and after.ledger.render() == sa.ledger.render()
+    assert after.stage is sa.stage is Stage.INITIAL
+    assert after.qs == sa.qs and after.factual == sa.factual
+    assert after.received == (events[0],)
+
+
+def test_reception_out_of_causal_order_is_rejected():
+    b = optimal_behavior()
+    schedule = build_schedule()
+    events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
+    sa, _ = init_beliefs(b, schedule)
+    sa = receive(sa, events[1])  # own setting at t=0.1
+    early = SpacetimeEvent(schedule.t_setting / 2, schedule.worldline_a.x, Detection("A", 1), index=3)
+    with pytest.raises(ValueError, match="causal order"):
+        receive(sa, early)
+
+
+def test_uncertainty_over_another_variable_is_rejected():
+    b = optimal_behavior()
+    schedule = build_schedule()
+    events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
+    sa, _ = init_beliefs(b, schedule)
+    with pytest.raises(ValueError, match="uncertainty is over"):
+        receive(sa, events[1], QUncertainty.uniform(sa.ledger.variable("θb")))
+
+
+def test_report_contradicting_a_preset_setting_is_realism_violation():
+    b = optimal_behavior()
+    schedule = build_schedule()
+    # both wings agreed on θb = y0, but B's report says y1
+    events = schedule.trial_events(b.grid_a[0], b.grid_b[1], 1, -1)
+    sa, _ = init_beliefs(b, schedule, preset=(b.grid_a[0], b.grid_b[0]))
+    sa = receive(receive(sa, events[1]), events[3])
+    with pytest.raises(RealismViolationError, match="already-established"):
+        receive(sa, events[7])
 
 
 # -- inquiries --------------------------------------------------------------------
@@ -257,7 +316,7 @@ def test_run_with_peaked_setting_uncertainty():
     # trial 9, one per pair block, has the inner settings (grid[2], grid[1])
     trace = trial(ExperimentConfig(trials_per_pair=1, seed=17, schedule=schedule, q_setting_width=0.8), b, 9)
     sa = trace.observer_a
-    assert "θa" in sa.uncertain
+    assert "θa" in sa.ledger.free_names and not sa.qs["θa"].is_delta
     # the bump is centered on the true setting, so the extracted point
     # estimate recovers it
     assert trace.pooled.data["θa"] == trace.theta_a
@@ -327,12 +386,11 @@ def test_pool_tolerates_unresolved_setting_on_colliding_grids():
         assert t.pooled.data["θa"] == b.grid_a[0]  # lowest-index tie break
 
 
-def test_pool_of_untouched_initial_states_is_unchanged():
+def test_pool_before_communication_is_refused():
     b = optimal_behavior()
     sa, sb = init_beliefs(b, build_schedule())
-    pooled = pool(sa, sb)
-    assert pooled.ledger.equals(sa.ledger)
-    assert pooled.data == {}
+    with pytest.raises(ValueError, match="has not reached tc"):
+        pool(sa, sb)
 
 
 def test_pool_detects_contradictory_records():
@@ -346,6 +404,21 @@ def test_pool_detects_contradictory_records():
     )
     with pytest.raises(RealismViolationError):
         pool(sa, forged)
+
+
+def test_pool_detects_differing_uncertainties():
+    b = optimal_behavior()
+    sa, sb = drive(b, b.grid_a[0], b.grid_b[0], 1, -1)
+    spread = QUncertainty.uniform(sb.initial_ledger.variable("±a"))
+    with pytest.raises(RealismViolationError, match="differs between observers"):
+        pool(sa, replace(sb, qs={**sb.qs, "±a": spread}))
+
+
+def test_pool_without_records_is_refused():
+    b = optimal_behavior()
+    sa, sb = drive(b, b.grid_a[0], b.grid_b[0], 1, -1)
+    with pytest.raises(ValueError, match="cannot pool"):
+        pool(replace(sa, qs={}), replace(sb, qs={}))
 
 
 def test_pool_rejects_zero_probability_data():
@@ -434,7 +507,7 @@ def test_factual_conditioners_track_received_events_exactly():
             for c in sa.ledger.conditioners
             if c.modality is Modality.FACTUAL and c.variable.name not in stage_labels
         }
-        received_names = {name for name, _ in sa.received_propositions()}
+        received_names = {name for e in sa.received for name, _ in e.payload.propositions()}
         assert factual_names == received_names
         assert factual_names == set(sa.factual)
 

@@ -155,10 +155,11 @@ def test_messages_arrive_exactly_at_communication_time():
     events = s.trial_events(0, 0, 1, -1)
     msg_b_to_a = events[7]
     assert reception_time(msg_b_to_a, s.worldline_a) == pytest.approx(3.0)
-    times = s.data_reception_times("A")
-    assert times["θa"] == s.t_setting
-    assert times["±a"] == s.t_detection
-    assert times["θb"] == pytest.approx(3.0)
+    # each wing learns its own setting, its own outcome, then the far wing's report
+    for w, own_setting, own_outcome, report in ((s.worldline_a, 1, 3, 7), (s.worldline_b, 2, 4, 5)):
+        assert reception_time(events[own_setting], w) == s.t_setting
+        assert reception_time(events[own_outcome], w) == s.t_detection
+        assert reception_time(events[report], w) == pytest.approx(3.0)
 
 
 def test_events_for_filters_and_orders():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .angles import Angle, setting_from_text, setting_text
 from .errors import ConfigError, InvalidScheduleError, MissingDataError
@@ -32,25 +32,24 @@ MODEL_CHOICES = ("singlet", "pr-box", "lhv", "custom")
 _SINGLET = optimal_singlet_settings()
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One run.  Scalar fields carry their JSON bounds as ``min``/``below`` metadata."""
+class ExperimentConfig(NamedTuple):
+    """One run.  The JSON bounds of its scalar fields are in ``_BOUNDS``."""
 
     model: str = "singlet"
     grid_a: tuple = _SINGLET.grids()[0]
     grid_b: tuple = _SINGLET.grids()[1]
     chsh: ChshSettings = _SINGLET
-    trials_per_pair: int = field(default=10000, metadata={"min": 1})
-    seed: int = field(default=0, metadata={"min": 0, "below": 2**128})
-    schedule: Schedule = field(default_factory=build_schedule)
-    q_setting_width: float = field(default=0.0, metadata={"min": 0.0})
-    q_outcome_width: float = field(default=0.0, metadata={"min": 0.0})
+    trials_per_pair: int = 10000
+    seed: int = 0
+    # immutable, so every config can share the one default
+    schedule: Schedule = build_schedule()
+    q_setting_width: float = 0.0
+    q_outcome_width: float = 0.0
     preset_settings: bool = False
     preset_pair: tuple | None = None
     unresolved_local_setting: bool = False
-    workers: int = field(default=1, metadata={"min": 1})
-    # about 3.7 kB of trace.json per default traced trial: the file stays under about 1 GB
-    traced_trials: int = field(default=1, metadata={"min": 0, "below": 2**18})
+    workers: int = 1
+    traced_trials: int = 1
     keep_records: bool = True
     lhv: LhvModel | None = None
     behavior_file: str | None = None
@@ -100,8 +99,16 @@ def build_model(config: ExperimentConfig) -> Behavior:
     raise ValueError(f"unknown model {config.model!r}")
 
 
-#: Fields parsed by one loop: JSON type from the default, bounds from metadata.
-_SCALARS = {f.name: f for f in fields(ExperimentConfig) if type(f.default) in (bool, int, float)}
+#: Fields parsed by one loop, each with the JSON type of its default.
+_SCALARS = {k: type(v) for k, v in ExperimentConfig._field_defaults.items() if type(v) in (bool, int, float)}
+
+#: The scalar fields' JSON bounds: at least ``min``, and below ``below``.
+_BOUNDS = {
+    "trials_per_pair": {"min": 1}, "seed": {"min": 0, "below": 2**128}, "workers": {"min": 1},
+    "q_setting_width": {"min": 0.0}, "q_outcome_width": {"min": 0.0},
+    # about 3.7 kB of trace.json per default traced trial: the file stays under about 1 GB
+    "traced_trials": {"min": 0, "below": 2**18},
+}
 
 #: JSON keys feeding ``build_schedule``: an object maps its keys to keyword
 #: arguments; ``None`` passes a top-level number under its own name.
@@ -117,7 +124,7 @@ _SCHEDULE_KEYS = {
     "c": None,
 }
 
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"schedule"} | set(_SCHEDULE_KEYS)
+_KNOWN_KEYS = set(ExperimentConfig._fields) - {"schedule"} | set(_SCHEDULE_KEYS)
 
 
 def _parse_setting(value, path, errors, angles: bool):
@@ -178,7 +185,7 @@ def _typed(value, kind, path, errors):
 
 
 def _bound_errors(name: str, value) -> list:
-    meta = _SCALARS[name].metadata
+    meta = _BOUNDS.get(name, {})
     if "min" in meta and value < meta["min"]:
         return [(name, f"must be at least {meta['min']}, got {value}")]
     if "below" in meta and value >= meta["below"]:
@@ -208,6 +215,23 @@ def _grid_errors(chsh: ChshSettings, preset_pair, grid_a, grid_b) -> list:
     ]
 
 
+def _members(raw, key, names, errors, required=()) -> dict | None:
+    """The object ``raw[key]``'s members in ``names``; None if it is absent, not an object or incomplete.
+
+    Not an object, a missing ``required`` member and an unknown member are each an error at its own path.
+    """
+    if key not in raw:
+        return None
+    value = raw[key]
+    if not isinstance(value, dict):
+        errors.append((key, f"must be an object with {', '.join(names)}"))
+        return None
+    missing = [(f"{key}.{sub}", "missing") for sub in required if sub not in value]
+    errors += missing
+    errors += [(f"{key}.{sub}", "unknown key") for sub in sorted(set(value) - set(names))]
+    return None if missing else {sub: value[sub] for sub in names if sub in value}
+
+
 def _parse_schedule(raw, errors) -> Schedule | None:
     kwargs = {}
     for key, names in _SCHEDULE_KEYS.items():
@@ -215,14 +239,9 @@ def _parse_schedule(raw, errors) -> Schedule | None:
             continue
         if names is None:
             kwargs[key] = _typed(raw[key], float, key, errors)
-        elif not isinstance(raw[key], dict):
-            errors.append((key, f"must be an object with {', '.join(names)}"))
         else:
-            for sub in sorted(set(raw[key]) - set(names)):
-                errors.append((f"{key}.{sub}", "unknown key"))
-            for sub, name in names.items():
-                if sub in raw[key]:
-                    kwargs[name] = _typed(raw[key][sub], float, f"{key}.{sub}", errors)
+            for sub, value in (_members(raw, key, names, errors) or {}).items():
+                kwargs[names[sub]] = _typed(value, float, f"{key}.{sub}", errors)
     try:
         return build_schedule(**{k: v for k, v in kwargs.items() if v is not None})
     except InvalidScheduleError as exc:
@@ -251,39 +270,30 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     for key in sorted(set(raw) - _KNOWN_KEYS):
         errors.append((key, "unknown key"))
 
-    model = raw.get("model", ExperimentConfig.model)
+    model = raw.get("model", "singlet")
     if model not in MODEL_CHOICES:
         errors.append(("model", f"must be one of {MODEL_CHOICES}"))
-        model = ExperimentConfig.model
+        model = "singlet"
 
     # model-appropriate grid and settings defaults; the singlet takes angles
     angles = model == "singlet"
-    chsh = ExperimentConfig.chsh if angles else pr_box_settings()
+    chsh = _SINGLET if angles else pr_box_settings()
     grid_a, grid_b = chsh.grids()
     if "grid_a" in raw:
         grid_a = _parse_grid(raw["grid_a"], "grid_a", errors, angles)
     if "grid_b" in raw:
         grid_b = _parse_grid(raw["grid_b"], "grid_b", errors, angles)
 
-    if "chsh" in raw:
-        if not isinstance(raw["chsh"], dict):
-            errors.append(("chsh", "must be an object with x0, x1, y0, y1"))
-        else:
-            vals = {}
-            for k in ("x0", "x1", "y0", "y1"):
-                if k not in raw["chsh"]:
-                    errors.append((f"chsh.{k}", "missing"))
-                else:
-                    vals[k] = _parse_setting(raw["chsh"][k], f"chsh.{k}", errors, angles)
-            for k in sorted(set(raw["chsh"]) - {"x0", "x1", "y0", "y1"}):
-                errors.append((f"chsh.{k}", "unknown key"))
-            if len(vals) == 4 and all(v is not None for v in vals.values()):
-                chsh = ChshSettings(**vals)
+    members = _members(raw, "chsh", ChshSettings._fields, errors, required=ChshSettings._fields)
+    if members is not None:
+        vals = {k: _parse_setting(v, f"chsh.{k}", errors, angles) for k, v in members.items()}
+        if None not in vals.values():
+            chsh = ChshSettings(**vals)
 
     scalars = {}
-    for name, f in _SCALARS.items():
+    for name, kind in _SCALARS.items():
         if name in raw:
-            value = _typed(raw[name], type(f.default), name, errors)
+            value = _typed(raw[name], kind, name, errors)
             if value is not None:
                 errors += _bound_errors(name, value)
                 scalars[name] = value
@@ -306,10 +316,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if model == "lhv":
         if "lhv" not in raw:
             errors.append(("lhv", "model 'lhv' needs hidden-variable tables"))
-        elif not isinstance(raw["lhv"], dict):
-            errors.append(("lhv", "must be an object"))
-        else:
-            tables = raw["lhv"]
+        elif (tables := _members(raw, "lhv", LhvModel.TABLES + ("hidden",), errors,
+                                 required=LhvModel.TABLES)) is not None:
             try:
                 hidden = tuple(tables["hidden"]) if "hidden" in tables else tuple(range(len(tables["prior"])))
                 lhv = LhvModel(
@@ -318,7 +326,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                     tuple(tuple(map(tuple, x)) for x in tables["response_a"]),
                     tuple(tuple(map(tuple, y)) for y in tables["response_b"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 errors.append(("lhv", f"bad hidden-variable tables: {exc}"))
             else:
                 for field in LhvModel.TABLES:
@@ -339,6 +347,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             behavior_file = _typed(raw["behavior_file"], str, "behavior_file", errors)
         else:
             errors.append(("behavior_file", "model 'custom' needs a behavior file path"))
+        errors += [(k, "a custom model takes its grids from behavior_file")
+                   for k in ("grid_a", "grid_b") if k in raw]
     elif "behavior_file" in raw:
         errors.append(("behavior_file", f"only meaningful for model 'custom', not {model!r}"))
 

@@ -390,17 +390,7 @@ class ViolationReport(NamedTuple):
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage.value,
-            "observer": self.observer,
-            "s_value": self.s_value,
-            "s_stderr": self.s_stderr,
-            "violated": self.violated,
-            "classification": self.classification.value,
-            "counterfactual_conditioners": list(self.counterfactual_conditioners),
-            "nonlocal_counterfactuals": list(self.nonlocal_counterfactuals),
-            "note": self.note,
-        }
+        return {**self._asdict(), "stage": self.stage.value, "classification": self.classification.value}
 
 
 def classify_violation(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -115,8 +114,7 @@ class QUncertainty(namedtuple("QUncertainty", "variable weights")):
         return cls(variable, tuple(1.0 / n for _ in range(n)))
 
 
-@dataclass(frozen=True)
-class ObserverState:
+class ObserverState(NamedTuple):
     """One observer's information and beliefs at a point on their worldline.
 
     ``received`` is exactly the information the observer possesses; the
@@ -129,20 +127,12 @@ class ObserverState:
     worldline: Worldline
     ledger: TaggedJoint
     stage: Stage
-    received: tuple = ()
-    clock: float = float("-inf")
-    factual: Mapping[str, Any] = None
-    qs: Mapping[str, QUncertainty] = None
-    initial_ledger: TaggedJoint = None
-    history: tuple = ()
-
-    def __post_init__(self):
-        if self.factual is None:
-            object.__setattr__(self, "factual", {})
-        if self.qs is None:
-            object.__setattr__(self, "qs", {})
-        if self.initial_ledger is None:
-            object.__setattr__(self, "initial_ledger", self.ledger)
+    received: tuple
+    clock: float
+    factual: Mapping[str, Any]
+    qs: Mapping[str, QUncertainty]
+    initial_ledger: TaggedJoint
+    history: tuple
 
     def stage_ledgers(self) -> dict:
         out = dict(self.history)
@@ -181,28 +171,16 @@ def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tupl
     free = tuple(variables[n] for n in CANONICAL)
 
     def make(observer, worldline):
-        ledger = TaggedJoint(free, joint, conds, label=observer)
-        state = ObserverState(
-            observer=observer,
-            worldline=worldline,
-            ledger=ledger,
-            stage=Stage.INITIAL,
-        )
+        initial = ledger = TaggedJoint(free, joint, conds, label=observer)
+        factual, qs = {}, {}
         if preset is not None:
-            theta_a, theta_b = preset
-            ledger2 = condition(ledger, ("θa", theta_a), Modality.FACTUAL)
-            ledger2 = condition(ledger2, ("θb", theta_b), Modality.FACTUAL)
-            # replace() keeps initial_ledger pointing at the unconditioned table
-            state = replace(
-                state,
-                ledger=ledger2,
-                factual={"θa": theta_a, "θb": theta_b},
-                qs={
-                    "θa": QUncertainty.delta(variables["θa"], theta_a),
-                    "θb": QUncertainty.delta(variables["θb"], theta_b),
-                },
-            )
-        return state
+            # θa then θb, so the ledger renders ``…‖θb,θa,ψ0,t0)``
+            for name, value in zip(("θa", "θb"), preset):
+                ledger = condition(ledger, (name, value), Modality.FACTUAL)
+                factual[name] = value
+                qs[name] = QUncertainty.delta(variables[name], value)
+        return ObserverState(observer, worldline, ledger, Stage.INITIAL, (), float("-inf"), factual, qs,
+                             initial, ())
 
     return make("A", schedule.worldline_a), make("B", schedule.worldline_b)
 
@@ -272,8 +250,8 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
         conds = [c for c in ledger.conditioners if c.variable.name != state.stage.value]
         ledger = ledger.with_conditioners(conds + [_AT_STAGE[target_stage]])
 
-    return ObserverState(state.observer, state.worldline, ledger, target_stage, state.received + (event,),
-                         clock, factual, qs, state.initial_ledger, history)
+    return state._replace(ledger=ledger, stage=target_stage, received=state.received + (event,), clock=clock,
+                          factual=factual, qs=qs, history=history)
 
 
 def inquire(state: ObserverState, targets: Iterable, counterfactuals: Iterable = ()) -> TaggedJoint:
@@ -392,11 +370,7 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     conds = (_PREPARED, _AT_STAGE[Stage.COMMUNICATION])
     ledger = _trusted(TaggedJoint, pooled, free=base.free, conditioners=conds, label="A∪B")
     data = {n: qs[n].mode() for n in base.free_names}
-    new_a, new_b = (
-        ObserverState(s.observer, s.worldline, ledger.relabel(s.observer), s.stage, s.received, s.clock,
-                      s.factual, s.qs, s.initial_ledger, s.history)
-        for s in (state_a, state_b)
-    )
+    new_a, new_b = (s._replace(ledger=ledger.relabel(s.observer)) for s in (state_a, state_b))
     return PooledState(ledger, data, new_a, new_b)
 
 

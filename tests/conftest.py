@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,7 +76,7 @@ TRACED_CONFIGS = {
 
 def trial(config, behavior, k):
     """Trial ``k`` of the run, traced."""
-    return trace_trials(replace(config, traced_trials=k + 1), behavior)[k]
+    return trace_trials(config._replace(traced_trials=k + 1), behavior)[k]
 
 
 def trial_records(traces) -> list:
@@ -95,7 +94,7 @@ def traces_by_run_trial(config):
     """
     behavior = build_model(config)
     pairs = list(itertools.product(behavior.grid_a, behavior.grid_b))
-    records = run_experiment(replace(config, keep_records=True), behavior).records
+    records = run_experiment(config._replace(keep_records=True), behavior).records
     preset_pair = config.preset_pair if config.preset_settings else None
     traces = []
     for k in range(config.traced_trials):
@@ -127,8 +126,8 @@ def valid_configs(behavior_file=None):
     """A hypothesis strategy for small JSON config documents that ``parse_config`` accepts.
 
     Each model appears, with its own settings; a custom model needs the path of
-    a behavior file with the integer grids ``0, 1`` and is drawn only when one
-    is given.  Every other key is present or absent at random.  Trial counts
+    a behavior file with the integer grids ``0, 1``, takes no grids of its own,
+    and is drawn only when one is given.  Every other key is present or absent at random.  Trial counts
     stay small enough for a run.
     """
     st = pytest.importorskip("hypothesis.strategies")
@@ -159,7 +158,8 @@ def valid_configs(behavior_file=None):
         if model == "custom":
             doc["behavior_file"] = str(behavior_file)
         if model == "singlet" or draw(st.booleans()):
-            doc["grid_a"], doc["grid_b"] = grid_a, grid_b
+            if model != "custom":
+                doc["grid_a"], doc["grid_b"] = grid_a, grid_b
             x, y = st.sampled_from(grid_a), st.sampled_from(grid_b)
             doc["chsh"] = {"x0": draw(x), "x1": draw(x), "y0": draw(y), "y1": draw(y)}
         doc.update(draw(st.fixed_dictionaries({}, optional=scalars)))

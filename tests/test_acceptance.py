@@ -6,7 +6,6 @@ lines.  Every tolerance is pinned here; nothing is deferred to calibration.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -171,7 +170,7 @@ def test_criterion_07_counterfactual_classification_over_100_runs():
     cfg = ExperimentConfig(trials_per_pair=500, seed=701, preset_settings=True)
     preset_estimate = estimate_chsh(run_experiment(cfg, build_model(cfg)), settings)
     preset_local = True
-    for trace in trace_trials(replace(cfg, trials_per_pair=1, traced_trials=100), behavior):
+    for trace in trace_trials(cfg._replace(trials_per_pair=1, traced_trials=100), behavior):
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
             report = classify_violation(trace, stage, settings, estimate=preset_estimate)
             preset_local &= report.classification in (

@@ -765,12 +765,22 @@ _FULL_CHSH = {"x0": "0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}
     ({"grid_a": ["0", "0"]}, ["config error at grid_a: settings must be distinct"]),
     ({"chsh": {"x0": "0"}}, [f"config error at chsh.{k}: missing" for k in ("x1", "y0", "y1")]),
     ({"chsh": {**_FULL_CHSH, "z": "0"}}, ["config error at chsh.z: unknown key"]),
-    ({"model": "lhv", "lhv": []}, ["config error at lhv: must be an object"]),
+    ({"model": "lhv", "lhv": []},
+     ["config error at lhv: must be an object with prior, response_a, response_b, hidden"]),
+    ({"model": "lhv", "lhv": {"prior": [0.5, 0.5], **LHV_RESPONSES, "hiden": ["x"]}},
+     ["config error at lhv.hiden: unknown key"]),
+    ({"model": "lhv", "lhv": {"hidden": ["x"], "response_a": [], "response_b": []}},
+     ["config error at lhv.prior: missing"]),
     ({"model": "custom"}, ["config error at behavior_file: model 'custom' needs a behavior file path"]),
+    ({"model": "custom", "behavior_file": "behavior.csv", "grid_a": ["pi/3", "pi/5"]},
+     ["config error at grid_a: a custom model takes its grids from behavior_file"]),
+    ({"model": "custom", "behavior_file": "behavior.csv", "grid_b": [0, 1]},
+     ["config error at grid_b: a custom model takes its grids from behavior_file"]),
     ({"grid_a": [0.5, "pi/2"]},
      ["config error at grid_a[0]: setting must be an integer label or an angle string, got 0.5"]),
 ], ids=["not-an-object", "repeated-setting", "missing-chsh-keys", "unknown-chsh-key", "lhv-not-an-object",
-        "custom-without-file", "float-setting"])
+        "lhv-unknown-member", "lhv-missing-member", "custom-without-file", "custom-grid-a", "custom-grid-b",
+        "float-setting"])
 def test_config_shape_errors_exit_with_one_line_per_error(tmp_path, capsys, doc, lines):
     code, out = run_cli(tmp_path, doc)
     assert code == EXIT_CONFIG

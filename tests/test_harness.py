@@ -1,7 +1,6 @@
 """Sampling, estimation, and classification against statistical oracles."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -84,7 +83,7 @@ def test_trial_is_deterministic():
     cfg = ExperimentConfig(trials_per_pair=5, seed=3, schedule=build_schedule(), traced_trials=20)
     records = trial_records(trace_trials(cfg, b))
     assert records == trial_records(trace_trials(cfg, b))
-    assert records != trial_records(trace_trials(dataclasses.replace(cfg, seed=4), b))
+    assert records != trial_records(trace_trials(cfg._replace(seed=4), b))
 
 
 # -- trace_trials ------------------------------------------------------------------
@@ -244,16 +243,12 @@ def test_ledgers_before_communication_depend_only_on_local_data(name):
 # -- run_experiment ----------------------------------------------------------------
 
 
-def config(**kwargs) -> ExperimentConfig:
-    return dataclasses.replace(ExperimentConfig(), **kwargs)
-
-
 def experiment(cfg: ExperimentConfig):
     return run_experiment(cfg, build_model(cfg))
 
 
 def test_single_trial_counts_one_hot():
-    ds = experiment(config(trials_per_pair=1, seed=5))
+    ds = experiment(ExperimentConfig(trials_per_pair=1, seed=5))
     assert ds.total_trials == 4
     for i in range(2):
         for j in range(2):
@@ -282,7 +277,7 @@ def test_sampling_submits_a_bounded_window_of_tasks(monkeypatch):
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Counting)
     # two CPUs on any host, so two workers share a pool rather than the calling thread
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    cfg = config(trials_per_pair=101, seed=23, workers=2)
+    cfg = ExperimentConfig(trials_per_pair=101, seed=23, workers=2)
     windowed = experiment(cfg)
     assert 0 < peak[0] <= harness.TASKS_PER_WORKER * 2
     assert waiting[0] == 0
@@ -296,7 +291,7 @@ def test_sampling_submits_a_bounded_window_of_tasks(monkeypatch):
 def test_records_that_cannot_be_allocated_are_a_config_error():
     # 2^62 one-byte records: the count bound holds, no allocator can give them
     with pytest.raises(ConfigError) as info:
-        experiment(config(trials_per_pair=2**60))
+        experiment(ExperimentConfig(trials_per_pair=2**60))
     ((path, reason),) = info.value.errors
     assert path == "trials_per_pair" and reason.startswith("too many trials to keep every record")
 
@@ -335,8 +330,8 @@ def test_uniform_cells_concentrate():
 
 
 def test_parallel_execution_is_bit_identical():
-    c1 = config(trials_per_pair=4000, seed=13, workers=1)
-    c4 = config(trials_per_pair=4000, seed=13, workers=4)
+    c1 = ExperimentConfig(trials_per_pair=4000, seed=13, workers=1)
+    c4 = ExperimentConfig(trials_per_pair=4000, seed=13, workers=4)
     d1, d4 = experiment(c1), experiment(c4)
     assert np.array_equal(d1.counts, d4.counts)
     assert np.array_equal(d1.records, d4.records)
@@ -380,8 +375,8 @@ def test_one_worker_samples_in_the_calling_thread(monkeypatch, behavior):
         raise AssertionError("a one-worker run built a thread pool")
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
-    inline = run_experiment(dataclasses.replace(cfg, workers=1), behavior)
-    counts_only = run_experiment(dataclasses.replace(cfg, workers=1, keep_records=False), behavior)
+    inline = run_experiment(cfg._replace(workers=1), behavior)
+    counts_only = run_experiment(cfg._replace(workers=1, keep_records=False), behavior)
     assert np.array_equal(inline.records, pooled.records)
     assert np.array_equal(inline.counts, pooled.counts)
     assert np.array_equal(counts_only.counts, pooled.counts)
@@ -456,7 +451,7 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
 
 
 def test_records_can_be_dropped():
-    ds = experiment(config(trials_per_pair=100, keep_records=False))
+    ds = experiment(ExperimentConfig(trials_per_pair=100, keep_records=False))
     assert ds.records.size == 0
     assert ds.total_trials == 400
     with pytest.raises(MissingDataError):
@@ -607,7 +602,7 @@ def test_far_setting_is_nonlocal_for_observer_b_too():
 
 
 def test_communication_stage_is_factual_local():
-    cfg = config(trials_per_pair=2000, seed=9)
+    cfg = ExperimentConfig(trials_per_pair=2000, seed=9)
     ds = experiment(cfg)
     b = optimal_behavior()
     (trace,) = trace_trials(cfg, b)
@@ -626,7 +621,7 @@ def test_single_experiment_with_factual_settings_not_applicable():
 
 
 def test_preset_run_classified_local():
-    cfg = config(trials_per_pair=1000, seed=10, preset_settings=True)
+    cfg = ExperimentConfig(trials_per_pair=1000, seed=10, preset_settings=True)
     est = estimate_chsh(experiment(cfg), cfg.chsh)
     b = optimal_behavior()
     (trace,) = trace_trials(cfg, b)
@@ -661,7 +656,7 @@ def test_classifier_soundness_nonlocal_tag_iff_far_setting_unknown():
 
 
 def test_dataset_csv_shape_and_header():
-    ds = experiment(config(trials_per_pair=5, seed=1))
+    ds = experiment(ExperimentConfig(trials_per_pair=5, seed=1))
     out = io.StringIO()
     dataset_to_csv(ds, build_schedule(), out)
     text = out.getvalue()
@@ -730,7 +725,7 @@ def _csv_write_peak(dataset, schedule) -> int:
 def test_csv_writer_memory_does_not_grow_with_the_trials():
     # one setting pair, so the rows are CHUNK against 4 * CHUNK
     behavior = Behavior((0,), (0,), np.full((1, 1, 2, 2), 0.25))
-    small, large = (run_experiment(config(trials_per_pair=n, seed=47), behavior) for n in (CHUNK, 4 * CHUNK))
+    small, large = (run_experiment(ExperimentConfig(trials_per_pair=n, seed=47), behavior) for n in (CHUNK, 4 * CHUNK))
     schedule = build_schedule()
     dataset_to_csv(small, schedule, io.StringIO())  # warm caches that are built once per process
     small_peak, large_peak = (_csv_write_peak(d, schedule) for d in (small, large))

@@ -6,7 +6,6 @@ and ``pool`` without a second implementation.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,8 +100,8 @@ def wing_swapped(config):
         t_communication=s.t_communication, signal_speed=s.signal_speed, c=s.c,
     )
     preset_pair = config.preset_pair[::-1] if config.preset_pair else None
-    return replace(config, grid_a=config.grid_b, grid_b=config.grid_a, chsh=ChshSettings(c.y0, c.y1, c.x0, c.x1),
-                   preset_pair=preset_pair, schedule=schedule)
+    return config._replace(grid_a=config.grid_b, grid_b=config.grid_a, chsh=ChshSettings(c.y0, c.y1, c.x0, c.x1),
+                           preset_pair=preset_pair, schedule=schedule)
 
 
 def pooled_by_key(config, behavior) -> dict:

@@ -1,7 +1,6 @@
 """Observer belief machine: receptions, inquiries, pooling, retrodiction."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,7 +231,7 @@ def test_post_detection_counterfactual_forecast():
     ledgers = sa.stage_ledgers()
     assert Stage.DETECTION in ledgers
     # equal-angle forecast: if the far wing chooses my angle, it must see -1
-    at_detection = replace(sa, ledger=ledgers[Stage.DETECTION], stage=Stage.DETECTION)
+    at_detection = sa._replace(ledger=ledgers[Stage.DETECTION], stage=Stage.DETECTION)
     table = inquire(at_detection, ("±b",), (("θb", ZERO),))
     assert table.prob({"±b": -1}) == pytest.approx(1.0, abs=TOL)
     assert table.prob({"±b": 1}) == pytest.approx(0.0, abs=TOL)
@@ -244,7 +243,7 @@ def test_post_detection_setting_guess_by_inversion():
     b = singlet_behavior((ZERO, HALF), (ZERO, HALF))
     sa, _ = drive(b, ZERO, ZERO, 1, -1)
     ledgers = sa.stage_ledgers()
-    at_detection = replace(sa, ledger=ledgers[Stage.DETECTION], stage=Stage.DETECTION)
+    at_detection = sa._replace(ledger=ledgers[Stage.DETECTION], stage=Stage.DETECTION)
     table = inquire(at_detection, ("θb",), (("±b", -1),))
     # oracle: p(theta_b | -1, +1 at 0) by direct normalization
     # p(-1 | theta_b=0) = 1, p(-1 | theta_b=pi/2) = 1/2, prior 1/2 each
@@ -397,8 +396,7 @@ def test_pool_detects_contradictory_records():
     b = optimal_behavior()
     sa, sb = drive(b, b.grid_a[0], b.grid_b[0], 1, -1)
     var = sb.initial_ledger.variable("±b")
-    forged = replace(
-        sb,
+    forged = sb._replace(
         factual={**sb.factual, "±b": 1},
         qs={**sb.qs, "±b": QUncertainty.delta(var, 1)},
     )
@@ -411,14 +409,14 @@ def test_pool_detects_differing_uncertainties():
     sa, sb = drive(b, b.grid_a[0], b.grid_b[0], 1, -1)
     spread = QUncertainty.uniform(sb.initial_ledger.variable("±a"))
     with pytest.raises(RealismViolationError, match="differs between observers"):
-        pool(sa, replace(sb, qs={**sb.qs, "±a": spread}))
+        pool(sa, sb._replace(qs={**sb.qs, "±a": spread}))
 
 
 def test_pool_without_records_is_refused():
     b = optimal_behavior()
     sa, sb = drive(b, b.grid_a[0], b.grid_b[0], 1, -1)
     with pytest.raises(ValueError, match="cannot pool"):
-        pool(replace(sa, qs={}), replace(sb, qs={}))
+        pool(sa._replace(qs={}), sb._replace(qs={}))
 
 
 def test_pool_rejects_zero_probability_data():
@@ -428,13 +426,11 @@ def test_pool_rejects_zero_probability_data():
     sa, sb = drive(b, ZERO, ZERO, 1, -1)
     var_b = sb.initial_ledger.variable("±b")
     var_a = sa.initial_ledger.variable("±a")
-    forged_a = replace(
-        sa,
+    forged_a = sa._replace(
         factual={**sa.factual, "±b": 1},
         qs={**sa.qs, "±b": QUncertainty.delta(var_b, 1)},
     )
-    forged_b = replace(
-        sb,
+    forged_b = sb._replace(
         factual={**sb.factual, "±b": 1},
         qs={**sb.qs, "±b": QUncertainty.delta(var_b, 1)},
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
+from functools import partial
 from typing import NamedTuple
 
 from .angles import Angle, setting_from_text, setting_text
@@ -28,7 +30,6 @@ from .models import (
 )
 from .spacetime import Schedule, build_schedule
 
-MODEL_CHOICES = ("singlet", "pr-box", "lhv", "custom")
 _SINGLET = optimal_singlet_settings()
 
 
@@ -91,16 +92,12 @@ def build_model(config: ExperimentConfig) -> Behavior:
                 behavior = behavior_from_csv(decode_text(fh.read(INPUT_LIMIT + 1), "behavior_file"))
         except (ValueError, MissingDataError, csv.Error) as exc:
             raise ConfigError([("behavior_file", str(exc))]) from exc
-        errors = _grid_errors(config.chsh, config.preset_pair, behavior.grid_a, behavior.grid_b)
-        errors += _count_errors(config.trials_per_pair, behavior.grid_a, behavior.grid_b)
+        errors = _grid_errors(config.chsh, config.preset_pair, config.trials_per_pair, behavior.grid_a, behavior.grid_b)
         if errors:
             raise ConfigError(errors)
         return behavior
     raise ValueError(f"unknown model {config.model!r}")
 
-
-#: Fields parsed by one loop, each with the JSON type of its default.
-_SCALARS = {k: type(v) for k, v in ExperimentConfig._field_defaults.items() if type(v) in (bool, int, float)}
 
 #: The scalar fields' JSON bounds: at least ``min``, and below ``below``.
 _BOUNDS = {
@@ -127,7 +124,8 @@ _SCHEDULE_KEYS = {
 _KNOWN_KEYS = set(ExperimentConfig._fields) - {"schedule"} | set(_SCHEDULE_KEYS)
 
 
-def _parse_setting(value, path, errors, angles: bool):
+def _parse_setting(value, path, errors, fields):
+    angles = _MODELS[fields["model"]].angles
     if isinstance(value, bool):
         errors.append((path, "setting must be an integer label or an angle string"))
         return None
@@ -146,107 +144,157 @@ def _parse_setting(value, path, errors, angles: bool):
     return None
 
 
-def _parse_grid(raw, path, errors, angles: bool):
-    if not isinstance(raw, list) or not raw:
-        errors.append((path, "must be a non-empty list of settings"))
-        return None
-    out = []
-    for i, item in enumerate(raw):
-        v = _parse_setting(item, f"{path}[{i}]", errors, angles)
-        if v is not None:
-            out.append(v)
-    if len(out) != len(raw):
-        return None
-    if len(set(out)) != len(out):
-        errors.append((path, "settings must be distinct"))
-        return None
-    return tuple(out)
-
-
-def _typed(value, kind, path, errors):
-    """``value`` if it is a JSON ``kind`` (an integer passes as a float), else None.
-
-    A float must be finite: ``NaN`` passes every bound check, and ``1e400``
-    parses to infinity.
-    """
-    if kind is float and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            errors.append((path, "number too large"))
-            return None
-    if type(value) is kind:
-        if kind is float and not math.isfinite(value):
-            errors.append((path, f"must be finite, got {value}"))
-            return None
-        return value
-    errors.append((path, f"expected {kind.__name__}"))
-    return None
-
-
-def _bound_errors(name: str, value) -> list:
-    meta = _BOUNDS.get(name, {})
-    if "min" in meta and value < meta["min"]:
-        return [(name, f"must be at least {meta['min']}, got {value}")]
-    if "below" in meta and value >= meta["below"]:
-        return [(name, f"must be below {meta['below']}, got {value}")]
-    return []
-
-
-def _count_errors(trials_per_pair: int, grid_a, grid_b) -> list:
-    """A run's trials must stay below 2^63, the limit of its ``int64`` counts."""
-    pairs = len(grid_a) * len(grid_b)
-    if trials_per_pair * pairs < 2**63:
-        return []
-    return [("trials_per_pair", f"{trials_per_pair} trials at each of {pairs} setting pairs reach 2^63")]
-
-
-def _grid_errors(chsh: ChshSettings, preset_pair, grid_a, grid_b) -> list:
-    """The chosen CHSH settings and preset pair missing from the grids, written as output files write them."""
+def _grid_errors(chsh: ChshSettings, preset_pair, trials_per_pair, grid_a, grid_b) -> list:
+    """Chosen settings missing from the grids, written as output files write them, and trials reaching 2^63."""
     grids = {"grid_a": grid_a, "grid_b": grid_b}
     wanted = [("chsh.x0", chsh.x0, "grid_a"), ("chsh.x1", chsh.x1, "grid_a"),
               ("chsh.y0", chsh.y0, "grid_b"), ("chsh.y1", chsh.y1, "grid_b")]
     if preset_pair is not None:
         wanted += [("preset_pair[0]", preset_pair[0], "grid_a"), ("preset_pair[1]", preset_pair[1], "grid_b")]
-    return [
+    errors = [
         (path, f"setting {setting_text(value)} not in {name} ({', '.join(map(setting_text, grids[name]))})")
         for path, value, name in wanted
         if value not in grids[name]
     ]
+    pairs = len(grid_a) * len(grid_b)
+    if trials_per_pair is not None and trials_per_pair * pairs >= 2**63:
+        errors.append(("trials_per_pair", f"{trials_per_pair} trials at each of {pairs} setting pairs reach 2^63"))
+    return errors
 
 
-def _members(raw, key, names, errors, required=()) -> dict | None:
-    """The object ``raw[key]``'s members in ``names``; None if it is absent, not an object or incomplete.
+def _members(value, path, names, errors, required=()) -> dict | None:
+    """The object ``value``'s members in ``names``; None if it is not an object or is incomplete.
 
     Not an object, a missing ``required`` member and an unknown member are each an error at its own path.
     """
-    if key not in raw:
-        return None
-    value = raw[key]
     if not isinstance(value, dict):
-        errors.append((key, f"must be an object with {', '.join(names)}"))
+        errors.append((path, f"must be an object with {', '.join(names)}"))
         return None
-    missing = [(f"{key}.{sub}", "missing") for sub in required if sub not in value]
+    missing = [(f"{path}.{sub}", "missing") for sub in required if sub not in value]
     errors += missing
-    errors += [(f"{key}.{sub}", "unknown key") for sub in sorted(set(value) - set(names))]
+    errors += [(f"{path}.{sub}", "unknown key") for sub in sorted(set(value) - set(names))]
     return None if missing else {sub: value[sub] for sub in names if sub in value}
 
 
-def _parse_schedule(raw, errors) -> Schedule | None:
-    kwargs = {}
-    for key, names in _SCHEDULE_KEYS.items():
-        if key not in raw:
-            continue
-        if names is None:
-            kwargs[key] = _typed(raw[key], float, key, errors)
-        else:
-            for sub, value in (_members(raw, key, names, errors) or {}).items():
-                kwargs[names[sub]] = _typed(value, float, f"{key}.{sub}", errors)
-    try:
-        return build_schedule(**{k: v for k, v in kwargs.items() if v is not None})
-    except InvalidScheduleError as exc:
-        errors.append(("stage_times", str(exc)))
+def _parse_settings(value, key, errors, fields, pair=False) -> tuple | None:
+    """A grid, a non-empty list of distinct settings; with ``pair``, exactly two settings ``[x, y]``."""
+    if not isinstance(value, list) or (len(value) != 2 if pair else not value):
+        errors.append((key, "must be a two-element list [x, y]" if pair else "must be a non-empty list of settings"))
         return None
+    out = tuple(_parse_setting(item, f"{key}[{i}]", errors, fields) for i, item in enumerate(value))
+    if None in out:
+        return None
+    if not pair and len(set(out)) != len(out):
+        errors.append((key, "settings must be distinct"))
+        return None
+    return out
+
+
+def _parse_chsh(value, key, errors, fields) -> ChshSettings | None:
+    members = _members(value, key, ChshSettings._fields, errors, required=ChshSettings._fields)
+    if members is None:
+        return None
+    settings = {sub: _parse_setting(v, f"{key}.{sub}", errors, fields) for sub, v in members.items()}
+    return None if None in settings.values() else ChshSettings(**settings)
+
+
+def _parse_scalar(value, key, errors, fields=None, kind=None):
+    """``value`` if it is a JSON ``kind`` within the key's ``_BOUNDS``, else None.
+
+    ``kind`` is by default the type of the field's default.  An integer passes as
+    a float, which must be finite: ``NaN`` passes every bound check, and ``1e400``
+    parses to infinity.
+    """
+    kind = kind or type(ExperimentConfig._field_defaults[key])
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            errors.append((key, "number too large"))
+            return None
+    if type(value) is not kind:
+        errors.append((key, f"expected {kind.__name__}"))
+        return None
+    if kind is float and not math.isfinite(value):
+        errors.append((key, f"must be finite, got {value}"))
+        return None
+    bounds = _BOUNDS.get(key, {})
+    if "min" in bounds and value < bounds["min"]:
+        errors.append((key, f"must be at least {bounds['min']}, got {value}"))
+    elif "below" in bounds and value >= bounds["below"]:
+        errors.append((key, f"must be below {bounds['below']}, got {value}"))
+    return value
+
+
+def _parse_schedule(value, key, errors, fields) -> Schedule | None:
+    """The schedule that the document's schedule keys give, once they all read cleanly."""
+    kwargs, start = {}, len(errors)
+    for name, members in _SCHEDULE_KEYS.items():
+        if name in value and members is None:
+            kwargs[name] = _parse_scalar(value[name], name, errors, kind=float)
+        elif name in value:
+            for sub, member in (_members(value[name], name, members, errors) or {}).items():
+                kwargs[members[sub]] = _parse_scalar(member, f"{name}.{sub}", errors, kind=float)
+    # a default in place of a bad or misspelled value could fail where the document would not
+    if len(errors) > start:
+        return None
+    try:
+        return build_schedule(**kwargs)
+    except InvalidScheduleError as exc:
+        errors.append((exc.part, str(exc)))
+        return None
+
+
+def _parse_lhv(value, key, errors, fields) -> LhvModel | None:
+    """Hidden-variable tables, each with one row per setting of its wing's grid."""
+    tables = _members(value, key, LhvModel.TABLES + ("hidden",), errors, required=LhvModel.TABLES)
+    if tables is None:
+        return None
+    try:
+        lhv = LhvModel(
+            tuple(tables["hidden"]) if "hidden" in tables else tuple(range(len(tables["prior"]))),
+            tuple(tables["prior"]),
+            tuple(tuple(map(tuple, x)) for x in tables["response_a"]),
+            tuple(tuple(map(tuple, y)) for y in tables["response_b"]),
+        )
+    except (TypeError, ValueError) as exc:
+        errors.append((key, f"bad hidden-variable tables: {exc}"))
+        return None
+    for table in LhvModel.TABLES:
+        try:
+            lhv.table(table)
+        except (TypeError, ValueError) as exc:
+            errors.append((f"{key}.{table}", f"bad hidden-variable table: {exc}"))
+    for wing, grid, rows in (("a", fields["grid_a"], lhv.response_a), ("b", fields["grid_b"], lhv.response_b)):
+        if grid and len(grid) != len(rows):
+            errors.append((f"grid_{wing}", f"has {len(grid)} settings but {key}.response_{wing} has {len(rows)}"))
+    return lhv
+
+
+#: The parser of each key that every model reads, in the order errors are reported.
+#: Each takes the key's JSON value, the key, the error list and the fields parsed
+#: so far, and returns the key's field, or None after reporting an error.
+_PARSERS = {
+    "grid_a": _parse_settings,
+    "grid_b": _parse_settings,
+    "chsh": _parse_chsh,
+    **{k: _parse_scalar for k, v in ExperimentConfig._field_defaults.items() if type(v) in (bool, int, float)},
+    "schedule": _parse_schedule,
+    "preset_pair": partial(_parse_settings, pair=True),
+}
+
+#: Each model: whether its settings are angles rather than integer labels; its
+#: default CHSH settings, whose grids are the default grids; the one key that
+#: only it reads, what that key holds and the key's parser; and its grids:
+#: "free", "fixed" to the defaults, or "file", read from that key's file.
+_Model = namedtuple("_Model", "angles chsh key holds parse grids", defaults=(None, "", None, "free"))
+_MODELS = {
+    "singlet": _Model(True, _SINGLET),
+    "pr-box": _Model(False, pr_box_settings(), grids="fixed"),
+    "lhv": _Model(False, pr_box_settings(), "lhv", "hidden-variable tables", _parse_lhv),
+    "custom": _Model(False, pr_box_settings(), "behavior_file", "a behavior file path",
+                     partial(_parse_scalar, kind=str), "file"),
+}
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -257,7 +305,6 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     pass the same checks as the file and are reported at the key's path; a
     file value they replace is never read, so it is not checked either.
     """
-    errors: list = []
     try:
         raw = json.loads(text)
     # a malformed document, too deep a nesting, or an integer literal too long to convert
@@ -267,110 +314,43 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError([("", "top level must be a JSON object")])
     raw.update(overrides or {})
 
-    for key in sorted(set(raw) - _KNOWN_KEYS):
-        errors.append((key, "unknown key"))
+    errors = [(key, "unknown key") for key in sorted(set(raw) - _KNOWN_KEYS)]
+    name = raw.get("model", "singlet")
+    if not isinstance(name, str) or name not in _MODELS:
+        errors.append(("model", f"must be one of {tuple(_MODELS)}"))
+        name = "singlet"
+    model = _MODELS[name]
 
-    model = raw.get("model", "singlet")
-    if model not in MODEL_CHOICES:
-        errors.append(("model", f"must be one of {MODEL_CHOICES}"))
-        model = "singlet"
+    # the model's default settings and grids stand until the document replaces them,
+    # and the schedule keys parse together into the one field they make
+    fields = {"model": name, "chsh": model.chsh}
+    fields["grid_a"], fields["grid_b"] = model.chsh.grids()
+    raw["schedule"] = {key: raw.pop(key) for key in _SCHEDULE_KEYS if key in raw}
+    for key, parse in _PARSERS.items():
+        if key in raw:
+            fields[key] = parse(raw[key], key, errors, fields)
+    if "preset_pair" in raw and not fields.get("preset_settings"):
+        errors.append(("preset_pair", "has no effect unless preset_settings is true"))
+    for owner, spec in _MODELS.items():
+        if spec.key in raw and owner != name:
+            errors.append((spec.key, f"only meaningful for model {owner!r}, not {name!r}"))
+        elif spec.key in raw:
+            fields[spec.key] = spec.parse(raw[spec.key], spec.key, errors, fields)
+        elif owner == name and spec.key:
+            errors.append((spec.key, f"model {owner!r} needs {spec.holds}"))
 
-    # model-appropriate grid and settings defaults; the singlet takes angles
-    angles = model == "singlet"
-    chsh = _SINGLET if angles else pr_box_settings()
-    grid_a, grid_b = chsh.grids()
-    if "grid_a" in raw:
-        grid_a = _parse_grid(raw["grid_a"], "grid_a", errors, angles)
-    if "grid_b" in raw:
-        grid_b = _parse_grid(raw["grid_b"], "grid_b", errors, angles)
-
-    members = _members(raw, "chsh", ChshSettings._fields, errors, required=ChshSettings._fields)
-    if members is not None:
-        vals = {k: _parse_setting(v, f"chsh.{k}", errors, angles) for k, v in members.items()}
-        if None not in vals.values():
-            chsh = ChshSettings(**vals)
-
-    scalars = {}
-    for name, kind in _SCALARS.items():
-        if name in raw:
-            value = _typed(raw[name], kind, name, errors)
-            if value is not None:
-                errors += _bound_errors(name, value)
-                scalars[name] = value
-
-    schedule = _parse_schedule(raw, errors)
-
-    preset_pair = None
-    if "preset_pair" in raw:
-        if not isinstance(raw["preset_pair"], list) or len(raw["preset_pair"]) != 2:
-            errors.append(("preset_pair", "must be a two-element list [x, y]"))
-        else:
-            px = _parse_setting(raw["preset_pair"][0], "preset_pair[0]", errors, angles)
-            py = _parse_setting(raw["preset_pair"][1], "preset_pair[1]", errors, angles)
-            if px is not None and py is not None:
-                preset_pair = (px, py)
-        if not scalars.get("preset_settings", False):
-            errors.append(("preset_pair", "has no effect unless preset_settings is true"))
-
-    lhv = None
-    if model == "lhv":
-        if "lhv" not in raw:
-            errors.append(("lhv", "model 'lhv' needs hidden-variable tables"))
-        elif (tables := _members(raw, "lhv", LhvModel.TABLES + ("hidden",), errors,
-                                 required=LhvModel.TABLES)) is not None:
-            try:
-                hidden = tuple(tables["hidden"]) if "hidden" in tables else tuple(range(len(tables["prior"])))
-                lhv = LhvModel(
-                    hidden,
-                    tuple(tables["prior"]),
-                    tuple(tuple(map(tuple, x)) for x in tables["response_a"]),
-                    tuple(tuple(map(tuple, y)) for y in tables["response_b"]),
-                )
-            except (TypeError, ValueError) as exc:
-                errors.append(("lhv", f"bad hidden-variable tables: {exc}"))
-            else:
-                for field in LhvModel.TABLES:
-                    try:
-                        lhv.table(field)
-                    except (TypeError, ValueError) as exc:
-                        errors.append((f"lhv.{field}", f"bad hidden-variable table: {exc}"))
-                for wing, grid, rows in (("a", grid_a, lhv.response_a), ("b", grid_b, lhv.response_b)):
-                    if grid and len(grid) != len(rows):
-                        reason = f"has {len(grid)} settings but lhv.response_{wing} has {len(rows)}"
-                        errors.append((f"grid_{wing}", reason))
-    elif "lhv" in raw:
-        errors.append(("lhv", f"only meaningful for model 'lhv', not {model!r}"))
-
-    behavior_file = None
-    if model == "custom":
-        if "behavior_file" in raw:
-            behavior_file = _typed(raw["behavior_file"], str, "behavior_file", errors)
-        else:
-            errors.append(("behavior_file", "model 'custom' needs a behavior file path"))
-        errors += [(k, "a custom model takes its grids from behavior_file")
-                   for k in ("grid_a", "grid_b") if k in raw]
-    elif "behavior_file" in raw:
-        errors.append(("behavior_file", f"only meaningful for model 'custom', not {model!r}"))
-
-    # cross-field checks; a custom model's grids are checked once its file is read
-    if grid_a and grid_b and model != "custom":
-        errors += _grid_errors(chsh, preset_pair, grid_a, grid_b)
-        if "trials_per_pair" in scalars:
-            errors += _count_errors(scalars["trials_per_pair"], grid_a, grid_b)
-    if model == "pr-box" and (grid_a, grid_b) != pr_box_settings().grids():
-        errors.append(("grid_a", "the pr-box model requires binary grids [0, 1]"))
+    # cross-field checks; a file's grids are checked once build_model reads it
+    grid_a, grid_b = fields["grid_a"], fields["grid_b"]
+    if model.grids == "file":
+        errors += [(key, f"a {name} model takes its grids from {model.key}")
+                   for key in ("grid_a", "grid_b") if key in raw]
+    elif grid_a and grid_b:
+        # a chsh that did not parse is checked as the model's default settings
+        chsh, trials = fields["chsh"] or model.chsh, fields.get("trials_per_pair")
+        errors += _grid_errors(chsh, fields.get("preset_pair"), trials, grid_a, grid_b)
+    if model.grids == "fixed" and (grid_a, grid_b) != model.chsh.grids():
+        errors.append(("grid_a", f"the {name} model requires binary grids [0, 1]"))
 
     if errors:
         raise ConfigError(errors)
-
-    return ExperimentConfig(
-        model=model,
-        grid_a=grid_a,
-        grid_b=grid_b,
-        chsh=chsh,
-        schedule=schedule,
-        preset_pair=preset_pair,
-        lhv=lhv,
-        behavior_file=behavior_file,
-        **scalars,
-    )
+    return ExperimentConfig(**fields)

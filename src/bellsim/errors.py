@@ -19,7 +19,14 @@ class RealismViolationError(SimulationError):
 
 
 class InvalidScheduleError(SimulationError):
-    """Stage times or geometry violate the experiment's causal layout."""
+    """Stage times or geometry violate the experiment's causal layout.
+
+    ``part`` names what is at fault: ``"positions"``, ``"signal_speed"`` or ``"stage_times"``.
+    """
+
+    def __init__(self, message: str, part: str = "stage_times"):
+        super().__init__(message)
+        self.part = part
 
 
 class UnsupportedScenarioError(SimulationError):

@@ -211,9 +211,9 @@ def build_schedule(
     each wing's measurement process and the other wing's.
     """
     if position_a == position_b:
-        raise InvalidScheduleError("observer worldlines must be distinct")
+        raise InvalidScheduleError("observer worldlines must be distinct", "positions")
     if not (0.0 < signal_speed <= c):
-        raise InvalidScheduleError(f"signal speed must lie in (0, c]; got {signal_speed}")
+        raise InvalidScheduleError(f"signal speed must lie in (0, c]; got {signal_speed}", "signal_speed")
     times = (t_prepare, t_setting, t_detection, t_communication)
     if not (times[0] < times[1] < times[2] < times[3]):
         raise InvalidScheduleError(

@@ -132,6 +132,16 @@ def test_readme_config_surface_is_the_default_config():
     assert cfg == ExperimentConfig()
 
 
+def test_readme_names_every_config_key_its_surface_block_leaves_out():
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"Full config surface:\s*```json\n(.*?)```", readme, re.S).group(1)
+    doc = json.loads(re.sub(r"\s*//.*", "", block))
+    assert parse_config(json.dumps(doc)) == ExperimentConfig()
+    left_out = config_module._KNOWN_KEYS - set(doc)
+    rest = readme.replace(block, "")
+    assert [key for key in sorted(left_out) if f'"{key}"' not in rest and f"`{key}`" not in rest] == []
+
+
 def test_readme_library_sketch_runs_as_its_comments_say():
     block = re.search(r"## Library sketch\s*```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     namespace, values = {}, {}
@@ -632,6 +642,50 @@ def test_bad_config_exits_with_config_error_and_no_traceback(tmp_path, capsys, d
     assert code == EXIT_CONFIG
     assert f"config error at {path}: " in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_errors_are_reported_in_one_fixed_order(tmp_path, capsys):
+    doc = {"bogus": 1, "model": "lhv", "grid_a": [], "chsh": {"x0": 0}, "seed": -1, "workers": 0,
+           "positions": {"a": "x"}, "preset_pair": [0], "behavior_file": "f", "lhv": {"prior": [1.0]}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error at bogus: unknown key",
+        "config error at grid_a: must be a non-empty list of settings",
+        "config error at chsh.x1: missing",
+        "config error at chsh.y0: missing",
+        "config error at chsh.y1: missing",
+        "config error at seed: must be at least 0, got -1",
+        "config error at workers: must be at least 1, got 0",
+        "config error at positions.a: expected float",
+        "config error at preset_pair: must be a two-element list [x, y]",
+        "config error at preset_pair: has no effect unless preset_settings is true",
+        "config error at lhv.response_a: missing",
+        "config error at lhv.response_b: missing",
+        "config error at behavior_file: only meaningful for model 'custom', not 'lhv'",
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, line", [
+    ({"positions": {"a": 1.0, "b": 1.0}}, "positions: observer worldlines must be distinct"),
+    ({"signal_speed": 2.0}, "signal_speed: signal speed must lie in (0, c]; got 2.0"),
+    # the default signal speed is past so small a c
+    ({"c": 0.5}, "signal_speed: signal speed must lie in (0, c]; got 1.0"),
+    ({"stage_times": {"setting": 0.3, "detection": 0.2}},
+     "stage_times: stage times must increase strictly; got (0.0, 0.3, 0.2, 2.3)"),
+    ({"stage_times": {"communication": 2.0}}, "stage_times: communication completes too early: "
+     "reports would have to be sent at t=0.0 before detection at t=0.2"),
+    ({"c": 1e308}, "stage_times: setting A and detection B are timelike, not space-like separated"),
+    # a bad or misspelled member stops the schedule check: a default would stand in its place
+    ({"stage_times": {"prepare": "x", "setting": -5}}, "stage_times.prepare: expected float"),
+    ({"positions": {"a": 1.0, "bb": 1.0}}, "positions.bb: unknown key"),
+])
+def test_schedule_error_is_reported_at_the_key_it_concerns(tmp_path, capsys, doc, line):
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"config error at {line}"]
     assert not out.exists()
 
 

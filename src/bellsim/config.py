@@ -49,7 +49,7 @@ class ExperimentConfig(NamedTuple):
     preset_settings: bool = False
     preset_pair: tuple | None = None
     unresolved_local_setting: bool = False
-    workers: int = 1
+    workers: int | None = None  # None: one sampling thread per CPU
     traced_trials: int = 1
     keep_records: bool = True
     lhv: LhvModel | None = None
@@ -144,11 +144,11 @@ def _parse_setting(value, path, errors, fields):
     return None
 
 
-def _grid_errors(chsh: ChshSettings, preset_pair, trials_per_pair, grid_a, grid_b) -> list:
+def _grid_errors(chsh: ChshSettings | None, preset_pair, trials_per_pair, grid_a, grid_b) -> list:
     """Chosen settings missing from the grids, written as output files write them, and trials reaching 2^63."""
     grids = {"grid_a": grid_a, "grid_b": grid_b}
-    wanted = [("chsh.x0", chsh.x0, "grid_a"), ("chsh.x1", chsh.x1, "grid_a"),
-              ("chsh.y0", chsh.y0, "grid_b"), ("chsh.y1", chsh.y1, "grid_b")]
+    wanted = [(f"chsh.{sub}", value, "grid_a" if sub[0] == "x" else "grid_b")
+              for sub, value in (chsh._asdict() if chsh else {}).items()]
     if preset_pair is not None:
         wanted += [("preset_pair[0]", preset_pair[0], "grid_a"), ("preset_pair[1]", preset_pair[1], "grid_b")]
     errors = [
@@ -278,7 +278,9 @@ _PARSERS = {
     "grid_a": _parse_settings,
     "grid_b": _parse_settings,
     "chsh": _parse_chsh,
-    **{k: _parse_scalar for k, v in ExperimentConfig._field_defaults.items() if type(v) in (bool, int, float)},
+    # workers defaults to None, one thread per CPU; a count given for it is an int
+    **{k: _parse_scalar if v is not None else partial(_parse_scalar, kind=int)
+       for k, v in ExperimentConfig._field_defaults.items() if type(v) in (bool, int, float) or k in _BOUNDS},
     "schedule": _parse_schedule,
     "preset_pair": partial(_parse_settings, pair=True),
 }
@@ -345,10 +347,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         errors += [(key, f"a {name} model takes its grids from {model.key}")
                    for key in ("grid_a", "grid_b") if key in raw]
     elif grid_a and grid_b:
-        # a chsh that did not parse is checked as the model's default settings
-        chsh, trials = fields["chsh"] or model.chsh, fields.get("trials_per_pair")
-        errors += _grid_errors(chsh, fields.get("preset_pair"), trials, grid_a, grid_b)
-    if model.grids == "fixed" and (grid_a, grid_b) != model.chsh.grids():
+        # a chsh that did not parse has no settings to check
+        trials = fields.get("trials_per_pair")
+        errors += _grid_errors(fields["chsh"], fields.get("preset_pair"), trials, grid_a, grid_b)
+    # the binary-grid rule checks only the grids that parsed
+    if model.grids == "fixed" and any(g not in (None, d) for g, d in zip((grid_a, grid_b), model.chsh.grids())):
         errors.append(("grid_a", f"the {name} model requires binary grids [0, 1]"))
 
     if errors:

@@ -4,8 +4,8 @@ Randomness is counter-based: the master seed keys a Philox generator and
 trial ``i`` owns counter block ``i``, four raw 64-bit words of which only word
 2, the outcome draw, is read.  Words 0, 1 and 3 are unread; they stay reserved
 so that every trial keeps its block and every draw its value.  A traced
-trial, a sequential batch, and any chunked parallel batch therefore produce
-bit-identical results.
+trial, a sequential batch, and a batch split over plain threads (no pool: no
+run imports ``concurrent.futures``) therefore produce bit-identical results.
 
 Outcomes are drawn by inverse CDF over the four cells of the behavior slice
 in fixed cell order, in integers: a trial's cell is the number of the three
@@ -30,7 +30,7 @@ import io
 import itertools
 import logging
 import os
-from contextlib import nullcontext
+import threading
 from enum import Enum
 from typing import Any, NamedTuple
 
@@ -63,23 +63,19 @@ _SLOT_OUTCOME = 2
 #: ``0 .. j`` ends.
 CELL_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=2))
 
-#: Trials per sampling task.  Chunks start at multiples of CHUNK within a pair
-#: block and trial ``k`` still draws counter block ``k``, so chunking never
-#: changes a draw; it only bounds the memory one task needs.
+#: Least trials of a pair block per sampling thread, and rows per CSV format.
+#: Trial ``k`` draws counter block ``k`` whichever thread's part holds it.
 CHUNK = 1 << 16
 
-#: Sampling tasks submitted per worker at a time.
-TASKS_PER_WORKER = 4
-
-#: The thread pool class, imported by the first run that samples with more than one worker.
-ThreadPoolExecutor = None
+#: Trials whose outcome words one sampling thread holds at a time, few enough to stay in cache.
+BLOCK = 1 << 13
 
 
-def _block_words(master_seed: int, start_trial: int, count: int) -> np.ndarray:
-    """Rows ``start_trial .. start_trial+count-1`` of the per-trial raw ``uint64`` words."""
-    bits = np.random.Philox(key=master_seed)
-    bits.advance(start_trial)
-    return bits.random_raw(count * DRAWS_PER_TRIAL).reshape(count, DRAWS_PER_TRIAL)
+def _outcome_words(master_seed: int, start: int, count: int):
+    """Yield ``(trial, words)``: the outcome words of trials ``start .. start+count-1``, BLOCK at a time."""
+    bits = np.random.Philox(key=master_seed).advance(start)
+    for lo in range(start, start + count, BLOCK):
+        yield lo, bits.random_raw(min(BLOCK, start + count - lo) * DRAWS_PER_TRIAL)[_SLOT_OUTCOME::DRAWS_PER_TRIAL]
 
 
 def _word_bounds(table: np.ndarray) -> list:
@@ -226,7 +222,7 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     trials draw counter blocks that no dataset trial owns.  Every reception
     goes through the observer update with the config's schedule and
     uncertainty options, and each trial ends with pooled information.
-    The cells of each pair block's traced trials come from one draw of their
+    The cells of each pair block's traced trials come from one stream of their
     counter blocks, as in :func:`run_experiment`.  Trials with the same
     (settings, outcome cell) are one shared :class:`TrialTrace`, and every key
     shares one prefix tree of observer states (see :func:`_ledgers`): an
@@ -243,21 +239,21 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     traces = []
     for lo in range(0, config.traced_trials, n):
         pair = preset_pair if preset_pair is not None else pairs[(lo // n) % len(pairs)]
-        words = _block_words(config.seed, lo, min(n, config.traced_trials - lo))[:, _SLOT_OUTCOME]
-        cells = _cells(words, pair_bounds[pair], np.zeros(len(words), dtype=np.uint8))
-        for cell in cells.tolist():
-            key = (*pair, cell)
-            if key not in histories:
-                pooled = _ledgers(config, behavior, *key, memo)
-                histories[key] = TrialTrace(*pair, *CELL_OUTCOMES[cell], pooled, behavior, config.preset_settings)
-            traces.append(histories[key])
+        for _, words in _outcome_words(config.seed, lo, min(n, config.traced_trials - lo)):
+            for cell in _cells(words, pair_bounds[pair], np.zeros(len(words), dtype=np.uint8)).tolist():
+                key = (*pair, cell)
+                if key not in histories:
+                    pooled = _ledgers(config, behavior, *key, memo)
+                    histories[key] = TrialTrace(*pair, *CELL_OUTCOMES[cell], pooled, behavior, config.preset_settings)
+                traces.append(histories[key])
     return traces
 
 
 def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
     """Sample ``trials_per_pair`` trials of ``behavior`` at every setting pair of its grids.
 
-    Trial ``k`` draws counter block ``k`` whichever chunk and thread sample
+    Each pair block is split into one contiguous part per thread, part 0 in the
+    calling thread.  Trial ``k`` draws counter block ``k`` whichever part samples
     it, so the dataset is identical for any worker count.  Sampled outcomes are
     checked against the model's zero cells, the realism-violation signal.
     """
@@ -271,37 +267,41 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
     except (MemoryError, ValueError) as exc:
         raise ConfigError([("trials_per_pair", f"too many trials to keep every record: {exc}")]) from exc
     pair_bounds = _word_bounds(slabs)
-    tasks = ((pair, lo) for pair in range(nx * ny) for lo in range(0, trials_per_pair, CHUNK))
+    cpus = os.cpu_count() or 1
+    threads = max(1, min(config.workers or cpus, cpus, trials_per_pair // CHUNK))
+    counts, errors = np.zeros((nx * ny, threads, 4), dtype=np.int64), []  # one row per part: no lock
 
-    def sample_chunk(task):
-        pair, lo = task
-        start = pair * trials_per_pair + lo
-        count = min(CHUNK, trials_per_pair - lo)
-        words, bounds = _block_words(config.seed, start, count)[:, _SLOT_OUTCOME], pair_bounds[pair]
-        if keep_records:
-            return np.bincount(_cells(words, bounds, records[start : start + count]), minlength=4)
-        # trials past cell j, for j = -1 .. 3, with one pass per distinct bound and
-        # none past a missing one; each cell's count is a difference of two
-        reached = {b: np.count_nonzero(words >= b) for b in set(bounds)}
-        past = [count, *(reached[b] for b in bounds), *[0] * (4 - len(bounds))]
-        return np.subtract(past[:-1], past[1:])
+    def sample_part(pair, part):
+        start, end = (pair * trials_per_pair + trials_per_pair * p // threads for p in (part, part + 1))
+        bounds, out = pair_bounds[pair], counts[pair, part]
+        try:
+            for lo, words in _outcome_words(config.seed, start, end - start):
+                if keep_records:
+                    out += np.bincount(_cells(words, bounds, records[lo : lo + len(words)]), minlength=4)
+                    continue
+                # trials past cell j, j = -1 .. 3: one pass per distinct bound, none past a missing one
+                reached = {b: np.count_nonzero(words >= b) for b in set(bounds)}
+                past = [len(words), *(reached[b] for b in bounds), *[0] * (4 - len(bounds))]
+                out += np.subtract(past[:-1], past[1:])
+        except Exception as exc:
+            errors.append(exc)
 
-    global ThreadPoolExecutor
-    counts = np.zeros((nx * ny, 4), dtype=np.int64)
-    workers = min(config.workers, os.cpu_count() or 1)
-    # one worker samples in the calling thread; only more than one pays for a pool, or imports it
-    if workers > 1 and ThreadPoolExecutor is None:
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool_:
-        mapper = pool_.map if pool_ else map
-        # a few tasks per worker at a time, so memory does not grow with the number of chunks
-        while batch := list(itertools.islice(tasks, TASKS_PER_WORKER * workers)):
-            for (pair, lo), pair_counts in zip(batch, mapper(sample_chunk, batch)):
-                counts[pair] += pair_counts
-                if lo + CHUNK >= trials_per_pair:
-                    log.debug("sampled pair %d/%d: %d trials", pair + 1, nx * ny, trials_per_pair)
+    for pair in range(nx * ny):
+        helpers = []
+        for part in range(1, threads):
+            helpers.append(threading.Thread(target=sample_part, args=(pair, part)))
+            try:
+                helpers[-1].start()
+            except RuntimeError:  # no thread to be had, as under an address-space limit: sample here
+                helpers.pop().run()
+        sample_part(pair, 0)
+        for helper in helpers:
+            helper.join()
+        if errors:
+            raise errors[0]
+        log.debug("sampled pair %d/%d: %d trials", pair + 1, nx * ny, trials_per_pair)
 
-    dead = (counts > 0) & (slabs <= TOL)
+    dead = counts.any(axis=1) & (slabs <= TOL)
     if dead.any():
         i, j = divmod(int(np.flatnonzero(dead.any(axis=1))[0]), ny)
         raise RealismViolationError(
@@ -309,7 +309,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
             f"({setting_text(behavior.grid_a[i])}, {setting_text(behavior.grid_b[j])})"
         )
 
-    return Dataset(behavior.grid_a, behavior.grid_b, counts.reshape(nx, ny, 2, 2), records)
+    return Dataset(behavior.grid_a, behavior.grid_b, counts.sum(axis=1).reshape(nx, ny, 2, 2), records)
 
 
 # ---------------------------------------------------------------------------

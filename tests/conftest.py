@@ -102,7 +102,7 @@ def traces_by_run_trial(config):
         if preset_pair is None and k < records.size:
             cell = int(records[k])
         else:
-            word = harness._block_words(config.seed, k, 1)[:, harness._SLOT_OUTCOME]
+            ((_, word),) = harness._outcome_words(config.seed, k, 1)
             (bounds,) = harness._word_bounds(behavior.slice(*pair))
             cell = int(harness._cells(word, bounds, np.zeros(1, dtype=np.uint8))[0])
         pooled = harness._ledgers(config, behavior, *pair, cell, {})

@@ -47,7 +47,8 @@ def test_minimal_config_fills_defaults():
     assert cfg.grid_a == (Angle.of(0), Angle.of(1, 2))
     assert cfg.trials_per_pair == 10000
     assert cfg.chsh.x1 == Angle.of(1, 2)
-    assert cfg.workers == 1 and not cfg.preset_settings
+    # no workers: one sampling thread per CPU
+    assert cfg.workers is None and not cfg.preset_settings
 
 
 def test_negative_trials_named_in_error():
@@ -442,8 +443,9 @@ def test_verbose_logs_each_phase_and_leaves_the_summary_unchanged(tmp_path):
 
 
 def test_very_verbose_logs_each_sampled_pair_and_leaves_the_summary_unchanged(tmp_path):
-    # two chunks per pair, so a pair is reported once, when its last chunk is in
-    n = harness.CHUNK + 1
+    # enough trials per pair for two sampling threads, so on a host with two CPUs
+    # or more a pair is reported once, after its parts are joined
+    n = 2 * harness.CHUNK + 1
     doc = {"trials_per_pair": n, "seed": 5, "traced_trials": 1, "keep_records": False}
     summaries, logs = run_with_flags(tmp_path, doc, [], ["-vv"])
     assert summaries[0] == summaries[1]
@@ -832,9 +834,14 @@ _FULL_CHSH = {"x0": "0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}
      ["config error at grid_b: a custom model takes its grids from behavior_file"]),
     ({"grid_a": [0.5, "pi/2"]},
      ["config error at grid_a[0]: setting must be an integer label or an angle string, got 0.5"]),
+    # a chsh that did not parse is not checked against the grids as the default settings
+    ({"grid_a": ["pi/3", "pi/6"], "chsh": {"x0": "bad", "x1": "pi/3", "y0": "pi/4", "y1": "-pi/4"}},
+     ["config error at chsh.x0: not an angle: 'bad' (expected e.g. '0', 'pi/4', '-3pi/4')"]),
+    # nor is a grid that did not parse held to the pr-box binary grids
+    ({"model": "pr-box", "grid_a": []}, ["config error at grid_a: must be a non-empty list of settings"]),
 ], ids=["not-an-object", "repeated-setting", "missing-chsh-keys", "unknown-chsh-key", "lhv-not-an-object",
         "lhv-unknown-member", "lhv-missing-member", "custom-without-file", "custom-grid-a", "custom-grid-b",
-        "float-setting"])
+        "float-setting", "unparsed-chsh", "pr-box-unparsed-grid"])
 def test_config_shape_errors_exit_with_one_line_per_error(tmp_path, capsys, doc, lines):
     code, out = run_cli(tmp_path, doc)
     assert code == EXIT_CONFIG

@@ -5,8 +5,9 @@ import io
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from bellsim import (
 )
 from bellsim import harness
 from bellsim.angles import setting_text
-from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _block_words, _cells, _word_bounds
+from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _cells, _outcome_words, _word_bounds
 from bellsim.models import OUTCOMES, Behavior, behavior_to_csv
 from conftest import TRACED_CONFIGS, random_behavior, trial, trial_records, traces_by_run_trial
 
@@ -69,13 +70,19 @@ def _whole_stream(seed, trials):
 def test_substreams_tile_the_batch():
     batch = _whole_stream(99, 64)
     for i in (0, 1, 17, 63):
-        assert np.array_equal(_block_words(99, i, 1)[0], batch[i])
+        ((trial, words),) = _outcome_words(99, i, 1)
+        assert trial == i and np.array_equal(words, batch[i, 2:3])
 
 
-def test_block_uniforms_slice_the_batch():
+def test_block_uniforms_slice_the_batch(monkeypatch):
+    # blocks of 7 trials, so most streams end mid-block and some start mid-block of the batch
+    monkeypatch.setattr(harness, "BLOCK", 7)
     batch = _whole_stream(7, 100)
-    for start, count in ((30, 20), (0, 100), (0, 1), (1, 1), (17, 1), (99, 1)):
-        assert np.array_equal(_block_words(7, start, count), batch[start : start + count])
+    for start, count in ((30, 20), (0, 100), (0, 1), (1, 1), (17, 1), (99, 1), (3, 14)):
+        blocks = list(_outcome_words(7, start, count))
+        assert [trial for trial, _ in blocks] == list(range(start, start + count, 7))
+        assert all(len(words) <= 7 for _, words in blocks)
+        assert np.array_equal(np.concatenate([words for _, words in blocks]), batch[start : start + count, 2])
 
 
 def test_trial_is_deterministic():
@@ -255,39 +262,6 @@ def test_single_trial_counts_one_hot():
             assert ds.counts[i, j].sum() == 1
 
 
-def test_sampling_submits_a_bounded_window_of_tasks(monkeypatch):
-    # 4 pairs of 26 four-trial chunks: far more tasks than the window may hold
-    monkeypatch.setattr(harness, "CHUNK", 4)
-    waiting, peak = [0], [0]
-
-    class Counting(ThreadPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
-            future = super().submit(fn, *args, **kwargs)
-            waiting[0] += 1
-            peak[0] = max(peak[0], waiting[0])
-            result = future.result
-
-            def consumed(timeout=None):
-                waiting[0] -= 1
-                return result(timeout)
-
-            future.result = consumed
-            return future
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Counting)
-    # two CPUs on any host, so two workers share a pool rather than the calling thread
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    cfg = ExperimentConfig(trials_per_pair=101, seed=23, workers=2)
-    windowed = experiment(cfg)
-    assert 0 < peak[0] <= harness.TASKS_PER_WORKER * 2
-    assert waiting[0] == 0
-    # trial k still draws counter block k
-    monkeypatch.setattr(harness, "CHUNK", CHUNK)
-    whole = experiment(cfg)
-    assert np.array_equal(windowed.counts, whole.counts)
-    assert np.array_equal(windowed.records, whole.records)
-
-
 def test_records_that_cannot_be_allocated_are_a_config_error():
     # 2^62 one-byte records: the count bound holds, no allocator can give them
     with pytest.raises(ConfigError) as info:
@@ -365,21 +339,39 @@ def test_chunk_boundaries_do_not_change_any_draw():
         assert (int(fields[3]), int(fields[4])) == (t.outcome_a, t.outcome_b)
 
 
+class CountingThread(threading.Thread):
+    """A thread that records each start, so a test sees how many helper threads a run used."""
+
+    started = []
+
+    def start(self):
+        self.started.append(self)
+        super().start()
+
+
 @pytest.mark.parametrize("behavior", [optimal_behavior(), pr_box()], ids=["singlet", "pr-box"])
 def test_one_worker_samples_in_the_calling_thread(monkeypatch, behavior):
-    # CHUNK + 3 trials per pair, so every pair block crosses a chunk boundary
-    cfg = ExperimentConfig(trials_per_pair=CHUNK + 3, seed=29, workers=2)
-    pooled = run_experiment(cfg, behavior)
+    # two CPUs on any host and 2 * CHUNK + 3 trials per pair, so two workers split
+    # every pair block into two parts, whose edge falls mid-block
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = ExperimentConfig(trials_per_pair=2 * CHUNK + 3, seed=29, workers=2)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    CountingThread.started.clear()
+    threaded = run_experiment(cfg, behavior)
+    assert len(CountingThread.started) == 4
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-worker run built a thread pool")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-thread run started a thread")
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     inline = run_experiment(cfg._replace(workers=1), behavior)
     counts_only = run_experiment(cfg._replace(workers=1, keep_records=False), behavior)
-    assert np.array_equal(inline.records, pooled.records)
-    assert np.array_equal(inline.counts, pooled.counts)
-    assert np.array_equal(counts_only.counts, pooled.counts)
+    assert np.array_equal(inline.records, threaded.records)
+    assert np.array_equal(inline.counts, threaded.counts)
+    assert np.array_equal(counts_only.counts, threaded.counts)
+    # by default, a pair block too small for a second CHUNK also stays in the calling thread
+    small = run_experiment(cfg._replace(trials_per_pair=2 * CHUNK - 1, workers=None), behavior)
+    assert small.total_trials == 4 * (2 * CHUNK - 1)
 
 
 def behavior_with_zero_cells():
@@ -394,6 +386,45 @@ def certain_behavior():
     # one certain cell per pair, first to last: its pairs have no bound, then one,
     # two and three bounds, all equal to 0
     return Behavior((0, 1), (0, 1), np.eye(4).reshape(2, 2, 2, 2))
+
+
+def test_thread_parts_and_word_blocks_do_not_change_any_draw(monkeypatch):
+    behaviors, n = (pr_box(), optimal_behavior(), behavior_with_zero_cells(), certain_behavior()), 101
+    whole = {(i, keep): run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, keep_records=keep), b)
+             for i, b in enumerate(behaviors) for keep in (True, False)}
+    # four CPUs on any host, a thread per 4 trials and words in blocks of 7: the 101
+    # trials of a pair split at 50, or at 33 and 67, and no part is whole blocks
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    monkeypatch.setattr(harness, "BLOCK", 7)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    sizes = []
+
+    def outcome_words(*args):
+        for trial, words in _outcome_words(*args):
+            sizes.append(len(words))
+            yield trial, words
+
+    monkeypatch.setattr(harness, "_outcome_words", outcome_words)
+    # switch threads as often as the interpreter can, so parts that shared state would interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for (i, keep), expected in whole.items():
+            for workers in (1, 2, 3):
+                CountingThread.started.clear()
+                cfg = ExperimentConfig(trials_per_pair=n, seed=23, workers=workers, keep_records=keep)
+                ds = run_experiment(cfg, behaviors[i])
+                # trial k still draws counter block k
+                assert np.array_equal(ds.counts, expected.counts)
+                assert np.array_equal(ds.records, expected.records)
+                # workers - 1 helper threads per pair, each joined before the run returns
+                assert len(CountingThread.started) == ds.n_per_pair.size * (workers - 1)
+                assert not any(t.is_alive() for t in CountingThread.started)
+    finally:
+        sys.setswitchinterval(interval)
+    # no thread ever held more than one block of words
+    assert max(sizes) == 7 and min(sizes) < 7
 
 
 @pytest.mark.parametrize("make", [pr_box, optimal_behavior, behavior_with_zero_cells, certain_behavior])
@@ -420,34 +451,69 @@ def test_sampling_without_records_uses_bounded_memory():
 
 
 def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
-    seen = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+    # two CPUs on any host, and a thread for every 4 trials
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     # workers has no upper bound in a config: any count, however large, is capped
     configs = (
         ExperimentConfig(trials_per_pair=8, seed=3, workers=10**6),
         parse_config(json.dumps({"trials_per_pair": 8, "seed": 3, "workers": 10**28})),
+        ExperimentConfig(trials_per_pair=8, seed=3),
     )
     for cfg in configs:
-        seen.clear()
+        CountingThread.started.clear()
         ds = run_experiment(cfg, pr_box())
         assert ds.total_trials == 32
-        # a pool is built only when the cap leaves more than one thread
-        assert bool(seen) == ((os.cpu_count() or 1) > 1)
-        assert all(w <= (os.cpu_count() or 1) for w in seen)
+        # one helper per pair beside the calling thread: two threads in all
+        assert len(CountingThread.started) == 4
+    # on one CPU, every run samples in the calling thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    for cfg in configs:
+        CountingThread.started.clear()
+        assert run_experiment(cfg, pr_box()).total_trials == 32
+        assert CountingThread.started == []
+
+
+def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    CountingThread.started.clear()
+
+    def outcome_words(seed, start, count):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"part from trial {start} failed")
+        yield from _outcome_words(seed, start, count)
+
+    monkeypatch.setattr(harness, "_outcome_words", outcome_words)
+    with pytest.raises(RuntimeError, match="part from trial 4 failed"):
+        run_experiment(ExperimentConfig(trials_per_pair=8, seed=3), pr_box())
+    # the first pair's helper failed, and it was joined before the error was raised
+    assert len(CountingThread.started) == 1 and not CountingThread.started[0].is_alive()
+
+
+def test_a_part_whose_thread_cannot_start_is_sampled_in_the_calling_thread(monkeypatch):
+    # as under an address-space limit on a host with many CPUs: every other helper fails to start
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    refused = []
+
+    class ScarceThread(CountingThread):
+        def start(self):
+            if (len(CountingThread.started) + len(refused)) % 2:
+                refused.append(self)
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    cfg = ExperimentConfig(trials_per_pair=101, seed=31)
+    whole = run_experiment(cfg._replace(workers=1), behavior_with_zero_cells())
+    monkeypatch.setattr(threading, "Thread", ScarceThread)
+    CountingThread.started.clear()
+    ds = run_experiment(cfg, behavior_with_zero_cells())
+    assert len(CountingThread.started) == len(refused) == 9
+    assert np.array_equal(ds.counts, whole.counts)
+    assert np.array_equal(ds.records, whole.records)
 
 
 def test_records_can_be_dropped():

@@ -1,10 +1,10 @@
 """Start-up guards for a fresh CLI process, checked by what it loads and defines, not by timing.
 
-``Angle`` needs no ``fractions`` (which brings ``decimal``), and only a run
-with more than one worker needs ``concurrent.futures``.  Records are
-``typing.NamedTuple``s or plain classes: a dataclass generates and compiles
-its methods' source on every import, so bellsim defines none and never
-imports ``dataclasses``.
+``Angle`` needs no ``fractions`` (which brings ``decimal``), and no run needs
+``concurrent.futures``: sampling threads are plain ``threading.Thread``s.
+Records are ``typing.NamedTuple``s or plain classes: a dataclass generates and
+compiles its methods' source on every import, so bellsim defines none and
+never imports ``dataclasses``.
 """
 
 import dataclasses
@@ -23,8 +23,8 @@ from bellsim import harness, models, observers, probability
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ("fractions", "decimal", "concurrent.futures", "dataclasses")
 
-#: Imports the CLI, runs one small one-worker config through it, and prints, on its
-#: last line, which of the deferred modules were loaded after the import and after the run.
+#: Imports the CLI, runs one config through it, and prints, on its last line,
+#: which of the deferred modules were loaded after the import and after the run.
 PROBE = """
 import json, sys
 loaded = lambda: [m for m in {deferred!r} if m in sys.modules]
@@ -35,17 +35,26 @@ print(json.dumps([after_import, loaded(), code]))
 """
 
 
-def test_cli_import_and_a_one_worker_run_leave_fractions_decimal_and_the_pool_unloaded(tmp_path):
+def probe(tmp_path, doc) -> list:
+    """``[loaded after the import, loaded after the run, exit code]`` of a fresh CLI process running ``doc``."""
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"trials_per_pair": 50, "traced_trials": 3}), encoding="utf-8")
+    config.write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", PROBE.format(deferred=DEFERRED), str(config), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True,
     )
-    after_import, after_run, code = json.loads(out.stdout.splitlines()[-1])
-    assert code == 0
-    assert after_import == [] and after_run == []
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_and_a_one_worker_run_leave_fractions_decimal_and_the_pool_unloaded(tmp_path):
+    assert probe(tmp_path, {"trials_per_pair": 50, "traced_trials": 3}) == [[], [], 0]
+
+
+def test_a_run_on_two_sampling_threads_leaves_the_pool_unloaded(tmp_path):
+    # two parts of 2^16 trials per pair: two threads on any host with two CPUs or more
+    doc = {"model": "pr-box", "trials_per_pair": 2**17, "workers": 2, "keep_records": False}
+    assert probe(tmp_path, doc) == [[], [], 0]
 
 
 def test_bellsim_defines_no_dataclasses():

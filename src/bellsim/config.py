@@ -147,8 +147,8 @@ def _parse_setting(value, path, errors, fields):
 def _grid_errors(chsh: ChshSettings | None, preset_pair, trials_per_pair, grid_a, grid_b) -> list:
     """Chosen settings missing from the grids, written as output files write them, and trials reaching 2^63."""
     grids = {"grid_a": grid_a, "grid_b": grid_b}
-    wanted = [(f"chsh.{sub}", value, "grid_a" if sub[0] == "x" else "grid_b")
-              for sub, value in (chsh._asdict() if chsh else {}).items()]
+    wanted = [("chsh.x0", chsh.x0, "grid_a"), ("chsh.x1", chsh.x1, "grid_a"),
+              ("chsh.y0", chsh.y0, "grid_b"), ("chsh.y1", chsh.y1, "grid_b")] if chsh else []
     if preset_pair is not None:
         wanted += [("preset_pair[0]", preset_pair[0], "grid_a"), ("preset_pair[1]", preset_pair[1], "grid_b")]
     errors = [
@@ -201,11 +201,13 @@ def _parse_chsh(value, key, errors, fields) -> ChshSettings | None:
 def _parse_scalar(value, key, errors, fields=None, kind=None):
     """``value`` if it is a JSON ``kind`` within the key's ``_BOUNDS``, else None.
 
-    ``kind`` is by default the type of the field's default.  An integer passes as
-    a float, which must be finite: ``NaN`` passes every bound check, and ``1e400``
-    parses to infinity.
+    ``kind`` is by default the type of the field's default, or ``int`` where that
+    default is None.  An integer passes as a float, which must be finite: ``NaN``
+    passes every bound check, and ``1e400`` parses to infinity.
     """
-    kind = kind or type(ExperimentConfig._field_defaults[key])
+    if kind is None:
+        default = ExperimentConfig._field_defaults[key]
+        kind = int if default is None else type(default)
     if kind is float and type(value) is int:
         try:
             value = float(value)
@@ -278,9 +280,7 @@ _PARSERS = {
     "grid_a": _parse_settings,
     "grid_b": _parse_settings,
     "chsh": _parse_chsh,
-    # workers defaults to None, one thread per CPU; a count given for it is an int
-    **{k: _parse_scalar if v is not None else partial(_parse_scalar, kind=int)
-       for k, v in ExperimentConfig._field_defaults.items() if type(v) in (bool, int, float) or k in _BOUNDS},
+    **{k: _parse_scalar for k, v in ExperimentConfig._field_defaults.items() if k in _BOUNDS or type(v) is bool},
     "schedule": _parse_schedule,
     "preset_pair": partial(_parse_settings, pair=True),
 }

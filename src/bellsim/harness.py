@@ -64,7 +64,6 @@ _SLOT_OUTCOME = 2
 CELL_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=2))
 
 #: Least trials of a pair block per sampling thread, and rows per CSV format.
-#: Trial ``k`` draws counter block ``k`` whichever thread's part holds it.
 CHUNK = 1 << 16
 
 #: Trials whose outcome words one sampling thread holds at a time, few enough to stay in cache.
@@ -267,7 +266,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
     except (MemoryError, ValueError) as exc:
         raise ConfigError([("trials_per_pair", f"too many trials to keep every record: {exc}")]) from exc
     pair_bounds = _word_bounds(slabs)
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     threads = max(1, min(config.workers or cpus, cpus, trials_per_pair // CHUNK))
     counts, errors = np.zeros((nx * ny, threads, 4), dtype=np.int64), []  # one row per part: no lock
 
@@ -286,6 +285,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
         except Exception as exc:
             errors.append(exc)
 
+    import numpy.random  # numpy loads it lazily: here, not in a helper thread short of address space
     for pair in range(nx * ny):
         helpers = []
         for part in range(1, threads):

@@ -254,6 +254,11 @@ def experiment(cfg: ExperimentConfig):
     return run_experiment(cfg, build_model(cfg))
 
 
+def use_cpus(monkeypatch, n: int):
+    """Give the process an affinity mask of ``n`` CPUs, whatever the host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_single_trial_counts_one_hot():
     ds = experiment(ExperimentConfig(trials_per_pair=1, seed=5))
     assert ds.total_trials == 4
@@ -303,19 +308,32 @@ def test_uniform_cells_concentrate():
     assert np.max(np.abs(ds.counts - n / 4.0)) <= bound
 
 
-def test_parallel_execution_is_bit_identical():
+def test_parallel_execution_is_bit_identical(monkeypatch):
     c1 = ExperimentConfig(trials_per_pair=4000, seed=13, workers=1)
-    c4 = ExperimentConfig(trials_per_pair=4000, seed=13, workers=4)
-    d1, d4 = experiment(c1), experiment(c4)
+    d1 = experiment(c1)
+    # four CPUs on any host, a thread per 1000 trials and words in blocks of 300:
+    # four workers split each pair block into four parts, none of them whole blocks
+    use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(harness, "CHUNK", 1000)
+    monkeypatch.setattr(harness, "BLOCK", 300)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    CountingThread.started.clear()
+    d4 = experiment(c1._replace(workers=4))
+    assert len(CountingThread.started) == 4 * 3
     assert np.array_equal(d1.counts, d4.counts)
     assert np.array_equal(d1.records, d4.records)
 
 
-def test_chunk_boundaries_do_not_change_any_draw():
-    b, n, seed = optimal_behavior(), CHUNK + 3, 19
+def test_chunk_boundaries_do_not_change_any_draw(monkeypatch):
+    # two CPUs on any host, so two workers split each pair block at CHUNK + 1
+    b, n, seed = optimal_behavior(), 2 * CHUNK + 3, 19
     schedule = build_schedule()
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    CountingThread.started.clear()
     d1 = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed, workers=1), b)
     d2 = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed, workers=2), b)
+    assert len(CountingThread.started) == 4
     assert np.array_equal(d1.records, d2.records)
     assert np.array_equal(d1.counts, d2.counts)
 
@@ -332,7 +350,7 @@ def test_chunk_boundaries_do_not_change_any_draw():
     rows = out.getvalue().split("\n")
     traced = ExperimentConfig(trials_per_pair=n, seed=seed, schedule=schedule, traced_trials=3 * n + 3)
     traces = trace_trials(traced, b)
-    for k in (0, CHUNK - 1, CHUNK, n, 3 * n + 2):
+    for k in (0, CHUNK - 1, CHUNK, CHUNK + 1, n, 3 * n + 2):
         t = traces[k]
         fields = rows[k + 1].split(",")
         assert fields[0] == str(k)
@@ -353,7 +371,7 @@ class CountingThread(threading.Thread):
 def test_one_worker_samples_in_the_calling_thread(monkeypatch, behavior):
     # two CPUs on any host and 2 * CHUNK + 3 trials per pair, so two workers split
     # every pair block into two parts, whose edge falls mid-block
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    use_cpus(monkeypatch, 2)
     cfg = ExperimentConfig(trials_per_pair=2 * CHUNK + 3, seed=29, workers=2)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     CountingThread.started.clear()
@@ -394,7 +412,7 @@ def test_thread_parts_and_word_blocks_do_not_change_any_draw(monkeypatch):
              for i, b in enumerate(behaviors) for keep in (True, False)}
     # four CPUs on any host, a thread per 4 trials and words in blocks of 7: the 101
     # trials of a pair split at 50, or at 33 and 67, and no part is whole blocks
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    use_cpus(monkeypatch, 4)
     monkeypatch.setattr(harness, "CHUNK", 4)
     monkeypatch.setattr(harness, "BLOCK", 7)
     monkeypatch.setattr(threading, "Thread", CountingThread)
@@ -428,10 +446,16 @@ def test_thread_parts_and_word_blocks_do_not_change_any_draw(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [pr_box, optimal_behavior, behavior_with_zero_cells, certain_behavior])
-def test_counts_without_records_match_the_records(make):
+def test_counts_without_records_match_the_records(monkeypatch, make):
+    # two CPUs on any host and a thread per 4 trials, so two workers split each pair block mid-block
     b, n = make(), CHUNK + 3
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    CountingThread.started.clear()
     kept = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, workers=2), b)
     bare = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, workers=2, keep_records=False), b)
+    assert len(CountingThread.started) == 2 * b.table.shape[0] * b.table.shape[1]
     assert bare.records.size == 0
     assert np.array_equal(bare.counts, kept.counts)
     per_pair = [np.bincount(r, minlength=4) for r in kept.records.reshape(-1, n)]
@@ -452,7 +476,7 @@ def test_sampling_without_records_uses_bounded_memory():
 
 def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
     # two CPUs on any host, and a thread for every 4 trials
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "CHUNK", 4)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     # workers has no upper bound in a config: any count, however large, is capped
@@ -468,15 +492,40 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
         # one helper per pair beside the calling thread: two threads in all
         assert len(CountingThread.started) == 4
     # on one CPU, every run samples in the calling thread
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    use_cpus(monkeypatch, 1)
     for cfg in configs:
         CountingThread.started.clear()
         assert run_experiment(cfg, pr_box()).total_trials == 32
         assert CountingThread.started == []
 
 
+def test_threads_are_capped_at_the_cpus_the_process_may_run_on(monkeypatch):
+    # a thread for every 4 trials, on a host that has 64 CPUs
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cfg = ExperimentConfig(trials_per_pair=101, seed=3)
+
+    def helpers_per_pair():
+        CountingThread.started.clear()
+        assert run_experiment(cfg, pr_box()).total_trials == 4 * 101
+        return len(CountingThread.started) / 4
+
+    # an affinity mask of two CPUs, as under taskset, or of one
+    for mask, helpers in (({0, 5}, 1), ({3}, 0)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask, raising=False)
+        assert helpers_per_pair() == helpers
+    # without an affinity mask, every CPU; and one if even their number is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert helpers_per_pair() == 24  # a thread per 4 of the 101 trials
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert helpers_per_pair() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert helpers_per_pair() == 0
+
+
 def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "CHUNK", 4)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     CountingThread.started.clear()
@@ -495,7 +544,7 @@ def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
 
 def test_a_part_whose_thread_cannot_start_is_sampled_in_the_calling_thread(monkeypatch):
     # as under an address-space limit on a host with many CPUs: every other helper fails to start
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    use_cpus(monkeypatch, 4)
     monkeypatch.setattr(harness, "CHUNK", 4)
     refused = []
 

@@ -35,13 +35,30 @@ print(json.dumps([after_import, loaded(), code]))
 """
 
 
-def probe(tmp_path, doc) -> list:
-    """``[loaded after the import, loaded after the run, exit code]`` of a fresh CLI process running ``doc``."""
+#: Runs one config through the CLI on two CPUs, whatever the host's, and prints whether
+#: ``numpy.random`` was loaded as each thread started.
+THREAD_PROBE = """
+import json, os, sys, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+loaded, start = [], threading.Thread.start
+def recording_start(thread):
+    loaded.append("numpy.random" in sys.modules)
+    start(thread)
+threading.Thread.start = recording_start
+import bellsim.cli
+assert bellsim.cli.main([sys.argv[1], "-o", sys.argv[2]]) == 0
+print(json.dumps(loaded))
+"""
+
+
+def probe(tmp_path, doc, script=PROBE.format(deferred=DEFERRED)) -> list:
+    """The last line of a fresh CLI process running ``doc`` through ``script``, by default
+    ``[loaded after the import, loaded after the run, exit code]``."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE.format(deferred=DEFERRED), str(config), str(tmp_path / "out")],
+        [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
@@ -55,6 +72,13 @@ def test_a_run_on_two_sampling_threads_leaves_the_pool_unloaded(tmp_path):
     # two parts of 2^16 trials per pair: two threads on any host with two CPUs or more
     doc = {"model": "pr-box", "trials_per_pair": 2**17, "workers": 2, "keep_records": False}
     assert probe(tmp_path, doc) == [[], [], 0]
+
+
+def test_numpy_random_is_loaded_before_a_sampling_thread_starts(tmp_path):
+    # numpy loads it on first use; a helper thread that did would map it into whatever address
+    # space the other threads' stacks and heaps left, which under ``ulimit -v`` can be too little
+    doc = {"model": "pr-box", "trials_per_pair": 2**17, "keep_records": False}
+    assert probe(tmp_path, doc, THREAD_PROBE) == [True] * 4
 
 
 def test_bellsim_defines_no_dataclasses():

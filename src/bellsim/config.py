@@ -49,7 +49,6 @@ class ExperimentConfig(NamedTuple):
     preset_settings: bool = False
     preset_pair: tuple | None = None
     unresolved_local_setting: bool = False
-    workers: int | None = None  # None: one sampling thread per CPU
     traced_trials: int = 1
     keep_records: bool = True
     lhv: LhvModel | None = None
@@ -101,7 +100,7 @@ def build_model(config: ExperimentConfig) -> Behavior:
 
 #: The scalar fields' JSON bounds: at least ``min``, and below ``below``.
 _BOUNDS = {
-    "trials_per_pair": {"min": 1}, "seed": {"min": 0, "below": 2**128}, "workers": {"min": 1},
+    "trials_per_pair": {"min": 1}, "seed": {"min": 0, "below": 2**128},
     "q_setting_width": {"min": 0.0}, "q_outcome_width": {"min": 0.0},
     # about 3.7 kB of trace.json per default traced trial: the file stays under about 1 GB
     "traced_trials": {"min": 0, "below": 2**18},
@@ -201,13 +200,11 @@ def _parse_chsh(value, key, errors, fields) -> ChshSettings | None:
 def _parse_scalar(value, key, errors, fields=None, kind=None):
     """``value`` if it is a JSON ``kind`` within the key's ``_BOUNDS``, else None.
 
-    ``kind`` is by default the type of the field's default, or ``int`` where that
-    default is None.  An integer passes as a float, which must be finite: ``NaN``
-    passes every bound check, and ``1e400`` parses to infinity.
+    ``kind`` is by default the type of the field's default.  An integer passes
+    as a float, which must be finite: ``NaN`` passes every bound check, and
+    ``1e400`` parses to infinity.
     """
-    if kind is None:
-        default = ExperimentConfig._field_defaults[key]
-        kind = int if default is None else type(default)
+    kind = kind or type(ExperimentConfig._field_defaults[key])
     if kind is float and type(value) is int:
         try:
             value = float(value)

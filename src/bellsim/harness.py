@@ -253,7 +253,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
 
     Each pair block is split into one contiguous part per thread, part 0 in the
     calling thread.  Trial ``k`` draws counter block ``k`` whichever part samples
-    it, so the dataset is identical for any worker count.  Sampled outcomes are
+    it, so the dataset is identical for any CPU count.  Sampled outcomes are
     checked against the model's zero cells, the realism-violation signal.
     """
     trials_per_pair, keep_records = config.trials_per_pair, config.keep_records
@@ -267,7 +267,7 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
         raise ConfigError([("trials_per_pair", f"too many trials to keep every record: {exc}")]) from exc
     pair_bounds = _word_bounds(slabs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = max(1, min(config.workers or cpus, cpus, trials_per_pair // CHUNK))
+    threads = max(1, min(cpus, trials_per_pair // CHUNK))
     counts, errors = np.zeros((nx * ny, threads, 4), dtype=np.int64), []  # one row per part: no lock
 
     def sample_part(pair, part):

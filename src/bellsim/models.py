@@ -335,14 +335,17 @@ def behavior_from_csv(text: str) -> Behavior:
             grid_a.append(x)
         if y not in grid_b:
             grid_b.append(y)
-        cells[(x, y, a, b)] = float(row[4])
+        if (x, y, a, b) in cells:
+            raise ValueError(f"line {line_no}: cell x={setting_text(x)} y={setting_text(y)} a={a} b={b} "
+                             f"repeats line {cells[(x, y, a, b)][0]}")
+        cells[(x, y, a, b)] = line_no, float(row[4])
     table = np.zeros((len(grid_a), len(grid_b), 2, 2))
     for i, x in enumerate(grid_a):
         for j, y in enumerate(grid_b):
             for ia, a in enumerate(OUTCOMES):
                 for ib, b in enumerate(OUTCOMES):
                     try:
-                        table[i, j, ia, ib] = cells[(x, y, a, b)]
+                        table[i, j, ia, ib] = cells[(x, y, a, b)][1]
                     except KeyError:
                         raise MissingDataError(
                             f"behavior file lacks cell x={setting_text(x)} "

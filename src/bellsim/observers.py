@@ -103,6 +103,9 @@ class QUncertainty(namedtuple("QUncertainty", "variable weights")):
         """Discrete bump around ``center``; ``width`` is in grid steps."""
         if width <= 0.0:
             return cls.delta(variable, center)
+        # width**2 neither underflows nor overflows here, and past either end the weights
+        # are already those of the limit: 0.0 but at the center, or 1.0 everywhere
+        width = min(max(width, 1e-150), 1e150)
         k = variable.index(center)
         w = [math.exp(-((i - k) ** 2) / (2.0 * width**2)) for i in range(len(variable.domain))]
         norm = sum(w)

@@ -138,7 +138,6 @@ def valid_configs(behavior_file=None):
         "q_outcome_width": st.floats(0.0, 2.0),
         "preset_settings": st.booleans(),
         "unresolved_local_setting": st.booleans(),
-        "workers": st.integers(1, 2),
         "traced_trials": st.integers(0, 3),
         "keep_records": st.booleans(),
     }

@@ -47,8 +47,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.grid_a == (Angle.of(0), Angle.of(1, 2))
     assert cfg.trials_per_pair == 10000
     assert cfg.chsh.x1 == Angle.of(1, 2)
-    # no workers: one sampling thread per CPU
-    assert cfg.workers is None and not cfg.preset_settings
+    assert not cfg.preset_settings
 
 
 def test_negative_trials_named_in_error():
@@ -654,12 +653,12 @@ def test_config_errors_are_reported_in_one_fixed_order(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [
         "config error at bogus: unknown key",
+        "config error at workers: unknown key",
         "config error at grid_a: must be a non-empty list of settings",
         "config error at chsh.x1: missing",
         "config error at chsh.y0: missing",
         "config error at chsh.y1: missing",
         "config error at seed: must be at least 0, got -1",
-        "config error at workers: must be at least 1, got 0",
         "config error at positions.a: expected float",
         "config error at preset_pair: must be a two-element list [x, y]",
         "config error at preset_pair: has no effect unless preset_settings is true",
@@ -811,6 +810,23 @@ def test_behavior_file_line_endings_read_as_in_text_mode(tmp_path, newline):
     table.write_bytes(newline.join(behavior_to_csv(pr_box()).splitlines()).encode("utf-8") + newline.encode())
     cfg = parse_config(json.dumps({"model": "custom", "behavior_file": str(table), "trials_per_pair": 10}))
     assert np.array_equal(bellsim.build_model(cfg).table, pr_box().table)
+
+
+@pytest.mark.parametrize("p", ["0.25", "0.9"], ids=["same-value", "other-value"])
+def test_a_repeated_behavior_cell_is_a_config_error(tmp_path, capsys, p):
+    # neither row wins: the same value again would pass unseen, and another would fail
+    # the sum check with a total that the file never wrote
+    rows = ["x,y,a,b,p", *(f"0,0,{a},{b},0.25" for a in (1, -1) for b in (1, -1))]
+    assert behavior_from_csv("\n".join(rows)).table.tolist() == [[[[0.25, 0.25], [0.25, 0.25]]]]
+    table = tmp_path / "behavior.csv"
+    table.write_text("\n".join([*rows, f"0,0,1,1,{p}"]) + "\n", encoding="utf-8")
+    doc = {"model": "custom", "behavior_file": str(table), "chsh": {"x0": 0, "x1": 0, "y0": 0, "y1": 0}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error at behavior_file: line 6: cell x=0 y=0 a=1 b=1 repeats line 2"
+    ]
+    assert not out.exists()
 
 
 _FULL_CHSH = {"x0": "0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}

@@ -309,30 +309,33 @@ def test_uniform_cells_concentrate():
 
 
 def test_parallel_execution_is_bit_identical(monkeypatch):
-    c1 = ExperimentConfig(trials_per_pair=4000, seed=13, workers=1)
+    c1 = ExperimentConfig(trials_per_pair=4000, seed=13)
+    use_cpus(monkeypatch, 1)
     d1 = experiment(c1)
     # four CPUs on any host, a thread per 1000 trials and words in blocks of 300:
-    # four workers split each pair block into four parts, none of them whole blocks
+    # four threads split each pair block into four parts, none of them whole blocks
     use_cpus(monkeypatch, 4)
     monkeypatch.setattr(harness, "CHUNK", 1000)
     monkeypatch.setattr(harness, "BLOCK", 300)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     CountingThread.started.clear()
-    d4 = experiment(c1._replace(workers=4))
+    d4 = experiment(c1)
     assert len(CountingThread.started) == 4 * 3
     assert np.array_equal(d1.counts, d4.counts)
     assert np.array_equal(d1.records, d4.records)
 
 
 def test_chunk_boundaries_do_not_change_any_draw(monkeypatch):
-    # two CPUs on any host, so two workers split each pair block at CHUNK + 1
+    # one CPU, then two on any host, so two threads split each pair block at CHUNK + 1
     b, n, seed = optimal_behavior(), 2 * CHUNK + 3, 19
     schedule = build_schedule()
-    use_cpus(monkeypatch, 2)
+    cfg = ExperimentConfig(trials_per_pair=n, seed=seed)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     CountingThread.started.clear()
-    d1 = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed, workers=1), b)
-    d2 = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed, workers=2), b)
+    use_cpus(monkeypatch, 1)
+    d1 = run_experiment(cfg, b)
+    use_cpus(monkeypatch, 2)
+    d2 = run_experiment(cfg, b)
     assert len(CountingThread.started) == 4
     assert np.array_equal(d1.records, d2.records)
     assert np.array_equal(d1.counts, d2.counts)
@@ -369,10 +372,10 @@ class CountingThread(threading.Thread):
 
 @pytest.mark.parametrize("behavior", [optimal_behavior(), pr_box()], ids=["singlet", "pr-box"])
 def test_one_worker_samples_in_the_calling_thread(monkeypatch, behavior):
-    # two CPUs on any host and 2 * CHUNK + 3 trials per pair, so two workers split
+    # two CPUs on any host and 2 * CHUNK + 3 trials per pair, so two threads split
     # every pair block into two parts, whose edge falls mid-block
     use_cpus(monkeypatch, 2)
-    cfg = ExperimentConfig(trials_per_pair=2 * CHUNK + 3, seed=29, workers=2)
+    cfg = ExperimentConfig(trials_per_pair=2 * CHUNK + 3, seed=29)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     CountingThread.started.clear()
     threaded = run_experiment(cfg, behavior)
@@ -382,13 +385,15 @@ def test_one_worker_samples_in_the_calling_thread(monkeypatch, behavior):
         raise AssertionError("a one-thread run started a thread")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    inline = run_experiment(cfg._replace(workers=1), behavior)
-    counts_only = run_experiment(cfg._replace(workers=1, keep_records=False), behavior)
+    use_cpus(monkeypatch, 1)
+    inline = run_experiment(cfg, behavior)
+    counts_only = run_experiment(cfg._replace(keep_records=False), behavior)
     assert np.array_equal(inline.records, threaded.records)
     assert np.array_equal(inline.counts, threaded.counts)
     assert np.array_equal(counts_only.counts, threaded.counts)
-    # by default, a pair block too small for a second CHUNK also stays in the calling thread
-    small = run_experiment(cfg._replace(trials_per_pair=2 * CHUNK - 1, workers=None), behavior)
+    # on two CPUs, a pair block too small for a second CHUNK also stays in the calling thread
+    use_cpus(monkeypatch, 2)
+    small = run_experiment(cfg._replace(trials_per_pair=2 * CHUNK - 1), behavior)
     assert small.total_trials == 4 * (2 * CHUNK - 1)
 
 
@@ -410,9 +415,8 @@ def test_thread_parts_and_word_blocks_do_not_change_any_draw(monkeypatch):
     behaviors, n = (pr_box(), optimal_behavior(), behavior_with_zero_cells(), certain_behavior()), 101
     whole = {(i, keep): run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, keep_records=keep), b)
              for i, b in enumerate(behaviors) for keep in (True, False)}
-    # four CPUs on any host, a thread per 4 trials and words in blocks of 7: the 101
-    # trials of a pair split at 50, or at 33 and 67, and no part is whole blocks
-    use_cpus(monkeypatch, 4)
+    # one to three CPUs on any host, a thread per 4 trials and words in blocks of 7:
+    # the 101 trials of a pair split at 50, or at 33 and 67, and no part is whole blocks
     monkeypatch.setattr(harness, "CHUNK", 4)
     monkeypatch.setattr(harness, "BLOCK", 7)
     monkeypatch.setattr(threading, "Thread", CountingThread)
@@ -429,15 +433,16 @@ def test_thread_parts_and_word_blocks_do_not_change_any_draw(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for (i, keep), expected in whole.items():
-            for workers in (1, 2, 3):
+            for cpus in (1, 2, 3):
+                use_cpus(monkeypatch, cpus)
                 CountingThread.started.clear()
-                cfg = ExperimentConfig(trials_per_pair=n, seed=23, workers=workers, keep_records=keep)
+                cfg = ExperimentConfig(trials_per_pair=n, seed=23, keep_records=keep)
                 ds = run_experiment(cfg, behaviors[i])
                 # trial k still draws counter block k
                 assert np.array_equal(ds.counts, expected.counts)
                 assert np.array_equal(ds.records, expected.records)
-                # workers - 1 helper threads per pair, each joined before the run returns
-                assert len(CountingThread.started) == ds.n_per_pair.size * (workers - 1)
+                # cpus - 1 helper threads per pair, each joined before the run returns
+                assert len(CountingThread.started) == ds.n_per_pair.size * (cpus - 1)
                 assert not any(t.is_alive() for t in CountingThread.started)
     finally:
         sys.setswitchinterval(interval)
@@ -447,14 +452,14 @@ def test_thread_parts_and_word_blocks_do_not_change_any_draw(monkeypatch):
 
 @pytest.mark.parametrize("make", [pr_box, optimal_behavior, behavior_with_zero_cells, certain_behavior])
 def test_counts_without_records_match_the_records(monkeypatch, make):
-    # two CPUs on any host and a thread per 4 trials, so two workers split each pair block mid-block
+    # two CPUs on any host and a thread per 4 trials, so two threads split each pair block mid-block
     b, n = make(), CHUNK + 3
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "CHUNK", 4)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     CountingThread.started.clear()
-    kept = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, workers=2), b)
-    bare = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, workers=2, keep_records=False), b)
+    kept = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23), b)
+    bare = run_experiment(ExperimentConfig(trials_per_pair=n, seed=23, keep_records=False), b)
     assert len(CountingThread.started) == 2 * b.table.shape[0] * b.table.shape[1]
     assert bare.records.size == 0
     assert np.array_equal(bare.counts, kept.counts)
@@ -479,24 +484,17 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "CHUNK", 4)
     monkeypatch.setattr(threading, "Thread", CountingThread)
-    # workers has no upper bound in a config: any count, however large, is capped
-    configs = (
-        ExperimentConfig(trials_per_pair=8, seed=3, workers=10**6),
-        parse_config(json.dumps({"trials_per_pair": 8, "seed": 3, "workers": 10**28})),
-        ExperimentConfig(trials_per_pair=8, seed=3),
-    )
-    for cfg in configs:
-        CountingThread.started.clear()
-        ds = run_experiment(cfg, pr_box())
-        assert ds.total_trials == 32
-        # one helper per pair beside the calling thread: two threads in all
-        assert len(CountingThread.started) == 4
-    # on one CPU, every run samples in the calling thread
+    cfg = ExperimentConfig(trials_per_pair=8, seed=3)
+    CountingThread.started.clear()
+    ds = run_experiment(cfg, pr_box())
+    assert ds.total_trials == 32
+    # one helper per pair beside the calling thread: two threads in all
+    assert len(CountingThread.started) == 4
+    # on one CPU, the run samples in the calling thread
     use_cpus(monkeypatch, 1)
-    for cfg in configs:
-        CountingThread.started.clear()
-        assert run_experiment(cfg, pr_box()).total_trials == 32
-        assert CountingThread.started == []
+    CountingThread.started.clear()
+    assert run_experiment(cfg, pr_box()).total_trials == 32
+    assert CountingThread.started == []
 
 
 def test_threads_are_capped_at_the_cpus_the_process_may_run_on(monkeypatch):
@@ -543,8 +541,6 @@ def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
 
 
 def test_a_part_whose_thread_cannot_start_is_sampled_in_the_calling_thread(monkeypatch):
-    # as under an address-space limit on a host with many CPUs: every other helper fails to start
-    use_cpus(monkeypatch, 4)
     monkeypatch.setattr(harness, "CHUNK", 4)
     refused = []
 
@@ -556,7 +552,10 @@ def test_a_part_whose_thread_cannot_start_is_sampled_in_the_calling_thread(monke
             super().start()
 
     cfg = ExperimentConfig(trials_per_pair=101, seed=31)
-    whole = run_experiment(cfg._replace(workers=1), behavior_with_zero_cells())
+    use_cpus(monkeypatch, 1)
+    whole = run_experiment(cfg, behavior_with_zero_cells())
+    # as under an address-space limit on a host with many CPUs: every other helper fails to start
+    use_cpus(monkeypatch, 4)
     monkeypatch.setattr(threading, "Thread", ScarceThread)
     CountingThread.started.clear()
     ds = run_experiment(cfg, behavior_with_zero_cells())

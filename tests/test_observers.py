@@ -29,6 +29,7 @@ from bellsim import (
     stage_table,
     trace_trials,
 )
+from bellsim.probability import Variable
 from bellsim.spacetime import Detection, Message, SpacetimeEvent
 from conftest import trial
 
@@ -321,6 +322,16 @@ def test_run_with_peaked_setting_uncertainty():
     assert trace.pooled.data["θa"] == trace.theta_a
     marg = keep_only(sa.stage_ledgers()[Stage.SETTING], ("θa",))
     assert int(np.argmax(marg.array)) == grid.index(trace.theta_a)
+
+
+@pytest.mark.parametrize("width, weights", [
+    # the square of the width underflows to 0, or overflows
+    (2.3e-247, (0.0, 1.0, 0.0)),
+    (1e155, (1 / 3, 1 / 3, 1 / 3)),
+], ids=["narrow", "wide"])
+def test_peaked_uncertainty_at_widths_whose_square_leaves_the_float_range(width, weights):
+    variable = Variable("θa", (0, 1, 2))
+    assert QUncertainty.peaked(variable, 1, width).weights == weights
 
 
 def test_preset_run_equality_pattern():

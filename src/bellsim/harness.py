@@ -63,10 +63,11 @@ _SLOT_OUTCOME = 2
 #: ``0 .. j`` ends.
 CELL_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=2))
 
-#: Least trials of a pair block per sampling thread, and rows per CSV format.
+#: Least trials of a pair block per sampling thread.
 CHUNK = 1 << 16
 
-#: Trials whose outcome words one sampling thread holds at a time, few enough to stay in cache.
+#: Trials whose outcome words one sampling thread holds at a time, few enough to stay in cache,
+#: and rows per ``dataset.csv`` write.
 BLOCK = 1 << 13
 
 
@@ -473,14 +474,22 @@ def classify_violation(
 #: setting, its own outcome and the far wing's report, in that order.
 _CSV_HEADER = "trial,x,y,a,b,t_setting_A,t_outcome_A,t_reports_A,t_setting_B,t_outcome_B,t_reports_B\n"
 
+#: ``k % 100`` as the piece of row ``k`` starts it, after the prefix ``str(k // 100)``.
+_TWO_DIGITS = np.array([f"{d:02d}," for d in range(100)], dtype=object)
+
 
 def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
     """Stream delimited per-trial rows to the text file ``out``; requires kept records.
 
     Everything after the trial number is fixed by the pair block and the
     cell (the reception times by ``schedule``), so each pair's four row tails
-    are rendered once, and each chunk of :data:`CHUNK` rows is one ``%`` format
-    of its trial numbers and its cells' tails, which stay ``%s`` arguments.
+    are rendered once.  Trial ``k >= 100`` is ``str(k // 100)`` followed by
+    the piece ``f"{k % 100:02d},{tail}"``, one of the pair's 400 pieces, so the
+    up to 100 rows of a hundred are one ``join`` of their pieces on the
+    hundred's shared prefix, with one ``str`` per hundred.  Trials 0-99,
+    which have no prefix, and a pair block of fewer than 250 rows are one
+    ``%`` format of their trial numbers and tails.  Each :data:`BLOCK` of rows
+    is written as one string, so the writer holds one block at a time.
     """
     if not dataset.records.size:
         raise MissingDataError("dataset was sampled without records; nothing to export")
@@ -497,9 +506,18 @@ def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
         )
         tails = np.array(line.getvalue().splitlines(keepends=True), dtype=object)
         start, end = end, end + n
-        for lo in range(start, end, CHUNK):
-            cells = dataset.records[lo : min(lo + CHUNK, end)]
-            row = [None] * (2 * len(cells))
-            row[::2] = range(lo, lo + len(cells))
-            row[1::2] = tails[cells].tolist()
-            out.write(("%d,%s" * len(cells)) % tuple(row))
+        # trials 0-99 have no prefix, and below about 250 rows one % format costs less than a pair's 400 pieces
+        split = end if n < 250 else max(start, 100)
+        row = [None] * (2 * (split - start))
+        row[::2], row[1::2] = range(start, split), tails[dataset.records[start:split]].tolist()
+        out.write(("%d,%s" * (split - start)) % tuple(row))
+        if split < end:
+            pieces = np.add.outer(_TWO_DIGITS, tails).ravel()  # row k: pieces[k % 100 * 4 + cell]
+        for lo in range(split, end, BLOCK):
+            hi = min(lo + BLOCK, end)
+            got = pieces[np.arange(lo, hi) % 100 * 4 + dataset.records[lo:hi]].tolist()
+            rows = []
+            for h in range(lo // 100, (hi + 99) // 100):
+                prefix = str(h)
+                rows += prefix, prefix.join(got[max(lo, 100 * h) - lo : min(hi, 100 * h + 100) - lo])
+            out.write("".join(rows))

@@ -1,6 +1,8 @@
 """Config parsing and the end-to-end command-line pipeline."""
 
 import ast
+import collections
+import csv
 import json
 import math
 import os
@@ -254,6 +256,62 @@ def test_rerun_is_byte_identical(tmp_path):
         outs.append(out)
     for fname in ("summary.json", "dataset.csv", "behavior_estimate.csv", "trace.json", "plot_correlator.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _received_times(document) -> list:
+    """A ``trace.json`` document's ``dataset.csv`` times: each wing's own setting, own outcome, far setting report."""
+    times = []
+    for me, far in (("A", "B"), ("B", "A")):
+        wanted = (
+            ("SettingChoice", f"θ{me.lower()}", None), ("Detection", f"±{me.lower()}", None),
+            ("Message", f"θ{far.lower()}", far),
+        )
+        for kind, name, sender in wanted:
+            (event,) = [e for e in document["events"]
+                        if (e["kind"], e["proposition"], e.get("sender")) == (kind, name, sender)]
+            times.append(event["received"][me])
+    return times
+
+
+@pytest.mark.parametrize("doc", [
+    {"keep_records": True},
+    TRACED_CONFIGS["spread-widths"] | {"keep_records": True},
+    TRACED_CONFIGS["moved-wings"] | {"keep_records": True},
+], ids=["default", "spread-widths", "moved-wings"])
+def test_dataset_csv_agrees_with_the_rest_of_its_run_directory(tmp_path, doc):
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_OK
+    # from here on, only the run directory is read
+    with open(out / "dataset.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    with open(out / "behavior_estimate.csv", newline="", encoding="utf-8") as f:
+        estimate = list(csv.DictReader(f))
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    documents = json.loads((out / "trace.json").read_text(encoding="utf-8"))
+    n = summary["estimates"]["trials_per_pair"]
+
+    assert [int(r["trial"]) for r in rows] == list(range(len(rows)))
+    counts = collections.Counter((r["x"], r["y"], r["a"], r["b"]) for r in rows)
+    assert len(rows) == n * len(estimate) // 4
+    assert {c[:2] for c in counts} == {(e["x"], e["y"]) for e in estimate}
+    for e in estimate:
+        assert float(e["p"]) == counts[e["x"], e["y"], e["a"], e["b"]] / n
+
+    products = collections.Counter()
+    for (x, y, a, b), count in counts.items():
+        products[x, y] += int(a) * int(b) * count
+    for correlator in summary["estimates"]["correlators"]:
+        assert correlator["value"] == products[correlator["x"], correlator["y"]] / n
+
+    times = [_received_times(d) for d in documents]
+    # a row with no document of its own: no setting or outcome moves the times, so every document gives them
+    (shared,) = {tuple(t) for t in times}
+    columns = [c for c in rows[0] if c.startswith("t_")]
+    for k, row in enumerate(rows):
+        if k < len(documents):
+            data = documents[k]["data"]
+            assert [row["x"], row["y"], int(row["a"]), int(row["b"])] == [data[p] for p in ("θa", "θb", "±a", "±b")]
+        assert [float(row[c]) for c in columns] == (times[k] if k < len(documents) else list(shared))
 
 
 def _trace_document(k, trace, schedule) -> dict:

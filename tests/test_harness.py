@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -44,6 +45,8 @@ from bellsim.angles import setting_text
 from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _cells, _outcome_words, _word_bounds
 from bellsim.models import OUTCOMES, Behavior, behavior_to_csv
 from conftest import TRACED_CONFIGS, random_behavior, trial, trial_records, traces_by_run_trial
+
+st = hypothesis.strategies
 
 ZERO = Angle.of(0)
 HALF = Angle.of(1, 2)
@@ -808,22 +811,51 @@ def _custom_config(tmp_path) -> ExperimentConfig:
     }))
 
 
-@pytest.mark.parametrize("make", [
+def _singlet(n: int):
+    return lambda tmp_path: ExperimentConfig(trials_per_pair=n, seed=59)
+
+
+@pytest.mark.parametrize("make, block", [
     # every pair block ends in a partial chunk
-    lambda tmp_path: ExperimentConfig(trials_per_pair=CHUNK + 3, seed=43),
-    _custom_config,
+    (lambda tmp_path: ExperimentConfig(trials_per_pair=CHUNK + 3, seed=43), harness.BLOCK),
+    (_custom_config, harness.BLOCK),
     # slower reports that arrive later: the times are the schedule's, not the defaults
-    lambda tmp_path: ExperimentConfig(
+    (lambda tmp_path: ExperimentConfig(
         trials_per_pair=7, seed=53, schedule=build_schedule(signal_speed=0.8, t_communication=3.0)
-    ),
-], ids=["singlet-chunk-plus-3", "custom-integer-labels", "slow-reports"])
-def test_dataset_csv_is_every_row_written_by_csv_writer(tmp_path, make):
+    ), harness.BLOCK),
+    # pair blocks under 250 rows, one % format each, that start inside the first hundred or across hundreds
+    *((_singlet(n), harness.BLOCK) for n in (1, 99, 100, 101)),
+    # pair blocks of hundreds: the first holds trials 0-99, which have no k // 100 prefix, and the rest start
+    # inside a hundred; a block boundary inside a hundred, and a hundred split over two blocks
+    (_singlet(250), 7),
+    (_singlet(250), 150),
+    # one pair block across k = 999 -> 1000 and 9999 -> 10000, where the prefix gains a digit
+    (_singlet(10_500), harness.BLOCK),
+], ids=["singlet-chunk-plus-3", "custom-integer-labels", "slow-reports", "singlet-1", "singlet-99", "singlet-100",
+        "singlet-101", "block-7", "block-150", "prefix-gains-digits"])
+def test_dataset_csv_is_every_row_written_by_csv_writer(tmp_path, monkeypatch, make, block):
+    monkeypatch.setattr(harness, "BLOCK", block)
     cfg = make(tmp_path)
     ds = experiment(cfg)
     out = io.StringIO()
     dataset_to_csv(ds, cfg.schedule, out)
     # equal lines are equal text, and a failure names the first differing row without a slow text diff
     assert out.getvalue().split("\n") == _dataset_csv_oracle(ds, cfg.schedule).split("\n")
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(
+    n=st.integers(1, 400), nx=st.integers(1, 3), ny=st.integers(1, 3), block=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_dataset_csv_matches_the_oracle_at_any_pair_block_and_block(n, nx, ny, block, seed):
+    behavior, schedule = random_behavior(np.random.default_rng(seed), nx, ny), build_schedule()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "BLOCK", block)
+        ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed), behavior)
+        out = io.StringIO()
+        dataset_to_csv(ds, schedule, out)
+    assert out.getvalue().split("\n") == _dataset_csv_oracle(ds, schedule).split("\n")
 
 
 def _csv_write_peak(dataset, schedule) -> int:
@@ -845,3 +877,5 @@ def test_csv_writer_memory_does_not_grow_with_the_trials():
     small_peak, large_peak = (_csv_write_peak(d, schedule) for d in (small, large))
     # building the whole text would hold about 9 MB more for 3 * 2^16 more rows
     assert large_peak < small_peak + 2**20
+    # one BLOCK of rows, held as its hundreds and as their join, is about 1.1 MB; a CHUNK of them is about 8 MB
+    assert large_peak < 2**21

@@ -214,7 +214,6 @@ def chsh_expectation(behavior: Behavior, settings: ChshSettings, prior=None) -> 
 class NoSignalingReport(NamedTuple):
     max_deviation: float
     marginal_setting_independent: bool
-    worst: str
     tol: float
 
     @property
@@ -243,12 +242,8 @@ def check_no_signaling(behavior: Behavior) -> NoSignalingReport:
     setting independence: ``p(a|x,y)`` must not vary with y, and ``p(b|x,y)``
     must not vary with x.
     """
-    worst_a, worst_b = marginal_spreads(behavior.table)
-    if worst_a >= worst_b:
-        max_dev, worst = worst_a, "first wing's outcome marginal varies with the far setting"
-    else:
-        max_dev, worst = worst_b, "second wing's outcome marginal varies with the far setting"
-    return NoSignalingReport(max_dev, max_dev <= TOL, worst if max_dev > TOL else "none", TOL)
+    max_dev = max(marginal_spreads(behavior.table))
+    return NoSignalingReport(max_dev, max_dev <= TOL, TOL)
 
 
 class FactorizabilityReport(NamedTuple):

@@ -120,22 +120,30 @@ class QUncertainty(namedtuple("QUncertainty", "variable weights")):
 class ObserverState(NamedTuple):
     """One observer's information and beliefs at a point on their worldline.
 
-    ``received`` is exactly the information the observer possesses; the
-    ledger's factual conditioners never go beyond it (plus the shared
-    prepared state and the stage label).  States are immutable; every update
-    returns a new state.
+    Each value the observer has received is stored once, as its measurement
+    uncertainty in ``qs``: an exact (delta) ``q`` makes the value factual, a
+    spread one leaves it free but measured.  The ledger's factual
+    conditioners are exactly :attr:`factual` (plus the shared prepared state
+    and the stage label).  States are immutable; every update returns a new
+    state.
     """
 
-    observer: str
     worldline: Worldline
     ledger: TaggedJoint
     stage: Stage
-    received: tuple
     clock: float
-    factual: Mapping[str, Any]
     qs: Mapping[str, QUncertainty]
     initial_ledger: TaggedJoint
     history: tuple
+
+    @property
+    def observer(self) -> str:
+        return self.worldline.observer
+
+    @property
+    def factual(self) -> dict:
+        """The exactly received values, in the order they were received."""
+        return {name: q.mode() for name, q in self.qs.items() if q.is_delta}
 
     def stage_ledgers(self) -> dict:
         out = dict(self.history)
@@ -173,19 +181,17 @@ def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tupl
     conds = (_PREPARED, _AT_STAGE[Stage.INITIAL])
     free = tuple(variables[n] for n in CANONICAL)
 
-    def make(observer, worldline):
-        initial = ledger = TaggedJoint(free, joint, conds, label=observer)
-        factual, qs = {}, {}
+    def make(worldline):
+        initial = ledger = TaggedJoint(free, joint, conds, label=worldline.observer)
+        qs = {}
         if preset is not None:
             # θa then θb, so the ledger renders ``…‖θb,θa,ψ0,t0)``
             for name, value in zip(("θa", "θb"), preset):
                 ledger = condition(ledger, (name, value), Modality.FACTUAL)
-                factual[name] = value
                 qs[name] = QUncertainty.delta(variables[name], value)
-        return ObserverState(observer, worldline, ledger, Stage.INITIAL, (), float("-inf"), factual, qs,
-                             initial, ())
+        return ObserverState(worldline, ledger, Stage.INITIAL, float("-inf"), qs, initial, ())
 
-    return make("A", schedule.worldline_a), make("B", schedule.worldline_b)
+    return make(schedule.worldline_a), make(schedule.worldline_b)
 
 
 def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None = None) -> ObserverState:
@@ -193,7 +199,8 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
 
     With an exact (delta) uncertainty the payload value is conditioned
     factually; with a spread ``q`` the ledger becomes ``p(rest | v) · q(v)``,
-    leaving the variable free but locally measured with uncertainty.  A
+    leaving the variable free but locally measured with uncertainty.  An
+    exact ``q`` on any value but the event's is a ``ValueError``.  A
     zero-probability reception is a realism violation: a factual report
     contradicting the observer's own table.  So is a spread ``q`` that weighs
     any value the ledger gives probability zero.
@@ -213,8 +220,7 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
 
     ((name, value),) = payload.propositions()
     ledger = state.ledger
-    factual = dict(state.factual)
-    qs = dict(state.qs)
+    qs = state.qs
 
     if name in (c.variable.name for c in ledger.conditioners):
         # already pinned (preset mode or duplicate delivery)
@@ -229,6 +235,8 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
         if q.variable.name != name:
             raise ValueError(f"uncertainty is over {q.variable.name!r}, event carries {name!r}")
         if q.is_delta:
+            if q.mode() != value:
+                raise ValueError(f"exact uncertainty is on {name}={q.mode()!r}, event carries {name}={value!r}")
             try:
                 ledger = condition(ledger, (name, value), Modality.FACTUAL)
             except ImpossibleEvidenceError as exc:
@@ -236,7 +244,6 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
                     f"{state.observer} factually received {name}={value!r}, "
                     f"an event of probability zero"
                 ) from exc
-            factual[name] = value
         else:
             try:
                 ledger = reweight(ledger, name, q.array)
@@ -245,7 +252,7 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
                     f"{state.observer} measured {name} with an uncertainty that weighs "
                     f"values of probability zero"
                 ) from exc
-        qs[name] = q
+        qs = {**qs, name: q}
 
     history = state.history
     if target_stage is not state.stage:
@@ -253,8 +260,7 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
         conds = [c for c in ledger.conditioners if c.variable.name != state.stage.value]
         ledger = ledger.with_conditioners(conds + [_AT_STAGE[target_stage]])
 
-    return state._replace(ledger=ledger, stage=target_stage, received=state.received + (event,), clock=clock,
-                          factual=factual, qs=qs, history=history)
+    return state._replace(ledger=ledger, stage=target_stage, clock=clock, qs=qs, history=history)
 
 
 def inquire(state: ObserverState, targets: Iterable, counterfactuals: Iterable = ()) -> TaggedJoint:
@@ -341,14 +347,13 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
         if s.stage is not Stage.COMMUNICATION:
             raise ValueError(f"{s.observer} has not reached {Stage.COMMUNICATION.value}")
 
-    for name in sorted(set(state_a.factual) & set(state_b.factual)):
-        if state_a.factual[name] != state_b.factual[name]:
+    for name in sorted(state_a.qs.keys() & state_b.qs.keys()):
+        qa, qb = state_a.qs[name], state_b.qs[name]
+        if qa.is_delta and qb.is_delta and qa.mode() != qb.mode():
             raise RealismViolationError(
-                f"pooled records contradict: {name}={state_a.factual[name]!r} "
-                f"for A but {name}={state_b.factual[name]!r} for B"
+                f"pooled records contradict: {name}={qa.mode()!r} for A but {name}={qb.mode()!r} for B"
             )
-    for name in sorted(set(state_a.qs) & set(state_b.qs)):
-        if np.max(np.abs(state_a.qs[name].array - state_b.qs[name].array)) > TOL:
+        if np.max(np.abs(qa.array - qb.array)) > TOL:
             raise RealismViolationError(f"pooled uncertainty for {name} differs between observers")
 
     base = state_a.initial_ledger
@@ -390,7 +395,8 @@ def retrodict(state: ObserverState, target: str, past_stage: Stage) -> TaggedJoi
     if past_stage not in ledgers:
         raise ValueError(f"no ledger recorded at stage {past_stage.value}")
     past = ledgers[past_stage]
-    if target not in state.factual:
+    factual = state.factual
+    if target not in factual:
         raise ValueError(f"{target!r} is not part of the recorded data")
     if target not in past.free_names:
         raise ValueError(f"{target!r} was already factual at {past_stage.value}")
@@ -398,21 +404,21 @@ def retrodict(state: ObserverState, target: str, past_stage: Stage) -> TaggedJoi
     d = past
     conditioned = []
     for name in past.free_names:
-        if name == target or name not in state.factual:
+        if name == target or name not in factual:
             continue
-        d = condition(d, (name, state.factual[name]), Modality.FACTUAL)
+        d = condition(d, (name, factual[name]), Modality.FACTUAL)
         conditioned.append(name)
     d = keep_only(d, [target])
 
     # two-time notation: own setting first, then the freshly conditioned data,
     # then the current stage; the past stage sits in the counterfactual slot
     names = []
-    if state.own_setting in state.factual and state.own_setting != target:
+    if state.own_setting in factual and state.own_setting != target:
         names.append(state.own_setting)
     names.extend(n for n in conditioned if n not in names)
     conds = [Conditioner(_AT_STAGE[past_stage].variable, past_stage.value, Modality.COUNTERFACTUAL)]
     for n in names:
-        conds.append(Conditioner(state.initial_ledger.variable(n), state.factual[n], Modality.FACTUAL))
+        conds.append(Conditioner(state.initial_ledger.variable(n), factual[n], Modality.FACTUAL))
     conds.append(_AT_STAGE[Stage.COMMUNICATION])
     return TaggedJoint(d.free, d.array, tuple(conds), label=state.observer)
 

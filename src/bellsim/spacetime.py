@@ -235,18 +235,12 @@ def build_schedule(
             "communication completes too early: reports would have to be sent "
             f"at t={schedule.message_emit_time} before detection at t={t_detection}"
         )
-    # both wings' choice and detection events must be space-like separated
-    probes = {
-        "setting A": SpacetimeEvent(t_setting, position_a, None, c, index=-1),
-        "detection A": SpacetimeEvent(t_detection, position_a, None, c, index=-2),
-        "setting B": SpacetimeEvent(t_setting, position_b, None, c, index=-3),
-        "detection B": SpacetimeEvent(t_detection, position_b, None, c, index=-4),
-    }
-    for na, nb in (("setting A", "setting B"), ("setting A", "detection B"),
-                   ("detection A", "setting B"), ("detection A", "detection B")):
-        kind = interval(probes[na], probes[nb], c=c)
+    # both wings' choice and detection events must be space-like separated; the wings share their
+    # stage times, so A's detection against B's setting is A's setting against B's detection, and
+    # the two detections are the two settings
+    setting_a = SpacetimeEvent(t_setting, position_a, None, c, index=-1)
+    for name, t in (("setting B", t_setting), ("detection B", t_detection)):
+        kind = interval(setting_a, SpacetimeEvent(t, position_b, None, c, index=-2), c=c)
         if kind is not IntervalKind.SPACELIKE:
-            raise InvalidScheduleError(
-                f"{na} and {nb} are {kind.value}, not space-like separated"
-            )
+            raise InvalidScheduleError(f"setting A and {name} are {kind.value}, not space-like separated")
     return schedule

@@ -273,11 +273,15 @@ def _received_times(document) -> list:
     return times
 
 
+def _free_names(rendered: str) -> list:
+    """The free variables of a rendered stage ledger such as ``P_A(±a,±b,θb‖θa,ψ0,tθ)``."""
+    return rendered[rendered.index("(") + 1 : rendered.index("‖")].split(",")
+
+
 @pytest.mark.parametrize("doc", [
     {"keep_records": True},
-    TRACED_CONFIGS["spread-widths"] | {"keep_records": True},
-    TRACED_CONFIGS["moved-wings"] | {"keep_records": True},
-], ids=["default", "spread-widths", "moved-wings"])
+    *(TRACED_CONFIGS[name] | {"keep_records": True} for name in TRACED_CONFIGS),
+], ids=["default", *TRACED_CONFIGS])
 def test_dataset_csv_agrees_with_the_rest_of_its_run_directory(tmp_path, doc):
     code, out = run_cli(tmp_path, doc)
     assert code == EXIT_OK
@@ -288,7 +292,39 @@ def test_dataset_csv_agrees_with_the_rest_of_its_run_directory(tmp_path, doc):
         estimate = list(csv.DictReader(f))
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     documents = json.loads((out / "trace.json").read_text(encoding="utf-8"))
+    plot = (out / "plot_correlator.txt").read_text(encoding="utf-8").splitlines()
     n = summary["estimates"]["trials_per_pair"]
+
+    # the summary's stage table is trial 0's ledgers, and its verdicts read them: before
+    # tc, the far setting is nonlocal exactly when it is free in that stage's ledger
+    stages = documents[0]["stages"]
+    assert [(r["stage"], r["A"], r["B"]) for r in summary["stage_table"]["rows"]] == [
+        (a["stage"], a["ledger"], b["ledger"]) for a, b in zip(stages["A"], stages["B"], strict=True)
+    ]
+    ledgers = {entry["stage"]: entry["ledger"] for entry in stages["A"]}
+    for report in summary["classification"]:
+        far = [name for name in _free_names(ledgers[report["stage"]]) if name == "θb"]
+        assert report["nonlocal_counterfactuals"] == (far if report["stage"] != "tc" else [])
+
+    # every factual value in a stage ledger reached that observer by the stage's time:
+    # the stage label, the prepared state and preset settings are known from the start
+    schedule = parse_config(json.dumps(doc)).schedule
+    begins = dict(zip(("t0", "tθ", "t±", "tc"), (schedule.t_prepare, schedule.t_setting,
+                                                  schedule.t_detection, schedule.t_communication)))
+    known = {*begins, "ψ0", *(("θa", "θb") if doc.get("preset_settings") else ())}
+    for document in documents:
+        for observer, entries in document["stages"].items():
+            for entry in entries:
+                factual = entry["ledger"][entry["ledger"].index("‖") + 1 : -1].split(",")
+                for name in set(factual) - known:
+                    received = min(e["received"][observer] for e in document["events"] if e["proposition"] == name)
+                    assert received <= begins[entry["stage"]] + 1e-12, (observer, entry["stage"], name)
+
+    # the plot's empirical rows are the summary's correlators, in order
+    empirical = [line.split() for line in plot if line.endswith(" empirical")]
+    assert [(float(v), float(se)) for _, v, se, _ in empirical] == [
+        (c["value"], c["stderr"]) for c in summary["estimates"]["correlators"]
+    ]
 
     assert [int(r["trial"]) for r in rows] == list(range(len(rows)))
     counts = collections.Counter((r["x"], r["y"], r["a"], r["b"]) for r in rows)
@@ -304,13 +340,15 @@ def test_dataset_csv_agrees_with_the_rest_of_its_run_directory(tmp_path, doc):
         assert correlator["value"] == products[correlator["x"], correlator["y"]] / n
 
     times = [_received_times(d) for d in documents]
+    # a preset pair's traced trials are no dataset trial, and an unresolved setting's data is a guess
+    exact_data = "preset_pair" not in doc and not doc.get("unresolved_local_setting")
     # a row with no document of its own: no setting or outcome moves the times, so every document gives them
     (shared,) = {tuple(t) for t in times}
     columns = [c for c in rows[0] if c.startswith("t_")]
     for k, row in enumerate(rows):
-        if k < len(documents):
+        if k < len(documents) and exact_data:
             data = documents[k]["data"]
-            assert [row["x"], row["y"], int(row["a"]), int(row["b"])] == [data[p] for p in ("θa", "θb", "±a", "±b")]
+            assert [row["x"], row["y"], row["a"], row["b"]] == [str(data[p]) for p in ("θa", "θb", "±a", "±b")]
         assert [float(row[c]) for c in columns] == (times[k] if k < len(documents) else list(shared))
 
 

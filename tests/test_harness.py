@@ -22,6 +22,7 @@ from bellsim import (
     ExperimentConfig,
     LhvModel,
     MissingDataError,
+    Modality,
     Stage,
     ViolationClass,
     build_schedule,
@@ -44,6 +45,7 @@ from bellsim import harness
 from bellsim.angles import setting_text
 from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _cells, _outcome_words, _word_bounds
 from bellsim.models import OUTCOMES, Behavior, behavior_to_csv
+from bellsim.spacetime import PREPARED_SYMBOL
 from conftest import TRACED_CONFIGS, random_behavior, trial, trial_records, traces_by_run_trial
 
 st = hypothesis.strategies
@@ -157,6 +159,8 @@ def test_shared_histories_equal_a_run_trial_per_trial(name):
             gl, wl = gs.stage_ledgers(), ws.stage_ledgers()
             assert list(gl) == list(wl)
             assert all(_same_ledger(gl[stage], wl[stage]) for stage in wl)
+            assert list(gs.qs.items()) == list(ws.qs.items())
+            assert gs.clock == ws.clock
 
 
 def test_trials_with_one_key_are_one_trace():
@@ -219,13 +223,58 @@ def test_ledgers_run_once_per_received_prefix(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
 def test_each_observer_received_exactly_its_own_trial_events(name):
-    # a shared history must never hand one trial's events to another
+    # a shared history must never hand one trial's events to another: each observer
+    # holds a record of every proposition its own trial's events carry and of nothing
+    # else, at the trial's values, and its clock stops at the last of those events
     config = parse_config(json.dumps(TRACED_CONFIGS[name]))
     schedule = config.schedule
     for t in trace_trials(config, build_model(config)):
         events = schedule.trial_events(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
         for state in (t.observer_a, t.observer_b):
-            assert list(state.received) == list(schedule.events_for(state.observer, events))
+            own = schedule.events_for(state.observer, events)
+            received = dict(p for e in own for p in e.payload.propositions())
+            assert state.qs.keys() == received.keys()
+            for name, q in state.qs.items():
+                # a flat q (an unresolved setting) has no value to compare
+                assert q.mode() == received[name] or q.array.min() == q.array.max(), (state.observer, name)
+            assert state.clock == reception_time(own[-1], state.worldline)
+
+
+@pytest.mark.parametrize("doc", [{}, *TRACED_CONFIGS.values()], ids=["default", *TRACED_CONFIGS])
+def test_a_value_is_factual_only_once_its_event_has_reached_the_observer(doc):
+    # the light-cone oracle, from spacetime alone: every factual value in a stage's
+    # ledger belongs to one of the trial's events whose signal reaches the observer
+    # no later than that stage begins.  The stage label, the prepared state and
+    # pre-agreed settings are protocol knowledge, known from the start.  Before
+    # tc, outside preset mode, the far setting is never factual.
+    config = parse_config(json.dumps(doc))
+    schedule = config.schedule
+    begins = dict(zip(Stage, (schedule.t_prepare, schedule.t_setting, schedule.t_detection, schedule.t_communication)))
+    known = {s.value for s in Stage} | {PREPARED_SYMBOL}
+    if config.preset_settings:
+        known |= {"θa", "θb"}
+    checked = 0
+    for t in trace_trials(config, build_model(config)):
+        events = schedule.trial_events(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
+        for state in (t.observer_a, t.observer_b):
+            arrival = {}
+            for e in events:
+                for proposition in e.payload.propositions():
+                    arrival[proposition] = min(arrival.get(proposition, math.inf), reception_time(e, state.worldline))
+            far = "θb" if state.observer == "A" else "θa"
+            for stage, ledger in state.stage_ledgers().items():
+                for c in ledger.conditioners:
+                    if c.modality is Modality.FACTUAL and c.variable.name not in known:
+                        where = (state.observer, stage.value, c.variable.name)
+                        assert arrival.get((c.variable.name, c.value), math.inf) <= begins[stage] + 1e-12, where
+                        checked += 1
+                if not config.preset_settings and stage is not Stage.COMMUNICATION:
+                    assert far in ledger.free_names, (state.observer, stage.value)
+            # a spread reception leaves its name free, but it is received all the same
+            for name in state.qs.keys() - known:
+                assert min(when for (n, _), when in arrival.items() if n == name) <= state.clock + 1e-12
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))

@@ -6,11 +6,22 @@ and ``pool`` without a second implementation.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from bellsim import ChshSettings, build_model, build_schedule, harness, parse_config, trace_trials
+from bellsim import (
+    ChshSettings,
+    Stage,
+    TrialTrace,
+    build_model,
+    build_schedule,
+    classify_violation,
+    harness,
+    parse_config,
+    trace_trials,
+)
 from bellsim.cli import EXIT_OK, main
 from conftest import TRACED_CONFIGS
 
@@ -161,3 +172,44 @@ def test_wing_swap_exchanges_the_observers_ledgers(name):
                 assert_same_ledger(ledger, mirror_ledgers[stage])
                 compared += 1
     assert compared >= 8 * len(base)
+
+
+def mirrored_report(report):
+    """``report`` with the wings' names exchanged by :data:`MIRROR`, its posited settings in name order."""
+    return report._replace(
+        observer=MIRROR[report.observer],
+        counterfactual_conditioners=tuple(sorted(MIRROR[n] for n in report.counterfactual_conditioners)),
+        nonlocal_counterfactuals=tuple(MIRROR[n] for n in report.nonlocal_counterfactuals),
+        note=re.sub("θ[ab]", lambda m: MIRROR[m.group()], report.note),
+    )
+
+
+SYMMETRIC = sorted(set(TRACED_CONFIGS) - {"unresolved"})
+
+
+@pytest.mark.parametrize("doc", [{}, *(TRACED_CONFIGS[n] for n in SYMMETRIC)], ids=["default", *SYMMETRIC])
+def test_wing_swap_exchanges_the_observers_verdicts(doc):
+    # before tc, B's verdict on a trial is A's verdict on the mirrored trial of the
+    # swapped run, and the other way round: the same class, the names exchanged and
+    # the same four-term sum
+    config = parse_config(json.dumps(doc))
+    behavior, swapped = build_model(config), wing_swapped(config)
+    swapped_behavior = build_model(swapped)
+    base, mirror = pooled_by_key(config, behavior), pooled_by_key(swapped, swapped_behavior)
+    compared = 0
+    for (x, y, cell), pooled in base.items():
+        swapped_cell = (cell % 2) * 2 + cell // 2
+        trace = TrialTrace(x, y, *harness.CELL_OUTCOMES[cell], pooled, behavior, config.preset_settings)
+        mirror_trace = TrialTrace(y, x, *harness.CELL_OUTCOMES[swapped_cell], mirror[y, x, swapped_cell],
+                                  swapped_behavior, swapped.preset_settings)
+        for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
+            for observer in ("A", "B"):
+                report = classify_violation(trace, stage, config.chsh, observer=observer)
+                got = mirrored_report(classify_violation(mirror_trace, stage, swapped.chsh, observer=MIRROR[observer]))
+                if report.s_value is not None:
+                    assert got.s_value == pytest.approx(report.s_value, rel=0.0, abs=1e-12)
+                    got = got._replace(s_value=report.s_value)
+                posited = tuple(sorted(report.counterfactual_conditioners))
+                assert got == report._replace(counterfactual_conditioners=posited)
+                compared += 1
+    assert compared == 6 * len(base) > 0

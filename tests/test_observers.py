@@ -9,6 +9,7 @@ from bellsim import (
     Angle,
     ExperimentConfig,
     Modality,
+    ObserverState,
     QUncertainty,
     RealismViolationError,
     Stage,
@@ -24,6 +25,7 @@ from bellsim import (
     pr_box,
     pr_box_settings,
     receive,
+    reception_time,
     retrodict,
     singlet_behavior,
     stage_table,
@@ -123,6 +125,7 @@ def test_uncertain_setting_keeps_variable_free():
     q = QUncertainty(var, (0.5, 0.5))
     sa = receive(sa, events[1], q)
     assert "θa" in sa.ledger.free_names and not sa.qs["θa"].is_delta
+    assert "θa" not in sa.factual
     marg = keep_only(sa.ledger, ("θa",))
     assert np.allclose(marg.array, [0.5, 0.5], atol=TOL)
     # the bound-as-expectation inquiry stays available on the full ledger
@@ -177,7 +180,7 @@ def test_receiving_the_preparation_changes_no_belief(preset):
     assert after.ledger.equals(sa.ledger) and after.ledger.render() == sa.ledger.render()
     assert after.stage is sa.stage is Stage.INITIAL
     assert after.qs == sa.qs and after.factual == sa.factual
-    assert after.received == (events[0],)
+    assert after.clock == reception_time(events[0], sa.worldline)
 
 
 def test_reception_out_of_causal_order_is_rejected():
@@ -198,6 +201,28 @@ def test_uncertainty_over_another_variable_is_rejected():
     sa, _ = init_beliefs(b, schedule)
     with pytest.raises(ValueError, match="uncertainty is over"):
         receive(sa, events[1], QUncertainty.uniform(sa.ledger.variable("θb")))
+
+
+def test_exact_uncertainty_on_another_value_is_rejected():
+    # the record would say ±a = -1 while the ledger is pinned at the event's ±a = 1
+    b = optimal_behavior()
+    schedule = build_schedule()
+    events = schedule.trial_events(b.grid_a[0], b.grid_b[0], 1, -1)
+    sa, _ = init_beliefs(b, schedule)
+    sa = receive(sa, events[1])
+    with pytest.raises(ValueError, match="exact uncertainty is on ±a=-1, event carries ±a=1"):
+        receive(sa, events[3], QUncertainty.delta(sa.ledger.variable("±a"), -1))
+
+
+def test_a_state_stores_each_received_value_once():
+    # the observer is its worldline's, and the factual values are the exact uncertainties
+    assert ObserverState._fields == ("worldline", "ledger", "stage", "clock", "qs", "initial_ledger", "history")
+    b = optimal_behavior()
+    sa, sb = drive(b, b.grid_a[0], b.grid_b[1], 1, -1)
+    assert (sa.observer, sb.observer) == ("A", "B")
+    assert sa.factual == {"θa": b.grid_a[0], "±a": 1, "θb": b.grid_b[1], "±b": -1}
+    spread = QUncertainty.uniform(sa.initial_ledger.variable("θb"))
+    assert list(sa._replace(qs={**sa.qs, "θb": spread}).factual) == ["θa", "±a", "±b"]
 
 
 def test_report_contradicting_a_preset_setting_is_realism_violation():
@@ -407,11 +432,8 @@ def test_pool_detects_contradictory_records():
     b = optimal_behavior()
     sa, sb = drive(b, b.grid_a[0], b.grid_b[0], 1, -1)
     var = sb.initial_ledger.variable("±b")
-    forged = sb._replace(
-        factual={**sb.factual, "±b": 1},
-        qs={**sb.qs, "±b": QUncertainty.delta(var, 1)},
-    )
-    with pytest.raises(RealismViolationError):
+    forged = sb._replace(qs={**sb.qs, "±b": QUncertainty.delta(var, 1)})
+    with pytest.raises(RealismViolationError, match="pooled records contradict: ±b=-1 for A but ±b=1 for B"):
         pool(sa, forged)
 
 
@@ -437,15 +459,9 @@ def test_pool_rejects_zero_probability_data():
     sa, sb = drive(b, ZERO, ZERO, 1, -1)
     var_b = sb.initial_ledger.variable("±b")
     var_a = sa.initial_ledger.variable("±a")
-    forged_a = sa._replace(
-        factual={**sa.factual, "±b": 1},
-        qs={**sa.qs, "±b": QUncertainty.delta(var_b, 1)},
-    )
-    forged_b = sb._replace(
-        factual={**sb.factual, "±b": 1},
-        qs={**sb.qs, "±b": QUncertainty.delta(var_b, 1)},
-    )
-    with pytest.raises(RealismViolationError):
+    forged_a = sa._replace(qs={**sa.qs, "±b": QUncertainty.delta(var_b, 1)})
+    forged_b = sb._replace(qs={**sb.qs, "±b": QUncertainty.delta(var_b, 1)})
+    with pytest.raises(RealismViolationError, match="outside the shared starting table's support"):
         pool(forged_a, forged_b)
     assert var_a.name == "±a"
 
@@ -507,16 +523,17 @@ def test_factual_conditioners_track_received_events_exactly():
     events = schedule.trial_events(b.grid_a[0], b.grid_b[1], 1, 1)
     sa, _ = init_beliefs(b, schedule)
     stage_labels = {s.value for s in Stage} | {"ψ0"}
+    delivered = {}
     for e in schedule.events_for("A", events):
         sa = receive(sa, e)
+        delivered.update(e.payload.propositions())
         factual_names = {
             c.variable.name
             for c in sa.ledger.conditioners
             if c.modality is Modality.FACTUAL and c.variable.name not in stage_labels
         }
-        received_names = {name for e in sa.received for name, _ in e.payload.propositions()}
-        assert factual_names == received_names
-        assert factual_names == set(sa.factual)
+        assert factual_names == set(delivered)
+        assert list(sa.factual.items()) == list(delivered.items())
 
 
 def test_message_to_wrong_recipient_rejected():

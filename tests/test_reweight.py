@@ -120,10 +120,13 @@ def test_spread_receptions_of_both_observers_match_the_composed_kernel_ops(rng):
         events = schedule.trial_events(x, y, a, b)
         for state in init_beliefs(behavior, schedule):
             for event in schedule.events_for(state.observer, events):
-                ((name, _),) = event.payload.propositions()
+                ((name, value),) = event.payload.propositions()
                 before = state.ledger
                 var = before.variable(name)
                 q = QUncertainty(var, tuple(live_weights(rng, marginal(before, name))))
+                if q.is_delta:
+                    # an exact q must be on the event's value; on any other it is rejected
+                    q = QUncertainty.delta(var, value)
                 state = receive(state, event, q)
                 if not q.is_delta:
                     want = composed(before, name, q.array)

@@ -21,7 +21,8 @@ class RealismViolationError(SimulationError):
 class InvalidScheduleError(SimulationError):
     """Stage times or geometry violate the experiment's causal layout.
 
-    ``part`` names what is at fault: ``"positions"``, ``"signal_speed"`` or ``"stage_times"``.
+    ``part`` names the config key at fault: ``"positions"``, ``"stage_times"``,
+    ``"signal_speed"`` or ``"c"``.
     """
 
     def __init__(self, message: str, part: str = "stage_times"):

@@ -142,7 +142,10 @@ class Dataset:
             raise ValueError(f"counts shape {self.counts.shape}, expected {expected}")
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
-        self.records = np.asarray(records, dtype=np.uint8).reshape(-1)
+        records, cells = np.asarray(records).reshape(-1), len(CELL_OUTCOMES)
+        if records.size and (records.dtype.kind not in "iu" or records.min() < 0 or records.max() >= cells):
+            raise ValueError(f"records must be integer cells in 0..{cells - 1}")
+        self.records = records.astype(np.uint8, copy=False)
         if self.records.size not in (0, self.total_trials):
             raise ValueError(f"{self.records.size} records for {self.total_trials} trials")
 
@@ -230,9 +233,11 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     whatever the far wing did.  So the cost grows with the distinct received
     prefixes per observer, not with the number of (settings, outcome cell) keys.
     """
+    n = config.trials_per_pair
+    if n < 1:
+        raise ValueError("need at least one trial per setting pair")
     pairs = behavior.pairs()
     preset_pair = config.preset_pair if config.preset_settings else None
-    n = config.trials_per_pair
     pair_bounds = dict(zip(pairs, _word_bounds(behavior.table)))
     histories: dict = {}
     memo: dict = {}
@@ -413,6 +418,8 @@ def classify_violation(
     ordinary local statistic.  A single trial whose settings are all factual cannot test the
     bound at all: it has only one setting pair.
     """
+    if observer not in ("A", "B"):
+        raise ValueError(f"observer must be 'A' or 'B', got {observer!r}")
     state = trace.observer_a if observer == "A" else trace.observer_b
     ledgers = state.stage_ledgers()
     if stage not in ledgers:
@@ -474,8 +481,9 @@ def classify_violation(
 #: setting, its own outcome and the far wing's report, in that order.
 _CSV_HEADER = "trial,x,y,a,b,t_setting_A,t_outcome_A,t_reports_A,t_setting_B,t_outcome_B,t_reports_B\n"
 
-#: ``k % 100`` as the piece of row ``k`` starts it, after the prefix ``str(k // 100)``.
-_TWO_DIGITS = np.array([f"{d:02d}," for d in range(100)], dtype=object)
+#: How row ``k``'s piece starts, after the prefix ``str(k // 100)``: entry ``k % 100`` in
+#: two digits for trials from 100 on, and entry ``100 + k`` in plain digits for trials 0-99.
+_LEADS = np.array([f"{d:02d}," for d in range(100)] + [f"{d}," for d in range(100)], dtype=object)
 
 
 def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
@@ -483,13 +491,12 @@ def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
 
     Everything after the trial number is fixed by the pair block and the
     cell (the reception times by ``schedule``), so each pair's four row tails
-    are rendered once.  Trial ``k >= 100`` is ``str(k // 100)`` followed by
-    the piece ``f"{k % 100:02d},{tail}"``, one of the pair's 400 pieces, so the
-    up to 100 rows of a hundred are one ``join`` of their pieces on the
-    hundred's shared prefix, with one ``str`` per hundred.  Trials 0-99,
-    which have no prefix, and a pair block of fewer than 250 rows are one
-    ``%`` format of their trial numbers and tails.  Each :data:`BLOCK` of rows
-    is written as one string, so the writer holds one block at a time.
+    are rendered once.  Row ``k`` is the prefix ``str(k // 100)`` (empty for
+    trials 0-99) followed by one of the pair's prebuilt pieces, a lead from
+    :data:`_LEADS` joined to a tail, so the up to 100 rows of a hundred are one
+    ``join`` of their pieces on the hundred's shared prefix.  Each
+    :data:`BLOCK` of rows is written as one string, so the writer holds one
+    block at a time.
     """
     if not dataset.records.size:
         raise MissingDataError("dataset was sampled without records; nothing to export")
@@ -506,18 +513,14 @@ def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
         )
         tails = np.array(line.getvalue().splitlines(keepends=True), dtype=object)
         start, end = end, end + n
-        # trials 0-99 have no prefix, and below about 250 rows one % format costs less than a pair's 400 pieces
-        split = end if n < 250 else max(start, 100)
-        row = [None] * (2 * (split - start))
-        row[::2], row[1::2] = range(start, split), tails[dataset.records[start:split]].tolist()
-        out.write(("%d,%s" * (split - start)) % tuple(row))
-        if split < end:
-            pieces = np.add.outer(_TWO_DIGITS, tails).ravel()  # row k: pieces[k % 100 * 4 + cell]
-        for lo in range(split, end, BLOCK):
+        pieces = np.add.outer(_LEADS if start < 100 else _LEADS[:100], tails).ravel()
+        for lo in range(start, end, BLOCK):
             hi = min(lo + BLOCK, end)
-            got = pieces[np.arange(lo, hi) % 100 * 4 + dataset.records[lo:hi]].tolist()
+            idx = np.arange(lo, hi) % 100 * 4 + dataset.records[lo:hi]  # row k: pieces[idx[k - lo]]
+            idx[: max(0, 100 - lo)] += 400  # trials 0-99 take the plain leads
+            got = pieces[idx].tolist()
             rows = []
             for h in range(lo // 100, (hi + 99) // 100):
-                prefix = str(h)
+                prefix = str(h) if h else ""
                 rows += prefix, prefix.join(got[max(lo, 100 * h) - lo : min(hi, 100 * h + 100) - lo])
             out.write("".join(rows))

@@ -7,6 +7,7 @@ default to c = 1 with positions in light-seconds and times in seconds.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
@@ -206,10 +207,18 @@ def build_schedule(
 ) -> Schedule:
     """Validate timing and geometry, or raise :class:`InvalidScheduleError`.
 
-    Requires strictly increasing stage times, distinct worldlines, messages
-    emittable no earlier than detection, and space-like separation between
-    each wing's measurement process and the other wing's.
+    Requires finite numbers, strictly increasing stage times, distinct
+    worldlines, messages emittable no earlier than detection, and space-like
+    separation between each wing's measurement process and the other wing's.
     """
+    for part, values in (
+        ("positions", (position_a, position_b, source_x)),
+        ("stage_times", (t_prepare, t_setting, t_detection, t_communication)),
+        ("signal_speed", (signal_speed,)),
+        ("c", (c,)),
+    ):
+        if not all(map(math.isfinite, values)):
+            raise InvalidScheduleError(f"{part} must be finite; got {values}", part)
     if position_a == position_b:
         raise InvalidScheduleError("observer worldlines must be distinct", "positions")
     if not (0.0 < signal_speed <= c):

@@ -333,6 +333,12 @@ def test_fewer_than_one_trial_per_pair_is_rejected():
         run_experiment(ExperimentConfig(trials_per_pair=0), pr_box())
 
 
+@pytest.mark.parametrize("traced", [0, 1])
+def test_tracing_fewer_than_one_trial_per_pair_is_rejected(traced):
+    with pytest.raises(ValueError, match="need at least one trial per setting pair"):
+        trace_trials(ExperimentConfig(trials_per_pair=0, traced_trials=traced), pr_box())
+
+
 def test_zero_probability_cell_never_sampled():
     b = singlet_behavior((ZERO,), (ZERO,))
     ds = run_experiment(ExperimentConfig(trials_per_pair=100000, seed=1), b)
@@ -624,6 +630,28 @@ def test_records_can_be_dropped():
         dataset_to_csv(ds, build_schedule(), io.StringIO())
 
 
+def _one_cell_records(bad):
+    records = np.zeros(300, dtype=np.int64)
+    records[120] = bad
+    return records
+
+
+@pytest.mark.parametrize("records", [
+    # a cell past the last would write another trial's number: trial 120's row read 121,...
+    _one_cell_records(4),
+    # a negative cell would wrap to 255 in the uint8 store
+    np.full(300, -1),
+    _one_cell_records(256),
+    np.zeros(300, dtype=float),
+    np.zeros(300, dtype=bool),
+], ids=["cell-4", "all-minus-1", "wraps-to-0", "float", "bool"])
+def test_dataset_rejects_a_record_that_is_not_a_cell(records):
+    counts = np.zeros((1, 1, 2, 2), dtype=int)
+    counts[0, 0, 0, 0] = 300
+    with pytest.raises(ValueError, match=r"records must be integer cells in 0\.\.3"):
+        Dataset((0,), (0,), counts, records)
+
+
 # -- estimators ----------------------------------------------------------------------
 
 
@@ -767,6 +795,12 @@ def test_far_setting_is_nonlocal_for_observer_b_too():
         assert report.nonlocal_counterfactuals == ("θa",)
 
 
+def test_classify_violation_rejects_an_unknown_observer():
+    (trace,) = trace_trials(ExperimentConfig(seed=21), optimal_behavior())
+    with pytest.raises(ValueError, match="'C'"):
+        classify_violation(trace, Stage.SETTING, optimal_singlet_settings(), observer="C")
+
+
 def test_communication_stage_is_factual_local():
     cfg = ExperimentConfig(trials_per_pair=2000, seed=9)
     ds = experiment(cfg)
@@ -872,7 +906,7 @@ def _singlet(n: int):
     (lambda tmp_path: ExperimentConfig(
         trials_per_pair=7, seed=53, schedule=build_schedule(signal_speed=0.8, t_communication=3.0)
     ), harness.BLOCK),
-    # pair blocks under 250 rows, one % format each, that start inside the first hundred or across hundreds
+    # small pair blocks that start inside the first hundred, whose trials take the empty prefix, or across hundreds
     *((_singlet(n), harness.BLOCK) for n in (1, 99, 100, 101)),
     # pair blocks of hundreds: the first holds trials 0-99, which have no k // 100 prefix, and the rest start
     # inside a hundred; a block boundary inside a hundred, and a hundred split over two blocks

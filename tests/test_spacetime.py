@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bellsim import (
@@ -143,6 +145,24 @@ def test_schedule_rejects_too_early_communication():
     # emission before detection
     with pytest.raises(InvalidScheduleError):
         build_schedule(t_communication=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("keyword, part", [
+    ("position_a", "positions"),
+    ("position_b", "positions"),
+    ("source_x", "positions"),
+    ("t_prepare", "stage_times"),
+    ("t_setting", "stage_times"),
+    ("t_detection", "stage_times"),
+    ("t_communication", "stage_times"),
+    ("signal_speed", "signal_speed"),
+    ("c", "c"),
+])
+def test_schedule_rejects_non_finite_numbers(keyword, part, value):
+    with pytest.raises(InvalidScheduleError, match="must be finite") as info:
+        build_schedule(**{keyword: value})
+    assert info.value.part == part
 
 
 def test_schedule_rejects_superluminal_messages():

@@ -178,27 +178,33 @@ def _write_trace(traces, schedule, out) -> None:
     A document is its trial number, its position in ``traces``, followed by a
     body fixed by the setting pair and the outcome cell, so each distinct body
     is built once and the trial numbers are spliced in.  A body is spliced in
-    turn from fragments encoded once each: an event entry is fixed by its
-    index and payload, and a stage entry by its stage and ledger, which traces
-    with a common received prefix share.  ``stage_ledgers`` yields stages in order.
+    turn from fragments encoded once each.  An event entry is fixed by the
+    event's index and its one proposition ``(name, value)``.  A stage entry
+    is fixed by the stage and the ledger's rendered text, which many ledger
+    objects share, so each ledger object is rendered once and each distinct
+    text encoded once.  ``stage_ledgers`` yields stages in order.
     """
-    events, stages, bodies = {}, {}, {}
+    events, stages, texts, bodies = {}, {}, {}, {}
     sep = "[\n  "
     for k, t in enumerate(traces):
         key = (t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
         if key not in bodies:
             event_items = []
             for e in schedule.trial_events(*key):
-                ekey = (e.index, e.payload)
+                ((name, value),) = e.payload.propositions()
+                ekey = (e.index, name, value)
                 if ekey not in events:
                     events[ekey] = _dumps_at(_event_entry(e, schedule), 3)
                 event_items.append(events[ekey])
             observers = []
             for s in (t.observer_a, t.observer_b):
                 stage_items = []
-                for skey in s.stage_ledgers().items():
+                for stage, ledger in s.stage_ledgers().items():
+                    if ledger not in texts:
+                        texts[ledger] = ledger.render()
+                    skey = (stage, texts[ledger])
                     if skey not in stages:
-                        stages[skey] = _dumps_at(_stage_entry(*skey), 4)
+                        stages[skey] = _dumps_at(_stage_entry(stage, ledger), 4)
                     stage_items.append(stages[skey])
                 name = json.dumps(s.observer, ensure_ascii=False)
                 observers.append(f"{name}: {_block('[', ']', stage_items, 3)}")

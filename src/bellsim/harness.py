@@ -129,8 +129,9 @@ class Dataset:
     ``records`` is a ``uint8`` array with one index into :data:`CELL_OUTCOMES`
     per trial, in trial order; it is empty when records were not kept.  Trials
     run through the setting pairs in row-major order, ``n_per_pair[i, j]`` of
-    them each, so trial ``k``'s settings follow from its position.  Reception
-    times are the same for every trial and belong to the run's schedule.
+    them each, so trial ``k``'s settings follow from its position, and each
+    pair block's records must tally to that pair's counts.  Reception times
+    are the same for every trial and belong to the run's schedule.
     """
 
     def __init__(self, grid_a, grid_b, counts, records=()):
@@ -148,6 +149,14 @@ class Dataset:
         self.records = records.astype(np.uint8, copy=False)
         if self.records.size not in (0, self.total_trials):
             raise ValueError(f"{self.records.size} records for {self.total_trials} trials")
+        if self.records.size:
+            ends = np.cumsum(self.n_per_pair.ravel()).tolist()
+            pairs = itertools.product(self.grid_a, self.grid_b)
+            for (x, y), lo, hi, tally in zip(pairs, [0, *ends], ends, self.counts.reshape(-1, cells)):
+                if not np.array_equal(np.bincount(self.records[lo:hi], minlength=cells), tally):
+                    raise ValueError(
+                        f"records at setting pair ({setting_text(x)}, {setting_text(y)}) disagree with its counts"
+                    )
 
     @property
     def n_per_pair(self) -> np.ndarray:
@@ -174,10 +183,17 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, theta_a, theta_b, cel
     each root to its observers' trees: calls that share it share every state
     along a common received prefix, so :func:`init_beliefs` runs once per
     root and :func:`receive` once per distinct (observer, received prefix).
+    ``memo`` also holds what the whole run shares: each observer's reception
+    order, as indices into a trial's events, which depends only on the
+    schedule; and each report's ``q``, exact or spread, built once so that
+    both observers hold the same object and :func:`pool` need not compare it.
     """
     outcome_a, outcome_b = CELL_OUTCOMES[cell]
     schedule = config.schedule
     events = schedule.trial_events(theta_a, theta_b, outcome_a, outcome_b)
+    if "order" not in memo:
+        wings = (schedule.worldline_a, schedule.worldline_b)
+        memo["order"] = {w.observer: [e.index for e in schedule.events_for(w.observer, events)] for w in wings}
     root = (theta_a, theta_b) if config.preset_settings else None
     if root not in memo:
         # a node is (state, children); its children map each next received
@@ -190,7 +206,8 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, theta_a, theta_b, cel
     qs = memo.setdefault("qs", {})
     ends = []
     for state, children in roots:
-        for event in schedule.events_for(state.observer, events):
+        for i in memo["order"][state.observer]:
+            event = events[i]
             ((name, value),) = event.payload.propositions()
             if (name, value) not in children:
                 if (name, value) not in qs:
@@ -201,8 +218,8 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, theta_a, theta_b, cel
     return pool(*ends)
 
 
-def _own_q(config: ExperimentConfig, ledger, name: str, value) -> QUncertainty | None:
-    """The measuring wing's spread uncertainty about ``name=value``, or None if it is exact."""
+def _own_q(config: ExperimentConfig, ledger, name: str, value) -> QUncertainty:
+    """The measuring wing's uncertainty about ``name=value``: spread, or a delta if it is exact."""
     q = None
     if name in ("θa", "θb") and not config.preset_settings:
         if config.unresolved_local_setting and name == "θa":
@@ -211,7 +228,7 @@ def _own_q(config: ExperimentConfig, ledger, name: str, value) -> QUncertainty |
             q = QUncertainty.peaked(ledger.variable(name), value, config.q_setting_width)
     elif name in ("±a", "±b") and config.q_outcome_width > 0.0:
         q = QUncertainty.peaked(ledger.variable(name), value, config.q_outcome_width)
-    return None if q is None or q.is_delta else q
+    return QUncertainty.delta(ledger.variable(name), value) if q is None or q.is_delta else q
 
 
 def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:

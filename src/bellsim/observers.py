@@ -75,22 +75,22 @@ _AT_STAGE = {s: Conditioner(Variable.singleton(s.value), s.value, Modality.FACTU
 class QUncertainty(namedtuple("QUncertainty", "variable weights")):
     """Measurement-uncertainty distribution over one variable's domain.
 
-    ``array``, kept in the instance's own dict, holds the checked weights as a read-only array.
+    ``array`` and ``mode``, kept in the instance's own dict, hold the checked
+    weights as a read-only array and the domain value of the largest weight
+    (ties broken by lowest domain index).
     """
 
     def __new__(cls, variable: Variable, weights: tuple):
         self = super().__new__(cls, variable, weights)
         self.array = distribution(weights, (len(variable.domain),))
+        self.mode = variable.domain[int(np.argmax(self.array))]
         return self
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks again and sets array
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks again and sets array and mode
 
     @property
     def is_delta(self) -> bool:
         return max(self.weights) >= 1.0 - TOL
-
-    def mode(self):
-        return self.variable.domain[int(np.argmax(self.array))]
 
     @classmethod
     def delta(cls, variable: Variable, value) -> "QUncertainty":
@@ -143,7 +143,7 @@ class ObserverState(NamedTuple):
     @property
     def factual(self) -> dict:
         """The exactly received values, in the order they were received."""
-        return {name: q.mode() for name, q in self.qs.items() if q.is_delta}
+        return {name: q.mode for name, q in self.qs.items() if q.is_delta}
 
     def stage_ledgers(self) -> dict:
         out = dict(self.history)
@@ -180,16 +180,16 @@ def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tupl
     joint = np.einsum("xyab->axby", behavior.table) * (1.0 / (nx * ny))
     conds = (_PREPARED, _AT_STAGE[Stage.INITIAL])
     free = tuple(variables[n] for n in CANONICAL)
+    # θa then θb, so the ledger renders ``…‖θb,θa,ψ0,t0)``
+    preset_qs = {} if preset is None else {
+        name: QUncertainty.delta(variables[name], value) for name, value in zip(("θa", "θb"), preset)
+    }
 
     def make(worldline):
         initial = ledger = TaggedJoint(free, joint, conds, label=worldline.observer)
-        qs = {}
-        if preset is not None:
-            # θa then θb, so the ledger renders ``…‖θb,θa,ψ0,t0)``
-            for name, value in zip(("θa", "θb"), preset):
-                ledger = condition(ledger, (name, value), Modality.FACTUAL)
-                qs[name] = QUncertainty.delta(variables[name], value)
-        return ObserverState(worldline, ledger, Stage.INITIAL, float("-inf"), qs, initial, ())
+        for name, q in preset_qs.items():
+            ledger = condition(ledger, (name, q.mode), Modality.FACTUAL)
+        return ObserverState(worldline, ledger, Stage.INITIAL, float("-inf"), dict(preset_qs), initial, ())
 
     return make(schedule.worldline_a), make(schedule.worldline_b)
 
@@ -235,8 +235,8 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
         if q.variable.name != name:
             raise ValueError(f"uncertainty is over {q.variable.name!r}, event carries {name!r}")
         if q.is_delta:
-            if q.mode() != value:
-                raise ValueError(f"exact uncertainty is on {name}={q.mode()!r}, event carries {name}={value!r}")
+            if q.mode != value:
+                raise ValueError(f"exact uncertainty is on {name}={q.mode!r}, event carries {name}={value!r}")
             try:
                 ledger = condition(ledger, (name, value), Modality.FACTUAL)
             except ImpossibleEvidenceError as exc:
@@ -260,7 +260,7 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
         conds = [c for c in ledger.conditioners if c.variable.name != state.stage.value]
         ledger = ledger.with_conditioners(conds + [_AT_STAGE[target_stage]])
 
-    return state._replace(ledger=ledger, stage=target_stage, clock=clock, qs=qs, history=history)
+    return ObserverState(state.worldline, ledger, target_stage, clock, qs, state.initial_ledger, history)
 
 
 def inquire(state: ObserverState, targets: Iterable, counterfactuals: Iterable = ()) -> TaggedJoint:
@@ -349,9 +349,11 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
 
     for name in sorted(state_a.qs.keys() & state_b.qs.keys()):
         qa, qb = state_a.qs[name], state_b.qs[name]
-        if qa.is_delta and qb.is_delta and qa.mode() != qb.mode():
+        if qa is qb:  # one report, shared by both observers
+            continue
+        if qa.is_delta and qb.is_delta and qa.mode != qb.mode:
             raise RealismViolationError(
-                f"pooled records contradict: {name}={qa.mode()!r} for A but {name}={qb.mode()!r} for B"
+                f"pooled records contradict: {name}={qa.mode!r} for A but {name}={qb.mode!r} for B"
             )
         if np.max(np.abs(qa.array - qb.array)) > TOL:
             raise RealismViolationError(f"pooled uncertainty for {name} differs between observers")
@@ -377,7 +379,7 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
 
     conds = (_PREPARED, _AT_STAGE[Stage.COMMUNICATION])
     ledger = _trusted(TaggedJoint, pooled, free=base.free, conditioners=conds, label="A∪B")
-    data = {n: qs[n].mode() for n in base.free_names}
+    data = {n: qs[n].mode for n in base.free_names}
     new_a, new_b = (s._replace(ledger=ledger.relabel(s.observer)) for s in (state_a, state_b))
     return PooledState(ledger, data, new_a, new_b)
 

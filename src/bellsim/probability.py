@@ -379,16 +379,20 @@ def reweight(d: TaggedJoint, variable, weights) -> TaggedJoint:
 
     It is one rescale of the table by ``q(v) / p(v)`` along v's axis, 0 where
     the marginal ``p(v)`` is dead; weights on a dead value raise
-    :class:`ImpossibleEvidenceError`, as in :func:`product`.
+    :class:`ImpossibleEvidenceError`, as in :func:`product`.  With no dead
+    value the rescale is a plain ``/``, the same floats as the masked divide.
     """
     var = d.variable(variable)
     axis = d.free.index(var)
     marginal = d.array.sum(axis=tuple(i for i in range(d.array.ndim) if i != axis))
     live = marginal > TOL
-    stray = float(weights[~live].sum())
-    if stray > TOL:
-        raise ImpossibleEvidenceError(f"weights put {stray:.3e} on values of {var.name} of probability zero")
-    scale = np.divide(weights, marginal, out=np.zeros(len(var.domain)), where=live)
+    if live.all():
+        scale = weights / marginal
+    else:
+        stray = float(weights[~live].sum())
+        if stray > TOL:
+            raise ImpossibleEvidenceError(f"weights put {stray:.3e} on values of {var.name} of probability zero")
+        scale = np.divide(weights, marginal, out=np.zeros(len(var.domain)), where=live)
     scale = scale.reshape([-1 if i == axis else 1 for i in range(d.array.ndim)])
     return _trusted(TaggedJoint, d.array * scale, free=d.free, conditioners=d.conditioners, label=d.label)
 

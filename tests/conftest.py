@@ -65,6 +65,11 @@ TRACED_CONFIGS = {
     "unresolved": {"trials_per_pair": 2, "traced_trials": 20, "seed": 8,
                    "unresolved_local_setting": True, "q_setting_width": 0.7},
     "pr-box": {"model": "pr-box", "trials_per_pair": 5, "traced_trials": 40, "seed": 9},
+    # at this width the edge settings of a 3-value grid are received exactly and the
+    # middle one with a spread, so one run renders two ledgers at tθ and at t±
+    "mixed-widths": {"trials_per_pair": 3, "traced_trials": 27, "seed": 11, "q_setting_width": 0.134,
+                     "grid_a": ["0", "pi/4", "pi/2"], "grid_b": ["pi/8", "3pi/8", "-pi/8"],
+                     "chsh": {"x0": "0", "x1": "pi/2", "y0": "pi/8", "y1": "-pi/8"}},
     "moved-wings": {"trials_per_pair": 3, "traced_trials": 27, "seed": 10,
                     "grid_a": ["0", "pi/3", "2pi/3"], "grid_b": ["pi/6", "-pi/6", "pi/2"],
                     "chsh": {"x0": "0", "x1": "pi/3", "y0": "pi/6", "y1": "-pi/6"},

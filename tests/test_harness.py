@@ -236,7 +236,7 @@ def test_each_observer_received_exactly_its_own_trial_events(name):
             assert state.qs.keys() == received.keys()
             for name, q in state.qs.items():
                 # a flat q (an unresolved setting) has no value to compare
-                assert q.mode() == received[name] or q.array.min() == q.array.max(), (state.observer, name)
+                assert q.mode == received[name] or q.array.min() == q.array.max(), (state.observer, name)
             assert state.clock == reception_time(own[-1], state.worldline)
 
 
@@ -650,6 +650,21 @@ def test_dataset_rejects_a_record_that_is_not_a_cell(records):
     counts[0, 0, 0, 0] = 300
     with pytest.raises(ValueError, match=r"records must be integer cells in 0\.\.3"):
         Dataset((0,), (0,), counts, records)
+
+
+def test_dataset_rejects_records_that_disagree_with_the_counts():
+    # every count in cell (+1, +1) but every record in cell (-1, -1): dataset.csv and
+    # summary.json would disagree
+    counts = np.zeros((1, 1, 2, 2), dtype=int)
+    counts[0, 0, 0, 0] = 300
+    with pytest.raises(ValueError, match=r"records at setting pair \(0, 0\) disagree with its counts"):
+        Dataset((0,), (0,), counts, np.full(300, 3))
+    # the right cells in the wrong pair blocks: the totals agree, the pairs' tallies do not
+    counts = np.zeros((1, 2, 2, 2), dtype=int)
+    counts[0, 0, 0, 0] = counts[0, 1, 1, 1] = 2
+    with pytest.raises(ValueError, match=r"records at setting pair \(0, 0\) disagree with its counts"):
+        Dataset((0,), (0, 1), counts, [0, 3, 0, 3])
+    assert Dataset((0,), (0, 1), counts, [0, 0, 3, 3]).records.tolist() == [0, 0, 3, 3]
 
 
 # -- estimators ----------------------------------------------------------------------

@@ -445,6 +445,39 @@ def test_pool_detects_differing_uncertainties():
         pool(sa, sb._replace(qs={**sb.qs, "±a": spread}))
 
 
+def test_pool_compares_distinct_records_and_trusts_one_shared_record():
+    # a run hands both observers the same q objects; equal but distinct ones must
+    # pool to the same ledger and data, and differing distinct ones still raise
+    b = optimal_behavior()
+    schedule = build_schedule()
+    events = schedule.trial_events(b.grid_a[0], b.grid_b[1], 1, -1)
+    ledger = init_beliefs(b, schedule)[0].initial_ledger
+    shared = {}
+    for e in events[1:]:  # past the preparation, which no observer receives
+        ((name, value),) = e.payload.propositions()
+        shared[name, value] = QUncertainty.peaked(ledger.variable(name), value, 0.5)
+
+    def run(qs):
+        ends = []
+        for state in init_beliefs(b, schedule):
+            for e in schedule.events_for(state.observer, events):
+                state = receive(state, e, qs(*e.payload.propositions()[0]))
+            ends.append(state)
+        return ends
+
+    sa, sb = run(lambda name, value: shared[name, value])
+    assert all(sa.qs[n] is sb.qs[n] for n in sa.qs)
+    ca, cb = run(lambda name, value: QUncertainty(*shared[name, value]))
+    assert all(ca.qs[n] is not cb.qs[n] and ca.qs[n] == cb.qs[n] for n in ca.qs)
+    got, want = pool(ca, cb), pool(sa, sb)
+    assert got.data == want.data
+    assert got.ledger.render() == want.ledger.render()
+    assert np.array_equal(got.ledger.array, want.ledger.array)
+    wider = QUncertainty.peaked(ledger.variable("±a"), 1, 0.7)
+    with pytest.raises(RealismViolationError, match="pooled uncertainty for ±a differs between observers"):
+        pool(ca, cb._replace(qs={**cb.qs, "±a": wider}))
+
+
 def test_pool_without_records_is_refused():
     b = optimal_behavior()
     sa, sb = drive(b, b.grid_a[0], b.grid_b[0], 1, -1)

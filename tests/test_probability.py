@@ -437,5 +437,7 @@ def test_replaced_variables_and_uncertainties_are_checked_again():
         v._replace(domain=(0, 0))
     q = QUncertainty(v, (1.0, 0.0))._replace(weights=(0.25, 0.75))
     assert q.array.tolist() == [0.25, 0.75] and not q.array.flags.writeable
+    assert q.mode == 1  # its own mode, not the one it was replaced from
+    assert q._replace(variable=Variable("w", ("lo", "hi"))).mode == "hi"
     with pytest.raises(ValueError):
         q._replace(weights=(0.5, 0.6))

@@ -112,7 +112,6 @@ class TrialTrace(NamedTuple):
     outcome_b: int
     pooled: PooledState
     behavior: Behavior
-    preset: bool = False
 
     @property
     def observer_a(self) -> ObserverState:
@@ -266,7 +265,7 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
                 key = (*pair, cell)
                 if key not in histories:
                     pooled = _ledgers(config, behavior, *key, memo)
-                    histories[key] = TrialTrace(*pair, *CELL_OUTCOMES[cell], pooled, behavior, config.preset_settings)
+                    histories[key] = TrialTrace(*pair, *CELL_OUTCOMES[cell], pooled, behavior)
                 traces.append(histories[key])
     return traces
 
@@ -423,17 +422,17 @@ def classify_violation(
     *,
     estimate: ChshEstimate | None = None,
     observer: str = "A",
-    posit_alternates: bool = False,
 ) -> ViolationReport:
-    """Attach the modality/locality class to a four-term-sum evaluation.
+    """Attach the modality/locality class to a four-term-sum evaluation, read from the observer's ledger.
 
-    Before communication the far wing's setting can only be posited, so any
-    violation there is counterfactual and nonlocal.  With pre-agreed settings
-    everything relevant is factual from the start and the evaluation is a
-    local statement (counterfactual-local if alternates are posited).  At
-    communication time the pooled multi-trial ``estimate`` of the run is an
-    ordinary local statistic.  A single trial whose settings are all factual cannot test the
-    bound at all: it has only one setting pair.
+    At communication time the pooled multi-trial ``estimate`` of the run is an
+    ordinary factual, local statistic; a single trial cannot test the bound
+    at all, as it has only one factual setting pair.  Before then the sum is
+    the analytic one, and its settings are posited: those still free in the
+    observer's stage ledger, or, when both are factual (pre-agreed), the
+    alternates of both.  The evaluation is nonlocal exactly when the far
+    wing's setting is among the free ones, since the far setting can then
+    enter only counterfactually; otherwise it is counterfactual and local.
     """
     if observer not in ("A", "B"):
         raise ValueError(f"observer must be 'A' or 'B', got {observer!r}")
@@ -441,12 +440,8 @@ def classify_violation(
     ledgers = state.stage_ledgers()
     if stage not in ledgers:
         raise ValueError(f"stage {stage.value} not in trace")
-    far = "θb" if observer == "A" else "θa"
-    ledger = ledgers[stage]
-    cf_settings = tuple(n for n in ("θa", "θb") if n in ledger.free_names)
-    nonlocal_cf = tuple(n for n in cf_settings if n == far)
 
-    if stage is Stage.COMMUNICATION or (trace.preset and not posit_alternates):
+    if stage is Stage.COMMUNICATION:
         if estimate is None:
             return ViolationReport(
                 stage,
@@ -471,23 +466,17 @@ def classify_violation(
             "pooled multi-trial estimate from factually communicated data",
         )
 
-    s = chsh_value(trace.behavior, settings)
-    if trace.preset and posit_alternates:
-        classification = ViolationClass.COUNTERFACTUAL_LOCAL
-        cf_settings, nonlocal_cf = ("θa", "θb"), ()
-        note = "alternates of pre-agreed, locally known settings are posited"
-    elif nonlocal_cf:
-        classification = ViolationClass.COUNTERFACTUAL_NONLOCAL
+    far = "θb" if observer == "A" else "θa"
+    posited = tuple(n for n in ("θa", "θb") if n in ledgers[stage].free_names)
+    if far in posited:
+        classification, nonlocal_cf = ViolationClass.COUNTERFACTUAL_NONLOCAL, (far,)
         note = f"the far setting {far} enters only counterfactually at {stage.value}"
-    elif cf_settings:
-        classification = ViolationClass.COUNTERFACTUAL_LOCAL
-        note = "only the observer's own unchosen setting is posited"
     else:
-        classification = ViolationClass.FACTUAL_LOCAL
-        note = ""
-    return ViolationReport(
-        stage, observer, s, 0.0, abs(s) > 2.0, classification, cf_settings, nonlocal_cf, note
-    )
+        classification, nonlocal_cf = ViolationClass.COUNTERFACTUAL_LOCAL, ()
+        posited = posited or ("θa", "θb")
+        note = f"the far setting {far} is known locally, so every posited setting is local"
+    s = chsh_value(trace.behavior, settings)
+    return ViolationReport(stage, observer, s, 0.0, abs(s) > 2.0, classification, posited, nonlocal_cf, note)
 
 
 # ---------------------------------------------------------------------------

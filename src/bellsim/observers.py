@@ -180,18 +180,20 @@ def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tupl
     joint = np.einsum("xyab->axby", behavior.table) * (1.0 / (nx * ny))
     conds = (_PREPARED, _AT_STAGE[Stage.INITIAL])
     free = tuple(variables[n] for n in CANONICAL)
-    # θa then θb, so the ledger renders ``…‖θb,θa,ψ0,t0)``
     preset_qs = {} if preset is None else {
         name: QUncertainty.delta(variables[name], value) for name, value in zip(("θa", "θb"), preset)
     }
 
-    def make(worldline):
+    def make(worldline, order):
         initial = ledger = TaggedJoint(free, joint, conds, label=worldline.observer)
-        for name, q in preset_qs.items():
+        qs = {name: preset_qs[name] for name in order if name in preset_qs}
+        for name, q in qs.items():
             ledger = condition(ledger, (name, q.mode), Modality.FACTUAL)
-        return ObserverState(worldline, ledger, Stage.INITIAL, float("-inf"), dict(preset_qs), initial, ())
+        return ObserverState(worldline, ledger, Stage.INITIAL, float("-inf"), qs, initial, ())
 
-    return make(schedule.worldline_a), make(schedule.worldline_b)
+    # each wing conditions its own pre-agreed setting first, so A's ledger renders
+    # ``…‖θb,θa,ψ0,t0)`` and B's the mirror, ``…‖θa,θb,ψ0,t0)``
+    return make(schedule.worldline_a, ("θa", "θb")), make(schedule.worldline_b, ("θb", "θa"))
 
 
 def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None = None) -> ObserverState:

@@ -5,11 +5,13 @@ import pytest
 
 from bellsim import (
     Behavior,
+    InvalidScheduleError,
     LhvModel,
     TaggedJoint,
     TrialTrace,
     Variable,
     build_model,
+    build_schedule,
     run_experiment,
     trace_trials,
 )
@@ -111,7 +113,7 @@ def traces_by_run_trial(config):
             (bounds,) = harness._word_bounds(behavior.slice(*pair))
             cell = int(harness._cells(word, bounds, np.zeros(1, dtype=np.uint8))[0])
         pooled = harness._ledgers(config, behavior, *pair, cell, {})
-        traces.append(TrialTrace(*pair, *harness.CELL_OUTCOMES[cell], pooled, behavior, config.preset_settings))
+        traces.append(TrialTrace(*pair, *harness.CELL_OUTCOMES[cell], pooled, behavior))
     return traces
 
 
@@ -132,10 +134,12 @@ def valid_configs(behavior_file=None):
 
     Each model appears, with its own settings; a custom model needs the path of
     a behavior file with the integer grids ``0, 1``, takes no grids of its own,
-    and is drawn only when one is given.  Every other key is present or absent at random.  Trial counts
-    stay small enough for a run.
+    and is drawn only when one is given.  Every other key is present or absent at random.  A drawn
+    layout (wing and source positions, stage times and signal speed) is one that ``build_schedule``
+    accepts, with the wings at any distance and on either side.  Trial counts stay small enough for a run.
     """
-    st = pytest.importorskip("hypothesis.strategies")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
     scalars = {
         "trials_per_pair": st.integers(1, 20),
         "seed": st.integers(0, 2**128 - 1),
@@ -169,13 +173,28 @@ def valid_configs(behavior_file=None):
         doc.update(draw(st.fixed_dictionaries({}, optional=scalars)))
         if doc.get("preset_settings") and draw(st.booleans()):
             doc["preset_pair"] = [draw(st.sampled_from(grid_a)), draw(st.sampled_from(grid_b))]
-        # a wider layout keeps the wings space-like separated and the reports
-        # emitted after detection
-        scale = draw(st.sampled_from([None, 1.0, 2.5]))
-        if scale is not None:
-            doc["positions"] = {"a": -scale, "b": scale, "source": draw(st.floats(-scale, scale))}
-            doc["stage_times"] = {"prepare": 0.0, "setting": 0.1, "detection": 0.2, "communication": 0.3 + 2 * scale}
-            doc["signal_speed"], doc["c"] = 1.0, 1.0
+        if draw(st.booleans()):
+            doc.update(draw(layouts()))
         return doc
+
+    @st.composite
+    def layouts(draw):
+        # wings anywhere, the source between them, and reports slow enough to arrive
+        # after detection; build_schedule still rejects wings too close to stay space-like
+        a, b = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+        speed = draw(st.floats(0.25, 1.0))
+        times = (0.0, 0.1, 0.2, 0.2 + abs(b - a) / speed + draw(st.floats(0.01, 1.0)))
+        source = draw(st.floats(min(a, b), max(a, b)))
+        try:
+            build_schedule(position_a=a, position_b=b, source_x=source, t_prepare=times[0], t_setting=times[1],
+                           t_detection=times[2], t_communication=times[3], signal_speed=speed, c=1.0)
+        except InvalidScheduleError:
+            hypothesis.reject()
+        return {
+            "positions": {"a": a, "b": b, "source": source},
+            "stage_times": dict(zip(("prepare", "setting", "detection", "communication"), times)),
+            "signal_speed": speed,
+            "c": 1.0,
+        }
 
     return configs()

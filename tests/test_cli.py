@@ -462,8 +462,13 @@ def test_preset_run_classified_local_everywhere(tmp_path):
     )
     assert code == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    for row in summary["classification"]:
-        assert row["classification"] == "factual-local"
+    # before tc the alternates of the pre-agreed settings are posited; at tc the estimate is factual
+    by_stage = {row["stage"]: row for row in summary["classification"]}
+    for stage in ("t0", "tθ", "t±"):
+        assert by_stage[stage]["classification"] == "counterfactual-local"
+        assert by_stage[stage]["counterfactual_conditioners"] == ["θa", "θb"]
+        assert by_stage[stage]["s_value"] == summary["estimates"]["chsh"]["analytic"]
+    assert by_stage["tc"]["classification"] == "factual-local"
     assert summary["stage_table"]["pattern"] == "yyny"
 
 

@@ -23,6 +23,7 @@ from bellsim import (
     LhvModel,
     MissingDataError,
     Modality,
+    RealismViolationError,
     Stage,
     ViolationClass,
     build_schedule,
@@ -46,7 +47,7 @@ from bellsim.angles import setting_text
 from bellsim.harness import CHUNK, DRAWS_PER_TRIAL, _cells, _outcome_words, _word_bounds
 from bellsim.models import OUTCOMES, Behavior, behavior_to_csv
 from bellsim.spacetime import PREPARED_SYMBOL
-from conftest import TRACED_CONFIGS, random_behavior, trial, trial_records, traces_by_run_trial
+from conftest import TRACED_CONFIGS, random_behavior, trial, trial_records, traces_by_run_trial, valid_configs
 
 st = hypothesis.strategies
 
@@ -152,7 +153,6 @@ def test_shared_histories_equal_a_run_trial_per_trial(name):
     assert len(keys) < len(want)  # some histories really are shared
     assert trial_records(got) == trial_records(want)
     for g, w in zip(got, want):
-        assert g.preset == w.preset
         assert g.pooled.data == w.pooled.data
         assert _same_ledger(g.pooled.ledger, w.pooled.ledger)
         for gs, ws in ((g.observer_a, w.observer_a), (g.observer_b, w.observer_b)):
@@ -242,19 +242,45 @@ def test_each_observer_received_exactly_its_own_trial_events(name):
 
 @pytest.mark.parametrize("doc", [{}, *TRACED_CONFIGS.values()], ids=["default", *TRACED_CONFIGS])
 def test_a_value_is_factual_only_once_its_event_has_reached_the_observer(doc):
+    config = parse_config(json.dumps(doc))
+    assert_light_cone(config, trace_trials(config, build_model(config)))
+
+
+@hypothesis.settings(deadline=None, max_examples=200, derandomize=True)
+@hypothesis.given(doc=valid_configs())
+def test_a_value_is_factual_only_once_its_event_has_reached_the_observer_on_drawn_configs(doc):
+    config, _, traces = drawn_run(doc)
+    assert_light_cone(config, traces)
+
+
+def drawn_run(doc):
+    """``doc``'s config with at least one traced trial, its behavior and its traced trials.
+
+    A run whose spread ``q`` weighs a value of probability zero stops with a
+    realism violation and has no ledgers to check, so such a draw is rejected.
+    """
+    config = parse_config(json.dumps(doc))
+    config = config._replace(traced_trials=max(config.traced_trials, 1))
+    behavior = build_model(config)
+    try:
+        return config, behavior, trace_trials(config, behavior)
+    except RealismViolationError:
+        hypothesis.reject()
+
+
+def assert_light_cone(config, traces):
     # the light-cone oracle, from spacetime alone: every factual value in a stage's
     # ledger belongs to one of the trial's events whose signal reaches the observer
     # no later than that stage begins.  The stage label, the prepared state and
     # pre-agreed settings are protocol knowledge, known from the start.  Before
     # tc, outside preset mode, the far setting is never factual.
-    config = parse_config(json.dumps(doc))
     schedule = config.schedule
     begins = dict(zip(Stage, (schedule.t_prepare, schedule.t_setting, schedule.t_detection, schedule.t_communication)))
     known = {s.value for s in Stage} | {PREPARED_SYMBOL}
     if config.preset_settings:
         known |= {"θa", "θb"}
     checked = 0
-    for t in trace_trials(config, build_model(config)):
+    for t in traces:
         events = schedule.trial_events(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
         for state in (t.observer_a, t.observer_b):
             arrival = {}
@@ -836,24 +862,62 @@ def test_single_experiment_with_factual_settings_not_applicable():
 
 
 def test_preset_run_classified_local():
+    # before tc the pre-agreed settings are factual, so only their alternates can be
+    # posited and the sum is local; at tc the pooled estimate is factual and local
     cfg = ExperimentConfig(trials_per_pair=1000, seed=10, preset_settings=True)
     est = estimate_chsh(experiment(cfg), cfg.chsh)
     b = optimal_behavior()
     (trace,) = trace_trials(cfg, b)
-    for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
-        report = classify_violation(trace, stage, cfg.chsh, estimate=est)
-        assert report.classification is ViolationClass.FACTUAL_LOCAL
-        assert not report.nonlocal_counterfactuals
+    for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
+        for observer in ("A", "B"):
+            report = classify_violation(trace, stage, cfg.chsh, estimate=est, observer=observer)
+            assert report.classification is ViolationClass.COUNTERFACTUAL_LOCAL
+            assert report.s_value == chsh_value(b, cfg.chsh)
+            assert not report.nonlocal_counterfactuals
+    report = classify_violation(trace, Stage.COMMUNICATION, cfg.chsh, estimate=est)
+    assert report.classification is ViolationClass.FACTUAL_LOCAL
+    assert report.s_value == est.value
 
 
 def test_preset_posited_alternates_are_counterfactual_local():
     b = optimal_behavior()
     (trace,) = trace_trials(ExperimentConfig(seed=10, preset_settings=True), b)
-    report = classify_violation(
-        trace, Stage.SETTING, optimal_singlet_settings(), posit_alternates=True
-    )
+    report = classify_violation(trace, Stage.SETTING, optimal_singlet_settings())
     assert report.classification is ViolationClass.COUNTERFACTUAL_LOCAL
+    assert report.counterfactual_conditioners == ("θa", "θb")
+    assert report.nonlocal_counterfactuals == ()
     assert report.violated
+
+
+@hypothesis.settings(deadline=None, max_examples=200, derandomize=True)
+@hypothesis.given(doc=valid_configs())
+def test_every_verdict_is_read_from_the_observers_ledger(doc):
+    # before tc the sum is the analytic one and never factual: the far setting is
+    # posited, and the verdict nonlocal, exactly when it is free in that ledger, and
+    # pre-agreed settings leave only the alternates of both to posit.  At tc the
+    # pooled estimate is factual and local, and without one there is no verdict.
+    config, behavior, traces = drawn_run(doc)
+    est = estimate_chsh(run_experiment(config, behavior), config.chsh)
+    for t in traces:
+        for observer, state in (("A", t.observer_a), ("B", t.observer_b)):
+            far = "θb" if observer == "A" else "θa"
+            for stage, ledger in state.stage_ledgers().items():
+                report = classify_violation(t, stage, config.chsh, estimate=est, observer=observer)
+                if stage is Stage.COMMUNICATION:
+                    assert report.classification is ViolationClass.FACTUAL_LOCAL
+                    assert (report.s_value, report.s_stderr) == (est.value, est.stderr)
+                    bare = classify_violation(t, stage, config.chsh, observer=observer)
+                    assert bare.classification is ViolationClass.NOT_APPLICABLE and bare.s_value is None
+                    continue
+                where = (observer, stage.value)
+                far_free = far in ledger.free_names
+                assert report.classification is not ViolationClass.FACTUAL_LOCAL, where
+                assert report.s_value == chsh_value(behavior, config.chsh), where
+                assert report.nonlocal_counterfactuals == ((far,) if far_free else ()), where
+                assert (report.classification is ViolationClass.COUNTERFACTUAL_NONLOCAL) == far_free, where
+                if config.preset_settings:
+                    assert report.classification is ViolationClass.COUNTERFACTUAL_LOCAL, where
+                    assert report.counterfactual_conditioners == ("θa", "θb"), where
 
 
 def test_classifier_soundness_nonlocal_tag_iff_far_setting_unknown():

@@ -128,14 +128,12 @@ def pooled_by_key(config, behavior) -> dict:
 def named(ledger, rename=lambda n: n):
     """A ledger as (label, free variables, conditioners, array), renamed, with the axes sorted by their new names.
 
-    The conditioners are sorted by their new names too: their order is how the
-    ledger is written, and a preset pair is conditioned θa first on both wings.
+    The conditioners keep their order, which is how the ledger is written, so a
+    wing swap must mirror the written order too.
     """
     free = [(rename(v.name), v.domain) for v in ledger.free]
     order = sorted(range(len(free)), key=lambda i: free[i][0])
-    conditioners = sorted(
-        (rename(c.variable.name), c.variable.domain, c.value, c.modality) for c in ledger.conditioners
-    )
+    conditioners = [(rename(c.variable.name), c.variable.domain, c.value, c.modality) for c in ledger.conditioners]
     return rename(ledger.label), tuple(free[i] for i in order), conditioners, ledger.array.transpose(order)
 
 
@@ -199,9 +197,9 @@ def test_wing_swap_exchanges_the_observers_verdicts(doc):
     compared = 0
     for (x, y, cell), pooled in base.items():
         swapped_cell = (cell % 2) * 2 + cell // 2
-        trace = TrialTrace(x, y, *harness.CELL_OUTCOMES[cell], pooled, behavior, config.preset_settings)
+        trace = TrialTrace(x, y, *harness.CELL_OUTCOMES[cell], pooled, behavior)
         mirror_trace = TrialTrace(y, x, *harness.CELL_OUTCOMES[swapped_cell], mirror[y, x, swapped_cell],
-                                  swapped_behavior, swapped.preset_settings)
+                                  swapped_behavior)
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
             for observer in ("A", "B"):
                 report = classify_violation(trace, stage, config.chsh, observer=observer)

@@ -176,21 +176,21 @@ def _write_trace(traces, schedule, out) -> None:
     """Write ``json.dumps`` of every trace's document, indented, to ``out`` one trial at a time.
 
     A document is its trial number, its position in ``traces``, followed by a
-    body fixed by the setting pair and the outcome cell, so each distinct body
-    is built once and the trial numbers are spliced in.  A body is spliced in
-    turn from fragments encoded once each.  An event entry is fixed by the
-    event's index and its one proposition ``(name, value)``.  A stage entry
-    is fixed by the stage and the ledger's rendered text, which many ledger
-    objects share, so each ledger object is rendered once and each distinct
-    text encoded once.  ``stage_ledgers`` yields stages in order.
+    body built from the trace's events and ledgers.  Trials with one key share
+    one trace, kept alive by ``traces``, so each body is built once, keyed by
+    the trace's ``id``, and spliced from fragments encoded once each.  An event
+    entry is fixed by the event's index and its one proposition ``(name,
+    value)``.  A stage entry is fixed by the stage and the ledger's rendered
+    text, which many ledger objects share, so each ledger object is rendered
+    once and each distinct text encoded once, in ``stage_ledgers`` order.
     """
     events, stages, texts, bodies = {}, {}, {}, {}
     sep = "[\n  "
     for k, t in enumerate(traces):
-        key = (t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
+        key = id(t)
         if key not in bodies:
             event_items = []
-            for e in schedule.trial_events(*key):
+            for e in t.events:
                 ((name, value),) = e.payload.propositions()
                 ekey = (e.index, name, value)
                 if ekey not in events:

@@ -100,7 +100,7 @@ def _cells(words: np.ndarray, bounds: list, out: np.ndarray) -> np.ndarray:
 
 
 class TrialTrace(NamedTuple):
-    """A traced trial's settings and outcomes, both observers' pooled histories, and its behavior.
+    """A traced trial's settings, outcomes and events, both observers' pooled histories, and its behavior.
 
     All of it is fixed by the setting pair and the outcome cell, so trials
     with the same key share one object; a trial's number is its list position.
@@ -110,6 +110,7 @@ class TrialTrace(NamedTuple):
     theta_b: Any
     outcome_a: int
     outcome_b: int
+    events: tuple
     pooled: PooledState
     behavior: Behavior
 
@@ -152,7 +153,10 @@ class Dataset:
             ends = np.cumsum(self.n_per_pair.ravel()).tolist()
             pairs = itertools.product(self.grid_a, self.grid_b)
             for (x, y), lo, hi, tally in zip(pairs, [0, *ends], ends, self.counts.reshape(-1, cells)):
-                if not np.array_equal(np.bincount(self.records[lo:hi], minlength=cells), tally):
+                # BLOCK rows at a time: bincount holds 8 bytes per record it tallies
+                for i in range(lo, hi, BLOCK):
+                    tally = tally - np.bincount(self.records[i : min(i + BLOCK, hi)], minlength=cells)
+                if tally.any():
                     raise ValueError(
                         f"records at setting pair ({setting_text(x)}, {setting_text(y)}) disagree with its counts"
                     )
@@ -171,8 +175,8 @@ class Dataset:
 # running trials
 
 
-def _ledgers(config: ExperimentConfig, behavior: Behavior, theta_a, theta_b, cell: int, memo: dict) -> PooledState:
-    """Both observers' ledgers through every local reception, then pooled.
+def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, memo: dict) -> PooledState:
+    """Both observers' ledgers through every local reception of one trial's nine ``events``, then pooled.
 
     Each ledger moves only on the events its observer receives, and how it
     moves is fixed by the received ``(name, value)`` propositions and the
@@ -187,13 +191,12 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, theta_a, theta_b, cel
     schedule; and each report's ``q``, exact or spread, built once so that
     both observers hold the same object and :func:`pool` need not compare it.
     """
-    outcome_a, outcome_b = CELL_OUTCOMES[cell]
     schedule = config.schedule
-    events = schedule.trial_events(theta_a, theta_b, outcome_a, outcome_b)
     if "order" not in memo:
         wings = (schedule.worldline_a, schedule.worldline_b)
         memo["order"] = {w.observer: [e.index for e in schedule.events_for(w.observer, events)] for w in wings}
-    root = (theta_a, theta_b) if config.preset_settings else None
+    # events 1 and 2 are the two wings' setting choices
+    root = (events[1].payload.value, events[2].payload.value) if config.preset_settings else None
     if root not in memo:
         # a node is (state, children); its children map each next received
         # proposition to the node it leads to
@@ -242,31 +245,29 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     goes through the observer update with the config's schedule and
     uncertainty options, and each trial ends with pooled information.
     The cells of each pair block's traced trials come from one stream of their
-    counter blocks, as in :func:`run_experiment`.  Trials with the same
-    (settings, outcome cell) are one shared :class:`TrialTrace`, and every key
-    shares one prefix tree of observer states (see :func:`_ledgers`): an
-    observer's state after receiving its own setting and outcome is the same
-    whatever the far wing did.  So the cost grows with the distinct received
-    prefixes per observer, not with the number of (settings, outcome cell) keys.
+    counter blocks, as in :func:`run_experiment`.  Trials with the same (pair
+    index, outcome cell) are one :class:`TrialTrace`, its events built once,
+    and every key shares one prefix tree of observer states (see
+    :func:`_ledgers`): an observer's state after receiving its own setting and
+    outcome is the same whatever the far wing did.  So the cost grows with the
+    distinct received prefixes per observer, not with the number of keys.
     """
     n = config.trials_per_pair
     if n < 1:
         raise ValueError("need at least one trial per setting pair")
-    pairs = behavior.pairs()
+    pairs, bounds = behavior.pairs(), _word_bounds(behavior.table)
     preset_pair = config.preset_pair if config.preset_settings else None
-    pair_bounds = dict(zip(pairs, _word_bounds(behavior.table)))
-    histories: dict = {}
-    memo: dict = {}
-    traces = []
+    preset = None if preset_pair is None else pairs.index(preset_pair)
+    histories, memo, traces = {}, {}, []
     for lo in range(0, config.traced_trials, n):
-        pair = preset_pair if preset_pair is not None else pairs[(lo // n) % len(pairs)]
+        i = preset if preset is not None else (lo // n) % len(pairs)
         for _, words in _outcome_words(config.seed, lo, min(n, config.traced_trials - lo)):
-            for cell in _cells(words, pair_bounds[pair], np.zeros(len(words), dtype=np.uint8)).tolist():
-                key = (*pair, cell)
-                if key not in histories:
-                    pooled = _ledgers(config, behavior, *key, memo)
-                    histories[key] = TrialTrace(*pair, *CELL_OUTCOMES[cell], pooled, behavior)
-                traces.append(histories[key])
+            for cell in _cells(words, bounds[i], np.zeros(len(words), dtype=np.uint8)).tolist():
+                if (i, cell) not in histories:
+                    events = config.schedule.trial_events(*pairs[i], *CELL_OUTCOMES[cell])
+                    pooled = _ledgers(config, behavior, events, memo)
+                    histories[i, cell] = TrialTrace(*pairs[i], *CELL_OUTCOMES[cell], events, pooled, behavior)
+                traces.append(histories[i, cell])
     return traces
 
 

@@ -112,8 +112,9 @@ def traces_by_run_trial(config):
             ((_, word),) = harness._outcome_words(config.seed, k, 1)
             (bounds,) = harness._word_bounds(behavior.slice(*pair))
             cell = int(harness._cells(word, bounds, np.zeros(1, dtype=np.uint8))[0])
-        pooled = harness._ledgers(config, behavior, *pair, cell, {})
-        traces.append(TrialTrace(*pair, *harness.CELL_OUTCOMES[cell], pooled, behavior))
+        events = config.schedule.trial_events(*pair, *harness.CELL_OUTCOMES[cell])
+        pooled = harness._ledgers(config, behavior, events, {})
+        traces.append(TrialTrace(*pair, *harness.CELL_OUTCOMES[cell], events, pooled, behavior))
     return traces
 
 

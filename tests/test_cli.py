@@ -21,6 +21,7 @@ from bellsim import (
     Behavior,
     ConfigError,
     ExperimentConfig,
+    Schedule,
     Stage,
     ViolationClass,
     behavior_from_csv,
@@ -380,6 +381,29 @@ def test_trace_json_is_every_trial_document_dumped(tmp_path, name):
     documents = [_trace_document(k, t, config.schedule) for k, t in enumerate(traces_by_run_trial(config))]
     want = json.dumps(documents, indent=2, ensure_ascii=False) + "\n"
     assert (out / "trace.json").read_bytes() == want.encode("utf-8")
+
+
+#: A 4x4 singlet grid with spread widths: 200 traced trials visit all 16 pairs and 47 (pair, cell) keys.
+GRID_4X4 = {"grid_a": ["0", "pi/4", "pi/2", "3pi/4"], "grid_b": ["pi/4", "-pi/4", "pi/2", "0"],
+            "q_setting_width": 1.0, "q_outcome_width": 0.5, "trials_per_pair": 13, "traced_trials": 200, "seed": 13}
+
+
+@pytest.mark.parametrize("doc", [GRID_4X4, *TRACED_CONFIGS.values()], ids=["4x4-grid", *TRACED_CONFIGS])
+def test_a_traced_run_builds_each_keys_events_once(tmp_path, monkeypatch, doc):
+    # the nine events of a (pair, cell) key are built once and travel with its trace,
+    # for both the ledgers and trace.json
+    config = parse_config(json.dumps(doc | {"keep_records": False}))
+    keys = {(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) for t in traces_by_run_trial(config)}
+    calls, trial_events = collections.Counter(), Schedule.trial_events
+
+    def counted(self, *args):
+        calls[args] += 1
+        return trial_events(self, *args)
+
+    monkeypatch.setattr(Schedule, "trial_events", counted)
+    cli.run(config, tmp_path / "out")
+    assert (tmp_path / "out" / "trace.json").exists()
+    assert calls == collections.Counter(keys)
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))

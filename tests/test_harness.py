@@ -40,6 +40,7 @@ from bellsim import (
     reception_time,
     run_experiment,
     singlet_behavior,
+    stage_table,
     trace_trials,
 )
 from bellsim import harness
@@ -230,6 +231,7 @@ def test_each_observer_received_exactly_its_own_trial_events(name):
     schedule = config.schedule
     for t in trace_trials(config, build_model(config)):
         events = schedule.trial_events(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
+        assert t.events == events
         for state in (t.observer_a, t.observer_b):
             own = schedule.events_for(state.observer, events)
             received = dict(p for e in own for p in e.payload.propositions())
@@ -251,6 +253,18 @@ def test_a_value_is_factual_only_once_its_event_has_reached_the_observer(doc):
 def test_a_value_is_factual_only_once_its_event_has_reached_the_observer_on_drawn_configs(doc):
     config, _, traces = drawn_run(doc)
     assert_light_cone(config, traces)
+
+
+@hypothesis.settings(deadline=None, max_examples=200, derandomize=True)
+@hypothesis.given(doc=valid_configs())
+def test_the_stage_table_reads_ynny_outside_preset_mode_on_drawn_configs(doc):
+    # the observers' ledgers agree at t0 and at tc and nowhere in between: each has
+    # received only its own wing's data at tθ and t±, and both hold all of it at tc,
+    # on every layout that build_schedule accepts, for every model and uncertainty
+    doc = {k: v for k, v in doc.items() if k != "preset_pair"} | {"preset_settings": False}
+    _, _, traces = drawn_run(doc)
+    for t in traces:
+        assert stage_table(t.observer_a, t.observer_b).pattern == tuple("ynny")
 
 
 def drawn_run(doc):
@@ -691,6 +705,22 @@ def test_dataset_rejects_records_that_disagree_with_the_counts():
     with pytest.raises(ValueError, match=r"records at setting pair \(0, 0\) disagree with its counts"):
         Dataset((0,), (0, 1), counts, [0, 3, 0, 3])
     assert Dataset((0,), (0, 1), counts, [0, 0, 3, 3]).records.tolist() == [0, 0, 3, 3]
+
+
+def test_dataset_checks_its_records_in_bounded_memory():
+    # a records run holds its 1-byte records and no per-record copy of them: the
+    # tally check may not widen a whole pair block at once
+    n = 2**22
+    records = np.tile(np.arange(4, dtype=np.uint8), n)
+    counts = np.full((2, 2, 2, 2), n // 4)
+    tracemalloc.start()
+    try:
+        ds = Dataset((ZERO, HALF), (ZERO, HALF), counts, records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(ds.records, records)
+    assert peak < records.nbytes // 16
 
 
 # -- estimators ----------------------------------------------------------------------

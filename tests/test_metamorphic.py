@@ -121,7 +121,8 @@ def pooled_by_key(config, behavior) -> dict:
     for x, y in behavior.pairs():
         for cell, p in enumerate(behavior.slice(x, y).ravel().tolist()):
             if p > 0.0:
-                out[x, y, cell] = harness._ledgers(config, behavior, x, y, cell, memo)
+                events = config.schedule.trial_events(x, y, *harness.CELL_OUTCOMES[cell])
+                out[x, y, cell] = harness._ledgers(config, behavior, events, memo)
     return out
 
 
@@ -197,9 +198,10 @@ def test_wing_swap_exchanges_the_observers_verdicts(doc):
     compared = 0
     for (x, y, cell), pooled in base.items():
         swapped_cell = (cell % 2) * 2 + cell // 2
-        trace = TrialTrace(x, y, *harness.CELL_OUTCOMES[cell], pooled, behavior)
-        mirror_trace = TrialTrace(y, x, *harness.CELL_OUTCOMES[swapped_cell], mirror[y, x, swapped_cell],
-                                  swapped_behavior)
+        outcomes, mirror_outcomes = harness.CELL_OUTCOMES[cell], harness.CELL_OUTCOMES[swapped_cell]
+        trace = TrialTrace(x, y, *outcomes, config.schedule.trial_events(x, y, *outcomes), pooled, behavior)
+        mirror_trace = TrialTrace(y, x, *mirror_outcomes, swapped.schedule.trial_events(y, x, *mirror_outcomes),
+                                  mirror[y, x, swapped_cell], swapped_behavior)
         for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION):
             for observer in ("A", "B"):
                 report = classify_violation(trace, stage, config.chsh, observer=observer)

@@ -143,9 +143,9 @@ def _event_entry(e, schedule) -> dict:
         entry["sender"] = payload.sender
         entry["recipient"] = payload.recipient
         entry["body"] = type(payload.body).__name__
-    for name, value in payload.propositions():
-        entry["proposition"] = name
-        entry["value"] = setting_text(value) if not isinstance(value, str) else value
+    name, value = payload.proposition
+    entry["proposition"] = name
+    entry["value"] = setting_text(value) if not isinstance(value, str) else value
     return entry
 
 
@@ -191,8 +191,7 @@ def _write_trace(traces, schedule, out) -> None:
         if key not in bodies:
             event_items = []
             for e in t.events:
-                ((name, value),) = e.payload.propositions()
-                ekey = (e.index, name, value)
+                ekey = (e.index, *e.payload.proposition)
                 if ekey not in events:
                     events[ekey] = _dumps_at(_event_entry(e, schedule), 3)
                 event_items.append(events[ekey])

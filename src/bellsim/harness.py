@@ -210,7 +210,7 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, memo: 
     for state, children in roots:
         for i in memo["order"][state.observer]:
             event = events[i]
-            ((name, value),) = event.payload.propositions()
+            name, value = event.payload.proposition
             if (name, value) not in children:
                 if (name, value) not in qs:
                     qs[name, value] = _own_q(config, state.initial_ledger, name, value)
@@ -221,16 +221,17 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, memo: 
 
 
 def _own_q(config: ExperimentConfig, ledger, name: str, value) -> QUncertainty:
-    """The measuring wing's uncertainty about ``name=value``: spread, or a delta if it is exact."""
-    q = None
-    if name in ("θa", "θb") and not config.preset_settings:
-        if config.unresolved_local_setting and name == "θa":
-            q = QUncertainty.uniform(ledger.variable(name))
-        elif config.q_setting_width > 0.0:
-            q = QUncertainty.peaked(ledger.variable(name), value, config.q_setting_width)
-    elif name in ("±a", "±b") and config.q_outcome_width > 0.0:
-        q = QUncertainty.peaked(ledger.variable(name), value, config.q_outcome_width)
-    return QUncertainty.delta(ledger.variable(name), value) if q is None or q.is_delta else q
+    """The measuring wing's uncertainty about ``name=value``: spread, or a delta (preset, or a width of 0)."""
+    variable = ledger.variable(name)
+    if name in ("±a", "±b"):
+        q = QUncertainty.peaked(variable, value, config.q_outcome_width)
+    elif config.preset_settings:
+        q = QUncertainty.delta(variable, value)
+    elif config.unresolved_local_setting and name == "θa":
+        q = QUncertainty.uniform(variable)
+    else:
+        q = QUncertainty.peaked(variable, value, config.q_setting_width)
+    return QUncertainty.delta(variable, value) if q.is_delta else q
 
 
 def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:

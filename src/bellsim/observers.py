@@ -60,6 +60,8 @@ class Stage(Enum):
     DETECTION = "t±"
     COMMUNICATION = "tc"
 
+    __hash__ = object.__hash__  # members are singletons compared by identity: hash them as objects, not by name
+
 
 _STAGE_ORDER = {s: i for i, s in enumerate(Stage)}
 #: The stage a reception moves the observer's clock to, by payload type.
@@ -197,15 +199,15 @@ def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tupl
 
 
 def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None = None) -> ObserverState:
-    """Factually absorb an event that has reached the observer's worldline.
+    """Factually absorb the one proposition ``(name, value)`` of an event that has reached the observer's worldline.
 
-    With an exact (delta) uncertainty the payload value is conditioned
-    factually; with a spread ``q`` the ledger becomes ``p(rest | v) · q(v)``,
-    leaving the variable free but locally measured with uncertainty.  An
-    exact ``q`` on any value but the event's is a ``ValueError``.  A
-    zero-probability reception is a realism violation: a factual report
-    contradicting the observer's own table.  So is a spread ``q`` that weighs
-    any value the ledger gives probability zero.
+    With an exact (delta) uncertainty the value is conditioned factually; with
+    a spread ``q`` the ledger becomes ``p(rest | v) · q'(v)`` for ``q`` kept on
+    the values the ledger leaves possible (:func:`reweight`), leaving the
+    variable free but locally measured.  An exact ``q`` on any value but the
+    event's is a ``ValueError``.  A zero-probability reception is a realism
+    violation: a factual report contradicting the observer's own table.  So is
+    a spread ``q`` that weighs only values the ledger gives probability zero.
     """
     payload = event.payload
     if isinstance(payload, Message) and payload.recipient != state.observer:
@@ -220,7 +222,7 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
         raise ValueError("events must be received in causal order")
     clock = max(state.clock, arrived)
 
-    ((name, value),) = payload.propositions()
+    name, value = payload.proposition
     ledger = state.ledger
     qs = state.qs
 
@@ -236,24 +238,18 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
             q = QUncertainty.delta(ledger.variable(name), value)
         if q.variable.name != name:
             raise ValueError(f"uncertainty is over {q.variable.name!r}, event carries {name!r}")
-        if q.is_delta:
-            if q.mode != value:
-                raise ValueError(f"exact uncertainty is on {name}={q.mode!r}, event carries {name}={value!r}")
-            try:
+        if q.is_delta and q.mode != value:
+            raise ValueError(f"exact uncertainty is on {name}={q.mode!r}, event carries {name}={value!r}")
+        try:
+            if q.is_delta:
                 ledger = condition(ledger, (name, value), Modality.FACTUAL)
-            except ImpossibleEvidenceError as exc:
-                raise RealismViolationError(
-                    f"{state.observer} factually received {name}={value!r}, "
-                    f"an event of probability zero"
-                ) from exc
-        else:
-            try:
+            else:
                 ledger = reweight(ledger, name, q.array)
-            except ImpossibleEvidenceError as exc:
-                raise RealismViolationError(
-                    f"{state.observer} measured {name} with an uncertainty that weighs "
-                    f"values of probability zero"
-                ) from exc
+        except ImpossibleEvidenceError as exc:
+            raise RealismViolationError(
+                f"{state.observer} factually received {name}={value!r}, an event of probability zero" if q.is_delta
+                else f"{state.observer} measured {name} with an uncertainty that weighs only values of probability zero"
+            ) from exc
         qs = {**qs, name: q}
 
     history = state.history

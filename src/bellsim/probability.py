@@ -375,12 +375,13 @@ def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint
 
 
 def reweight(d: TaggedJoint, variable, weights) -> TaggedJoint:
-    """``product(condition_table(d, v), q)`` in ``d``'s own axis order, for checked weights ``q`` over v.
+    """Jeffrey's rule on the live support: ``product(condition_table(d, v), q')`` in ``d``'s own axis order.
 
-    It is one rescale of the table by ``q(v) / p(v)`` along v's axis, 0 where
-    the marginal ``p(v)`` is dead; weights on a dead value raise
-    :class:`ImpossibleEvidenceError`, as in :func:`product`.  With no dead
-    value the rescale is a plain ``/``, the same floats as the masked divide.
+    It is one rescale of the table by ``q'(v) / p(v)`` along v's axis, for
+    checked weights ``q`` kept on the values whose marginal ``p(v)`` is live
+    and renormalised, ``q'(v) ∝ q(v)·[p(v) > 0]``; with no dead value ``q'`` is
+    ``q`` and the rescale a plain ``/``.  Weights with no mass on a live value
+    raise :class:`ImpossibleEvidenceError`.
     """
     var = d.variable(variable)
     axis = d.free.index(var)
@@ -389,10 +390,11 @@ def reweight(d: TaggedJoint, variable, weights) -> TaggedJoint:
     if live.all():
         scale = weights / marginal
     else:
-        stray = float(weights[~live].sum())
-        if stray > TOL:
-            raise ImpossibleEvidenceError(f"weights put {stray:.3e} on values of {var.name} of probability zero")
-        scale = np.divide(weights, marginal, out=np.zeros(len(var.domain)), where=live)
+        weights = np.where(live, weights, 0.0)
+        mass = float(weights.sum())
+        if mass <= TOL:
+            raise ImpossibleEvidenceError(f"weights put no mass on the values of {var.name} of nonzero probability")
+        scale = np.divide(weights / mass, marginal, out=np.zeros(len(var.domain)), where=live)
     scale = scale.reshape([-1 if i == axis else 1 for i in range(d.array.ndim)])
     return _trusted(TaggedJoint, d.array * scale, free=d.free, conditioners=d.conditioners, label=d.label)
 

@@ -34,6 +34,7 @@ class IntervalKind(Enum):
 
 
 # -- event payloads ----------------------------------------------------------
+# each payload carries one ``proposition``: the ``(name, value)`` pair it delivers
 
 
 class _Typed:
@@ -50,32 +51,24 @@ class _Typed:
 
 class StatePreparation(_Typed, namedtuple("StatePreparation", "label", defaults=(PREPARED_SYMBOL,))):
     __slots__ = ()
-
-    def propositions(self):
-        return ((self.label, self.label),)
+    proposition = property(lambda self: (self.label, self.label))
 
 
 class SettingChoice(_Typed, namedtuple("SettingChoice", "observer value")):
     __slots__ = ()
-
-    def propositions(self):
-        return ((setting_symbol(self.observer), self.value),)
+    proposition = property(lambda self: (setting_symbol(self.observer), self.value))
 
 
 class Detection(_Typed, namedtuple("Detection", "observer value")):
     __slots__ = ()
-
-    def propositions(self):
-        return ((outcome_symbol(self.observer), self.value),)
+    proposition = property(lambda self: (outcome_symbol(self.observer), self.value))
 
 
 class Message(_Typed, namedtuple("Message", "sender recipient body")):
     """A report from one wing to the other; ``body`` is the SettingChoice or Detection reported."""
 
     __slots__ = ()
-
-    def propositions(self):
-        return self.body.propositions()
+    proposition = property(lambda self: self.body.proposition)
 
 
 class SpacetimeEvent(_Typed, namedtuple("SpacetimeEvent", "t x payload speed index")):

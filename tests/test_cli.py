@@ -516,9 +516,10 @@ def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys, keep_records):
     assert "probability zero" in capsys.readouterr().err
 
 
-def test_spread_outcome_uncertainty_over_an_impossible_outcome_is_a_runtime_error(tmp_path, capsys):
+def test_spread_outcome_uncertainty_over_an_impossible_outcome_is_kept_on_the_possible_one(tmp_path, capsys):
     # A's outcome is +1 at both settings, so a spread q over ±a weighs an outcome
-    # of probability zero: a realism violation, not a crash
+    # of probability zero: Jeffrey's rule on the live support keeps it on +1, and
+    # the run completes with ±a free but measured in A's ledger from t± on
     doc = {
         "model": "lhv",
         "grid_a": [0, 1],
@@ -529,11 +530,16 @@ def test_spread_outcome_uncertainty_over_an_impossible_outcome_is_a_runtime_erro
         "traced_trials": 4,
         "trials_per_pair": 10,
     }
-    code, _ = run_cli(tmp_path, doc)
-    assert code == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("run failed: A ") and "±a" in err
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert all((out / name).is_file() for name in ARTIFACTS)
+    config = parse_config(json.dumps(doc))
+    for t in trace_trials(config, build_model(config)):
+        assert not t.observer_a.qs["±a"].is_delta
+        ledger = t.observer_a.stage_ledgers()[Stage.DETECTION]
+        axes = tuple(i for i, name in enumerate(ledger.free_names) if name != "±a")
+        assert np.max(np.abs(ledger.array.sum(axis=axes) - [1.0, 0.0])) <= 1e-12
 
 
 PHASES = ("build", "sample", "trace", "diagnostics", *(f"write {name}" for name in ARTIFACTS))

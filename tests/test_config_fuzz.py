@@ -96,6 +96,20 @@ def test_valid_configs_parse_and_build(doc):
     assert behavior.grid_a and behavior.grid_b
 
 
+@hypothesis.settings(deadline=None, max_examples=150, derandomize=True)
+@hypothesis.given(doc=VALID)
+def test_valid_configs_run_once_traced(doc):
+    # a config that parses runs: a spread q over a value of probability zero (a
+    # deterministic LHV outcome, say) is applied on the values the ledger leaves possible
+    doc = {**doc, "traced_trials": max(doc.get("traced_trials", 1), 1)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = _cli([path, "-o", Path(tmp) / "out"])
+        assert (code, err) == (EXIT_OK, ""), doc
+        assert (Path(tmp) / "out" / "trace.json").is_file()
+
+
 OVERRIDES = st.fixed_dictionaries({}, optional={"seed": ANY_INTS, "trials_per_pair": ANY_INTS})
 
 

@@ -23,7 +23,6 @@ from bellsim import (
     LhvModel,
     MissingDataError,
     Modality,
-    RealismViolationError,
     Stage,
     ViolationClass,
     build_schedule,
@@ -214,7 +213,7 @@ def test_ledgers_run_once_per_received_prefix(monkeypatch, name):
         roots.add(root)
         events = schedule.trial_events(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b)
         for observer in ("A", "B"):
-            received = [e.payload.propositions() for e in schedule.events_for(observer, events)]
+            received = [e.payload.proposition for e in schedule.events_for(observer, events)]
             nodes.update((observer, root, tuple(received[:i])) for i in range(1, len(received) + 1))
     keys = {(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) for t in traces}
     assert len(nodes) < 8 * len(keys)  # not vacuous: the keys share received prefixes
@@ -234,7 +233,7 @@ def test_each_observer_received_exactly_its_own_trial_events(name):
         assert t.events == events
         for state in (t.observer_a, t.observer_b):
             own = schedule.events_for(state.observer, events)
-            received = dict(p for e in own for p in e.payload.propositions())
+            received = dict(e.payload.proposition for e in own)
             assert state.qs.keys() == received.keys()
             for name, q in state.qs.items():
                 # a flat q (an unresolved setting) has no value to compare
@@ -268,18 +267,11 @@ def test_the_stage_table_reads_ynny_outside_preset_mode_on_drawn_configs(doc):
 
 
 def drawn_run(doc):
-    """``doc``'s config with at least one traced trial, its behavior and its traced trials.
-
-    A run whose spread ``q`` weighs a value of probability zero stops with a
-    realism violation and has no ledgers to check, so such a draw is rejected.
-    """
+    """``doc``'s config with at least one traced trial, its behavior and its traced trials."""
     config = parse_config(json.dumps(doc))
     config = config._replace(traced_trials=max(config.traced_trials, 1))
     behavior = build_model(config)
-    try:
-        return config, behavior, trace_trials(config, behavior)
-    except RealismViolationError:
-        hypothesis.reject()
+    return config, behavior, trace_trials(config, behavior)
 
 
 def assert_light_cone(config, traces):
@@ -299,8 +291,8 @@ def assert_light_cone(config, traces):
         for state in (t.observer_a, t.observer_b):
             arrival = {}
             for e in events:
-                for proposition in e.payload.propositions():
-                    arrival[proposition] = min(arrival.get(proposition, math.inf), reception_time(e, state.worldline))
+                proposition = e.payload.proposition
+                arrival[proposition] = min(arrival.get(proposition, math.inf), reception_time(e, state.worldline))
             far = "θb" if state.observer == "A" else "θa"
             for stage, ledger in state.stage_ledgers().items():
                 for c in ledger.conditioners:

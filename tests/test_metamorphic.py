@@ -98,6 +98,30 @@ def test_translation_moves_the_event_coordinates_and_nothing_else(tmp_path, name
         assert_events_moved(trace, moved_trace, dt, dx)
 
 
+def test_signal_speed_moves_only_the_reports_emission(tmp_path):
+    # a report is emitted so that it reaches the far wing at tc: a slower signal is
+    # sent earlier and arrives at the same time, so every ledger and every artifact
+    # but the reports' own coordinates keeps its bytes
+    doc = TRACED_CONFIGS["spread-widths"] | {"stage_times": {"communication": 5.0}}
+    fast, slow = (run(tmp_path, f"speed-{speed}", doc | {"signal_speed": speed}) for speed in (1.0, 0.5))
+    for name in ("summary.json", "dataset.csv", "behavior_estimate.csv", "plot_correlator.txt"):
+        assert (slow / name).read_bytes() == (fast / name).read_bytes(), name
+    traces = [json.loads((d / "trace.json").read_text(encoding="utf-8")) for d in (fast, slow)]
+    sent = []
+    for speed, trace in zip((1.0, 0.5), traces):
+        sent.append([])
+        for document in trace:
+            for event in document["events"]:
+                if event["kind"] == "Message":
+                    assert event.pop("speed") == speed
+                    sent[-1].append(event.pop("t"))
+                    assert event["received"].pop(event["sender"]) == sent[-1][-1]
+    # each wing reports its setting and its outcome in every trial, earlier when slower
+    assert len(sent[1]) == len(sent[0]) == 4 * len(traces[0])
+    assert all(s < f for f, s in zip(*sent))
+    assert traces[1] == traces[0]
+
+
 #: The wing swap's renaming: each wing's setting and outcome, and each observer, take the other's name.
 MIRROR = {"θa": "θb", "θb": "θa", "±a": "±b", "±b": "±a", "A": "B", "B": "A"}
 

@@ -454,14 +454,14 @@ def test_pool_compares_distinct_records_and_trusts_one_shared_record():
     ledger = init_beliefs(b, schedule)[0].initial_ledger
     shared = {}
     for e in events[1:]:  # past the preparation, which no observer receives
-        ((name, value),) = e.payload.propositions()
+        name, value = e.payload.proposition
         shared[name, value] = QUncertainty.peaked(ledger.variable(name), value, 0.5)
 
     def run(qs):
         ends = []
         for state in init_beliefs(b, schedule):
             for e in schedule.events_for(state.observer, events):
-                state = receive(state, e, qs(*e.payload.propositions()[0]))
+                state = receive(state, e, qs(*e.payload.proposition))
             ends.append(state)
         return ends
 
@@ -559,7 +559,7 @@ def test_factual_conditioners_track_received_events_exactly():
     delivered = {}
     for e in schedule.events_for("A", events):
         sa = receive(sa, e)
-        delivered.update(e.payload.propositions())
+        delivered.update([e.payload.proposition])
         factual_names = {
             c.variable.name
             for c in sa.ledger.conditioners

@@ -1,9 +1,10 @@
 """A spread reception is one rescale along the received variable's axis.
 
 ``probability.reweight(d, v, q)`` must equal the paper-level composition
-``product(condition_table(d, v), q)`` put back in ``d``'s axis order, and the
-observers must reach it, and only it, when they receive a value with a spread
-uncertainty.
+``product(condition_table(d, v), q')`` put back in ``d``'s axis order, where
+``q'`` is ``q`` kept on the values of v that ``d`` leaves alive and
+renormalised, and the observers must reach it, and only it, when they receive
+a value with a spread uncertainty.
 """
 
 import itertools
@@ -72,8 +73,16 @@ def live_weights(rng, marginal):
 
 
 def composed(d, name, q):
-    """The reference: ``p(rest | v) · q(v)`` from the public kernel, in ``d``'s axis order."""
+    """The reference: ``p(rest | v) · q'(v)`` from the public kernel, in ``d``'s axis order.
+
+    ``q'`` is ``q`` kept on the values of v that ``d`` leaves alive and
+    renormalised; ``q`` with no mass there goes to ``product`` as it is, which
+    rejects it.
+    """
     var = d.variable(name)
+    kept = q * (marginal(d, name) > TOL)
+    if kept.sum() > TOL:
+        q = kept / kept.sum()
     return product(condition_table(d, name), TaggedJoint((var,), q, (), d.label)).reorder(d.free_names)
 
 
@@ -97,15 +106,23 @@ def test_reweight_equals_the_composed_kernel_ops(rng, label, name):
 
 @pytest.mark.parametrize("name", CANONICAL)
 def test_reweight_rejects_weight_on_a_dead_value(rng, name):
+    # Jeffrey's rule on the live support: the weight on a dead value is dropped and
+    # the rest renormalised; weights on dead values only are impossible evidence
     for _ in range(10):
         d = ledger_with_zero_values(rng, "A", dead=CANONICAL.index(name))
         m = marginal(d, name)
+        live = m > TOL
         q = live_weights(rng, m)
         q[np.argmin(m)] += 0.5
+        q /= q.sum()
+        got = reweight(d, name, q)
+        assert np.max(np.abs(got.array - composed(d, name, q).array)) <= 1e-12
+        assert np.max(np.abs(marginal(got, name) - q * live / q[live].sum())) <= 1e-12
+        dead_only = ~live / np.count_nonzero(~live)
         with pytest.raises(ImpossibleEvidenceError):
-            reweight(d, name, q / q.sum())
+            reweight(d, name, dead_only)
         with pytest.raises(ImpossibleEvidenceError):
-            composed(d, name, q / q.sum())
+            composed(d, name, dead_only)
 
 
 def test_spread_receptions_of_both_observers_match_the_composed_kernel_ops(rng):
@@ -120,7 +137,7 @@ def test_spread_receptions_of_both_observers_match_the_composed_kernel_ops(rng):
         events = schedule.trial_events(x, y, a, b)
         for state in init_beliefs(behavior, schedule):
             for event in schedule.events_for(state.observer, events):
-                ((name, value),) = event.payload.propositions()
+                name, value = event.payload.proposition
                 before = state.ledger
                 var = before.variable(name)
                 q = QUncertainty(var, tuple(live_weights(rng, marginal(before, name))))
@@ -137,23 +154,28 @@ def test_spread_receptions_of_both_observers_match_the_composed_kernel_ops(rng):
 
 
 def test_spread_reception_on_a_dead_value_is_a_realism_violation():
-    # A's outcome is +1 at both of its settings: -1 is dead in every ledger
-    table = np.zeros((2, 2, 2, 2))
-    table[:, :, 0, 0] = table[:, :, 0, 1] = 0.5
-    behavior = Behavior((0, 1), (0, 1), table)
+    # A's outcome is +1 at both of its settings; B's is +1 at θb = 0 and -1 at θb = 1, 2
+    table = np.zeros((2, 3, 2, 2))
+    table[:, 0, 0, 0] = table[:, 1:, 0, 1] = 1.0
+    behavior = Behavior((0, 1), (0, 1, 2), table)
     schedule = build_schedule()
-    events = schedule.trial_events(0, 1, 1, 1)
+    arrivals = {e.payload.proposition[0]: e for e in schedule.events_for("A", schedule.trial_events(0, 0, 1, 1))}
     state, _ = init_beliefs(behavior, schedule)
-    for event in schedule.events_for("A", events):
-        ((name, _),) = event.payload.propositions()
-        if name == "±a":
-            q = QUncertainty(state.ledger.variable(name), (0.6, 0.4))
-            with pytest.raises(RealismViolationError) as info:
-                receive(state, event, q)
-            assert str(info.value) == "A measured ±a with an uncertainty that weighs values of probability zero"
-            return
-        state = receive(state, event)
-    pytest.fail("A never received its outcome")
+    state = receive(state, arrivals["θa"])
+    # a spread q that weighs the dead -1 is kept on +1, and ±a stays free but measured
+    q = QUncertainty(state.ledger.variable("±a"), (0.6, 0.4))
+    state = receive(state, arrivals["±a"], q)
+    assert state.qs["±a"] is q and "±a" in state.ledger.free_names
+    assert np.max(np.abs(marginal(state.ledger, "±a") - [1.0, 0.0])) <= 1e-12
+    # B's report of +1 leaves θb = 0 the one live value of θb (both reports arrive together)
+    state = receive(state, arrivals["±b"])
+    var = state.ledger.variable("θb")
+    got = receive(state, arrivals["θb"], QUncertainty(var, (0.5, 0.25, 0.25)))
+    assert np.max(np.abs(marginal(got.ledger, "θb") - [1.0, 0.0, 0.0])) <= 1e-12
+    # a spread q with no mass on a live value is still a realism violation
+    with pytest.raises(RealismViolationError) as info:
+        receive(state, arrivals["θb"], QUncertainty(var, (0.0, 0.5, 0.5)))
+    assert str(info.value) == "A measured θb with an uncertainty that weighs only values of probability zero"
 
 
 SPREAD = {

@@ -221,12 +221,13 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, memo: 
 
 
 def _own_q(config: ExperimentConfig, ledger, name: str, value) -> QUncertainty:
-    """The measuring wing's uncertainty about ``name=value``: spread, or a delta (preset, or a width of 0)."""
+    """The measuring wing's uncertainty about ``name=value``: spread, or a delta where the width makes it one.
+
+    :func:`receive` never reads the ``q`` of a preset setting: the ledger already pins it.
+    """
     variable = ledger.variable(name)
     if name in ("±a", "±b"):
         q = QUncertainty.peaked(variable, value, config.q_outcome_width)
-    elif config.preset_settings:
-        q = QUncertainty.delta(variable, value)
     elif config.unresolved_local_setting and name == "θa":
         q = QUncertainty.uniform(variable)
     else:

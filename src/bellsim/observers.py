@@ -9,7 +9,8 @@ measured with a spread uncertainty ``q`` instead turns the ledger into
 ``p(rest | v) · q(v)``, computed as one rescale of the table along v's axis
 (:func:`~bellsim.probability.reweight`).  After
 both wings exchange reports, the two ledgers pool into a single product of
-measurement-uncertainty factors from which the trial's data point is read.
+measurement-uncertainty factors, restricted to the cells the shared starting
+table leaves possible, from which the trial's data point is read.
 """
 
 from __future__ import annotations
@@ -102,9 +103,7 @@ class QUncertainty(namedtuple("QUncertainty", "variable weights")):
 
     @classmethod
     def peaked(cls, variable: Variable, center, width: float) -> "QUncertainty":
-        """Discrete bump around ``center``; ``width`` is in grid steps."""
-        if width <= 0.0:
-            return cls.delta(variable, center)
+        """Discrete bump around ``center``; ``width`` is in grid steps, and one of 0 or below gives the delta."""
         # width**2 neither underflows nor overflows here, and past either end the weights
         # are already those of the limit: 0.0 but at the center, or 1.0 everywhere
         width = min(max(width, 1e-150), 1e150)
@@ -336,9 +335,10 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     """Merge the two observers' information once both have reached tc.
 
     The pooled ledger is the product of the per-variable measurement
-    uncertainties; exact measurements make it a point mass.  The trial's data
-    point is the ledger's maximizing assignment (ties broken by lowest domain
-    index).  Contradictory reports, or reports the shared starting table gave
+    uncertainties, restricted to the live support of the shared starting
+    table and renormalised; exact measurements make it a point mass.  The
+    trial's data point is the ledger's maximizing assignment (ties broken by
+    lowest domain index).  Contradictory reports, or reports the shared starting table gave
     probability zero, violate realism.
     """
     for s in (state_a, state_b):
@@ -367,13 +367,15 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     for arr in arrays[1:]:
         pooled = np.multiply.outer(pooled, arr)
 
-    # realism: the pooled belief must overlap the support of the shared
-    # starting table; a point mass on a zero cell (a forged report) has none
-    overlap = float((pooled * (base.array > TOL)).sum())
+    # realism: the pooled belief lives on the support of the shared starting
+    # table, and must overlap it; a point mass on a zero cell (a forged report) has none
+    pooled = pooled * (base.array > TOL)
+    overlap = float(pooled.sum())
     if overlap <= TOL:
         raise RealismViolationError(
             "pooled records lie entirely outside the shared starting table's support"
         )
+    pooled = pooled / overlap
 
     conds = (_PREPARED, _AT_STAGE[Stage.COMMUNICATION])
     ledger = _trusted(TaggedJoint, pooled, free=base.free, conditioners=conds, label="A∪B")

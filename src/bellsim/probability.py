@@ -76,10 +76,6 @@ class Conditioner(NamedTuple):
     modality: Modality
 
 
-def _as_name(v) -> str:
-    return v.name if isinstance(v, Variable) else str(v)
-
-
 def _check_names(free, conditioners) -> None:
     names = [v.name for v in free]
     if len(set(names)) != len(names):
@@ -165,15 +161,13 @@ class TaggedJoint:
 
     # -- lookups ---------------------------------------------------------
 
-    def variable(self, name) -> Variable:
-        name = _as_name(name)
+    def variable(self, name: str) -> Variable:
         for v in self.free:
             if v.name == name:
                 return v
         raise KeyError(f"{name!r} is not a free variable of {self.render()}")
 
-    def conditioned_value(self, name):
-        name = _as_name(name)
+    def conditioned_value(self, name: str):
         for c in self.conditioners:
             if c.variable.name == name:
                 return c.value
@@ -194,15 +188,14 @@ class TaggedJoint:
         _check_names(self.free, conditioners)
         return _trusted(TaggedJoint, self.array, free=self.free, conditioners=conditioners, label=self.label)
 
-    def reorder(self, names: Sequence) -> "TaggedJoint":
+    def reorder(self, names: Sequence[str]) -> "TaggedJoint":
         """Permute the free variables into the given name order."""
-        wanted = [_as_name(n) for n in names]
-        if sorted(wanted) != sorted(self.free_names):
-            raise ValueError(f"reorder names {wanted} must be a permutation of {self.free_names}")
-        perm = [self.free_names.index(n) for n in wanted]
-        arr = np.transpose(self.array, perm) if perm else self.array
+        if sorted(names) != sorted(self.free_names):
+            raise ValueError(f"reorder names {list(names)} must be a permutation of {self.free_names}")
+        perm = [self.free_names.index(n) for n in names]
         free = tuple(self.free[i] for i in perm)
-        return _trusted(TaggedJoint, arr, free=free, conditioners=self.conditioners, label=self.label)
+        return _trusted(TaggedJoint, np.transpose(self.array, perm), free=free, conditioners=self.conditioners,
+                        label=self.label)
 
     def equals(self, other: "TaggedJoint") -> bool:
         """Entrywise equality, to ``TOL``, after aligning axes by variable name.
@@ -221,9 +214,7 @@ class TaggedJoint:
 
         if sorted(map(key, self.conditioners), key=repr) != sorted(map(key, other.conditioners), key=repr):
             return False
-        perm = [other.free_names.index(n) for n in self.free_names]
-        arr = np.transpose(other.array, perm) if perm else other.array
-        return bool(np.max(np.abs(self.array - arr), initial=0.0) <= TOL)
+        return bool(np.max(np.abs(self.array - other.reorder(self.free_names).array), initial=0.0) <= TOL)
 
     # -- rendering ---------------------------------------------------------
 
@@ -253,7 +244,9 @@ class ConditionalTable:
     The array axes are ordered free variables first, then given variables.
     Slices whose marginal vanished are stored as all-zero: the conditional is
     undefined there, and any product with a marginal must put zero mass on
-    such slices.
+    such slices (:func:`product`, and so :func:`bayes_invert`, raise
+    :class:`ImpossibleEvidenceError` otherwise).  Variables are looked up by
+    their string names throughout the kernel.
     """
 
     __slots__ = ("free", "free_names", "given", "given_names", "array", "conditioners", "label")
@@ -298,7 +291,7 @@ def condition(d: TaggedJoint, assignment, modality: Modality = Modality.FACTUAL)
     return _trusted(TaggedJoint, slab / norm, free=rest, conditioners=conds, label=d.label)
 
 
-def marginalize(d: TaggedJoint, variable) -> TaggedJoint:
+def marginalize(d: TaggedJoint, variable: str) -> TaggedJoint:
     """Sum a free variable out, by an ordered left-to-right fold.
 
     The result reads as "probability of the rest and (v or not v)": the
@@ -315,9 +308,9 @@ def marginalize(d: TaggedJoint, variable) -> TaggedJoint:
     return TaggedJoint(rest, acc, d.conditioners, d.label)
 
 
-def keep_only(d: TaggedJoint, names: Iterable) -> TaggedJoint:
+def keep_only(d: TaggedJoint, names: Iterable[str]) -> TaggedJoint:
     """Marginalize out every free variable not listed, then order as listed."""
-    keep = [_as_name(n) for n in names]
+    keep = list(names)
     out = d
     for n in list(out.free_names):
         if n not in keep:
@@ -325,7 +318,7 @@ def keep_only(d: TaggedJoint, names: Iterable) -> TaggedJoint:
     return out.reorder([n for n in keep if n in out.free_names])
 
 
-def condition_table(d: TaggedJoint, variable) -> ConditionalTable:
+def condition_table(d: TaggedJoint, variable: str) -> ConditionalTable:
     """Rewrite the joint as ``p(rest | v)`` over v's whole domain."""
     var = d.variable(variable)
     axis = d.free.index(var)
@@ -374,7 +367,7 @@ def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint
     return _trusted(TaggedJoint, out, free=free, conditioners=merged, label=conditional.label or marginal.label)
 
 
-def reweight(d: TaggedJoint, variable, weights) -> TaggedJoint:
+def reweight(d: TaggedJoint, variable: str, weights) -> TaggedJoint:
     """Jeffrey's rule on the live support: ``product(condition_table(d, v), q')`` in ``d``'s own axis order.
 
     It is one rescale of the table by ``q'(v) / p(v)`` along v's axis, for
@@ -405,29 +398,16 @@ def bayes_invert(prior: TaggedJoint, likelihood: ConditionalTable, observed,
 
     ``likelihood`` must be ``p(b | a...)`` with a single free variable b and
     given variables exactly the prior's free variables; the result is
-    ``p(a... | b=observed) = p(b|a...) p(a...) / p(b)``.
+    ``p(a... | b=observed) = p(b|a...) p(a...) / p(b)``: :func:`product` then
+    :func:`condition`, in the prior's axis order, with their rules.  A prior
+    weight on an undefined likelihood slice, or evidence of probability zero,
+    raises :class:`ImpossibleEvidenceError`; a conditioner pinned to two values
+    raises ``ValueError``.
     """
     if len(likelihood.free) != 1:
         raise ValueError("likelihood must have exactly one free variable")
-    (bvar,) = likelihood.free
-    if sorted(likelihood.given_names) != sorted(prior.free_names):
-        raise ValueError(
-            f"likelihood conditions on {likelihood.given_names}, "
-            f"prior is over {prior.free_names}"
-        )
-    slab = np.take(likelihood.array, bvar.index(observed), axis=0)
-    perm = [likelihood.given_names.index(n) for n in prior.free_names]
-    slab = np.transpose(slab, perm) if perm else slab
-    joint = slab * prior.array
-    norm = float(joint.sum())
-    if norm <= TOL:
-        raise ImpossibleEvidenceError(f"evidence {bvar.name}={observed!r} has probability {norm:.3e}")
-    merged = [Conditioner(bvar, observed, modality)] + list(prior.conditioners)
-    have = {c.variable.name for c in merged}
-    for c in likelihood.conditioners:
-        if c.variable.name not in have:
-            merged.append(c)
-    return TaggedJoint(prior.free, joint / norm, tuple(merged), prior.label or likelihood.label)
+    (b,) = likelihood.free
+    return condition(product(likelihood, prior), (b.name, observed), modality).reorder(prior.free_names)
 
 
 # ---------------------------------------------------------------------------

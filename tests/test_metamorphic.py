@@ -122,6 +122,40 @@ def test_signal_speed_moves_only_the_reports_emission(tmp_path):
     assert traces[1] == traces[0]
 
 
+@pytest.mark.parametrize("name", ["moved-wings", "preset", "spread-widths"])
+def test_communication_time_moves_only_the_reports(tmp_path, name):
+    # the reports reach each wing at tc, after every local event, so a later tc
+    # moves the reports' times and nothing else: no ledger, outcome or estimate
+    doc = TRACED_CONFIGS[name] | {"keep_records": True}
+    stage_times = doc.get("stage_times", {})
+    later = doc | {"stage_times": stage_times | {
+        "communication": parse_config(json.dumps(doc)).schedule.t_communication + 2.7}}
+    base, moved = run(tmp_path, "base", doc), run(tmp_path, "later", later)
+    for artifact in ("summary.json", "behavior_estimate.csv", "plot_correlator.txt"):
+        assert (moved / artifact).read_bytes() == (base / artifact).read_bytes(), artifact
+    assert stage_ledgers(later) == stage_ledgers(doc)
+    rows = [(d / "dataset.csv").read_text(encoding="utf-8").splitlines() for d in (base, moved)]
+    assert rows[1][0] == rows[0][0]
+    reported = [i for i, column in enumerate(rows[0][0].split(",")) if column.startswith("t_reports_")]
+    assert len(reported) == 2 and len(rows[1]) == len(rows[0]) > 1
+    for b, m in zip(rows[0][1:], rows[1][1:]):
+        b, m = b.split(","), m.split(",")
+        for i in reported:
+            assert float(m[i]) == pytest.approx(float(b[i]) + 2.7, abs=1e-12)
+            b[i] = m[i]
+        assert m == b
+    traces = [json.loads((d / "trace.json").read_text(encoding="utf-8")) for d in (base, moved)]
+    reports = [[event for document in trace for event in document["events"] if event["kind"] == "Message"]
+               for trace in traces]
+    # each wing reports its setting and its outcome in every trial
+    assert len(reports[1]) == len(reports[0]) == 4 * len(traces[0])
+    for b, m in zip(*reports):
+        assert m.pop("t") == pytest.approx(b.pop("t") + 2.7, abs=1e-12)
+        for wing in ("A", "B"):
+            assert m["received"].pop(wing) == pytest.approx(b["received"].pop(wing) + 2.7, abs=1e-12)
+    assert traces[1] == traces[0]
+
+
 #: The wing swap's renaming: each wing's setting and outcome, and each observer, take the other's name.
 MIRROR = {"θa": "θb", "θb": "θa", "±a": "±b", "±b": "±a", "A": "B", "B": "A"}
 

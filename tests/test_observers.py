@@ -1,5 +1,6 @@
 """Observer belief machine: receptions, inquiries, pooling, retrodiction."""
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bellsim import (
     QUncertainty,
     RealismViolationError,
     Stage,
+    build_model,
     build_schedule,
     condition,
     correlator,
@@ -21,6 +23,7 @@ from bellsim import (
     keep_only,
     ledger_chsh_expectation,
     optimal_singlet_settings,
+    parse_config,
     pool,
     pr_box,
     pr_box_settings,
@@ -350,10 +353,13 @@ def test_run_with_peaked_setting_uncertainty():
 
 
 @pytest.mark.parametrize("width, weights", [
-    # the square of the width underflows to 0, or overflows
+    # the square of the width underflows to 0, or overflows; a width of 0 or
+    # below is clamped to the narrow end and gives the delta
     (2.3e-247, (0.0, 1.0, 0.0)),
     (1e155, (1 / 3, 1 / 3, 1 / 3)),
-], ids=["narrow", "wide"])
+    (0.0, (0.0, 1.0, 0.0)),
+    (-1.0, (0.0, 1.0, 0.0)),
+], ids=["narrow", "wide", "zero", "negative"])
 def test_peaked_uncertainty_at_widths_whose_square_leaves_the_float_range(width, weights):
     variable = Variable("θa", (0, 1, 2))
     assert QUncertainty.peaked(variable, 1, width).weights == weights
@@ -497,6 +503,21 @@ def test_pool_rejects_zero_probability_data():
     with pytest.raises(RealismViolationError, match="outside the shared starting table's support"):
         pool(forged_a, forged_b)
     assert var_a.name == "±a"
+
+
+def test_pooled_ledger_is_kept_on_the_live_support():
+    # A's outcome is +1 at both settings of this deterministic LHV table, so a
+    # spread q over ±a weighs an outcome of probability zero; the pooled ledger,
+    # like A's own from t± on, puts all of ±a on +1
+    config = parse_config(json.dumps({
+        "model": "lhv", "grid_a": [0, 1], "grid_b": [0, 1], "chsh": {"x0": 0, "x1": 1, "y0": 0, "y1": 1},
+        "lhv": {"prior": [1.0], "response_a": [[[1, 0]], [[1, 0]]], "response_b": [[[1, 0]], [[0, 1]]]},
+        "q_outcome_width": 0.5, "traced_trials": 4, "trials_per_pair": 10,
+    }))
+    for t in trace_trials(config, build_model(config)):
+        assert not t.observer_a.qs["±a"].is_delta
+        assert np.max(np.abs(keep_only(t.pooled.ledger, ("±a",)).array - [1.0, 0.0])) <= TOL
+        assert t.pooled.data["±a"] == 1
 
 
 # -- retrodiction -------------------------------------------------------------------

@@ -140,6 +140,33 @@ def test_bayes_zero_evidence_errors():
         bayes_invert(prior, lik, "seen")
 
 
+def test_bayes_rejects_prior_weight_on_an_undefined_likelihood_slice():
+    # p(e | h=yes) is undefined (all zero), so a prior that weighs h=yes is
+    # not a marginal of any joint the likelihood came from
+    h = Variable("h", ("yes", "no"))
+    e = Variable("e", ("seen", "unseen"))
+    prior = TaggedJoint((h,), [0.5, 0.5])
+    lik = ConditionalTable((e,), (h,), [[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ImpossibleEvidenceError):
+        bayes_invert(prior, lik, "seen")
+
+
+def test_bayes_merges_conditioners_and_rejects_conflicting_ones():
+    h = Variable("h", ("yes", "no"))
+    e = Variable("e", ("seen", "unseen"))
+    c, k = Variable("c", (0, 1)), Variable("k", (0, 1))
+    lik = ConditionalTable((e,), (h,), [[0.6, 0.2], [0.4, 0.8]],
+                           (Conditioner(c, 0, Modality.FACTUAL), Conditioner(k, 1, Modality.FACTUAL)), label="L")
+    prior = TaggedJoint((h,), [0.5, 0.5], (Conditioner(c, 0, Modality.FACTUAL),), label="P")
+    post = bayes_invert(prior, lik, "seen", Modality.COUNTERFACTUAL)
+    assert [(x.variable.name, x.value, x.modality) for x in post.conditioners] == [
+        ("e", "seen", Modality.COUNTERFACTUAL), ("c", 0, Modality.FACTUAL), ("k", 1, Modality.FACTUAL)]
+    assert post.label == "L"
+    assert post.prob({"h": "yes"}) == pytest.approx(0.75, abs=TOL)
+    with pytest.raises(ValueError, match="conflicting conditioner 'c'"):
+        bayes_invert(prior.with_conditioners((Conditioner(c, 1, Modality.FACTUAL),)), lik, "seen")
+
+
 def test_bayes_agrees_with_condition(rng):
     for _ in range(100):
         d = random_joint(rng, n_vars=2)

@@ -176,19 +176,26 @@ def _write_trace(traces, schedule, out) -> None:
     """Write ``json.dumps`` of every trace's document, indented, to ``out`` one trial at a time.
 
     A document is its trial number, its position in ``traces``, followed by a
-    body built from the trace's events and ledgers.  Trials with one key share
-    one trace, kept alive by ``traces``, so each body is built once, keyed by
-    the trace's ``id``, and spliced from fragments encoded once each.  An event
-    entry is fixed by the event's index and its one proposition ``(name,
-    value)``.  A stage entry is fixed by the stage and the ledger's rendered
-    text, which many ledger objects share, so each ledger object is rendered
-    once and each distinct text encoded once, in ``stage_ledgers`` order.
+    body built from the trace's data point, events and ledgers.  Trials with
+    one key share one trace, kept alive by ``traces``, so each body is built
+    once, keyed by the trace's ``id``, and spliced from fragments encoded once
+    each; a trial is two writes, its header and its body.  A ``"data"`` member
+    is fixed by its name and value text.  An event entry is fixed by the event's
+    index and its one proposition ``(name, value)``.  A stage entry is fixed
+    by the stage and the ledger's rendered text, which many ledger objects
+    share, so each ledger object is rendered once and each distinct text
+    encoded once, in ``stage_ledgers`` order.
     """
-    events, stages, texts, bodies = {}, {}, {}, {}
+    members, events, stages, texts, bodies = {}, {}, {}, {}, {}
     sep = "[\n  "
     for k, t in enumerate(traces):
         key = id(t)
         if key not in bodies:
+            data_items = []
+            for member in _data_block(t).items():
+                if member not in members:  # ``"θa": "pi/4"``: its own one-member object, braces cut
+                    members[member] = json.dumps(dict([member]), ensure_ascii=False)[1:-1]
+                data_items.append(members[member])
             event_items = []
             for e in t.events:
                 ekey = (e.index, *e.payload.proposition)
@@ -208,11 +215,12 @@ def _write_trace(traces, schedule, out) -> None:
                 name = json.dumps(s.observer, ensure_ascii=False)
                 observers.append(f"{name}: {_block('[', ']', stage_items, 3)}")
             bodies[key] = (
-                f'\n    "data": {_dumps_at(_data_block(t), 2)},'
+                f'\n    "data": {_block("{", "}", data_items, 2)},'
                 f'\n    "events": {_block("[", "]", event_items, 2)},'
                 f'\n    "stages": {_block("{", "}", observers, 2)}\n  }}'
             )
-        out.write(f'{sep}{{\n    "trial": {k},{bodies[key]}')
+        out.write(f'{sep}{{\n    "trial": {k},')
+        out.write(bodies[key])
         sep = ",\n  "
     out.write("\n]\n")
 

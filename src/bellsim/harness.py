@@ -246,13 +246,15 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     trials draw counter blocks that no dataset trial owns.  Every reception
     goes through the observer update with the config's schedule and
     uncertainty options, and each trial ends with pooled information.
-    The cells of each pair block's traced trials come from one stream of their
-    counter blocks, as in :func:`run_experiment`.  Trials with the same (pair
-    index, outcome cell) are one :class:`TrialTrace`, its events built once,
-    and every key shares one prefix tree of observer states (see
-    :func:`_ledgers`): an observer's state after receiving its own setting and
-    outcome is the same whatever the far wing did.  So the cost grows with the
-    distinct received prefixes per observer, not with the number of keys.
+    All traced trials draw from one counter stream, as in
+    :func:`run_experiment`; each :data:`BLOCK` of it is split where a pair
+    block ends, and each segment's cells are one pass at its pair's bounds.
+    Trials with the same (pair index, outcome cell) are one
+    :class:`TrialTrace`, its events built once, and every key shares one
+    prefix tree of observer states (see :func:`_ledgers`): an observer's
+    state after receiving its own setting and outcome is the same whatever
+    the far wing did.  So the cost grows with the distinct received prefixes
+    per observer, not with the number of keys.
     """
     n = config.trials_per_pair
     if n < 1:
@@ -261,10 +263,13 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     preset_pair = config.preset_pair if config.preset_settings else None
     preset = None if preset_pair is None else pairs.index(preset_pair)
     histories, memo, traces = {}, {}, []
-    for lo in range(0, config.traced_trials, n):
-        i = preset if preset is not None else (lo // n) % len(pairs)
-        for _, words in _outcome_words(config.seed, lo, min(n, config.traced_trials - lo)):
-            for cell in _cells(words, bounds[i], np.zeros(len(words), dtype=np.uint8)).tolist():
+    for lo, words in _outcome_words(config.seed, 0, config.traced_trials):
+        hi = lo + len(words)
+        edges = [lo, *range((lo // n + 1) * n, hi, n), hi]
+        for start, end in zip(edges, edges[1:]):
+            i = preset if preset is not None else (start // n) % len(pairs)
+            segment = words[start - lo : end - lo]
+            for cell in _cells(segment, bounds[i], np.zeros(end - start, dtype=np.uint8)).tolist():
                 if (i, cell) not in histories:
                     events = config.schedule.trial_events(*pairs[i], *CELL_OUTCOMES[cell])
                     pooled = _ledgers(config, behavior, events, memo)

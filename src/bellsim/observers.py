@@ -78,22 +78,20 @@ _AT_STAGE = {s: Conditioner(Variable.singleton(s.value), s.value, Modality.FACTU
 class QUncertainty(namedtuple("QUncertainty", "variable weights")):
     """Measurement-uncertainty distribution over one variable's domain.
 
-    ``array`` and ``mode``, kept in the instance's own dict, hold the checked
-    weights as a read-only array and the domain value of the largest weight
-    (ties broken by lowest domain index).
+    ``array``, ``mode`` and ``is_delta``, kept in the instance's own dict,
+    hold the checked weights as a read-only array, the domain value of the
+    largest weight (ties broken by lowest domain index), and whether that
+    weight is 1 within ``TOL``, an exact value.
     """
 
     def __new__(cls, variable: Variable, weights: tuple):
         self = super().__new__(cls, variable, weights)
         self.array = distribution(weights, (len(variable.domain),))
         self.mode = variable.domain[int(np.argmax(self.array))]
+        self.is_delta = max(weights) >= 1.0 - TOL
         return self
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks again and sets array and mode
-
-    @property
-    def is_delta(self) -> bool:
-        return max(self.weights) >= 1.0 - TOL
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks again and sets array, mode and is_delta
 
     @classmethod
     def delta(cls, variable: Variable, value) -> "QUncertainty":
@@ -224,6 +222,12 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
     name, value = payload.proposition
     ledger = state.ledger
     qs = state.qs
+    history = state.history
+    conds = ledger.conditioners
+    if target_stage is not state.stage:
+        history = history + ((state.stage, ledger),)
+        # one stage label goes out and one comes in, so the names stay distinct
+        conds = tuple(c for c in conds if c.variable.name != state.stage.value) + (_AT_STAGE[target_stage],)
 
     if name in (c.variable.name for c in ledger.conditioners):
         # already pinned (preset mode or duplicate delivery)
@@ -232,6 +236,9 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
                 f"{state.observer} received {name}={value!r} contradicting the "
                 f"already-established value {ledger.conditioned_value(name)!r}"
             )
+        if conds is not ledger.conditioners:
+            ledger = _trusted(TaggedJoint, ledger.array, free=ledger.free, free_names=ledger.free_names,
+                              conditioners=conds, label=ledger.label)
     else:
         if q is None:
             q = QUncertainty.delta(ledger.variable(name), value)
@@ -241,21 +248,15 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
             raise ValueError(f"exact uncertainty is on {name}={q.mode!r}, event carries {name}={value!r}")
         try:
             if q.is_delta:
-                ledger = condition(ledger, (name, value), Modality.FACTUAL)
+                ledger = condition(ledger, (name, value), Modality.FACTUAL, context=conds)
             else:
-                ledger = reweight(ledger, name, q.array)
+                ledger = reweight(ledger, name, q.array, context=conds)
         except ImpossibleEvidenceError as exc:
             raise RealismViolationError(
                 f"{state.observer} factually received {name}={value!r}, an event of probability zero" if q.is_delta
                 else f"{state.observer} measured {name} with an uncertainty that weighs only values of probability zero"
             ) from exc
         qs = {**qs, name: q}
-
-    history = state.history
-    if target_stage is not state.stage:
-        history = history + ((state.stage, state.ledger),)
-        conds = [c for c in ledger.conditioners if c.variable.name != state.stage.value]
-        ledger = ledger.with_conditioners(conds + [_AT_STAGE[target_stage]])
 
     return ObserverState(state.worldline, ledger, target_stage, clock, qs, state.initial_ledger, history)
 
@@ -378,7 +379,8 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     pooled = pooled / overlap
 
     conds = (_PREPARED, _AT_STAGE[Stage.COMMUNICATION])
-    ledger = _trusted(TaggedJoint, pooled, free=base.free, conditioners=conds, label="A∪B")
+    ledger = _trusted(TaggedJoint, pooled, free=base.free, free_names=base.free_names, conditioners=conds,
+                      label="A∪B")
     data = {n: qs[n].mode for n in base.free_names}
     new_a, new_b = (s._replace(ledger=ledger.relabel(s.observer)) for s in (state_a, state_b))
     return PooledState(ledger, data, new_a, new_b)

@@ -89,7 +89,7 @@ def _check_names(free, conditioners) -> None:
 
 
 def distribution(values, shape, axes=None, *, empty_slices=False) -> np.ndarray:
-    """A read-only float copy of ``values``, checked to be a distribution.
+    """A read-only, C-contiguous float copy of ``values``, checked to be a distribution.
 
     The copy must have exactly ``shape``, no entry below ``-TOL`` (entries in
     ``[-TOL, 0)`` are stored as 0), and every slice over ``axes`` -- the whole
@@ -98,7 +98,7 @@ def distribution(values, shape, axes=None, *, empty_slices=False) -> np.ndarray:
     comparison and an infinity fails the sum, so non-finite entries are
     rejected too.
     """
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
     if arr.shape != shape:
         raise ValueError(f"probability array shape {arr.shape} does not match {shape}")
     if not arr.min(initial=0.0) >= -TOL:
@@ -117,14 +117,17 @@ def distribution(values, shape, axes=None, *, empty_slices=False) -> np.ndarray:
 def _trusted(cls, array: np.ndarray, **slots):
     """A ``cls`` built from the result of a kernel operation, without re-validating it.
 
-    ``condition``, ``reorder``, ``relabel``, ``with_conditioners``,
-    ``product``, ``condition_table``, ``reweight`` and ``observers.pool``
-    only slice, permute, relabel, renormalize or multiply tables or weights
-    that already passed the public checks, so their results have the right
-    shape, no negative entry and the right sums by construction.  The array is made
-    C-contiguous, as the public constructor's copy is, so later reductions
-    over it add in the same order, and the variable-name tuples are stored
-    once, as the public constructors store them.
+    ``condition``, ``reorder``, ``relabel``, ``product``, ``condition_table``,
+    ``reweight``, ``observers.receive`` and ``observers.pool`` only slice,
+    permute, relabel, renormalize or multiply tables or weights that
+    already passed the public checks, so their results have the right shape,
+    no negative entry and the right sums by construction.  The array is made
+    C-contiguous and read-only, as the public constructor's copy is, so later
+    reductions over it add in the same order.  The variable-name tuples are
+    stored once, as the public constructors store them: a caller whose free
+    variables are an operand's own (``relabel``, ``reweight``, ``receive``
+    and ``pool``) passes that operand's ``free_names`` through, and any other
+    result's are built from ``free``.
     """
     out = object.__new__(cls)
     array = np.asarray(array, order="C")
@@ -132,7 +135,8 @@ def _trusted(cls, array: np.ndarray, **slots):
     out.array = array
     for name, value in slots.items():
         setattr(out, name, value)
-    out.free_names = tuple(v.name for v in out.free)
+    if "free_names" not in slots:
+        out.free_names = tuple(v.name for v in out.free)
     if cls is ConditionalTable:
         out.given_names = tuple(v.name for v in out.given)
     return out
@@ -181,12 +185,8 @@ class TaggedJoint:
     # -- structure helpers ------------------------------------------------
 
     def relabel(self, label: str) -> "TaggedJoint":
-        return _trusted(TaggedJoint, self.array, free=self.free, conditioners=self.conditioners, label=label)
-
-    def with_conditioners(self, conditioners: Sequence[Conditioner]) -> "TaggedJoint":
-        conditioners = tuple(conditioners)
-        _check_names(self.free, conditioners)
-        return _trusted(TaggedJoint, self.array, free=self.free, conditioners=conditioners, label=self.label)
+        return _trusted(TaggedJoint, self.array, free=self.free, free_names=self.free_names,
+                        conditioners=self.conditioners, label=label)
 
     def reorder(self, names: Sequence[str]) -> "TaggedJoint":
         """Permute the free variables into the given name order."""
@@ -269,13 +269,16 @@ class ConditionalTable:
 # operations
 
 
-def condition(d: TaggedJoint, assignment, modality: Modality = Modality.FACTUAL) -> TaggedJoint:
-    """Move a free variable into the conditioners, pinned to ``value``.
+def condition(d: TaggedJoint, assignment, modality: Modality = Modality.FACTUAL, *,
+              context: tuple | None = None) -> TaggedJoint:
+    """Move a free variable into the conditioners, pinned to ``value``, ahead of ``context``.
 
     Numerically this is plain conditioning by the product rule regardless of
     the tag.  Conditioning on a zero-probability assignment raises
     :class:`ImpossibleEvidenceError`; for factual receptions the caller turns
-    that into a realism violation.
+    that into a realism violation.  ``context``, the conditioners kept after
+    the new one, is ``d``'s own unless given; a caller that gives it keeps
+    every name distinct, as nothing checks it again.
     """
     name, value = assignment
     var = d.variable(name)
@@ -287,7 +290,7 @@ def condition(d: TaggedJoint, assignment, modality: Modality = Modality.FACTUAL)
             f"assignment {var.name}={value!r} has probability {norm:.3e} under {d.render()}"
         )
     rest = d.free[:axis] + d.free[axis + 1 :]
-    conds = (Conditioner(var, value, modality),) + d.conditioners
+    conds = (Conditioner(var, value, modality),) + (d.conditioners if context is None else context)
     return _trusted(TaggedJoint, slab / norm, free=rest, conditioners=conds, label=d.label)
 
 
@@ -367,29 +370,33 @@ def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint
     return _trusted(TaggedJoint, out, free=free, conditioners=merged, label=conditional.label or marginal.label)
 
 
-def reweight(d: TaggedJoint, variable: str, weights) -> TaggedJoint:
+def reweight(d: TaggedJoint, variable: str, weights, *, context: tuple | None = None) -> TaggedJoint:
     """Jeffrey's rule on the live support: ``product(condition_table(d, v), q')`` in ``d``'s own axis order.
 
     It is one rescale of the table by ``q'(v) / p(v)`` along v's axis, for
     checked weights ``q`` kept on the values whose marginal ``p(v)`` is live
     and renormalised, ``q'(v) ∝ q(v)·[p(v) > 0]``; with no dead value ``q'`` is
     ``q`` and the rescale a plain ``/``.  Weights with no mass on a live value
-    raise :class:`ImpossibleEvidenceError`.
+    raise :class:`ImpossibleEvidenceError`.  The result's conditioners are
+    ``context``, ``d``'s own unless given; a caller that gives it keeps every
+    name distinct, as nothing checks it again.
     """
     var = d.variable(variable)
-    axis = d.free.index(var)
+    axis = d.free_names.index(variable)
     marginal = d.array.sum(axis=tuple(i for i in range(d.array.ndim) if i != axis))
-    live = marginal > TOL
-    if live.all():
+    if min(marginal.tolist()) > TOL:  # every value live; a Python min of a few floats beats ndarray.all()
         scale = weights / marginal
     else:
+        live = marginal > TOL
         weights = np.where(live, weights, 0.0)
         mass = float(weights.sum())
         if mass <= TOL:
             raise ImpossibleEvidenceError(f"weights put no mass on the values of {var.name} of nonzero probability")
         scale = np.divide(weights / mass, marginal, out=np.zeros(len(var.domain)), where=live)
-    scale = scale.reshape([-1 if i == axis else 1 for i in range(d.array.ndim)])
-    return _trusted(TaggedJoint, d.array * scale, free=d.free, conditioners=d.conditioners, label=d.label)
+    scale = scale[(slice(None),) + (None,) * (d.array.ndim - 1 - axis)]  # along v's axis, broadcast over the rest
+    conds = d.conditioners if context is None else context
+    return _trusted(TaggedJoint, d.array * scale, free=d.free, free_names=d.free_names, conditioners=conds,
+                    label=d.label)
 
 
 def bayes_invert(prior: TaggedJoint, likelihood: ConditionalTable, observed,

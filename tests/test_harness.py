@@ -134,6 +134,35 @@ def test_trial_data_extraction_matches_sampled_values():
 # -- trace_trials ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("preset_settings, preset_pair", [(False, None), (True, None), (True, (1, 0))],
+                         ids=["pair-blocks", "preset-settings", "preset-pair"])
+def test_one_traced_stream_draws_what_the_pair_blocks_drew(monkeypatch, preset_settings, preset_pair):
+    # blocks of 7 words and 5 trials per pair on a 2x2 grid: blocks split mid pair block
+    # and pair blocks mid word block, and the 47 traced trials run past the run's 20, so
+    # the pair blocks wrap around twice
+    monkeypatch.setattr(harness, "BLOCK", 7)
+    calls = []
+
+    def outcome_words(*args):
+        calls.append(args)
+        yield from _outcome_words(*args)
+
+    monkeypatch.setattr(harness, "_outcome_words", outcome_words)
+    behavior = random_behavior(np.random.default_rng(7))
+    pairs, seed, n, total = behavior.pairs(), 29, 5, 47
+    config = ExperimentConfig(trials_per_pair=n, seed=seed, traced_trials=total,
+                              preset_settings=preset_settings, preset_pair=preset_pair)
+    traces = trace_trials(config, behavior)
+    assert calls == [(seed, 0, total)]
+    whole = np.random.Philox(key=seed).random_raw(DRAWS_PER_TRIAL * total)[2::DRAWS_PER_TRIAL]
+    for k, t in enumerate(traces):
+        pair = preset_pair or pairs[(k // n) % len(pairs)]
+        (bounds,) = _word_bounds(behavior.slice(*pair))
+        cell = sum(int(whole[k]) >= b for b in bounds)
+        assert (t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) == (*pair, *harness.CELL_OUTCOMES[cell]), k
+    assert len(traces) == total
+
+
 def _same_ledger(d1, d2):
     return (
         d1.free == d2.free

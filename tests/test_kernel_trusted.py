@@ -1,8 +1,9 @@
 """Kernel operations build their results without re-validating them.
 
-``condition``, ``reorder``, ``relabel``, ``with_conditioners``, ``product``,
-``condition_table`` and ``reweight`` skip the public constructors' shape, sign and sum checks,
-since their operands already passed them.  Each result must still be exactly
+``condition``, ``reorder``, ``relabel``, ``product``, ``condition_table`` and
+``reweight`` skip the public constructors' shape, sign and sum checks, since
+their operands already passed them; ``condition`` and ``reweight`` also keep a
+given ``context`` of conditioners unchecked.  Each result must still be exactly
 what the public constructor accepts: rebuilding it through ``TaggedJoint(...)``
 or ``ConditionalTable(...)`` raises nothing and gives an equal object, and its
 array is read-only.
@@ -87,13 +88,14 @@ def test_kernel_results_pass_the_public_constructor(d, data):
 
     results = [
         d.relabel(data.draw(st.sampled_from(("", "A", "B", "A∪B")))),
-        d.with_conditioners(d.conditioners[::-1] + (EXTRA,)),
         d.reorder(perm),
         condition(d, (var.name, value), modality),
+        condition(d, (var.name, value), modality, context=d.conditioners[::-1] + (EXTRA,)),
         ct,
         product(ct, mass),
         product(ct, TaggedJoint((var,), spread)),
         reweight(d, var.name, spread),
+        reweight(d, var.name, spread, context=d.conditioners[::-1] + (EXTRA,)),
     ]
     for result in results:
         assert_valid(result)
@@ -114,11 +116,3 @@ def test_product_rejects_weight_on_a_value_of_probability_zero(d, data):
     q[var.index(dead)] += 0.5
     with pytest.raises(ImpossibleEvidenceError):
         product(ct, TaggedJoint((var,), q / q.sum()))
-
-
-def test_with_conditioners_still_checks_names():
-    d = TaggedJoint((Variable("v0", (0, 1)),), [0.5, 0.5])
-    with pytest.raises(ValueError):
-        d.with_conditioners((Conditioner(d.free[0], 0, Modality.FACTUAL),))
-    with pytest.raises(ValueError):
-        d.with_conditioners((EXTRA, EXTRA))

@@ -1,7 +1,7 @@
 """Every traced stage ledger recomputed with plain numpy.
 
-The observers reach their ledgers through the general kernel (``condition``,
-``reweight``, ``with_conditioners``) along the prefix tree that
+The observers reach their ledgers through the general kernel (``condition``
+and ``reweight``, which also swap the stage label) along the prefix tree that
 ``trace_trials`` shares between trials.  This oracle shares none of that code:
 it starts from the behavior's table over ``(±a, θa, ±b, θb)`` and applies the
 paper's update rules directly.
@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from bellsim import build_model, parse_config
+from bellsim import TaggedJoint, build_model, parse_config
 from bellsim.harness import trace_trials
 from conftest import TRACED_CONFIGS
 
@@ -140,3 +140,22 @@ def test_every_stage_ledger_matches_the_plain_numpy_oracle(name):
             for stage, ledger in got.items():
                 _assert_matches(ledger, expected[stage], (key, state.observer, stage))
     assert len(seen) > 1
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_traced_ledger_passes_the_public_constructor(name):
+    # receive swaps the stage label in the table that absorbs the value, and reweight,
+    # the stage swap and pool pass free_names through: each must build what the
+    # validating constructor builds, on a C-contiguous, read-only array
+    config = parse_config(json.dumps(CONFIGS[name]))
+    ledgers = {}
+    for trace in trace_trials(config, build_model(config)):
+        ledgers[id(trace.pooled.ledger)] = trace.pooled.ledger
+        for state in (trace.observer_a, trace.observer_b):
+            ledgers.update((id(ledger), ledger) for ledger in state.stage_ledgers().values())
+    assert len(ledgers) > 4
+    for ledger in ledgers.values():
+        again = TaggedJoint(ledger.free, ledger.array, ledger.conditioners, ledger.label)
+        assert again.free_names == ledger.free_names, ledger.render()
+        assert np.array_equal(again.array, ledger.array), ledger.render()
+        assert ledger.array.flags.c_contiguous and not ledger.array.flags.writeable, ledger.render()

@@ -164,7 +164,7 @@ def test_bayes_merges_conditioners_and_rejects_conflicting_ones():
     assert post.label == "L"
     assert post.prob({"h": "yes"}) == pytest.approx(0.75, abs=TOL)
     with pytest.raises(ValueError, match="conflicting conditioner 'c'"):
-        bayes_invert(prior.with_conditioners((Conditioner(c, 1, Modality.FACTUAL),)), lik, "seen")
+        bayes_invert(TaggedJoint((h,), [0.5, 0.5], (Conditioner(c, 1, Modality.FACTUAL),)), lik, "seen")
 
 
 def test_bayes_agrees_with_condition(rng):

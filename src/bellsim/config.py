@@ -347,9 +347,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         # a chsh that did not parse has no settings to check
         trials = fields.get("trials_per_pair")
         errors += _grid_errors(fields["chsh"], fields.get("preset_pair"), trials, grid_a, grid_b)
-    # the binary-grid rule checks only the grids that parsed
-    if model.grids == "fixed" and any(g not in (None, d) for g, d in zip((grid_a, grid_b), model.chsh.grids())):
-        errors.append(("grid_a", f"the {name} model requires binary grids [0, 1]"))
+    # the binary-grid rule checks only the grids that parsed, each at its own key
+    fixed = zip(("grid_a", "grid_b"), (grid_a, grid_b), model.chsh.grids()) if model.grids == "fixed" else ()
+    errors += [(key, f"the {name} model requires binary grids [0, 1]") for key, g, d in fixed if g not in (None, d)]
 
     if errors:
         raise ConfigError(errors)

@@ -88,8 +88,8 @@ def _word_bounds(table: np.ndarray) -> list:
     return [[int(t) << 11 for t in row if t < 2**53] for row in np.ceil(cum[:, :3] * 2.0**53).tolist()]
 
 
-def _cells(words: np.ndarray, bounds: list, out: np.ndarray) -> np.ndarray:
-    """Add each outcome word's cell, the number of ``bounds`` it reaches, into the zeroed ``out``."""
+def _cells(words, bounds: list, out):
+    """Add each word's cell, the number of ``bounds`` it reaches, into the zeroed ``out``: both arrays, or both ints."""
     for b in bounds:
         out += words >= b
     return out
@@ -240,21 +240,21 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
 
     Entry ``k`` is trial ``k``: it takes the settings of its pair block (or
     ``preset_pair`` with preset settings) and samples its outcome cell from
-    counter block ``k`` of ``config.seed``, so it is trial ``k`` of the
-    dataset for ``k < trials_per_pair * len(pairs)``.  Past that the pair
-    blocks wrap around (``(k // trials_per_pair) % len(pairs)``) and the
-    trials draw counter blocks that no dataset trial owns.  Every reception
-    goes through the observer update with the config's schedule and
-    uncertainty options, and each trial ends with pooled information.
-    All traced trials draw from one counter stream, as in
-    :func:`run_experiment`; each :data:`BLOCK` of it is split where a pair
-    block ends, and each segment's cells are one pass at its pair's bounds.
-    Trials with the same (pair index, outcome cell) are one
-    :class:`TrialTrace`, its events built once, and every key shares one
-    prefix tree of observer states (see :func:`_ledgers`): an observer's
-    state after receiving its own setting and outcome is the same whatever
-    the far wing did.  So the cost grows with the distinct received prefixes
-    per observer, not with the number of keys.
+    counter block ``k`` of ``config.seed``, so it is trial ``k`` of the dataset
+    for ``k < trials_per_pair * len(pairs)``.  Past that the pair blocks wrap
+    around (``(k // trials_per_pair) % len(pairs)``) and the trials draw
+    counter blocks that no dataset trial owns.  Every reception goes through
+    the observer update with the config's schedule and uncertainty options, and
+    each trial ends with pooled information.  All traced trials draw from one
+    counter stream, as in :func:`run_experiment`, and each trial's cell is its
+    own word checked against its pair's bounds by :func:`_cells`, with no
+    segment pass: the time per traced trial does not depend on
+    ``trials_per_pair``.  Trials with the same (pair index, outcome cell) are
+    one :class:`TrialTrace`, its events built once, and every key shares one
+    prefix tree of observer states (see :func:`_ledgers`): an observer's state
+    after receiving its own setting and outcome is the same whatever the far
+    wing did.  So the cost grows with the distinct received prefixes per
+    observer, not with the number of keys.
     """
     n = config.trials_per_pair
     if n < 1:
@@ -264,17 +264,14 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     preset = None if preset_pair is None else pairs.index(preset_pair)
     histories, memo, traces = {}, {}, []
     for lo, words in _outcome_words(config.seed, 0, config.traced_trials):
-        hi = lo + len(words)
-        edges = [lo, *range((lo // n + 1) * n, hi, n), hi]
-        for start, end in zip(edges, edges[1:]):
-            i = preset if preset is not None else (start // n) % len(pairs)
-            segment = words[start - lo : end - lo]
-            for cell in _cells(segment, bounds[i], np.zeros(end - start, dtype=np.uint8)).tolist():
-                if (i, cell) not in histories:
-                    events = config.schedule.trial_events(*pairs[i], *CELL_OUTCOMES[cell])
-                    pooled = _ledgers(config, behavior, events, memo)
-                    histories[i, cell] = TrialTrace(*pairs[i], *CELL_OUTCOMES[cell], events, pooled, behavior)
-                traces.append(histories[i, cell])
+        for k, word in enumerate(words.tolist(), lo):
+            i = preset if preset is not None else (k // n) % len(pairs)
+            cell = _cells(word, bounds[i], 0)
+            if (i, cell) not in histories:
+                events = config.schedule.trial_events(*pairs[i], *CELL_OUTCOMES[cell])
+                pooled = _ledgers(config, behavior, events, memo)
+                histories[i, cell] = TrialTrace(*pairs[i], *CELL_OUTCOMES[cell], events, pooled, behavior)
+            traces.append(histories[i, cell])
     return traces
 
 

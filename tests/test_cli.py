@@ -943,6 +943,28 @@ def test_behavior_file_line_endings_read_as_in_text_mode(tmp_path, newline):
     assert np.array_equal(bellsim.build_model(cfg).table, pr_box().table)
 
 
+def test_a_behavior_outcome_that_is_not_plus_or_minus_one_is_a_config_error(tmp_path, capsys):
+    rows = behavior_to_csv(pr_box()).splitlines()
+    rows[1] = rows[1].replace(",1,", ",2,", 1)
+    table = tmp_path / "behavior.csv"
+    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out = run_cli(tmp_path, {"model": "custom", "behavior_file": str(table), "trials_per_pair": 10})
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["config error at behavior_file: line 2: outcomes must be +1 or -1"]
+    assert not out.exists()
+
+
+def test_a_blank_line_between_behavior_rows_is_skipped(tmp_path):
+    rows = behavior_to_csv(pr_box()).splitlines()
+    table = tmp_path / "behavior.csv"
+    table.write_text("\n".join([*rows[:3], "", *rows[3:]]) + "\n", encoding="utf-8")
+    doc = {"model": "custom", "behavior_file": str(table), "trials_per_pair": 10}
+    assert np.array_equal(bellsim.build_model(parse_config(json.dumps(doc))).table, pr_box().table)
+    code, out = run_cli(tmp_path, doc)
+    assert code == EXIT_OK
+    assert (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("p", ["0.25", "0.9"], ids=["same-value", "other-value"])
 def test_a_repeated_behavior_cell_is_a_config_error(tmp_path, capsys, p):
     # neither row wins: the same value again would pass unseen, and another would fail
@@ -986,9 +1008,13 @@ _FULL_CHSH = {"x0": "0", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}
      ["config error at chsh.x0: not an angle: 'bad' (expected e.g. '0', 'pi/4', '-3pi/4')"]),
     # nor is a grid that did not parse held to the pr-box binary grids
     ({"model": "pr-box", "grid_a": []}, ["config error at grid_a: must be a non-empty list of settings"]),
+    # the pr-box binary-grid rule names each grid that breaks it, and only those
+    ({"model": "pr-box", "grid_b": [1, 0]}, ["config error at grid_b: the pr-box model requires binary grids [0, 1]"]),
+    ({"model": "pr-box", "grid_a": [1, 0], "grid_b": [1, 0]},
+     [f"config error at grid_{w}: the pr-box model requires binary grids [0, 1]" for w in "ab"]),
 ], ids=["not-an-object", "repeated-setting", "missing-chsh-keys", "unknown-chsh-key", "lhv-not-an-object",
         "lhv-unknown-member", "lhv-missing-member", "custom-without-file", "custom-grid-a", "custom-grid-b",
-        "float-setting", "unparsed-chsh", "pr-box-unparsed-grid"])
+        "float-setting", "unparsed-chsh", "pr-box-unparsed-grid", "pr-box-grid-b", "pr-box-both-grids"])
 def test_config_shape_errors_exit_with_one_line_per_error(tmp_path, capsys, doc, lines):
     code, out = run_cli(tmp_path, doc)
     assert code == EXIT_CONFIG

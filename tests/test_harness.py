@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import hypothesis
@@ -134,12 +135,17 @@ def test_trial_data_extraction_matches_sampled_values():
 # -- trace_trials ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("preset_settings, preset_pair", [(False, None), (True, None), (True, (1, 0))],
-                         ids=["pair-blocks", "preset-settings", "preset-pair"])
-def test_one_traced_stream_draws_what_the_pair_blocks_drew(monkeypatch, preset_settings, preset_pair):
-    # blocks of 7 words and 5 trials per pair on a 2x2 grid: blocks split mid pair block
+_PRESETS = {"pair-blocks": (False, None), "preset-settings": (True, None), "preset-pair": (True, (1, 0))}
+
+
+@pytest.mark.parametrize("preset_settings, preset_pair, n",
+                         [(*preset, n) for n in (5, 1, 8) for preset in _PRESETS.values()],
+                         ids=[name if n == 5 else f"{name}-{n}-per-pair" for n in (5, 1, 8) for name in _PRESETS])
+def test_one_traced_stream_draws_what_the_pair_blocks_drew(monkeypatch, preset_settings, preset_pair, n):
+    # blocks of 7 words on a 2x2 grid.  At 5 trials per pair, blocks split mid pair block
     # and pair blocks mid word block, and the 47 traced trials run past the run's 20, so
-    # the pair blocks wrap around twice
+    # the pair blocks wrap around twice.  At 1 per pair every trial is its own pair block,
+    # and at 8, one more than a block, no pair block fits in one word block
     monkeypatch.setattr(harness, "BLOCK", 7)
     calls = []
 
@@ -149,7 +155,7 @@ def test_one_traced_stream_draws_what_the_pair_blocks_drew(monkeypatch, preset_s
 
     monkeypatch.setattr(harness, "_outcome_words", outcome_words)
     behavior = random_behavior(np.random.default_rng(7))
-    pairs, seed, n, total = behavior.pairs(), 29, 5, 47
+    pairs, seed, total = behavior.pairs(), 29, 47
     config = ExperimentConfig(trials_per_pair=n, seed=seed, traced_trials=total,
                               preset_settings=preset_settings, preset_pair=preset_pair)
     traces = trace_trials(config, behavior)
@@ -217,6 +223,19 @@ def test_trace_memory_grows_by_a_reference_per_traced_trial():
     small_peak, large_peak = (_trace_peak(c, behavior) for c in (small, large))
     # a new object per trial would take about 200 bytes each, over 3 MB for 15 * 2^10 more trials
     assert large_peak < small_peak + 2**20
+
+
+def test_traced_time_per_trial_does_not_depend_on_trials_per_pair():
+    # one preset pair, so both runs trace the same keys and build the same ledgers; at 1
+    # trial per pair every trial is its own pair block, at 2^13 they are all one
+    behavior, best = pr_box(), {1: math.inf, 2**13: math.inf}
+    for _ in range(3):
+        for n in best:
+            config = ExperimentConfig(trials_per_pair=n, traced_trials=2**13, preset_settings=True, preset_pair=(1, 0))
+            start = time.perf_counter()
+            trace_trials(config, behavior)
+            best[n] = min(best[n], time.perf_counter() - start)
+    assert best[1] <= 4 * best[2**13], best
 
 
 @pytest.mark.parametrize("name", ["spread-widths", "preset", "moved-wings"])
@@ -713,6 +732,16 @@ def test_dataset_rejects_a_record_that_is_not_a_cell(records):
         Dataset((0,), (0,), counts, records)
 
 
+@pytest.mark.parametrize("counts, records, message", [
+    (np.zeros((1, 2, 2, 2)), (), r"counts shape \(1, 2, 2, 2\), expected \(1, 1, 2, 2\)"),
+    ([[[[3, -1], [1, 0]]]], (), "counts must be non-negative"),
+    ([[[[3, 0], [0, 0]]]], [0, 0], "2 records for 3 trials"),
+], ids=["counts-shape", "negative-count", "records-not-the-trial-total"])
+def test_dataset_rejects_counts_and_records_that_do_not_fit_its_grids(counts, records, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset((0,), (0,), counts, records)
+
+
 def test_dataset_rejects_records_that_disagree_with_the_counts():
     # every count in cell (+1, +1) but every record in cell (-1, -1): dataset.csv and
     # summary.json would disagree
@@ -800,6 +829,14 @@ def test_chsh_estimate_requires_all_pairs():
     bad = ChshSettings(0, 1, 0, 3)
     with pytest.raises(MissingDataError):
         estimate_chsh(ds, bad)
+
+
+def test_chsh_estimate_names_a_chosen_pair_with_no_trials():
+    counts = np.zeros((2, 2, 2, 2), dtype=int)
+    counts[:, :, 0, 0] = 5
+    counts[1, 1] = 0
+    with pytest.raises(MissingDataError, match=r"^no trials for setting pair \(1, 1\)$"):
+        estimate_chsh(Dataset((0, 1), (0, 1), counts), pr_box_settings())
 
 
 def test_empirical_no_signaling_within_sampling_noise():

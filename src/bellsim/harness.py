@@ -406,14 +406,20 @@ class ViolationClass(Enum):
 
 
 class ViolationReport(NamedTuple):
+    """One observer's verdict on the four-term sum at one stage.
+
+    A report left at its defaults is "not applicable": no value, no verdict,
+    nothing posited.
+    """
+
     stage: Stage
     observer: str
-    s_value: float | None
-    s_stderr: float | None
-    violated: bool | None
-    classification: ViolationClass
-    counterfactual_conditioners: tuple
-    nonlocal_counterfactuals: tuple
+    s_value: float | None = None
+    s_stderr: float | None = None
+    violated: bool | None = None
+    classification: ViolationClass = ViolationClass.NOT_APPLICABLE
+    counterfactual_conditioners: tuple = ()
+    nonlocal_counterfactuals: tuple = ()
     note: str = ""
 
     def to_dict(self) -> dict:
@@ -449,15 +455,7 @@ def classify_violation(
     if stage is Stage.COMMUNICATION:
         if estimate is None:
             return ViolationReport(
-                stage,
-                observer,
-                None,
-                None,
-                None,
-                ViolationClass.NOT_APPLICABLE,
-                (),
-                (),
-                "a single experiment has only one factual set of measurement settings",
+                stage, observer, note="a single experiment has only one factual set of measurement settings"
             )
         return ViolationReport(
             stage,
@@ -466,9 +464,7 @@ def classify_violation(
             estimate.stderr,
             abs(estimate.value) > 2.0,
             ViolationClass.FACTUAL_LOCAL,
-            (),
-            (),
-            "pooled multi-trial estimate from factually communicated data",
+            note="pooled multi-trial estimate from factually communicated data",
         )
 
     far = "θb" if observer == "A" else "θa"

@@ -203,11 +203,8 @@ class TaggedJoint:
         Conditioners must match as (name, value) pairs; modality is ignored
         because the tag never carries numerical content.
         """
-        if sorted(self.free_names) != sorted(other.free_names):
+        if sorted(self.free, key=lambda v: v.name) != sorted(other.free, key=lambda v: v.name):
             return False
-        for a, b in zip(sorted(self.free, key=lambda v: v.name), sorted(other.free, key=lambda v: v.name)):
-            if a != b:
-                return False
 
         def key(c):
             return (c.variable.name, c.value)

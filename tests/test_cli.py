@@ -194,6 +194,11 @@ def test_lhv_model_requires_tables():
     assert any(path == "lhv" for path, _ in err.value.errors)
 
 
+def test_build_model_rejects_a_model_that_parse_config_never_makes():
+    with pytest.raises(ValueError, match="unknown model 'nope'"):
+        build_model(ExperimentConfig(model="nope"))
+
+
 def test_lhv_tables_parse():
     cfg = parse_config(
         json.dumps(
@@ -622,6 +627,17 @@ def test_custom_behavior_file_is_parsed_once_per_run(tmp_path, monkeypatch):
 
 def test_missing_config_exit_code(tmp_path):
     assert main([str(tmp_path / "nope.json"), "-o", str(tmp_path / "out")]) == EXIT_IO
+
+
+def test_output_path_that_is_a_file_is_an_io_failure(tmp_path, capsys):
+    # the run starts, and making the run directory fails
+    (tmp_path / "out").write_text("not a directory", encoding="utf-8")
+    code, _ = run_cli(tmp_path, {"trials_per_pair": 10})
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("i/o failure: [Errno 17] File exists:") and "Traceback" not in err
+    assert (tmp_path / "out").read_text(encoding="utf-8") == "not a directory"
+    assert not any((tmp_path / name).exists() for name in ARTIFACTS)
 
 
 def test_seed_and_trials_overrides(tmp_path):

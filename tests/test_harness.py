@@ -32,6 +32,7 @@ from bellsim import (
     dataset_to_csv,
     estimate_behavior,
     estimate_chsh,
+    init_beliefs,
     lhv_behavior,
     optimal_singlet_settings,
     parse_config,
@@ -909,6 +910,14 @@ def test_counterfactual_list_tracks_stage():
     rt = classify_violation(trace, Stage.SETTING, optimal_singlet_settings())
     assert r0.counterfactual_conditioners == ("θa", "θb")
     assert rt.counterfactual_conditioners == ("θb",)
+
+
+def test_classifying_a_stage_the_observer_never_reached_is_an_error():
+    (trace,) = trace_trials(ExperimentConfig(seed=21), optimal_behavior())
+    start, _ = init_beliefs(trace.behavior, build_schedule())
+    unreached = trace._replace(pooled=trace.pooled._replace(observer_a=start))
+    with pytest.raises(ValueError, match="stage tθ not in trace"):
+        classify_violation(unreached, Stage.SETTING, optimal_singlet_settings())
 
 
 def test_far_setting_is_nonlocal_for_observer_b_too():

@@ -7,8 +7,9 @@ it starts from the behavior's table over ``(±a, θa, ±b, θb)`` and applies th
 paper's update rules directly.
 
 - An exact reception slices its axis and renormalises.
-- A spread uncertainty ``q`` replaces the axis's marginal: ``P(rest | v) q(v)``
-  (Jeffrey's rule).
+- A spread uncertainty ``q`` replaces the axis's marginal: ``P(rest | v) q'(v)``
+  (Jeffrey's rule), where ``q'`` is ``q`` kept on the values ``v`` whose
+  marginal is live and renormalised.
 - Preset settings slice both setting axes at ``t0``.
 - At communication the ledger is the outer product of the pooled ``q``s,
   kept on the cells the starting table leaves possible and renormalised.
@@ -16,12 +17,13 @@ paper's update rules directly.
 
 import json
 
+import hypothesis
 import numpy as np
 import pytest
 
 from bellsim import TaggedJoint, build_model, parse_config
 from bellsim.harness import trace_trials
-from conftest import TRACED_CONFIGS
+from conftest import TRACED_CONFIGS, valid_configs
 
 AXES = ("±a", "θa", "±b", "θb")
 OUTCOMES = (1, -1)
@@ -34,9 +36,12 @@ CONFIGS = {**TRACED_CONFIGS,
 
 
 def _uncertainty(n, k, width):
-    """A width-``width`` bump over ``n`` values centred on index ``k``; ``None`` when exact."""
-    if width <= 0.0:
-        return None
+    """A width-``width`` bump over ``n`` values centred on index ``k``; ``None`` when exact.
+
+    The width is clamped to ``[1e-150, 1e150]``, past which the bump is already
+    the delta or the flat one, so that ``width**2`` neither underflows nor overflows.
+    """
+    width = min(max(width, 1e-150), 1e150)
     w = np.exp(-((np.arange(n) - k) ** 2) / (2.0 * width**2))
     w /= w.sum()
     return None if w.max() >= 1.0 - 1e-12 else w
@@ -80,7 +85,8 @@ def _expected_ledgers(config, behavior, trace, observer):
         shape[axis] = -1
         marginal = arr.sum(axis=tuple(i for i in range(arr.ndim) if i != axis), keepdims=True)
         conditional = np.divide(arr, marginal, out=np.zeros_like(arr), where=marginal > 0.0)
-        arr = conditional * qs[name].reshape(shape)
+        q = np.where(marginal.reshape(-1) > 1e-12, qs[name], 0.0)
+        arr = conditional * (q / q.sum()).reshape(shape)
 
     def snapshot(stage):
         conds = {("ψ0", "ψ0", "factual"), (stage, stage, "factual")}
@@ -122,9 +128,9 @@ def _assert_matches(ledger, expected, where):
     assert {(c.variable.name, c.value, c.modality.value) for c in ledger.conditioners} == conds, where
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_every_stage_ledger_matches_the_plain_numpy_oracle(name):
-    config = parse_config(json.dumps(CONFIGS[name]))
+def _check_every_stage_ledger(doc) -> set:
+    """Compare each distinct traced trial's ledgers with the oracle's; the keys compared."""
+    config = parse_config(json.dumps(doc))
     behavior = build_model(config)
     seen = set()
     for trace in trace_trials(config, behavior):
@@ -139,7 +145,25 @@ def test_every_stage_ledger_matches_the_plain_numpy_oracle(name):
             assert sorted(got) == sorted(expected), (key, state.observer)
             for stage, ledger in got.items():
                 _assert_matches(ledger, expected[stage], (key, state.observer, stage))
-    assert len(seen) > 1
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_stage_ledger_matches_the_plain_numpy_oracle(name):
+    assert len(_check_every_stage_ledger(CONFIGS[name])) > 1
+
+
+#: A deterministic local model measured with a spread outcome ``q``: the far
+#: outcome's other value is dead, so ``q`` is kept on the live one alone.
+DEAD_VALUE = {"model": "lhv", "grid_a": [0, 1], "grid_b": [0, 1], "q_outcome_width": 1.0,
+              "lhv": {"prior": [1.0], "response_a": [[[1, 0]], [[0, 1]]], "response_b": [[[0, 1]], [[1, 0]]]}}
+
+
+@hypothesis.settings(deadline=None, max_examples=200, derandomize=True)
+@hypothesis.given(doc=valid_configs())
+@hypothesis.example(doc=DEAD_VALUE)
+def test_drawn_config_ledgers_match_the_plain_numpy_oracle(doc):
+    assert _check_every_stage_ledger({**doc, "traced_trials": max(doc.get("traced_trials", 1), 1)})
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -14,6 +14,7 @@ from bellsim import (
     QUncertainty,
     RealismViolationError,
     Stage,
+    TaggedJoint,
     build_model,
     build_schedule,
     condition,
@@ -566,6 +567,30 @@ def test_retrodiction_requires_recorded_target():
     pooled = pool(sa, sb)
     with pytest.raises(ValueError):
         retrodict(pooled.observer_a, "nonsense", Stage.SETTING)
+
+
+def test_retrodiction_rejects_a_state_before_tc_a_skipped_stage_and_a_target_already_factual():
+    b = optimal_behavior()
+    schedule = build_schedule()
+    start, _ = init_beliefs(b, schedule)
+    with pytest.raises(ValueError, match="post-communication"):
+        retrodict(start, "±a", Stage.INITIAL)
+    # a report received straight from t0 leaves no ledger at tθ or t±
+    report = SpacetimeEvent(schedule.t_communication, schedule.worldline_a.x, Message("B", "A", Detection("B", -1)),
+                            1.0, index=0)
+    skipped = receive(start, report)
+    assert skipped.stage is Stage.COMMUNICATION
+    with pytest.raises(ValueError, match="no ledger recorded at stage tθ"):
+        retrodict(skipped, "±b", Stage.SETTING)
+    sa, sb = drive(b, b.grid_a[0], b.grid_b[0], 1, -1, schedule)
+    with pytest.raises(ValueError, match="'θa' was already factual at tθ"):
+        retrodict(pool(sa, sb).observer_a, "θa", Stage.SETTING)
+
+
+def test_ledger_chsh_expectation_rejects_a_ledger_with_another_free_variable():
+    ledger = TaggedJoint((Variable("λ", (0, 1)),), [0.5, 0.5])
+    with pytest.raises(ValueError, match="unexpected free variables"):
+        ledger_chsh_expectation(ledger, optimal_singlet_settings())
 
 
 # -- information locality --------------------------------------------------------------

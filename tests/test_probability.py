@@ -271,6 +271,9 @@ def test_product_merges_conditioning_context():
     d = TaggedJoint((A, B), np.full((2, 2), 0.25), (ctx,))
     back = product(condition_table(d, "b"), keep_only(d, ("b",)))
     assert [c.variable.name for c in back.conditioners] == ["bg"]
+    # a conditioner only the marginal carries joins the conditional's
+    back = product(condition_table(uniform_ab(), "b"), keep_only(d, ("b",)))
+    assert back.conditioners == (ctx,)
 
 
 # -- factorizations --------------------------------------------------------------
@@ -379,6 +382,50 @@ def test_degenerate_joint_is_legal_but_conditioning_errors():
 def test_no_variable_both_free_and_conditioned():
     with pytest.raises(ValueError):
         TaggedJoint((A,), [0.5, 0.5], (Conditioner(A, 1, Modality.FACTUAL),))
+
+
+def test_equals_matches_free_variables_by_name_and_domain_and_conditioners_by_value():
+    ctx = Variable.singleton("bg")
+    d = TaggedJoint((A, B), np.full((2, 2), 0.25), (Conditioner(ctx, "bg", Modality.FACTUAL),))
+    assert d.equals(TaggedJoint((B, A), np.full((2, 2), 0.25), (Conditioner(ctx, "bg", Modality.COUNTERFACTUAL),)))
+    others = {
+        "no conditioner": TaggedJoint((A, B), np.full((2, 2), 0.25)),
+        "one variable fewer": TaggedJoint((A,), [0.5, 0.5], (Conditioner(ctx, "bg", Modality.FACTUAL),)),
+        "another domain": TaggedJoint((A, Variable("b", (-1, 1))), np.full((2, 2), 0.25), d.conditioners),
+        "another name": TaggedJoint((A, Variable("c", (1, -1))), np.full((2, 2), 0.25), d.conditioners),
+    }
+    assert [label for label, other in others.items() if d.equals(other) or other.equals(d)] == []
+
+
+def _pinned_twice():
+    return TaggedJoint((A,), [0.5, 0.5], (Conditioner(B, 1, Modality.FACTUAL), Conditioner(B, -1, Modality.FACTUAL)))
+
+
+def _two_variable_likelihood():
+    likelihood = ConditionalTable((B, Variable("c", (0, 1, 2))), (A,), np.full((2, 3, 2), 1 / 6))
+    return bayes_invert(TaggedJoint((A,), [0.5, 0.5]), likelihood, 1)
+
+
+#: Kernel calls that are refused: each call, the error it raises and a fragment of its message.
+REJECTED_CALLS = {
+    "empty domain": (lambda: Variable("v", ()), ValueError, "non-empty domain"),
+    "value outside the domain": (lambda: A.index(0), ValueError, "not in domain"),
+    "duplicate free names": (lambda: TaggedJoint((A, Variable("a", (0, 1))), np.full((2, 2), 0.25)), ValueError,
+                             "free variables must have distinct names"),
+    "duplicate conditioner names": (_pinned_twice, ValueError, "conditioners must have distinct names"),
+    "unknown free variable": (lambda: uniform_ab().variable("z"), KeyError, "not a free variable"),
+    "unknown conditioner": (lambda: uniform_ab().conditioned_value("z"), KeyError, "not a conditioner"),
+    "reorder by other names": (lambda: uniform_ab().reorder(("a", "z")), ValueError, "must be a permutation"),
+    "two-variable likelihood": (_two_variable_likelihood, ValueError, "exactly one free variable"),
+    "nothing to factorize": (lambda: enumerate_factorizations(TaggedJoint((), 1.0)), ValueError, "no free variables"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(REJECTED_CALLS))
+def test_malformed_kernel_calls_are_refused(call):
+    build, error, message = REJECTED_CALLS[call]
+    with pytest.raises(error, match=message):
+        build()
 
 
 # -- the one distribution check ------------------------------------------------

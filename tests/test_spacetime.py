@@ -125,6 +125,13 @@ def test_far_setting_not_received_before_detection():
     assert reception_time(set_b, s.worldline_a) > s.t_detection
 
 
+def test_schedule_has_a_worldline_for_each_wing_only():
+    s = build_schedule()
+    assert [s.worldline(o).observer for o in ("A", "B")] == ["A", "B"]
+    with pytest.raises(KeyError):
+        s.worldline("C")
+
+
 def test_schedule_rejects_connectable_wings():
     with pytest.raises(InvalidScheduleError):
         build_schedule(t_setting=0.1, t_detection=2.5, t_communication=5.0)

@@ -9,7 +9,7 @@ byte for byte.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import logging
 import sys
@@ -55,6 +55,26 @@ EXIT_IO = 3
 
 #: Every file a run writes; a rerun into the same directory removes them first.
 ARTIFACTS = ("summary.json", "dataset.csv", "behavior_estimate.csv", "trace.json", "plot_correlator.txt")
+
+#: ``trace.json``'s write buffer in bytes; a traced trial's document is a few kB.
+TRACE_BUFFER = 1 << 20
+
+USAGE = "usage: bellsim [-h] [-o OUTDIR] [--seed SEED] [--trials TRIALS] [-v] config\n"
+
+HELP = USAGE + """
+Simulate a two-observer correlation experiment from a JSON config.
+
+positional arguments:
+  config                path to the JSON run configuration
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTDIR, --outdir OUTDIR
+                        output directory (default: bellsim-out)
+  --seed SEED           override the master seed
+  --trials TRIALS       override trials per setting pair
+  -v, --verbose         log each phase's time; -vv also logs each sampled pair
+"""
 
 
 def _estimates_section(behavior: Behavior, est: ChshEstimate, config: ExperimentConfig) -> dict:
@@ -173,21 +193,22 @@ def _block(open_: str, close: str, members: list, depth: int) -> str:
 
 
 def _write_trace(traces, schedule, out) -> None:
-    """Write ``json.dumps`` of every trace's document, indented, to ``out`` one trial at a time.
+    """Write ``json.dumps`` of every trace's document, indented, in UTF-8 to the binary ``out`` trial by trial.
 
     A document is its trial number, its position in ``traces``, followed by a
     body built from the trace's data point, events and ledgers.  Trials with
     one key share one trace, kept alive by ``traces``, so each body is built
-    once, keyed by the trace's ``id``, and spliced from fragments encoded once
-    each; a trial is two writes, its header and its body.  A ``"data"`` member
-    is fixed by its name and value text.  An event entry is fixed by the event's
-    index and its one proposition ``(name, value)``.  A stage entry is fixed
-    by the stage and the ledger's rendered text, which many ledger objects
-    share, so each ledger object is rendered once and each distinct text
-    encoded once, in ``stage_ledgers`` order.
+    once, keyed by the trace's ``id``, spliced from ``str`` fragments encoded
+    once each, and encoded to UTF-8 once; a trial is two byte writes, its
+    header and its body.  A ``"data"`` member is fixed by its name and value
+    text.  An event entry is fixed by the event's index and its one
+    proposition ``(name, value)``.  A stage entry is fixed by the stage and
+    the ledger's rendered text, which many ledger objects share, so each
+    ledger object is rendered once and each distinct text encoded once, in
+    ``stage_ledgers`` order.
     """
     members, events, stages, texts, bodies = {}, {}, {}, {}, {}
-    sep = "[\n  "
+    sep = b"[\n  "
     for k, t in enumerate(traces):
         key = id(t)
         if key not in bodies:
@@ -218,11 +239,11 @@ def _write_trace(traces, schedule, out) -> None:
                 f'\n    "data": {_block("{", "}", data_items, 2)},'
                 f'\n    "events": {_block("[", "]", event_items, 2)},'
                 f'\n    "stages": {_block("{", "}", observers, 2)}\n  }}'
-            )
-        out.write(f'{sep}{{\n    "trial": {k},')
+            ).encode("utf-8")
+        out.write(b'%s{\n    "trial": %d,' % (sep, k))
         out.write(bodies[key])
-        sep = ",\n  "
-    out.write("\n]\n")
+        sep = b",\n  "
+    out.write(b"\n]\n")
 
 
 def _plot_rows(behavior: Behavior, est: ChshEstimate, config: ExperimentConfig) -> str:
@@ -289,7 +310,7 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
             behavior_to_csv(estimate_behavior(dataset).behavior), encoding="utf-8"
         )
     if traces:
-        with _phase("write trace.json"), open(outdir / "trace.json", "w", encoding="utf-8") as fh:
+        with _phase("write trace.json"), open(outdir / "trace.json", "wb", buffering=TRACE_BUFFER) as fh:
             _write_trace(traces, config.schedule, fh)
     with _phase("write plot_correlator.txt"):
         (outdir / "plot_correlator.txt").write_text(_plot_rows(behavior, est, config), encoding="utf-8")
@@ -304,41 +325,52 @@ def _flag_value(text: str):
     return text
 
 
+def _usage_error(message: str) -> int:
+    print(f"{USAGE}bellsim: error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bellsim",
-        description="Simulate a two-observer correlation experiment from a JSON config.",
-    )
-    parser.add_argument("config", help="path to the JSON run configuration")
-    parser.add_argument("-o", "--outdir", default="bellsim-out", help="output directory")
-    parser.add_argument("--seed", type=_flag_value, default=None, help="override the master seed")
-    parser.add_argument("--trials", type=_flag_value, default=None, help="override trials per setting pair")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    # GNU style: options before or after the config path, unique long prefixes, and
+    # ``--`` ends the options; with POSIXLY_CORRECT set the first non-option ends them
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, such as an unknown flag
-        return EXIT_CONFIG if exc.code else EXIT_OK
+        opts, args = getopt.gnu_getopt(
+            sys.argv[1:] if argv is None else argv, "ho:v", ["help", "outdir=", "seed=", "trials=", "verbose"]
+        )
+    except getopt.GetoptError as exc:
+        return _usage_error(exc.msg)
+    names = {"-h": "--help", "-o": "--outdir", "-v": "--verbose"}
+    given = [(names.get(opt, opt), value) for opt, value in opts]
+    if any(opt == "--help" for opt, _ in given):
+        print(HELP, end="")
+        return EXIT_OK
+    if not args:
+        return _usage_error("the following arguments are required: config")
+    if len(args) > 1:
+        return _usage_error(f"unrecognized arguments: {' '.join(args[1:])}")
+    values = dict(given)  # a repeated option's last value wins
+    verbose = sum(opt == "--verbose" for opt, _ in given)
 
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose > 1 else logging.INFO if args.verbose else logging.WARNING,
+        level=logging.DEBUG if verbose > 1 else logging.INFO if verbose else logging.WARNING,
         format="%(levelname)s %(message)s",
     )
 
     try:
-        with open(args.config, "rb") as fh:
+        with open(args[0], "rb") as fh:
             data = fh.read(INPUT_LIMIT + 1)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
 
     # a flag replaces its field before validation, and errors at that field name the flag
-    flags = {"seed": ("--seed", args.seed), "trials_per_pair": ("--trials", args.trials)}
-    overrides = {name: value for name, (_, value) in flags.items() if value is not None}
+    flags = {"seed": "--seed", "trials_per_pair": "--trials"}
+    overrides = {name: _flag_value(values[flag]) for name, flag in flags.items() if flag in values}
     try:
-        summary = run(parse_config(decode_text(data, ""), overrides), Path(args.outdir))
+        summary = run(parse_config(decode_text(data, ""), overrides), Path(values.get("--outdir", "bellsim-out")))
     except ConfigError as exc:
         for path, reason in exc.errors:
-            path = flags[path][0] if path in overrides else path
+            path = flags[path] if path in overrides else path
             print(f"config error at {path or '<root>'}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

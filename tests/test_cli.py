@@ -4,6 +4,7 @@ import ast
 import collections
 import csv
 import json
+import logging
 import math
 import os
 import re
@@ -422,7 +423,7 @@ def test_stage_ledgers_come_in_stage_order(name):
 
 
 def _trace_write_peak(traces, schedule) -> int:
-    with open(os.devnull, "w", encoding="utf-8") as sink:
+    with open(os.devnull, "wb") as sink:
         tracemalloc.start()
         try:
             cli._write_trace(traces, schedule, sink)
@@ -678,16 +679,117 @@ def test_flag_text_that_int_reads_still_runs(tmp_path, text):
     assert json.loads((out / "summary.json").read_text())["estimates"]["trials_per_pair"] == 10
 
 
-@pytest.mark.parametrize("argv", [["run.json", "--bogus"], []], ids=["unknown-flag", "missing-config"])
-def test_usage_errors_exit_as_config_errors(capsys, argv):
-    assert main(argv) == EXIT_CONFIG
+@pytest.fixture
+def run_json(tmp_path, monkeypatch):
+    """A pr-box ``run.json`` in the working directory, which is ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text('{"model": "pr-box"}', encoding="utf-8")
+
+
+class _Stopped(Exception):
+    """Raised in place of a run, once the command line has been read."""
+
+
+def parsed(monkeypatch, argv) -> tuple:
+    """What ``main(argv)`` hands on: ``(outdir, seed, trials_per_pair, log level)``, without running."""
+    seen = {}
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: seen.update(level=kwargs["level"]))
+
+    def stop(config, outdir):
+        seen.update(outdir=outdir, seed=config.seed, trials=config.trials_per_pair)
+        raise _Stopped
+
+    monkeypatch.setattr(cli, "run", stop)
+    with pytest.raises(_Stopped):
+        main(argv)
+    return seen["outdir"], seen["seed"], seen["trials"], seen["level"]
+
+
+#: The plain form, and every other spelling of the same command line.
+PLAIN = ["run.json", "-o", "out", "--seed", "3", "--trials", "200", "-v", "-v"]
+SPELLINGS = {
+    "attached-short-value": ["run.json", "-oout", "--seed", "3", "--trials", "200", "-vv"],
+    "long-with-equals": ["run.json", "--outdir=out", "--seed=3", "--trials=200", "--verbose", "--verbose"],
+    "long-with-space": ["run.json", "--outdir", "out", "--seed", "3", "--trials", "200", "-vv"],
+    "unique-prefixes": ["run.json", "--out", "out", "--se", "3", "--tr=200", "--verb", "--v"],
+    "options-first": ["-o", "out", "--seed", "3", "--trials", "200", "-vv", "run.json"],
+    "config-between": ["-vo", "out", "--seed", "3", "run.json", "--trials", "200", "-v"],
+    "last-repeat-wins": ["run.json", "-o", "first", "--seed", "9", "--trials", "1", "-o", "out", "--seed", "3",
+                         "--trials", "200", "-vv"],
+    "double-dash": ["-o", "out", "--seed", "3", "--trials", "200", "-vv", "--", "run.json"],
+}
+
+
+@pytest.mark.parametrize("argv", SPELLINGS.values(), ids=SPELLINGS)
+def test_each_spelling_reads_as_its_plain_form(run_json, monkeypatch, argv):
+    plain = parsed(monkeypatch, PLAIN)
+    assert plain == (Path("out"), 3, 200, logging.DEBUG)
+    assert parsed(monkeypatch, argv) == plain
+
+
+def test_verbosity_counts_each_v(run_json, monkeypatch):
+    levels = [parsed(monkeypatch, ["run.json", *flags])[3] for flags in ([], ["-v"], ["--verbose"], ["-vvv"])]
+    assert levels == [logging.WARNING, logging.INFO, logging.INFO, logging.DEBUG]
+    assert parsed(monkeypatch, ["run.json"])[0] == Path("bellsim-out")
+
+
+@pytest.mark.parametrize("argv", [["run.json", "--seed", "-1"], ["--seed=-1", "run.json"], ["run.json", "--se", "-1"]])
+def test_a_negative_seed_reaches_the_config_check(run_json, capsys, argv):
+    assert main([*argv, "-o", "out"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("usage: bellsim") and "Traceback" not in err
+    assert err.startswith("config error at --seed: ") and len(err.splitlines()) == 1
+    assert not Path("out").exists()
 
 
-def test_help_exits_ok(capsys):
-    assert main(["--help"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("usage: bellsim")
+def test_an_option_value_that_starts_with_a_dash_is_the_value(run_json, monkeypatch):
+    # argparse refused ``-o -x``; getopt reads ``-x`` as the option's value
+    assert parsed(monkeypatch, ["run.json", "-o", "-x"])[0] == Path("-x")
+    assert parsed(monkeypatch, ["run.json", "--outdir", "--"])[0] == Path("--")
+
+
+USAGE_ERRORS = {
+    "missing-config": ([], "the following arguments are required: config"),
+    "only-options": (["-o", "out", "-v"], "the following arguments are required: config"),
+    "two-configs": (["run.json", "other.json"], "unrecognized arguments: other.json"),
+    "short-without-value": (["run.json", "-o"], "option -o requires argument"),
+    "long-without-value": (["run.json", "--seed"], "option --seed requires argument"),
+    "unknown-flag": (["run.json", "--bogus"], "option --bogus not recognized"),
+    "unknown-short-flag": (["run.json", "-x"], "option -x not recognized"),
+    "value-on-a-switch": (["run.json", "--verbose=2"], "option --verbose must not have an argument"),
+    "after-double-dash": (["--", "run.json", "-o", "out"], "unrecognized arguments: -o out"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_exit_as_config_errors(run_json, capsys, argv, message):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"{cli.USAGE}bellsim: error: {message}\n"
+    assert captured.out == ""
+    assert list(Path().iterdir()) == [Path("run.json")]
+
+
+def test_with_posixly_correct_an_option_after_the_config_is_a_usage_error(run_json, monkeypatch, capsys):
+    # getopt's documented POSIX mode: the first argument that is not an option ends the options
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    assert main(["run.json", "-o", "out"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"{cli.USAGE}bellsim: error: unrecognized arguments: -o out\n"
+    assert parsed(monkeypatch, ["-o", "out", "--seed", "3", "--trials", "200", "-vv", "run.json"]) == (
+        Path("out"), 3, 200, logging.DEBUG)
+
+
+def test_help_exits_ok(tmp_path, monkeypatch, capsys):
+    # help lists every option and the config path, and wins over the rest of the line
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--help"], ["-h"], ["--he"], ["run.json", "-o", "out", "--help"]):
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == cli.HELP and captured.err == ""
+    assert cli.HELP.startswith("usage: bellsim")
+    options = re.findall(r"^  (-.*?)(?:  |$)", cli.HELP, flags=re.MULTILINE)
+    assert options == ["-h, --help", "-o OUTDIR, --outdir OUTDIR", "--seed SEED", "--trials TRIALS", "-v, --verbose"]
+    assert "\n  config " in cli.HELP
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rerun_into_same_directory_leaves_no_stale_artifacts(tmp_path):

@@ -11,7 +11,8 @@ behavior file are mutated (truncations, invalid UTF-8, byte order marks, deep
 nesting, long integer literals and random bytes), and so is the command line
 (``--seed`` and ``--trials`` text and unknown flags).  Through ``cli.main``
 each must exit 0, or exit 1 with only ``config error at`` lines or, for a
-usage error, argparse's usage message; never with a traceback.
+usage error, the usage line and a ``bellsim: error:`` line; never with a
+traceback.
 """
 
 import contextlib
@@ -196,7 +197,7 @@ def _cli(args) -> tuple:
 
 
 def _assert_clean_exit(code, err):
-    """Exit 0, or exit 1 with config errors only or argparse's usage message; no traceback."""
+    """Exit 0, or exit 1 with config errors only or the usage message; no traceback."""
     assert "Traceback" not in err, err
     assert code in (EXIT_OK, EXIT_CONFIG), err
     if code == EXIT_CONFIG:
@@ -249,7 +250,7 @@ FLAG_TEXT = st.one_of(
     st.text(max_size=6),
 ).filter(_small_or_not_an_int)
 
-#: Flags no real flag starts with, so argparse cannot take one as an abbreviation.
+#: Flags no real flag starts with, so getopt cannot take one as an abbreviation.
 UNKNOWN_FLAGS = st.one_of(
     st.text("abcdefgxyz-", max_size=5).map(lambda t: "--x" + t),
     st.sampled_from("abcdefgijklmnpqrstuwxyz").map(lambda c: "-" + c),

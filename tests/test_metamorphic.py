@@ -5,6 +5,7 @@ them, so it checks the whole path from ``trial_events`` through ``receive``
 and ``pool`` without a second implementation.
 """
 
+import itertools
 import json
 import re
 
@@ -23,6 +24,7 @@ from bellsim import (
     trace_trials,
 )
 from bellsim.cli import EXIT_OK, main
+from bellsim.models import marginal_spreads
 from conftest import TRACED_CONFIGS
 
 #: (time shift, space shift) pairs: each alone and both together, dyadic and not.
@@ -271,3 +273,62 @@ def test_wing_swap_exchanges_the_observers_verdicts(doc):
                 assert got == report._replace(counterfactual_conditioners=posited)
                 compared += 1
     assert compared == 6 * len(base) > 0
+
+
+#: Configs whose ``grid_a`` is relabelled: angle grids of two and three settings, and an
+#: LHV model, whose A responses are listed by grid position and so move with the grid.
+RELABELLED = {
+    "default": {"grid_a": ["0", "pi/2"], "trials_per_pair": 20},
+    **{name: TRACED_CONFIGS[name] for name in ("spread-widths", "mixed-widths", "moved-wings")},
+    "lhv": {"model": "lhv", "grid_a": [0, 1], "grid_b": [0, 1], "trials_per_pair": 20,
+            "lhv": {"prior": [0.25, 0.75], "response_a": [[[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [1.0, 0.0]]],
+                    "response_b": [[[1.0, 0.0], [0.1, 0.9]], [[0.4, 0.6], [0.7, 0.3]]]}},
+}
+
+
+def relabelled(doc: dict, order: tuple) -> dict:
+    """``doc`` with ``grid_a`` listed in ``order``, an LHV model's A responses with it, and ``chsh`` as it was."""
+    moved = doc | {"grid_a": [doc["grid_a"][i] for i in order]}
+    if "lhv" in doc:
+        moved["lhv"] = doc["lhv"] | {"response_a": [doc["lhv"]["response_a"][i] for i in order]}
+    return moved
+
+
+def analytic_sections(out) -> tuple:
+    """The analytic parts of a run's ``summary.json``: everything but the facet's signs, and the max facet."""
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    estimates, factorizability = summary["estimates"], dict(summary["factorizability"])
+    factorizability.pop("worst_signs", None)
+    max_facet = factorizability.pop("max_facet", None)
+    return {
+        "chsh": estimates["chsh"]["analytic"],
+        "correlators": [(c["x"], c["y"], c["analytic"]) for c in estimates["correlators"]],
+        "factorizability": factorizability,
+        "no_signaling": summary["no_signaling"]["analytic"],
+    }, max_facet
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED))
+def test_relabelling_grid_a_permutes_the_behavior_and_keeps_the_analytic_verdicts(tmp_path, name):
+    # grid_a lists labels: list them in another order, keep the chsh settings by value,
+    # and the analytic table's x axis follows the order while S, each chsh correlator,
+    # the factorizability verdict and both wings' no-signaling spreads stay exactly as
+    # they were; the max facet sums the same four terms in another order, so it agrees
+    # to rounding
+    doc = RELABELLED[name]
+    config = parse_config(json.dumps(doc))
+    behavior = build_model(config)
+    sections, max_facet = analytic_sections(run(tmp_path, "base", doc))
+    orders = list(itertools.permutations(range(len(config.grid_a))))[1:]
+    assert orders
+    for order in orders:
+        moved = parse_config(json.dumps(relabelled(doc, order)))
+        assert moved.grid_a == tuple(config.grid_a[i] for i in order) and moved.chsh == config.chsh
+        moved_behavior = build_model(moved)
+        assert np.array_equal(moved_behavior.table, behavior.table[list(order)]), order
+        assert marginal_spreads(moved_behavior.table) == marginal_spreads(behavior.table), order
+        moved_sections, moved_facet = analytic_sections(run(tmp_path, f"order-{order}", relabelled(doc, order)))
+        assert moved_sections == sections, order
+        assert (moved_facet is None) == (max_facet is None)
+        if max_facet is not None:
+            assert moved_facet == pytest.approx(max_facet, rel=0.0, abs=1e-12), order

@@ -2,6 +2,8 @@
 
 ``Angle`` needs no ``fractions`` (which brings ``decimal``), and no run needs
 ``concurrent.futures``: sampling threads are plain ``threading.Thread``s.
+A run reads its command line with ``getopt``, so it imports neither
+``argparse`` nor ``locale``.
 Records are ``typing.NamedTuple``s or plain classes: a dataclass generates and
 compiles its methods' source on every import, so bellsim defines none and
 never imports ``dataclasses``.
@@ -66,6 +68,13 @@ def probe(tmp_path, doc, script=PROBE.format(deferred=DEFERRED)) -> list:
 
 def test_cli_import_and_a_one_worker_run_leave_fractions_decimal_and_the_pool_unloaded(tmp_path):
     assert probe(tmp_path, {"trials_per_pair": 50, "traced_trials": 3}) == [[], [], 0]
+
+
+def test_a_successful_run_imports_neither_argparse_nor_locale(tmp_path):
+    # the command line is read with getopt, whose messages look up their translation
+    # through gettext, which imports locale, only on a usage error
+    script = PROBE.format(deferred=("argparse", "locale"))
+    assert probe(tmp_path, {"trials_per_pair": 50, "traced_trials": 3}, script) == [[], [], 0]
 
 
 def test_a_run_on_two_sampling_threads_leaves_the_pool_unloaded(tmp_path):

@@ -303,7 +303,7 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
             encoding="utf-8",
         )
     if dataset.records.size:
-        with _phase("write dataset.csv"), open(outdir / "dataset.csv", "w", encoding="utf-8", newline="") as fh:
+        with _phase("write dataset.csv"), open(outdir / "dataset.csv", "wb") as fh:
             dataset_to_csv(dataset, config.schedule, fh)
     with _phase("write behavior_estimate.csv"):
         (outdir / "behavior_estimate.csv").write_text(

@@ -486,24 +486,27 @@ def classify_violation(
 
 #: ``dataset.csv`` columns.  Each wing's three times are when it received its own
 #: setting, its own outcome and the far wing's report, in that order.
-_CSV_HEADER = "trial,x,y,a,b,t_setting_A,t_outcome_A,t_reports_A,t_setting_B,t_outcome_B,t_reports_B\n"
+_CSV_HEADER = b"trial,x,y,a,b,t_setting_A,t_outcome_A,t_reports_A,t_setting_B,t_outcome_B,t_reports_B\n"
 
 #: How row ``k``'s piece starts, after the prefix ``str(k // 100)``: entry ``k % 100`` in
 #: two digits for trials from 100 on, and entry ``100 + k`` in plain digits for trials 0-99.
-_LEADS = np.array([f"{d:02d}," for d in range(100)] + [f"{d}," for d in range(100)], dtype=object)
+_LEADS = np.array([b"%02d," % d for d in range(100)] + [b"%d," % d for d in range(100)], dtype=object)
 
 
 def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
-    """Stream delimited per-trial rows to the text file ``out``; requires kept records.
+    """Stream delimited per-trial rows to the binary file ``out``; requires kept records.
 
     Everything after the trial number is fixed by the pair block and the
     cell (the reception times by ``schedule``), so each pair's four row tails
-    are rendered once.  Row ``k`` is the prefix ``str(k // 100)`` (empty for
-    trials 0-99) followed by one of the pair's prebuilt pieces, a lead from
-    :data:`_LEADS` joined to a tail, so the up to 100 rows of a hundred are one
-    ``join`` of their pieces on the hundred's shared prefix.  Each
-    :data:`BLOCK` of rows is written as one string, so the writer holds one
-    block at a time.
+    are rendered by ``csv.writer`` and encoded once.  Row ``k`` is the prefix
+    ``str(k // 100)`` (empty for trials 0-99) followed by one of the pair's
+    prebuilt pieces, a lead from :data:`_LEADS` joined to a tail, so the up to
+    100 rows of a hundred are one ``join`` of their pieces on the hundred's
+    shared prefix.  Row ``k``'s piece is entry ``4·(k % 100) + cell``: each
+    :data:`BLOCK` of rows takes its offsets ``4·(k % 100)`` as a slice of one
+    pattern tiled once per call, and cuts its pieces at hundred boundaries with
+    one ``reshape`` of its whole hundreds.  Each block is written as one
+    ``bytes``, so the writer holds one block at a time.
     """
     if not dataset.records.size:
         raise MissingDataError("dataset was sampled without records; nothing to export")
@@ -512,22 +515,27 @@ def dataset_to_csv(dataset: Dataset, schedule: Schedule, out) -> None:
     wings = (schedule.worldline_a, schedule.worldline_b)
     times = [reception_time(e, w) for w in wings for e in schedule.events_for(w.observer, events)[:3]]
     out.write(_CSV_HEADER)
+    offsets = np.tile(np.arange(0, 400, 4), (BLOCK + 198) // 100)
     pairs, end = itertools.product(dataset.grid_a, dataset.grid_b), 0
     for (x, y), n in zip(pairs, dataset.n_per_pair.ravel().tolist()):
         line = io.StringIO()
         csv.writer(line, lineterminator="\n").writerows(
             [setting_text(x), setting_text(y), a, b, *times] for a, b in CELL_OUTCOMES
         )
-        tails = np.array(line.getvalue().splitlines(keepends=True), dtype=object)
+        tails = np.array([t.encode() for t in line.getvalue().splitlines(keepends=True)], dtype=object)
         start, end = end, end + n
         pieces = np.add.outer(_LEADS if start < 100 else _LEADS[:100], tails).ravel()
         for lo in range(start, end, BLOCK):
             hi = min(lo + BLOCK, end)
-            idx = np.arange(lo, hi) % 100 * 4 + dataset.records[lo:hi]  # row k: pieces[idx[k - lo]]
+            idx = offsets[lo % 100 : lo % 100 + hi - lo] + dataset.records[lo:hi]  # row k: pieces[idx[k - lo]]
             idx[: max(0, 100 - lo)] += 400  # trials 0-99 take the plain leads
-            got = pieces[idx].tolist()
-            rows = []
-            for h in range(lo // 100, (hi + 99) // 100):
-                prefix = str(h) if h else ""
-                rows += prefix, prefix.join(got[max(lo, 100 * h) - lo : min(hi, 100 * h + 100) - lo])
-            out.write("".join(rows))
+            got = pieces[idx]
+            head = min(-lo % 100, hi - lo)
+            rest = head + (hi - lo - head) // 100 * 100
+            rows, h = [], lo // 100
+            for hundred in (got[:head].tolist(), *got[head:rest].reshape(-1, 100).tolist(), got[rest:].tolist()):
+                if hundred:
+                    prefix = b"%d" % h if h else b""
+                    rows += prefix, prefix.join(hundred)
+                    h += 1
+            out.write(b"".join(rows))

@@ -487,9 +487,9 @@ def test_chunk_boundaries_do_not_change_any_draw(monkeypatch):
     oracle = np.concatenate([np.searchsorted(cum[p], u[p * n : (p + 1) * n], side="right") for p in range(4)])
     assert np.array_equal(d1.records, oracle)
 
-    out = io.StringIO()
+    out = io.BytesIO()
     dataset_to_csv(d1, schedule, out)
-    rows = out.getvalue().split("\n")
+    rows = out.getvalue().decode("utf-8").split("\n")
     traced = ExperimentConfig(trials_per_pair=n, seed=seed, schedule=schedule, traced_trials=3 * n + 3)
     traces = trace_trials(traced, b)
     for k in (0, CHUNK - 1, CHUNK, CHUNK + 1, n, 3 * n + 2):
@@ -708,7 +708,7 @@ def test_records_can_be_dropped():
     assert ds.records.size == 0
     assert ds.total_trials == 400
     with pytest.raises(MissingDataError):
-        dataset_to_csv(ds, build_schedule(), io.StringIO())
+        dataset_to_csv(ds, build_schedule(), io.BytesIO())
 
 
 def _one_cell_records(bad):
@@ -1033,9 +1033,9 @@ def test_classifier_soundness_nonlocal_tag_iff_far_setting_unknown():
 
 def test_dataset_csv_shape_and_header():
     ds = experiment(ExperimentConfig(trials_per_pair=5, seed=1))
-    out = io.StringIO()
+    out = io.BytesIO()
     dataset_to_csv(ds, build_schedule(), out)
-    text = out.getvalue()
+    text = out.getvalue().decode("utf-8")
     lines = text.strip().split("\n")
     assert lines[0].startswith("trial,x,y,a,b,")
     assert len(lines) == 1 + ds.total_trials
@@ -1090,16 +1090,24 @@ def _singlet(n: int):
     (_singlet(250), 150),
     # one pair block across k = 999 -> 1000 and 9999 -> 10000, where the prefix gains a digit
     (_singlet(10_500), harness.BLOCK),
+    # blocks of whole hundreds only, with no partial hundred before or after them
+    (_singlet(400), 100),
+    (_singlet(400), 200),
+    # blocks inside a hundred, which hold no whole hundred
+    (_singlet(125), 50),
+    # blocks longer than the default, whose row offsets need more of the tiled pattern
+    (_singlet(40_000), 1 << 14),
 ], ids=["singlet-chunk-plus-3", "custom-integer-labels", "slow-reports", "singlet-1", "singlet-99", "singlet-100",
-        "singlet-101", "block-7", "block-150", "prefix-gains-digits"])
+        "singlet-101", "block-7", "block-150", "prefix-gains-digits", "block-100", "block-200", "block-50",
+        "block-above-default"])
 def test_dataset_csv_is_every_row_written_by_csv_writer(tmp_path, monkeypatch, make, block):
     monkeypatch.setattr(harness, "BLOCK", block)
     cfg = make(tmp_path)
     ds = experiment(cfg)
-    out = io.StringIO()
+    out = io.BytesIO()
     dataset_to_csv(ds, cfg.schedule, out)
     # equal lines are equal text, and a failure names the first differing row without a slow text diff
-    assert out.getvalue().split("\n") == _dataset_csv_oracle(ds, cfg.schedule).split("\n")
+    assert out.getvalue().decode("utf-8").split("\n") == _dataset_csv_oracle(ds, cfg.schedule).split("\n")
 
 
 @hypothesis.settings(deadline=None, max_examples=60)
@@ -1112,13 +1120,13 @@ def test_dataset_csv_matches_the_oracle_at_any_pair_block_and_block(n, nx, ny, b
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "BLOCK", block)
         ds = run_experiment(ExperimentConfig(trials_per_pair=n, seed=seed), behavior)
-        out = io.StringIO()
+        out = io.BytesIO()
         dataset_to_csv(ds, schedule, out)
-    assert out.getvalue().split("\n") == _dataset_csv_oracle(ds, schedule).split("\n")
+    assert out.getvalue().decode("utf-8").split("\n") == _dataset_csv_oracle(ds, schedule).split("\n")
 
 
 def _csv_write_peak(dataset, schedule) -> int:
-    with open(os.devnull, "w", encoding="utf-8") as sink:
+    with open(os.devnull, "wb") as sink:
         tracemalloc.start()
         try:
             dataset_to_csv(dataset, schedule, sink)
@@ -1132,7 +1140,7 @@ def test_csv_writer_memory_does_not_grow_with_the_trials():
     behavior = Behavior((0,), (0,), np.full((1, 1, 2, 2), 0.25))
     small, large = (run_experiment(ExperimentConfig(trials_per_pair=n, seed=47), behavior) for n in (CHUNK, 4 * CHUNK))
     schedule = build_schedule()
-    dataset_to_csv(small, schedule, io.StringIO())  # warm caches that are built once per process
+    dataset_to_csv(small, schedule, io.BytesIO())  # warm caches that are built once per process
     small_peak, large_peak = (_csv_write_peak(d, schedule) for d in (small, large))
     # building the whole text would hold about 9 MB more for 3 * 2^16 more rows
     assert large_peak < small_peak + 2**20

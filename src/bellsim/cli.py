@@ -169,14 +169,6 @@ def _event_entry(e, schedule) -> dict:
     return entry
 
 
-def _stage_entry(stage: Stage, ledger) -> dict:
-    return {"stage": stage.value, "ledger": ledger.render()}
-
-
-def _data_block(trace) -> dict:
-    return {k: setting_text(v) if not isinstance(v, int) else v for k, v in trace.pooled.data.items()}
-
-
 def _dumps_at(obj, depth: int) -> str:
     """``obj`` as an indented ``json.dumps`` writes it ``depth`` levels deep.
 
@@ -213,7 +205,8 @@ def _write_trace(traces, schedule, out) -> None:
         key = id(t)
         if key not in bodies:
             data_items = []
-            for member in _data_block(t).items():
+            for var, value in t.pooled.data.items():
+                member = var, setting_text(value) if not isinstance(value, int) else value
                 if member not in members:  # ``"θa": "pi/4"``: its own one-member object, braces cut
                     members[member] = json.dumps(dict([member]), ensure_ascii=False)[1:-1]
                 data_items.append(members[member])
@@ -231,7 +224,7 @@ def _write_trace(traces, schedule, out) -> None:
                         texts[ledger] = ledger.render()
                     skey = (stage, texts[ledger])
                     if skey not in stages:
-                        stages[skey] = _dumps_at(_stage_entry(stage, ledger), 4)
+                        stages[skey] = _dumps_at({"stage": stage.value, "ledger": texts[ledger]}, 4)
                     stage_items.append(stages[skey])
                 name = json.dumps(s.observer, ensure_ascii=False)
                 observers.append(f"{name}: {_block('[', ']', stage_items, 3)}")

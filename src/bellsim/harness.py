@@ -39,7 +39,7 @@ import numpy as np
 from .angles import setting_text
 from .config import ExperimentConfig
 from .errors import ConfigError, MissingDataError, RealismViolationError
-from .models import OUTCOMES, Behavior, ChshSettings, chsh_sum, chsh_value, correlators
+from .models import CELL_OUTCOMES, Behavior, ChshSettings, chsh_sum, chsh_value, correlators
 from .observers import (
     ObserverState,
     PooledState,
@@ -57,11 +57,6 @@ log = logging.getLogger(__name__)
 #: Raw 64-bit words reserved per trial: one Philox counter block.
 DRAWS_PER_TRIAL = 4
 _SLOT_OUTCOME = 2
-
-#: Fixed cell order of the threshold sampler: row-major over the table's
-#: ``[a, b]`` axes, so cell ``j + 1`` starts where the running sum of cells
-#: ``0 .. j`` ends.
-CELL_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=2))
 
 #: Least trials of a pair block per sampling thread.
 CHUNK = 1 << 16
@@ -137,10 +132,13 @@ class Dataset:
     def __init__(self, grid_a, grid_b, counts, records=()):
         self.grid_a = tuple(grid_a)
         self.grid_b = tuple(grid_b)
-        self.counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
         expected = (len(self.grid_a), len(self.grid_b), 2, 2)
-        if self.counts.shape != expected:
-            raise ValueError(f"counts shape {self.counts.shape}, expected {expected}")
+        if counts.shape != expected:
+            raise ValueError(f"counts shape {counts.shape}, expected {expected}")
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, not {counts.dtype}")
+        self.counts = counts.astype(np.int64, copy=False)
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
         records, cells = np.asarray(records).reshape(-1), len(CELL_OUTCOMES)
@@ -175,17 +173,18 @@ class Dataset:
 # running trials
 
 
-def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, memo: dict) -> PooledState:
+def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, root, memo: dict) -> PooledState:
     """Both observers' ledgers through every local reception of one trial's nine ``events``, then pooled.
 
     Each ledger moves only on the events its observer receives, and how it
     moves is fixed by the received ``(name, value)`` propositions and the
     run's uncertainty options.  So each observer's history is a path in a
-    prefix tree over what it has received, rooted at its starting state (one
-    root per preset pair, or one without preset settings).  ``memo`` maps
-    each root to its observers' trees: calls that share it share every state
-    along a common received prefix, so :func:`init_beliefs` runs once per
-    root and :func:`receive` once per distinct (observer, received prefix).
+    prefix tree over what it has received, rooted at its starting state.
+    ``root`` names that state: the trial's setting pair ``(θa, θb)`` with
+    preset settings, or ``None`` without.  ``memo`` maps each root to its
+    observers' trees: calls that share it share every state along a common
+    received prefix, so :func:`init_beliefs` runs once per root and
+    :func:`receive` once per distinct (observer, received prefix).
     ``memo`` also holds what the whole run shares: each observer's reception
     order, as indices into a trial's events, which depends only on the
     schedule; and each report's ``q``, exact or spread, built once so that
@@ -195,8 +194,6 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, memo: 
     if "order" not in memo:
         wings = (schedule.worldline_a, schedule.worldline_b)
         memo["order"] = {w.observer: [e.index for e in schedule.events_for(w.observer, events)] for w in wings}
-    # events 1 and 2 are the two wings' setting choices
-    root = (events[1].payload.value, events[2].payload.value) if config.preset_settings else None
     if root not in memo:
         # a node is (state, children); its children map each next received
         # proposition to the node it leads to
@@ -269,7 +266,7 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
             cell = _cells(word, bounds[i], 0)
             if (i, cell) not in histories:
                 events = config.schedule.trial_events(*pairs[i], *CELL_OUTCOMES[cell])
-                pooled = _ledgers(config, behavior, events, memo)
+                pooled = _ledgers(config, behavior, events, pairs[i] if config.preset_settings else None, memo)
                 histories[i, cell] = TrialTrace(*pairs[i], *CELL_OUTCOMES[cell], events, pooled, behavior)
             traces.append(histories[i, cell])
     return traces

@@ -24,6 +24,11 @@ from .probability import TOL, distribution
 #: Fixed outcome order for every table axis: index 0 is +1, index 1 is -1.
 OUTCOMES = (1, -1)
 
+#: Fixed order of a setting pair's four cells ``(a, b)``, row-major over the
+#: ``[a, b]`` axes, for every table, sampler and file: in the threshold sampler,
+#: cell ``j + 1`` starts where the running sum of cells ``0 .. j`` ends.
+CELL_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=2))
+
 FACET_TOL = 1e-9
 
 #: Signs of the signed sum's four terms, in the order of :meth:`ChshSettings.pairs`.
@@ -116,29 +121,27 @@ def singlet_behavior(grid_a, grid_b=None) -> Behavior:
     """
     grid_a = tuple(grid_a)
     grid_b = tuple(grid_b) if grid_b is not None else grid_a
-    table = np.empty((len(grid_a), len(grid_b), 2, 2))
-    for i, x in enumerate(grid_a):
-        for j, y in enumerate(grid_b):
-            c = cos_between(x, y)
-            for ia, a in enumerate(OUTCOMES):
-                for ib, b in enumerate(OUTCOMES):
-                    delta = 1.0 if a == -b else -1.0
-                    table[i, j, ia, ib] = 0.25 + delta * c / 4.0
-    return Behavior(grid_a, grid_b, table)
+    table = [
+        0.25 + (1.0 if a == -b else -1.0) * c / 4.0
+        for c in itertools.starmap(cos_between, itertools.product(grid_a, grid_b))
+        for a, b in CELL_OUTCOMES
+    ]
+    return Behavior(grid_a, grid_b, np.reshape(table, (len(grid_a), len(grid_b), 2, 2)))
 
 
 def pr_box() -> Behavior:
     """The no-signaling behavior that drives the signed sum to 4.
 
     Settings are binary labels {0, 1}; with outcomes mapped +1 -> 0, -1 -> 1,
-    the outcome bits always satisfy ``a xor b = x and y`` and each admissible
-    cell has weight 1/2.
+    the outcome bits always satisfy ``a xor b = x and y`` (the outcomes differ
+    exactly when ``x = y = 1``) and each admissible cell has weight 1/2.
     """
-    table = np.zeros((2, 2, 2, 2))
-    for x, y, ia, ib in itertools.product(range(2), repeat=4):
-        if (ia ^ ib) == (x & y):
-            table[x, y, ia, ib] = 0.5
-    return Behavior((0, 1), (0, 1), table)
+    table = [
+        0.5 if (a != b) == (x & y) else 0.0
+        for x, y in itertools.product((0, 1), repeat=2)
+        for a, b in CELL_OUTCOMES
+    ]
+    return Behavior((0, 1), (0, 1), np.reshape(table, (2, 2, 2, 2)))
 
 
 def lhv_behavior(model: LhvModel, grid_a=None, grid_b=None) -> Behavior:
@@ -301,12 +304,9 @@ def behavior_to_csv(behavior: Behavior) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["x", "y", "a", "b", "p"])
-    for x in behavior.grid_a:
-        for y in behavior.grid_b:
-            s = behavior.slice(x, y)
-            for ia, a in enumerate(OUTCOMES):
-                for ib, b in enumerate(OUTCOMES):
-                    writer.writerow([setting_text(x), setting_text(y), a, b, repr(float(s[ia, ib]))])
+    for (x, y), cells in zip(behavior.pairs(), behavior.table.reshape(-1, 4).tolist()):
+        for (a, b), p in zip(CELL_OUTCOMES, cells):
+            writer.writerow([setting_text(x), setting_text(y), a, b, repr(p)])
     return out.getvalue()
 
 
@@ -334,19 +334,15 @@ def behavior_from_csv(text: str) -> Behavior:
             raise ValueError(f"line {line_no}: cell x={setting_text(x)} y={setting_text(y)} a={a} b={b} "
                              f"repeats line {cells[(x, y, a, b)][0]}")
         cells[(x, y, a, b)] = line_no, float(row[4])
-    table = np.zeros((len(grid_a), len(grid_b), 2, 2))
-    for i, x in enumerate(grid_a):
-        for j, y in enumerate(grid_b):
-            for ia, a in enumerate(OUTCOMES):
-                for ib, b in enumerate(OUTCOMES):
-                    try:
-                        table[i, j, ia, ib] = cells[(x, y, a, b)][1]
-                    except KeyError:
-                        raise MissingDataError(
-                            f"behavior file lacks cell x={setting_text(x)} "
-                            f"y={setting_text(y)} a={a} b={b}"
-                        ) from None
-    return Behavior(grid_a, grid_b, table)
+    table = []
+    for x, y, (a, b) in itertools.product(grid_a, grid_b, CELL_OUTCOMES):
+        try:
+            table.append(cells[(x, y, a, b)][1])
+        except KeyError:
+            raise MissingDataError(
+                f"behavior file lacks cell x={setting_text(x)} y={setting_text(y)} a={a} b={b}"
+            ) from None
+    return Behavior(grid_a, grid_b, np.reshape(table, (len(grid_a), len(grid_b), 2, 2)))
 
 
 def optimal_singlet_settings() -> ChshSettings:

@@ -113,7 +113,7 @@ def traces_by_run_trial(config):
             (bounds,) = harness._word_bounds(behavior.slice(*pair))
             cell = int(harness._cells(word, bounds, np.zeros(1, dtype=np.uint8))[0])
         events = config.schedule.trial_events(*pair, *harness.CELL_OUTCOMES[cell])
-        pooled = harness._ledgers(config, behavior, events, {})
+        pooled = harness._ledgers(config, behavior, events, pair if config.preset_settings else None, {})
         traces.append(TrialTrace(*pair, *harness.CELL_OUTCOMES[cell], events, pooled, behavior))
     return traces
 

@@ -35,6 +35,7 @@ from bellsim import (
 )
 from bellsim import cli, harness
 from bellsim import config as config_module
+from bellsim.angles import setting_text
 from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from conftest import TRACED_CONFIGS, traces_by_run_trial
 
@@ -363,14 +364,15 @@ def _trace_document(k, trace, schedule) -> dict:
     """Trial ``k``'s ``trace.json`` document, built whole: the reference for ``cli._write_trace``."""
     return {
         "trial": k,
-        "data": cli._data_block(trace),
+        "data": {name: value if isinstance(value, int) else setting_text(value)
+                 for name, value in trace.pooled.data.items()},
         "events": [
             cli._event_entry(e, schedule)
             for e in schedule.trial_events(trace.theta_a, trace.theta_b, trace.outcome_a, trace.outcome_b)
         ],
         "stages": {
             s.observer: [
-                cli._stage_entry(stage, ledger)
+                {"stage": stage.value, "ledger": ledger.render()}
                 for stage, ledger in sorted(s.stage_ledgers().items(), key=lambda kv: list(Stage).index(kv[0]))
             ]
             for s in (trace.observer_a, trace.observer_b)

@@ -737,7 +737,12 @@ def test_dataset_rejects_a_record_that_is_not_a_cell(records):
     (np.zeros((1, 2, 2, 2)), (), r"counts shape \(1, 2, 2, 2\), expected \(1, 1, 2, 2\)"),
     ([[[[3, -1], [1, 0]]]], (), "counts must be non-negative"),
     ([[[[3, 0], [0, 0]]]], [0, 0], "2 records for 3 trials"),
-], ids=["counts-shape", "negative-count", "records-not-the-trial-total"])
+    # a float, bool or out-of-range count is not a count: none may be truncated into one
+    ([[[[1.5, 0.9], [0, 2]]]], (), "counts must be integers, not float64"),
+    ([[[[True, False], [False, True]]]], (), "counts must be integers, not bool"),
+    ([[[[2**70, 0], [0, 0]]]], (), "counts must be integers, not object"),
+], ids=["counts-shape", "negative-count", "records-not-the-trial-total", "float-counts", "bool-counts",
+        "count-past-int64"])
 def test_dataset_rejects_counts_and_records_that_do_not_fit_its_grids(counts, records, message):
     with pytest.raises(ValueError, match=message):
         Dataset((0,), (0,), counts, records)

@@ -25,6 +25,7 @@ from bellsim import (
 )
 from bellsim.cli import EXIT_OK, main
 from bellsim.models import marginal_spreads
+from bellsim.probability import TOL
 from conftest import TRACED_CONFIGS
 
 #: (time shift, space shift) pairs: each alone and both together, dyadic and not.
@@ -182,7 +183,8 @@ def pooled_by_key(config, behavior) -> dict:
         for cell, p in enumerate(behavior.slice(x, y).ravel().tolist()):
             if p > 0.0:
                 events = config.schedule.trial_events(x, y, *harness.CELL_OUTCOMES[cell])
-                out[x, y, cell] = harness._ledgers(config, behavior, events, memo)
+                root = (x, y) if config.preset_settings else None
+                out[x, y, cell] = harness._ledgers(config, behavior, events, root, memo)
     return out
 
 
@@ -332,3 +334,28 @@ def test_relabelling_grid_a_permutes_the_behavior_and_keeps_the_analytic_verdict
         assert (moved_facet is None) == (max_facet is None)
         if max_facet is not None:
             assert moved_facet == pytest.approx(max_facet, rel=0.0, abs=1e-12), order
+
+
+def test_an_unresolved_local_setting_keeps_b_before_tc_and_a_at_t0():
+    # A's uniform q over its own setting is A's alone and first read at tθ: switching it
+    # on leaves A's t0 ledger and all of B's ledgers before tc as they were, and A's
+    # ledger at tθ keeps θa free
+    config = parse_config(json.dumps(TRACED_CONFIGS["unresolved"]))
+    assert config.unresolved_local_setting
+    behavior = build_model(config)
+    base = pooled_by_key(config._replace(unresolved_local_setting=False), behavior)
+    unresolved = pooled_by_key(config, behavior)
+    assert list(unresolved) == list(base) and base
+    kept = [("A", Stage.INITIAL), *(("B", stage) for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION))]
+    moved = 0
+    for key, pooled in unresolved.items():
+        states = {s.observer: s.stage_ledgers() for s in (pooled.observer_a, pooled.observer_b)}
+        base_states = {s.observer: s.stage_ledgers() for s in (base[key].observer_a, base[key].observer_b)}
+        for observer, stage in kept:
+            ledger, base_ledger = states[observer][stage], base_states[observer][stage]
+            assert ledger.render() == base_ledger.render(), (key, observer, stage)
+            np.testing.assert_allclose(ledger.array, base_ledger.array, rtol=0.0, atol=TOL)
+        assert "θa" in states["A"][Stage.SETTING].free_names, key
+        moved += not np.allclose(states["A"][Stage.SETTING].array, base_states["A"][Stage.SETTING].array)
+    # the flag does reach A's ledger at tθ
+    assert moved

@@ -169,13 +169,21 @@ def _event_entry(e, schedule) -> dict:
     return entry
 
 
-def _dumps_at(obj, depth: int) -> str:
-    """``obj`` as an indented ``json.dumps`` writes it ``depth`` levels deep.
+#: One scalar or key as JSON: the C encoder's paths for ``str``, ``int`` and finite ``float``.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
-    JSON escapes every newline inside a string, so each newline of the dump
-    is a line break and takes the extra indent.
+
+def _dumps_at(obj: dict, depth: int) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, ensure_ascii=False)`` writes it ``depth`` levels deep.
+
+    ``obj`` maps strings to scalars or to dicts of them, as an event or stage
+    entry does.
     """
-    return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
+    if not obj:
+        return "{}"
+    members = [f"{_encode(k)}: {_dumps_at(v, depth + 1) if isinstance(v, dict) else _encode(v)}"
+               for k, v in obj.items()]
+    return _block("{", "}", members, depth)
 
 
 def _block(open_: str, close: str, members: list, depth: int) -> str:
@@ -193,8 +201,9 @@ def _write_trace(traces, schedule, out) -> None:
     once, keyed by the trace's ``id``, spliced from ``str`` fragments encoded
     once each, and encoded to UTF-8 once; a trial is two byte writes, its
     header and its body.  A ``"data"`` member is fixed by its name and value
-    text.  An event entry is fixed by the event's index and its one
-    proposition ``(name, value)``.  A stage entry is fixed by the stage and
+    text.  An event entry is encoded once per event object, and
+    :func:`trace_trials` builds each event of a slot and value once, so
+    every key that carries it shares it.  A stage entry is fixed by the stage and
     the ledger's rendered text, which many ledger objects share, so each
     ledger object is rendered once and each distinct text encoded once, in
     ``stage_ledgers`` order.
@@ -207,15 +216,14 @@ def _write_trace(traces, schedule, out) -> None:
             data_items = []
             for var, value in t.pooled.data.items():
                 member = var, setting_text(value) if not isinstance(value, int) else value
-                if member not in members:  # ``"θa": "pi/4"``: its own one-member object, braces cut
-                    members[member] = json.dumps(dict([member]), ensure_ascii=False)[1:-1]
+                if member not in members:  # ``"θa": "pi/4"``
+                    members[member] = f"{_encode(member[0])}: {_encode(member[1])}"
                 data_items.append(members[member])
             event_items = []
             for e in t.events:
-                ekey = (e.index, *e.payload.proposition)
-                if ekey not in events:
-                    events[ekey] = _dumps_at(_event_entry(e, schedule), 3)
-                event_items.append(events[ekey])
+                if id(e) not in events:
+                    events[id(e)] = _dumps_at(_event_entry(e, schedule), 3)
+                event_items.append(events[id(e)])
             observers = []
             for s in (t.observer_a, t.observer_b):
                 stage_items = []
@@ -226,8 +234,7 @@ def _write_trace(traces, schedule, out) -> None:
                     if skey not in stages:
                         stages[skey] = _dumps_at({"stage": stage.value, "ledger": texts[ledger]}, 4)
                     stage_items.append(stages[skey])
-                name = json.dumps(s.observer, ensure_ascii=False)
-                observers.append(f"{name}: {_block('[', ']', stage_items, 3)}")
+                observers.append(f"{_encode(s.observer)}: {_block('[', ']', stage_items, 3)}")
             bodies[key] = (
                 f'\n    "data": {_block("{", "}", data_items, 2)},'
                 f'\n    "events": {_block("[", "]", event_items, 2)},'

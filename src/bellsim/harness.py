@@ -66,9 +66,12 @@ CHUNK = 1 << 16
 BLOCK = 1 << 13
 
 
-def _outcome_words(master_seed: int, start: int, count: int):
-    """Yield ``(trial, words)``: the outcome words of trials ``start .. start+count-1``, BLOCK at a time."""
-    bits = np.random.Philox(key=master_seed).advance(start)
+def _outcome_words(bits, start: int, count: int):
+    """Yield ``(trial, words)``: the outcome words of trials ``start .. start+count-1``, BLOCK at a time.
+
+    ``bits`` is the seed's Philox stream at counter block ``start``; the words
+    move it on to block ``start + count``.
+    """
     for lo in range(start, start + count, BLOCK):
         yield lo, bits.random_raw(min(BLOCK, start + count - lo) * DRAWS_PER_TRIAL)[_SLOT_OUTCOME::DRAWS_PER_TRIAL]
 
@@ -138,6 +141,8 @@ class Dataset:
             raise ValueError(f"counts shape {counts.shape}, expected {expected}")
         if counts.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers, not {counts.dtype}")
+        if np.any(counts > np.iinfo(np.int64).max):  # a uint64 count past it would wrap negative in the cast
+            raise ValueError("counts must be at most 2**63 - 1, the int64 maximum")
         self.counts = counts.astype(np.int64, copy=False)
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
@@ -247,7 +252,8 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     own word checked against its pair's bounds by :func:`_cells`, with no
     segment pass: the time per traced trial does not depend on
     ``trials_per_pair``.  Trials with the same (pair index, outcome cell) are
-    one :class:`TrialTrace`, its events built once, and every key shares one
+    one :class:`TrialTrace`, its events built once, and keys share every event
+    of a slot and value (see :meth:`Schedule.trial_events`).  Every key shares one
     prefix tree of observer states (see :func:`_ledgers`): an observer's state
     after receiving its own setting and outcome is the same whatever the far
     wing did.  So the cost grows with the distinct received prefixes per
@@ -259,13 +265,13 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     pairs, bounds = behavior.pairs(), _word_bounds(behavior.table)
     preset_pair = config.preset_pair if config.preset_settings else None
     preset = None if preset_pair is None else pairs.index(preset_pair)
-    histories, memo, traces = {}, {}, []
-    for lo, words in _outcome_words(config.seed, 0, config.traced_trials):
+    histories, memo, slot_events, traces = {}, {}, {}, []
+    for lo, words in _outcome_words(np.random.Philox(key=config.seed), 0, config.traced_trials):
         for k, word in enumerate(words.tolist(), lo):
             i = preset if preset is not None else (k // n) % len(pairs)
             cell = _cells(word, bounds[i], 0)
             if (i, cell) not in histories:
-                events = config.schedule.trial_events(*pairs[i], *CELL_OUTCOMES[cell])
+                events = config.schedule.trial_events(*pairs[i], *CELL_OUTCOMES[cell], cache=slot_events)
                 pooled = _ledgers(config, behavior, events, pairs[i] if config.preset_settings else None, memo)
                 histories[i, cell] = TrialTrace(*pairs[i], *CELL_OUTCOMES[cell], events, pooled, behavior)
             traces.append(histories[i, cell])
@@ -276,8 +282,12 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
     """Sample ``trials_per_pair`` trials of ``behavior`` at every setting pair of its grids.
 
     Each pair block is split into one contiguous part per thread, part 0 in the
-    calling thread.  Trial ``k`` draws counter block ``k`` whichever part samples
-    it, so the dataset is identical for any CPU count.  Sampled outcomes are
+    calling thread.  Each part has one Philox stream for the run, built at its
+    first share and advanced from its share of one pair block to its share of
+    the next; a pair's parts are joined before the next pair starts, so no two
+    threads hold one stream at once.
+    Trial ``k`` draws counter block ``k`` whichever part samples it, so the
+    dataset is identical for any CPU count.  Sampled outcomes are
     checked against the model's zero cells, the realism-violation signal.
     """
     trials_per_pair, keep_records = config.trials_per_pair, config.keep_records
@@ -298,7 +308,9 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
         start, end = (pair * trials_per_pair + trials_per_pair * p // threads for p in (part, part + 1))
         bounds, out = pair_bounds[pair], counts[pair, part]
         try:
-            for lo, words in _outcome_words(config.seed, start, end - start):
+            if streams[part] is None:  # built by the thread that first samples the part, in that thread's heap
+                streams[part] = np.random.Philox(key=config.seed).advance(start)
+            for lo, words in _outcome_words(streams[part], start, end - start):
                 if keep_records:
                     out += np.bincount(_cells(words, bounds, records[lo : lo + len(words)]), minlength=4)
                     continue
@@ -306,10 +318,12 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
                 reached = {b: np.count_nonzero(words >= b) for b in set(bounds)}
                 past = [len(words), *(reached[b] for b in bounds), *[0] * (4 - len(bounds))]
                 out += np.subtract(past[:-1], past[1:])
+            streams[part].advance(trials_per_pair - (end - start))  # on to its share of the next pair block
         except Exception as exc:
             errors.append(exc)
 
     import numpy.random  # numpy loads it lazily: here, not in a helper thread short of address space
+    streams = [None] * threads  # one per part for the whole run
     for pair in range(nx * ny):
         helpers = []
         for part in range(1, threads):

@@ -109,7 +109,7 @@ def traces_by_run_trial(config):
         if preset_pair is None and k < records.size:
             cell = int(records[k])
         else:
-            ((_, word),) = harness._outcome_words(config.seed, k, 1)
+            ((_, word),) = harness._outcome_words(np.random.Philox(key=config.seed).advance(k), k, 1)
             (bounds,) = harness._word_bounds(behavior.slice(*pair))
             cell = int(harness._cells(word, bounds, np.zeros(1, dtype=np.uint8))[0])
         events = config.schedule.trial_events(*pair, *harness.CELL_OUTCOMES[cell])

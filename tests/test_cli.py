@@ -37,6 +37,7 @@ from bellsim import cli, harness
 from bellsim import config as config_module
 from bellsim.angles import setting_text
 from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
+from bellsim.spacetime import SettingChoice
 from conftest import TRACED_CONFIGS, traces_by_run_trial
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -404,14 +405,38 @@ def test_a_traced_run_builds_each_keys_events_once(tmp_path, monkeypatch, doc):
     keys = {(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) for t in traces_by_run_trial(config)}
     calls, trial_events = collections.Counter(), Schedule.trial_events
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         calls[args] += 1
-        return trial_events(self, *args)
+        return trial_events(self, *args, **kwargs)
 
     monkeypatch.setattr(Schedule, "trial_events", counted)
     cli.run(config, tmp_path / "out")
     assert (tmp_path / "out" / "trace.json").exists()
     assert calls == collections.Counter(keys)
+
+
+def test_a_traced_run_builds_each_slot_values_event_once(monkeypatch):
+    # an event is fixed by its slot and the value it carries: on a 4x4 grid, the preparation,
+    # a choice and its report per setting of each wing (2 * 8), and a detection and its report
+    # per outcome of each wing (2 * 4), 1 + 16 + 8 = 25 events across the 47 keys
+    config = parse_config(json.dumps(GRID_4X4))
+    keys, philox = [], np.random.Philox
+
+    def counted(*args, **kwargs):
+        keys.append(kwargs["key"])
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    traces = trace_trials(config, build_model(config))
+    assert keys == [13]  # one stream for every traced trial
+    assert len({(t.theta_a, t.theta_b, t.outcome_a, t.outcome_b) for t in traces}) == 47
+    events = {id(e): e for t in traces for e in t.events}
+    assert len(events) == len({(e.index, e.payload.proposition) for e in events.values()}) == 25
+    choices = {}
+    for t in traces:
+        (choice,) = [e for e in t.events if e.payload == SettingChoice("A", t.theta_a)]
+        assert choices.setdefault(t.theta_a, choice) is choice
+    assert len(choices) == 4
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))

@@ -78,7 +78,7 @@ def _whole_stream(seed, trials):
 def test_substreams_tile_the_batch():
     batch = _whole_stream(99, 64)
     for i in (0, 1, 17, 63):
-        ((trial, words),) = _outcome_words(99, i, 1)
+        ((trial, words),) = _outcome_words(np.random.Philox(key=99).advance(i), i, 1)
         assert trial == i and np.array_equal(words, batch[i, 2:3])
 
 
@@ -87,7 +87,7 @@ def test_block_uniforms_slice_the_batch(monkeypatch):
     monkeypatch.setattr(harness, "BLOCK", 7)
     batch = _whole_stream(7, 100)
     for start, count in ((30, 20), (0, 100), (0, 1), (1, 1), (17, 1), (99, 1), (3, 14)):
-        blocks = list(_outcome_words(7, start, count))
+        blocks = list(_outcome_words(np.random.Philox(key=7).advance(start), start, count))
         assert [trial for trial, _ in blocks] == list(range(start, start + count, 7))
         assert all(len(words) <= 7 for _, words in blocks)
         assert np.array_equal(np.concatenate([words for _, words in blocks]), batch[start : start + count, 2])
@@ -150,9 +150,10 @@ def test_one_traced_stream_draws_what_the_pair_blocks_drew(monkeypatch, preset_s
     monkeypatch.setattr(harness, "BLOCK", 7)
     calls = []
 
-    def outcome_words(*args):
-        calls.append(args)
-        yield from _outcome_words(*args)
+    def outcome_words(bits, start, count):
+        state = bits.state["state"]
+        calls.append((int(state["key"][0]), state["counter"].tolist(), start, count))
+        yield from _outcome_words(bits, start, count)
 
     monkeypatch.setattr(harness, "_outcome_words", outcome_words)
     behavior = random_behavior(np.random.default_rng(7))
@@ -160,7 +161,7 @@ def test_one_traced_stream_draws_what_the_pair_blocks_drew(monkeypatch, preset_s
     config = ExperimentConfig(trials_per_pair=n, seed=seed, traced_trials=total,
                               preset_settings=preset_settings, preset_pair=preset_pair)
     traces = trace_trials(config, behavior)
-    assert calls == [(seed, 0, total)]
+    assert calls == [(seed, [0, 0, 0, 0], 0, total)]
     whole = np.random.Philox(key=seed).random_raw(DRAWS_PER_TRIAL * total)[2::DRAWS_PER_TRIAL]
     for k, t in enumerate(traces):
         pair = preset_pair or pairs[(k // n) % len(pairs)]
@@ -667,16 +668,36 @@ def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(threading, "Thread", CountingThread)
     CountingThread.started.clear()
 
-    def outcome_words(seed, start, count):
+    def outcome_words(bits, start, count):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError(f"part from trial {start} failed")
-        yield from _outcome_words(seed, start, count)
+        yield from _outcome_words(bits, start, count)
 
     monkeypatch.setattr(harness, "_outcome_words", outcome_words)
     with pytest.raises(RuntimeError, match="part from trial 4 failed"):
         run_experiment(ExperimentConfig(trials_per_pair=8, seed=3), pr_box())
     # the first pair's helper failed, and it was joined before the error was raised
     assert len(CountingThread.started) == 1 and not CountingThread.started[0].is_alive()
+
+
+@pytest.mark.parametrize("keep", [True, False], ids=["records", "counts"])
+def test_each_sampling_part_builds_one_stream_per_run(monkeypatch, keep):
+    # three CPUs and a thread per 4 trials: the 101 trials of each of the 6 pairs split
+    # into parts of 33, 34 and 34, so each part's stream skips 67 or 68 trials between pairs
+    cfg = ExperimentConfig(trials_per_pair=101, seed=23, keep_records=keep)
+    whole = run_experiment(cfg, behavior_with_zero_cells())
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    keys, philox = [], np.random.Philox
+
+    def counted(*args, **kwargs):
+        keys.append(kwargs["key"])
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    ds = run_experiment(cfg, behavior_with_zero_cells())
+    assert keys == [23] * 3
+    assert np.array_equal(ds.counts, whole.counts) and np.array_equal(ds.records, whole.records)
 
 
 def test_a_part_whose_thread_cannot_start_is_sampled_in_the_calling_thread(monkeypatch):
@@ -741,11 +762,19 @@ def test_dataset_rejects_a_record_that_is_not_a_cell(records):
     ([[[[1.5, 0.9], [0, 2]]]], (), "counts must be integers, not float64"),
     ([[[[True, False], [False, True]]]], (), "counts must be integers, not bool"),
     ([[[[2**70, 0], [0, 0]]]], (), "counts must be integers, not object"),
+    # a uint64 count past the int64 maximum is too large, not negative
+    (np.array([[[[2**63, 0], [0, 0]]]], dtype=np.uint64), (), r"counts must be at most 2\*\*63 - 1"),
+    (np.array([[[[0, 0], [0, 2**64 - 1]]]], dtype=np.uint64), (), r"counts must be at most 2\*\*63 - 1"),
 ], ids=["counts-shape", "negative-count", "records-not-the-trial-total", "float-counts", "bool-counts",
-        "count-past-int64"])
+        "count-past-int64", "uint64-count-2-63", "uint64-count-2-64-minus-1"])
 def test_dataset_rejects_counts_and_records_that_do_not_fit_its_grids(counts, records, message):
     with pytest.raises(ValueError, match=message):
         Dataset((0,), (0,), counts, records)
+
+
+def test_dataset_keeps_a_uint64_count_at_the_int64_maximum():
+    counts = np.array([[[[2**63 - 1, 0], [0, 0]]]], dtype=np.uint64)
+    assert Dataset((0,), (0,), counts).counts.tolist() == [[[[2**63 - 1, 0], [0, 0]]]]
 
 
 def test_dataset_rejects_records_that_disagree_with_the_counts():

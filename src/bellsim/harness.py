@@ -80,9 +80,8 @@ def _word_bounds(table: np.ndarray) -> list:
     """Each setting pair's reachable raw-word bounds, in pair order; a word's cell is how many it reaches."""
     slabs = np.reshape(table, (-1, 4))
     cum = np.cumsum(slabs, axis=1)
-    for row, p in zip(cum, slabs):
-        # a float shortfall must not leave room for the dead cells after the last live one
-        row[np.flatnonzero(p > TOL)[-1]:] = 1.0
+    # a float shortfall must not leave room for the dead cells after each row's last live one
+    cum[np.arange(4) >= 3 - np.argmax(slabs[:, ::-1] > TOL, axis=1)[:, None]] = 1.0
     return [[int(t) << 11 for t in row if t < 2**53] for row in np.ceil(cum[:, :3] * 2.0**53).tolist()]
 
 
@@ -192,8 +191,10 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, root, 
     :func:`receive` once per distinct (observer, received prefix).
     ``memo`` also holds what the whole run shares: each observer's reception
     order, as indices into a trial's events, which depends only on the
-    schedule; and each report's ``q``, exact or spread, built once so that
-    both observers hold the same object and :func:`pool` need not compare it.
+    schedule; each report's ``q``, exact or spread, built once so that
+    both observers hold the same object and :func:`pool` need not compare it;
+    and, by each event's ``id``, the event (so the ``id`` is not reused while
+    the memo lives), its proposition and its ``q``, read once per run.
     """
     schedule = config.schedule
     if "order" not in memo:
@@ -207,17 +208,21 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, root, 
 
     # a report carries the sender's own uncertainty about its value, which
     # depends on nothing else, so the run builds each one once
-    qs = memo.setdefault("qs", {})
+    qs, seen, order = memo.setdefault("qs", {}), memo.setdefault("events", {}), memo["order"]
     ends = []
     for state, children in roots:
-        for i in memo["order"][state.observer]:
+        for i in order[state.observer]:
             event = events[i]
-            name, value = event.payload.proposition
-            if (name, value) not in children:
-                if (name, value) not in qs:
-                    qs[name, value] = _own_q(config, state.initial_ledger, name, value)
-                children[name, value] = (receive(state, event, qs[name, value]), {})
-            state, children = children[name, value]
+            if id(event) not in seen:
+                proposition = event.payload.proposition
+                if proposition not in qs:
+                    qs[proposition] = _own_q(config, state.initial_ledger, *proposition)
+                seen[id(event)] = (event, proposition, qs[proposition])
+            _, proposition, q = seen[id(event)]
+            node = children.get(proposition)
+            if node is None:
+                node = children[proposition] = (receive(state, event, q), {})
+            state, children = node
         ends.append(state)
     return pool(*ends)
 

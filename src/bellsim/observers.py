@@ -87,7 +87,7 @@ class QUncertainty(namedtuple("QUncertainty", "variable weights")):
     def __new__(cls, variable: Variable, weights: tuple):
         self = super().__new__(cls, variable, weights)
         self.array = distribution(weights, (len(variable.domain),))
-        self.mode = variable.domain[int(np.argmax(self.array))]
+        self.mode = variable.domain[int(self.array.argmax())]
         self.is_delta = max(weights) >= 1.0 - TOL
         return self
 
@@ -209,10 +209,10 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
     payload = event.payload
     if isinstance(payload, Message) and payload.recipient != state.observer:
         raise ValueError(f"message addressed to {payload.recipient!r} delivered to {state.observer!r}")
-    target_stage = _PAYLOAD_STAGE[type(payload)]
-    if _STAGE_ORDER[target_stage] < _STAGE_ORDER[state.stage]:
+    target_stage, stage = _PAYLOAD_STAGE[type(payload)], state.stage
+    if _STAGE_ORDER[target_stage] < _STAGE_ORDER[stage]:
         raise ValueError(
-            f"{state.observer} at stage {state.stage.value} cannot accept a {target_stage.value} event"
+            f"{state.observer} at stage {stage.value} cannot accept a {target_stage.value} event"
         )
     arrived = reception_time(event, state.worldline)
     if arrived < state.clock - TOL:
@@ -220,25 +220,24 @@ def receive(state: ObserverState, event: SpacetimeEvent, q: QUncertainty | None 
     clock = max(state.clock, arrived)
 
     name, value = payload.proposition
-    ledger = state.ledger
-    qs = state.qs
-    history = state.history
+    ledger, qs, history = state.ledger, state.qs, state.history
     conds = ledger.conditioners
-    if target_stage is not state.stage:
-        history = history + ((state.stage, ledger),)
+    if target_stage is not stage:
+        history += ((stage, ledger),)
         # one stage label goes out and one comes in, so the names stay distinct
-        conds = tuple(c for c in conds if c.variable.name != state.stage.value) + (_AT_STAGE[target_stage],)
+        label = stage.value
+        conds = tuple([c for c in conds if c.variable.name != label]) + (_AT_STAGE[target_stage],)
 
-    if name in (c.variable.name for c in ledger.conditioners):
-        # already pinned (preset mode or duplicate delivery)
-        if ledger.conditioned_value(name) != value:
+    # a name that is not free is pinned already (preset mode or duplicate delivery), or unknown
+    pinned = () if name in ledger.free_names else [c.value for c in ledger.conditioners if c.variable.name == name]
+    if pinned:
+        if pinned[0] != value:
             raise RealismViolationError(
                 f"{state.observer} received {name}={value!r} contradicting the "
-                f"already-established value {ledger.conditioned_value(name)!r}"
+                f"already-established value {pinned[0]!r}"
             )
         if conds is not ledger.conditioners:
-            ledger = _trusted(TaggedJoint, ledger.array, free=ledger.free, free_names=ledger.free_names,
-                              conditioners=conds, label=ledger.label)
+            ledger = _trusted(TaggedJoint, ledger.array, ledger.free, conds, ledger.label, ledger.free_names)
     else:
         if q is None:
             q = QUncertainty.delta(ledger.variable(name), value)
@@ -338,6 +337,8 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     The pooled ledger is the product of the per-variable measurement
     uncertainties, restricted to the live support of the shared starting
     table and renormalised; exact measurements make it a point mass.  The
+    product is formed once as a fresh array (a copy of a lone ``q``, which is
+    read-only and shared) and masked and normalised in place.  The
     trial's data point is the ledger's maximizing assignment (ties broken by
     lowest domain index).  Contradictory reports, or reports the shared starting table gave
     probability zero, violate realism.
@@ -346,16 +347,15 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
         if s.stage is not Stage.COMMUNICATION:
             raise ValueError(f"{s.observer} has not reached {Stage.COMMUNICATION.value}")
 
-    for name in sorted(state_a.qs.keys() & state_b.qs.keys()):
-        qa, qb = state_a.qs[name], state_b.qs[name]
-        if qa is qb:  # one report, shared by both observers
-            continue
-        if qa.is_delta and qb.is_delta and qa.mode != qb.mode:
-            raise RealismViolationError(
-                f"pooled records contradict: {name}={qa.mode!r} for A but {name}={qb.mode!r} for B"
-            )
-        if np.max(np.abs(qa.array - qb.array)) > TOL:
-            raise RealismViolationError(f"pooled uncertainty for {name} differs between observers")
+    if state_a.qs != state_b.qs:  # equal records agree; the comparison passes shared ones by identity
+        for name in sorted(state_a.qs.keys() & state_b.qs.keys()):
+            qa, qb = state_a.qs[name], state_b.qs[name]
+            if qa.is_delta and qb.is_delta and qa.mode != qb.mode:
+                raise RealismViolationError(
+                    f"pooled records contradict: {name}={qa.mode!r} for A but {name}={qb.mode!r} for B"
+                )
+            if np.max(np.abs(qa.array - qb.array)) > TOL:
+                raise RealismViolationError(f"pooled uncertainty for {name} differs between observers")
 
     base = state_a.initial_ledger
     qs = {**state_b.qs, **state_a.qs}
@@ -367,22 +367,23 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     pooled = arrays[0]
     for arr in arrays[1:]:
         pooled = np.multiply.outer(pooled, arr)
+    if pooled is arrays[0]:  # no product formed: a q's array is read-only and shared, so copy it to write
+        pooled = pooled.copy()
 
     # realism: the pooled belief lives on the support of the shared starting
     # table, and must overlap it; a point mass on a zero cell (a forged report) has none
-    pooled = pooled * (base.array > TOL)
+    pooled[base.array <= TOL] = 0.0
     overlap = float(pooled.sum())
     if overlap <= TOL:
         raise RealismViolationError(
             "pooled records lie entirely outside the shared starting table's support"
         )
-    pooled = pooled / overlap
+    pooled /= overlap
 
     conds = (_PREPARED, _AT_STAGE[Stage.COMMUNICATION])
-    ledger = _trusted(TaggedJoint, pooled, free=base.free, free_names=base.free_names, conditioners=conds,
-                      label="A∪B")
+    ledger = _trusted(TaggedJoint, pooled, base.free, conds, "A∪B", base.free_names)
     data = {n: qs[n].mode for n in base.free_names}
-    new_a, new_b = (s._replace(ledger=ledger.relabel(s.observer)) for s in (state_a, state_b))
+    new_a, new_b = [ObserverState(s.worldline, ledger.relabel(s.observer), *s[2:]) for s in (state_a, state_b)]
     return PooledState(ledger, data, new_a, new_b)
 
 

@@ -114,8 +114,8 @@ def distribution(values, shape, axes=None, *, empty_slices=False) -> np.ndarray:
     return arr
 
 
-def _trusted(cls, array: np.ndarray, **slots):
-    """A ``cls`` built from the result of a kernel operation, without re-validating it.
+def _trusted(cls, array, free, conditioners, label, free_names=None, given=()):
+    """A ``cls`` built positionally from the result of a kernel operation, without re-validating it.
 
     ``condition``, ``reorder``, ``relabel``, ``product``, ``condition_table``,
     ``reweight``, ``observers.receive`` and ``observers.pool`` only slice,
@@ -123,22 +123,19 @@ def _trusted(cls, array: np.ndarray, **slots):
     already passed the public checks, so their results have the right shape,
     no negative entry and the right sums by construction.  The array is made
     C-contiguous and read-only, as the public constructor's copy is, so later
-    reductions over it add in the same order.  The variable-name tuples are
-    stored once, as the public constructors store them: a caller whose free
-    variables are an operand's own (``relabel``, ``reweight``, ``receive``
-    and ``pool``) passes that operand's ``free_names`` through, and any other
-    result's are built from ``free``.
+    reductions over it add in the same order; no other reference may write it.
+    The variable-name tuples are stored once, as the public constructors store
+    them: a caller that knows the names of ``free`` passes them as
+    ``free_names``, and otherwise they are built from ``free``.  A
+    :class:`ConditionalTable` also takes its ``given`` variables.
     """
-    out = object.__new__(cls)
     array = np.asarray(array, order="C")
     array.setflags(write=False)
-    out.array = array
-    for name, value in slots.items():
-        setattr(out, name, value)
-    if "free_names" not in slots:
-        out.free_names = tuple(v.name for v in out.free)
+    out = object.__new__(cls)
+    out.array, out.free, out.conditioners, out.label = array, free, conditioners, label
+    out.free_names = tuple([v.name for v in free]) if free_names is None else free_names
     if cls is ConditionalTable:
-        out.given_names = tuple(v.name for v in out.given)
+        out.given, out.given_names = given, tuple([v.name for v in given])
     return out
 
 
@@ -185,8 +182,7 @@ class TaggedJoint:
     # -- structure helpers ------------------------------------------------
 
     def relabel(self, label: str) -> "TaggedJoint":
-        return _trusted(TaggedJoint, self.array, free=self.free, free_names=self.free_names,
-                        conditioners=self.conditioners, label=label)
+        return _trusted(TaggedJoint, self.array, self.free, self.conditioners, label, self.free_names)
 
     def reorder(self, names: Sequence[str]) -> "TaggedJoint":
         """Permute the free variables into the given name order."""
@@ -194,8 +190,7 @@ class TaggedJoint:
             raise ValueError(f"reorder names {list(names)} must be a permutation of {self.free_names}")
         perm = [self.free_names.index(n) for n in names]
         free = tuple(self.free[i] for i in perm)
-        return _trusted(TaggedJoint, np.transpose(self.array, perm), free=free, conditioners=self.conditioners,
-                        label=self.label)
+        return _trusted(TaggedJoint, np.transpose(self.array, perm), free, self.conditioners, self.label)
 
     def equals(self, other: "TaggedJoint") -> bool:
         """Entrywise equality, to ``TOL``, after aligning axes by variable name.
@@ -279,16 +274,16 @@ def condition(d: TaggedJoint, assignment, modality: Modality = Modality.FACTUAL,
     """
     name, value = assignment
     var = d.variable(name)
-    axis = d.free.index(var)
+    axis = d.free_names.index(name)
     slab = np.take(d.array, var.index(value), axis=axis)
     norm = float(slab.sum())
     if norm <= TOL:
         raise ImpossibleEvidenceError(
             f"assignment {var.name}={value!r} has probability {norm:.3e} under {d.render()}"
         )
-    rest = d.free[:axis] + d.free[axis + 1 :]
+    rest, names = d.free[:axis] + d.free[axis + 1 :], d.free_names[:axis] + d.free_names[axis + 1 :]
     conds = (Conditioner(var, value, modality),) + (d.conditioners if context is None else context)
-    return _trusted(TaggedJoint, slab / norm, free=rest, conditioners=conds, label=d.label)
+    return _trusted(TaggedJoint, slab / norm, rest, conds, d.label, names)
 
 
 def marginalize(d: TaggedJoint, variable: str) -> TaggedJoint:
@@ -327,7 +322,7 @@ def condition_table(d: TaggedJoint, variable: str) -> ConditionalTable:
     norms = moved.reshape(-1, n).sum(axis=0)
     out = np.divide(moved, norms, out=np.zeros_like(moved), where=norms > TOL)
     rest = d.free[:axis] + d.free[axis + 1 :]
-    return _trusted(ConditionalTable, out, free=rest, given=(var,), conditioners=d.conditioners, label=d.label)
+    return _trusted(ConditionalTable, out, rest, d.conditioners, d.label, None, (var,))
 
 
 def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint:
@@ -364,7 +359,7 @@ def product(conditional: ConditionalTable, marginal: TaggedJoint) -> TaggedJoint
     free = conditional.free + conditional.given
     merged = tuple(merged)
     _check_names(free, merged)
-    return _trusted(TaggedJoint, out, free=free, conditioners=merged, label=conditional.label or marginal.label)
+    return _trusted(TaggedJoint, out, free, merged, conditional.label or marginal.label)
 
 
 def reweight(d: TaggedJoint, variable: str, weights, *, context: tuple | None = None) -> TaggedJoint:
@@ -373,14 +368,18 @@ def reweight(d: TaggedJoint, variable: str, weights, *, context: tuple | None = 
     It is one rescale of the table by ``q'(v) / p(v)`` along v's axis, for
     checked weights ``q`` kept on the values whose marginal ``p(v)`` is live
     and renormalised, ``q'(v) ∝ q(v)·[p(v) > 0]``; with no dead value ``q'`` is
-    ``q`` and the rescale a plain ``/``.  Weights with no mass on a live value
-    raise :class:`ImpossibleEvidenceError`.  The result's conditioners are
+    ``q`` and the rescale a plain ``/``.  The marginal is one ``np.add.reduce``
+    over the other axes, and the scale is broadcast along v's axis by a
+    ``reshape``; v is looked up by name alone, and :meth:`TaggedJoint.variable`
+    runs only to raise for a name that is not free.  Weights with no mass on a
+    live value raise :class:`ImpossibleEvidenceError`.  The result's conditioners are
     ``context``, ``d``'s own unless given; a caller that gives it keeps every
     name distinct, as nothing checks it again.
     """
-    var = d.variable(variable)
-    axis = d.free_names.index(variable)
-    marginal = d.array.sum(axis=tuple(i for i in range(d.array.ndim) if i != axis))
+    if variable not in d.free_names:
+        d.variable(variable)  # raises the KeyError that names the table
+    axis, ndim = d.free_names.index(variable), d.array.ndim
+    marginal = np.add.reduce(d.array, axis=(*range(axis), *range(axis + 1, ndim)))
     if min(marginal.tolist()) > TOL:  # every value live; a Python min of a few floats beats ndarray.all()
         scale = weights / marginal
     else:
@@ -388,12 +387,11 @@ def reweight(d: TaggedJoint, variable: str, weights, *, context: tuple | None = 
         weights = np.where(live, weights, 0.0)
         mass = float(weights.sum())
         if mass <= TOL:
-            raise ImpossibleEvidenceError(f"weights put no mass on the values of {var.name} of nonzero probability")
-        scale = np.divide(weights / mass, marginal, out=np.zeros(len(var.domain)), where=live)
-    scale = scale[(slice(None),) + (None,) * (d.array.ndim - 1 - axis)]  # along v's axis, broadcast over the rest
+            raise ImpossibleEvidenceError(f"weights put no mass on the values of {variable} of nonzero probability")
+        scale = np.divide(weights / mass, marginal, out=np.zeros(len(marginal)), where=live)
+    scale = scale.reshape((-1,) + (1,) * (ndim - 1 - axis))  # along v's axis, broadcast over the rest
     conds = d.conditioners if context is None else context
-    return _trusted(TaggedJoint, d.array * scale, free=d.free, free_names=d.free_names, conditioners=conds,
-                    label=d.label)
+    return _trusted(TaggedJoint, d.array * scale, d.free, conds, d.label, d.free_names)
 
 
 def bayes_invert(prior: TaggedJoint, likelihood: ConditionalTable, observed,

@@ -158,30 +158,34 @@ class Schedule(NamedTuple):
 
         Event ``i`` is fixed by its slot and the one value it carries (none for
         the preparation), so calls that pass one ``cache`` dict build each
-        ``(i, value)`` event once and share the object.
+        ``(i, value)`` event once and share the object; a call whose nine
+        events are all cached is one lookup per slot.
         """
         values = (None, theta_a, theta_b, outcome_a, outcome_b, theta_a, outcome_a, theta_b, outcome_b)
         slots, cache = tuple(enumerate(values)), {} if cache is None else cache
-        missing = [slot for slot in slots if slot not in cache]
-        if missing:
-            a, b = self.worldline_a, self.worldline_b
-            emit = self.message_emit_time
-            # slot i: its time, its place, its payload for the value, and its speed
-            plan = [
-                (self.t_prepare, self.source_x, lambda _: StatePreparation(), self.c),
-                (self.t_setting, a.x, lambda v: SettingChoice(a.observer, v), self.c),
-                (self.t_setting, b.x, lambda v: SettingChoice(b.observer, v), self.c),
-                (self.t_detection, a.x, lambda v: Detection(a.observer, v), self.c),
-                (self.t_detection, b.x, lambda v: Detection(b.observer, v), self.c),
-                (emit, a.x, lambda v: Message(a.observer, b.observer, SettingChoice(a.observer, v)), self.signal_speed),
-                (emit, a.x, lambda v: Message(a.observer, b.observer, Detection(a.observer, v)), self.signal_speed),
-                (emit, b.x, lambda v: Message(b.observer, a.observer, SettingChoice(b.observer, v)), self.signal_speed),
-                (emit, b.x, lambda v: Message(b.observer, a.observer, Detection(b.observer, v)), self.signal_speed),
-            ]
-            for i, value in missing:
+        try:
+            return tuple([cache[slot] for slot in slots])
+        except KeyError:  # some event is not built yet
+            pass
+        a, b = self.worldline_a, self.worldline_b
+        emit = self.message_emit_time
+        # slot i: its time, its place, its payload for the value, and its speed
+        plan = [
+            (self.t_prepare, self.source_x, lambda _: StatePreparation(), self.c),
+            (self.t_setting, a.x, lambda v: SettingChoice(a.observer, v), self.c),
+            (self.t_setting, b.x, lambda v: SettingChoice(b.observer, v), self.c),
+            (self.t_detection, a.x, lambda v: Detection(a.observer, v), self.c),
+            (self.t_detection, b.x, lambda v: Detection(b.observer, v), self.c),
+            (emit, a.x, lambda v: Message(a.observer, b.observer, SettingChoice(a.observer, v)), self.signal_speed),
+            (emit, a.x, lambda v: Message(a.observer, b.observer, Detection(a.observer, v)), self.signal_speed),
+            (emit, b.x, lambda v: Message(b.observer, a.observer, SettingChoice(b.observer, v)), self.signal_speed),
+            (emit, b.x, lambda v: Message(b.observer, a.observer, Detection(b.observer, v)), self.signal_speed),
+        ]
+        for i, value in slots:
+            if (i, value) not in cache:
                 t, x, payload, speed = plan[i]
                 cache[i, value] = SpacetimeEvent(t, x, payload(value), speed, index=i)
-        return tuple(cache[slot] for slot in slots)
+        return tuple([cache[slot] for slot in slots])
 
     def events_for(self, observer: str, events):
         """The events this observer actually receives, in reception order."""

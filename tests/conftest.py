@@ -80,6 +80,10 @@ TRACED_CONFIGS = {
                     "q_outcome_width": 0.5},
 }
 
+#: A 4x4 singlet grid with spread widths: 200 traced trials visit all 16 pairs and 47 (pair, cell) keys.
+GRID_4X4 = {"grid_a": ["0", "pi/4", "pi/2", "3pi/4"], "grid_b": ["pi/4", "-pi/4", "pi/2", "0"],
+            "q_setting_width": 1.0, "q_outcome_width": 0.5, "trials_per_pair": 13, "traced_trials": 200, "seed": 13}
+
 
 def trial(config, behavior, k):
     """Trial ``k`` of the run, traced."""

@@ -3,6 +3,7 @@
 import ast
 import collections
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -38,7 +39,7 @@ from bellsim import config as config_module
 from bellsim.angles import setting_text
 from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from bellsim.spacetime import SettingChoice
-from conftest import TRACED_CONFIGS, traces_by_run_trial
+from conftest import GRID_4X4, TRACED_CONFIGS, traces_by_run_trial
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -392,9 +393,25 @@ def test_trace_json_is_every_trial_document_dumped(tmp_path, name):
     assert (out / "trace.json").read_bytes() == want.encode("utf-8")
 
 
-#: A 4x4 singlet grid with spread widths: 200 traced trials visit all 16 pairs and 47 (pair, cell) keys.
-GRID_4X4 = {"grid_a": ["0", "pi/4", "pi/2", "3pi/4"], "grid_b": ["pi/4", "-pi/4", "pi/2", "0"],
-            "q_setting_width": 1.0, "q_outcome_width": 0.5, "trials_per_pair": 13, "traced_trials": 200, "seed": 13}
+#: sha256 of each artifact of ``GRID_4X4`` without records, the config of the benchmark's
+#: traced-ledgers workload at its default seed, as its golden digests hold them.
+GRID_4X4_SHA256 = {
+    "trace.json": "123e31080cc1283d809d424f89bedd59944e781b5ac2b741ccbdbbad4495fd59",
+    "summary.json": "dbf7e98dc31b1643b78b9ad821482e3ffeef6f496c5d3879fe551b5963e20ece",
+    "behavior_estimate.csv": "9b3acd2aba25047156e7ecab9b0a46b2145d937931326547a8f821ac9d4024fe",
+    "plot_correlator.txt": "0a626ec509ffbb2891b80be43a30940fde413241314bae733a608b7a25e31207",
+}
+
+
+def test_the_4x4_traced_run_keeps_every_artifacts_bytes(tmp_path):
+    # trace.json and summary.json render and compare the ledgers the kernel builds, so a
+    # kernel edit that moves one byte fails here, not only in the benchmark
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(GRID_4X4 | {"keep_records": False}), encoding="utf-8")
+    assert main([str(path), "-o", str(tmp_path / "out")]) == EXIT_OK
+    assert not (tmp_path / "out" / "dataset.csv").exists()
+    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in GRID_4X4_SHA256}
+    assert got == GRID_4X4_SHA256
 
 
 @pytest.mark.parametrize("doc", [GRID_4X4, *TRACED_CONFIGS.values()], ids=["4x4-grid", *TRACED_CONFIGS])

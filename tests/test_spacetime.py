@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from bellsim import spacetime
 from bellsim import (
+    Angle,
     Detection,
     IntervalKind,
     InvalidScheduleError,
@@ -123,6 +125,31 @@ def test_far_setting_not_received_before_detection():
     events = s.trial_events(0, 0, 1, -1)
     set_b = events[2]
     assert reception_time(set_b, s.worldline_a) > s.t_detection
+
+
+def test_trial_events_are_the_same_with_no_cache_a_partial_one_and_a_full_one(monkeypatch):
+    s, theta = build_schedule(), (Angle.of(0), Angle.of(1, 4), Angle.of(1, 2))
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return SpacetimeEvent(*args, **kwargs)
+
+    monkeypatch.setattr(spacetime, "SpacetimeEvent", counted)
+    plain = s.trial_events(theta[0], theta[1], 1, -1)
+    assert len(built) == 9
+    # another trial fills the preparation, A's setting and its report, and B's outcome and its report
+    cache = {}
+    s.trial_events(theta[0], theta[2], -1, -1, cache=cache)
+    shared = {slot: cache[slot] for slot in ((0, None), (1, theta[0]), (5, theta[0]), (4, -1), (8, -1))}
+    built.clear()
+    partial = s.trial_events(theta[0], theta[1], 1, -1, cache=cache)
+    assert partial == plain and len(built) == 4
+    assert all(partial[i] is event for (i, _), event in shared.items())
+    built.clear()
+    full = s.trial_events(theta[0], theta[1], 1, -1, cache=cache)
+    assert full == plain and built == []
+    assert all(a is b for a, b in zip(full, partial))
 
 
 def test_schedule_has_a_worldline_for_each_wing_only():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import getopt
 import json
-import logging
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -45,8 +44,6 @@ from .models import (
 )
 from .observers import Stage, stage_table
 from .spacetime import Message, reception_time
-
-log = logging.getLogger("bellsim")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -262,27 +259,35 @@ def _plot_rows(behavior: Behavior, est: ChshEstimate, config: ExperimentConfig) 
     return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _phase(name: str):
-    """Log the wall time of one phase of a run, at INFO."""
-    start = perf_counter()
-    yield
-    log.info("%s: %.3f s", name, perf_counter() - start)
+def run(config: ExperimentConfig, outdir: Path, verbose: int = 0) -> dict:
+    """Execute the configured run and write every artifact into ``outdir``.
 
+    ``verbose`` 1 prints each phase's time to stderr as ``INFO`` lines, and 2 also each sampled pair as
+    ``DEBUG`` lines: the verbosity is this call's alone, and nothing process-wide is configured.
+    """
 
-def run(config: ExperimentConfig, outdir: Path) -> dict:
-    """Execute the configured run and write every artifact into ``outdir``."""
-    with _phase("build"):
+    def say(text: str, level: int = 1) -> None:
+        if verbose >= level:
+            print("INFO" if level == 1 else "DEBUG", text, file=sys.stderr)
+
+    @contextmanager
+    def phase(name: str):
+        start = perf_counter()
+        yield
+        say(f"{name}: {perf_counter() - start:.3f} s")
+
+    with phase("build"):
         behavior = build_model(config)
 
-    log.info("sampling %d trials per pair (seed %d)", config.trials_per_pair, config.seed)
-    with _phase("sample"):
-        dataset = run_experiment(config, behavior)
+    pairs, n = len(behavior.pairs()), config.trials_per_pair
+    say(f"sampling {n} trials per pair (seed {config.seed})")
+    with phase("sample"):
+        dataset = run_experiment(config, behavior, progress=lambda i: say(f"sampled pair {i}/{pairs}: {n} trials", 2))
 
-    with _phase("trace"):
+    with phase("trace"):
         traces = trace_trials(config, behavior)
 
-    with _phase("diagnostics"):
+    with phase("diagnostics"):
         est = estimate_chsh(dataset, config.chsh)
         summary = {
             "model": config.model,
@@ -297,24 +302,24 @@ def run(config: ExperimentConfig, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     for name in ARTIFACTS:
         (outdir / name).unlink(missing_ok=True)
-    with _phase("write summary.json"):
+    with phase("write summary.json"):
         (outdir / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
     if dataset.records.size:
-        with _phase("write dataset.csv"), open(outdir / "dataset.csv", "wb") as fh:
+        with phase("write dataset.csv"), open(outdir / "dataset.csv", "wb") as fh:
             dataset_to_csv(dataset, config.schedule, fh)
-    with _phase("write behavior_estimate.csv"):
+    with phase("write behavior_estimate.csv"):
         (outdir / "behavior_estimate.csv").write_text(
             behavior_to_csv(estimate_behavior(dataset).behavior), encoding="utf-8"
         )
     if traces:
-        with _phase("write trace.json"), open(outdir / "trace.json", "wb", buffering=TRACE_BUFFER) as fh:
+        with phase("write trace.json"), open(outdir / "trace.json", "wb", buffering=TRACE_BUFFER) as fh:
             _write_trace(traces, config.schedule, fh)
-    with _phase("write plot_correlator.txt"):
+    with phase("write plot_correlator.txt"):
         (outdir / "plot_correlator.txt").write_text(_plot_rows(behavior, est, config), encoding="utf-8")
-    log.info("wrote %s", outdir)
+    say(f"wrote {outdir}")
     return summary
 
 
@@ -348,13 +353,8 @@ def main(argv=None) -> int:
         return _usage_error("the following arguments are required: config")
     if len(args) > 1:
         return _usage_error(f"unrecognized arguments: {' '.join(args[1:])}")
-    values = dict(given)  # a repeated option's last value wins
+    values = {"--outdir": "bellsim-out", **dict(given)}  # a repeated option's last value wins
     verbose = sum(opt == "--verbose" for opt, _ in given)
-
-    logging.basicConfig(
-        level=logging.DEBUG if verbose > 1 else logging.INFO if verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
 
     try:
         with open(args[0], "rb") as fh:
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     flags = {"seed": "--seed", "trials_per_pair": "--trials"}
     overrides = {name: _flag_value(values[flag]) for name, flag in flags.items() if flag in values}
     try:
-        summary = run(parse_config(decode_text(data, ""), overrides), Path(values.get("--outdir", "bellsim-out")))
+        summary = run(parse_config(decode_text(data, ""), overrides), Path(values["--outdir"]), verbose)
     except ConfigError as exc:
         for path, reason in exc.errors:
             path = flags[path] if path in overrides else path

@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import logging
 import os
 import threading
 from enum import Enum
@@ -51,8 +50,6 @@ from .observers import (
 )
 from .probability import TOL
 from .spacetime import Schedule, reception_time
-
-log = logging.getLogger(__name__)
 
 #: Raw 64-bit words reserved per trial: one Philox counter block.
 DRAWS_PER_TRIAL = 4
@@ -191,38 +188,37 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, root, 
     :func:`receive` once per distinct (observer, received prefix).
     ``memo`` also holds what the whole run shares: each observer's reception
     order, as indices into a trial's events, which depends only on the
-    schedule; each report's ``q``, exact or spread, built once so that
-    both observers hold the same object and :func:`pool` need not compare it;
-    and, by each event's ``id``, the event (so the ``id`` is not reused while
-    the memo lives), its proposition and its ``q``, read once per run.
+    schedule; and each report's ``q``, exact or spread, built once so that
+    both observers hold the same object and :func:`pool` need not compare it.
+    A node's children are keyed by the ``id`` of the event received, which
+    each child holds so that the ``id`` is not reused while the memo lives;
+    trials share nodes because :func:`trace_trials` builds each event of a slot
+    and value once.  An event's proposition and ``q`` are read only when its
+    node is built.
     """
     schedule = config.schedule
     if "order" not in memo:
         wings = (schedule.worldline_a, schedule.worldline_b)
         memo["order"] = {w.observer: [e.index for e in schedule.events_for(w.observer, events)] for w in wings}
     if root not in memo:
-        # a node is (state, children); its children map each next received
-        # proposition to the node it leads to
-        memo[root] = [(state, {}) for state in init_beliefs(behavior, schedule, preset=root)]
+        # a node is (state, children, the event received to reach it)
+        memo[root] = [(state, {}, None) for state in init_beliefs(behavior, schedule, preset=root)]
     roots = memo[root]
 
     # a report carries the sender's own uncertainty about its value, which
     # depends on nothing else, so the run builds each one once
-    qs, seen, order = memo.setdefault("qs", {}), memo.setdefault("events", {}), memo["order"]
+    qs, order = memo.setdefault("qs", {}), memo["order"]
     ends = []
-    for state, children in roots:
+    for state, children, _ in roots:
         for i in order[state.observer]:
             event = events[i]
-            if id(event) not in seen:
+            node = children.get(id(event))
+            if node is None:
                 proposition = event.payload.proposition
                 if proposition not in qs:
                     qs[proposition] = _own_q(config, state.initial_ledger, *proposition)
-                seen[id(event)] = (event, proposition, qs[proposition])
-            _, proposition, q = seen[id(event)]
-            node = children.get(proposition)
-            if node is None:
-                node = children[proposition] = (receive(state, event, q), {})
-            state, children = node
+                node = children[id(event)] = (receive(state, event, qs[proposition]), {}, event)
+            state, children, _ = node
         ends.append(state)
     return pool(*ends)
 
@@ -283,7 +279,7 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     return traces
 
 
-def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
+def run_experiment(config: ExperimentConfig, behavior: Behavior, *, progress=None) -> Dataset:
     """Sample ``trials_per_pair`` trials of ``behavior`` at every setting pair of its grids.
 
     Each pair block is split into one contiguous part per thread, part 0 in the
@@ -294,6 +290,8 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
     Trial ``k`` draws counter block ``k`` whichever part samples it, so the
     dataset is identical for any CPU count.  Sampled outcomes are
     checked against the model's zero cells, the realism-violation signal.
+    ``progress``, when given, is called with each pair's 1-based number once
+    that pair's parts are joined, in pair order.
     """
     trials_per_pair, keep_records = config.trials_per_pair, config.keep_records
     if trials_per_pair < 1:
@@ -342,7 +340,8 @@ def run_experiment(config: ExperimentConfig, behavior: Behavior) -> Dataset:
             helper.join()
         if errors:
             raise errors[0]
-        log.debug("sampled pair %d/%d: %d trials", pair + 1, nx * ny, trials_per_pair)
+        if progress is not None:
+            progress(pair + 1)
 
     dead = counts.any(axis=1) & (slabs <= TOL)
     if dead.any():

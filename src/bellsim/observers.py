@@ -339,9 +339,10 @@ def pool(state_a: ObserverState, state_b: ObserverState) -> PooledState:
     table and renormalised; exact measurements make it a point mass.  The
     product is formed once as a fresh array (a copy of a lone ``q``, which is
     read-only and shared) and masked and normalised in place.  The
-    trial's data point is the ledger's maximizing assignment (ties broken by
-    lowest domain index).  Contradictory reports, or reports the shared starting table gave
-    probability zero, violate realism.
+    trial's data point takes each variable's value as the mode of its
+    reported ``q``, ties going to the lowest domain index, not the pooled
+    ledger's maximizing assignment.  Contradictory reports, or reports the
+    shared starting table gave probability zero, violate realism.
     """
     for s in (state_a, state_b):
         if s.stage is not Stage.COMMUNICATION:

@@ -5,7 +5,6 @@ import collections
 import csv
 import hashlib
 import json
-import logging
 import math
 import os
 import re
@@ -634,6 +633,22 @@ def test_very_verbose_logs_each_sampled_pair_and_leaves_the_summary_unchanged(tm
     assert sampled == [(str(k), "4", str(n)) for k in range(1, 5)]
 
 
+def test_verbosity_applies_to_its_own_call_only(tmp_path, capsys):
+    # one process, as a host that calls main more than once: a -v call writes its lines
+    # whatever ran before it (pytest has set up logging already), and the next quiet call writes none
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"trials_per_pair": 20, "traced_trials": 1}), encoding="utf-8")
+    errs = []
+    for k, flags in enumerate(([], ["-v"], [])):
+        assert main([str(path), "-o", str(tmp_path / f"out{k}"), *flags]) == EXIT_OK
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[2] == ""
+    timed = re.findall(r"^INFO (.+): \d+\.\d{3} s$", errs[1], flags=re.MULTILINE)
+    assert timed == list(PHASES)
+    assert errs[1].splitlines()[1] == "INFO sampling 20 trials per pair (seed 0)"
+    assert errs[1].splitlines()[-1] == f"INFO wrote {tmp_path / 'out1'}"
+
+
 def test_preset_pair_without_preset_settings_is_a_config_error(tmp_path, capsys):
     code, out = run_cli(tmp_path, {"trials_per_pair": 10, "preset_pair": ["0", "pi/4"]})
     err = capsys.readouterr().err
@@ -735,18 +750,17 @@ class _Stopped(Exception):
 
 
 def parsed(monkeypatch, argv) -> tuple:
-    """What ``main(argv)`` hands on: ``(outdir, seed, trials_per_pair, log level)``, without running."""
+    """What ``main(argv)`` hands on: ``(outdir, seed, trials_per_pair, verbosity)``, without running."""
     seen = {}
-    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: seen.update(level=kwargs["level"]))
 
-    def stop(config, outdir):
-        seen.update(outdir=outdir, seed=config.seed, trials=config.trials_per_pair)
+    def stop(config, outdir, verbose):
+        seen.update(outdir=outdir, seed=config.seed, trials=config.trials_per_pair, verbose=verbose)
         raise _Stopped
 
     monkeypatch.setattr(cli, "run", stop)
     with pytest.raises(_Stopped):
         main(argv)
-    return seen["outdir"], seen["seed"], seen["trials"], seen["level"]
+    return seen["outdir"], seen["seed"], seen["trials"], seen["verbose"]
 
 
 #: The plain form, and every other spelling of the same command line.
@@ -767,13 +781,13 @@ SPELLINGS = {
 @pytest.mark.parametrize("argv", SPELLINGS.values(), ids=SPELLINGS)
 def test_each_spelling_reads_as_its_plain_form(run_json, monkeypatch, argv):
     plain = parsed(monkeypatch, PLAIN)
-    assert plain == (Path("out"), 3, 200, logging.DEBUG)
+    assert plain == (Path("out"), 3, 200, 2)
     assert parsed(monkeypatch, argv) == plain
 
 
 def test_verbosity_counts_each_v(run_json, monkeypatch):
-    levels = [parsed(monkeypatch, ["run.json", *flags])[3] for flags in ([], ["-v"], ["--verbose"], ["-vvv"])]
-    assert levels == [logging.WARNING, logging.INFO, logging.INFO, logging.DEBUG]
+    counts = [parsed(monkeypatch, ["run.json", *flags])[3] for flags in ([], ["-v"], ["--verbose"], ["-vvv"])]
+    assert counts == [0, 1, 1, 3]
     assert parsed(monkeypatch, ["run.json"])[0] == Path("bellsim-out")
 
 
@@ -819,7 +833,7 @@ def test_with_posixly_correct_an_option_after_the_config_is_a_usage_error(run_js
     assert main(["run.json", "-o", "out"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"{cli.USAGE}bellsim: error: unrecognized arguments: -o out\n"
     assert parsed(monkeypatch, ["-o", "out", "--seed", "3", "--trials", "200", "-vv", "run.json"]) == (
-        Path("out"), 3, 200, logging.DEBUG)
+        Path("out"), 3, 200, 2)
 
 
 def test_help_exits_ok(tmp_path, monkeypatch, capsys):

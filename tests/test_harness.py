@@ -272,6 +272,23 @@ def test_ledgers_run_once_per_received_prefix(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
+def test_the_data_point_is_each_reported_qs_mode_with_ties_to_the_lowest_index(name):
+    config = parse_config(json.dumps(TRACED_CONFIGS[name]))
+    traces = trace_trials(config, build_model(config))
+    for t in traces:
+        qs = {**t.observer_b.qs, **t.observer_a.qs}
+        modes = {}
+        for v in t.pooled.ledger.free:
+            weights = qs[v.name].array
+            modes[v.name] = v.domain[int(np.flatnonzero(weights == weights.max())[0])]
+        assert t.pooled.data == modes
+    if config.unresolved_local_setting:
+        # A's uniform q over θa ties everywhere, so θa's data point is grid_a[0] whatever the trial drew
+        assert {t.pooled.data["θa"] for t in traces} == {config.grid_a[0]}
+        assert any(t.theta_a != config.grid_a[0] for t in traces)
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CONFIGS))
 def test_each_observer_received_exactly_its_own_trial_events(name):
     # a shared history must never hand one trial's events to another: each observer
     # holds a record of every proposition its own trial's events carry and of nothing
@@ -635,6 +652,28 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
     CountingThread.started.clear()
     assert run_experiment(cfg, pr_box()).total_trials == 32
     assert CountingThread.started == []
+
+
+def test_progress_reports_each_pair_once_in_order_after_its_parts_are_joined(monkeypatch, capsys):
+    # two CPUs on any host and a thread per 4 trials, so two threads split each pair block
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    cfg = ExperimentConfig(trials_per_pair=8, seed=3)
+    CountingThread.started.clear()
+    quiet = run_experiment(cfg, pr_box())
+    assert capsys.readouterr() == ("", "")  # no progress, no output
+    CountingThread.started.clear()
+    seen = []
+
+    def progress(pair):
+        assert not any(t.is_alive() for t in CountingThread.started)
+        seen.append((pair, len(CountingThread.started)))
+
+    assert np.array_equal(run_experiment(cfg, pr_box(), progress=progress).counts, quiet.counts)
+    # pair i is reported once its own helper, the i-th, is joined, and before the next starts
+    assert seen == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert capsys.readouterr() == ("", "")
 
 
 def test_threads_are_capped_at_the_cpus_the_process_may_run_on(monkeypatch):

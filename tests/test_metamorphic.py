@@ -178,11 +178,11 @@ def wing_swapped(config):
 
 def pooled_by_key(config, behavior) -> dict:
     """The pooled state of every live ``(θa, θb, cell)`` key, all built through one shared memo as a run builds them."""
-    memo, out = {}, {}
+    memo, slot_events, out = {}, {}, {}
     for x, y in behavior.pairs():
         for cell, p in enumerate(behavior.slice(x, y).ravel().tolist()):
             if p > 0.0:
-                events = config.schedule.trial_events(x, y, *harness.CELL_OUTCOMES[cell])
+                events = config.schedule.trial_events(x, y, *harness.CELL_OUTCOMES[cell], cache=slot_events)
                 root = (x, y) if config.preset_settings else None
                 out[x, y, cell] = harness._ledgers(config, behavior, events, root, memo)
     return out

@@ -3,7 +3,8 @@
 ``Angle`` needs no ``fractions`` (which brings ``decimal``), and no run needs
 ``concurrent.futures``: sampling threads are plain ``threading.Thread``s.
 A run reads its command line with ``getopt``, so it imports neither
-``argparse`` nor ``locale``.
+``argparse`` nor ``locale``.  The CLI prints its own ``-v`` and ``-vv`` lines,
+so no run imports ``logging``, nor the ``traceback`` and ``string`` it brings.
 Records are ``typing.NamedTuple``s or plain classes: a dataclass generates and
 compiles its methods' source on every import, so bellsim defines none and
 never imports ``dataclasses``.
@@ -19,20 +20,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bellsim
 from bellsim import harness, models, observers, probability
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ("fractions", "decimal", "concurrent.futures", "dataclasses")
 
-#: Imports the CLI, runs one config through it, and prints, on its last line,
-#: which of the deferred modules were loaded after the import and after the run.
+#: Imports the CLI, runs one config through it with any further arguments as flags, and
+#: prints, on its last line, which of the deferred modules were loaded after the import and after the run.
 PROBE = """
 import json, sys
 loaded = lambda: [m for m in {deferred!r} if m in sys.modules]
 import bellsim.cli
 after_import = loaded()
-code = bellsim.cli.main([sys.argv[1], "-o", sys.argv[2]])
+code = bellsim.cli.main([sys.argv[1], "-o", sys.argv[2], *sys.argv[3:]])
 print(json.dumps([after_import, loaded(), code]))
 """
 
@@ -53,14 +56,14 @@ print(json.dumps(loaded))
 """
 
 
-def probe(tmp_path, doc, script=PROBE.format(deferred=DEFERRED)) -> list:
-    """The last line of a fresh CLI process running ``doc`` through ``script``, by default
+def probe(tmp_path, doc, script=PROBE.format(deferred=DEFERRED), flags=()) -> list:
+    """The last line of a fresh CLI process running ``doc`` through ``script`` with ``flags``, by default
     ``[loaded after the import, loaded after the run, exit code]``."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+        [sys.executable, "-c", script, str(config), str(tmp_path / "out"), *flags],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
@@ -75,6 +78,12 @@ def test_a_successful_run_imports_neither_argparse_nor_locale(tmp_path):
     # through gettext, which imports locale, only on a usage error
     script = PROBE.format(deferred=("argparse", "locale"))
     assert probe(tmp_path, {"trials_per_pair": 50, "traced_trials": 3}, script) == [[], [], 0]
+
+
+@pytest.mark.parametrize("flags", [[], ["-vv"]], ids=["quiet", "very-verbose"])
+def test_neither_the_import_nor_a_run_at_any_verbosity_loads_logging(tmp_path, flags):
+    script = PROBE.format(deferred=("logging", "traceback", "string"))
+    assert probe(tmp_path, {"trials_per_pair": 50, "traced_trials": 3}, script, flags) == [[], [], 0]
 
 
 def test_a_run_on_two_sampling_threads_leaves_the_pool_unloaded(tmp_path):

@@ -98,11 +98,7 @@ def _no_signaling_section(behavior: Behavior, dataset: Dataset) -> dict:
     empirical = max(marginal_spreads(dataset.counts, n))
     bound = 5.0 / float(np.sqrt(n.min()))
     return {
-        "analytic": {
-            "max_deviation": analytic.max_deviation,
-            "marginal_setting_independent": analytic.marginal_setting_independent,
-            "tol": analytic.tol,
-        },
+        "analytic": analytic._asdict(),
         "empirical": {
             "max_deviation": empirical,
             "bound": bound,
@@ -116,24 +112,15 @@ def _factorizability_section(behavior: Behavior) -> dict:
         report = check_factorizable(behavior)
     except UnsupportedScenarioError as exc:
         return {"supported": False, "reason": str(exc)}
-    return {
-        "supported": True,
-        "is_local": report.is_local,
-        "max_facet": report.max_facet,
-        "worst_signs": list(report.worst_signs),
-        "no_signaling_passed": report.no_signaling.passed,
-        "tol": report.tol,
-    }
+    section = {"supported": True, **report._asdict()}
+    section["no_signaling_passed"] = section.pop("no_signaling").passed
+    return section
 
 
 def _classification_section(traces, est: ChshEstimate, config: ExperimentConfig) -> list:
     if not traces:
         return []
-    reports = []
-    for stage in (Stage.INITIAL, Stage.SETTING, Stage.DETECTION, Stage.COMMUNICATION):
-        report = classify_violation(traces[0], stage, config.chsh, estimate=est, observer="A")
-        reports.append(report.to_dict())
-    return reports
+    return [classify_violation(traces[0], stage, config.chsh, estimate=est, observer="A").to_dict() for stage in Stage]
 
 
 def _stage_table_section(traces) -> dict:
@@ -151,10 +138,7 @@ def _event_entry(e, schedule) -> dict:
         "x": e.x,
         "kind": type(payload).__name__,
         "speed": e.speed,
-        "received": {
-            "A": reception_time(e, schedule.worldline_a),
-            "B": reception_time(e, schedule.worldline_b),
-        },
+        "received": {w.observer: reception_time(e, w) for w in (schedule.worldline_a, schedule.worldline_b)},
     }
     if isinstance(payload, Message):
         entry["sender"] = payload.sender

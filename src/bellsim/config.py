@@ -76,26 +76,10 @@ def decode_text(data: bytes, path: str) -> str:
 
 
 def build_model(config: ExperimentConfig) -> Behavior:
-    """The configured behavior; a custom file's grids must hold the chosen settings."""
-    if config.model == "singlet":
-        return singlet_behavior(config.grid_a, config.grid_b)
-    if config.model == "pr-box":
-        return pr_box()
-    if config.model == "lhv":
-        return lhv_behavior(config.lhv, config.grid_a, config.grid_b)
-    if config.model == "custom":
-        # open raises ValueError for a path with a NUL byte or a lone surrogate,
-        # and csv raises csv.Error for a field past its size limit
-        try:
-            with open(config.behavior_file, "rb") as fh:
-                behavior = behavior_from_csv(decode_text(fh.read(INPUT_LIMIT + 1), "behavior_file"))
-        except (ValueError, MissingDataError, csv.Error) as exc:
-            raise ConfigError([("behavior_file", str(exc))]) from exc
-        errors = _grid_errors(config.chsh, config.preset_pair, config.trials_per_pair, behavior.grid_a, behavior.grid_b)
-        if errors:
-            raise ConfigError(errors)
-        return behavior
-    raise ValueError(f"unknown model {config.model!r}")
+    """The configured behavior, built by the model's ``_MODELS`` entry alone."""
+    if config.model not in _MODELS:
+        raise ValueError(f"unknown model {config.model!r}")
+    return _MODELS[config.model].build(config)
 
 
 #: The scalar fields' JSON bounds: at least ``min``, and below ``below``.
@@ -282,16 +266,34 @@ _PARSERS = {
     "preset_pair": partial(_parse_settings, pair=True),
 }
 
+
+def _read_behavior_file(config: ExperimentConfig) -> Behavior:
+    """A custom model's behavior, read from its file, whose grids must hold the chosen settings."""
+    # open raises ValueError for a path with a NUL byte or a lone surrogate,
+    # and csv raises csv.Error for a field past its size limit
+    try:
+        with open(config.behavior_file, "rb") as fh:
+            behavior = behavior_from_csv(decode_text(fh.read(INPUT_LIMIT + 1), "behavior_file"))
+    except (ValueError, MissingDataError, csv.Error) as exc:
+        raise ConfigError([("behavior_file", str(exc))]) from exc
+    errors = _grid_errors(config.chsh, config.preset_pair, config.trials_per_pair, behavior.grid_a, behavior.grid_b)
+    if errors:
+        raise ConfigError(errors)
+    return behavior
+
+
 #: Each model: whether its settings are angles rather than integer labels; its
-#: default CHSH settings, whose grids are the default grids; the one key that
-#: only it reads, what that key holds and the key's parser; and its grids:
-#: "free", "fixed" to the defaults, or "file", read from that key's file.
-_Model = namedtuple("_Model", "angles chsh key holds parse grids", defaults=(None, "", None, "free"))
+#: default CHSH settings, whose grids are the default grids; the function that
+#: builds its behavior from a config; the one key that only it reads, what that
+#: key holds and the key's parser; and its grids: "free", "fixed" to the
+#: defaults, or "file", read from that key's file.
+_Model = namedtuple("_Model", "angles chsh build key holds parse grids", defaults=(None, "", None, "free"))
 _MODELS = {
-    "singlet": _Model(True, _SINGLET),
-    "pr-box": _Model(False, pr_box_settings(), grids="fixed"),
-    "lhv": _Model(False, pr_box_settings(), "lhv", "hidden-variable tables", _parse_lhv),
-    "custom": _Model(False, pr_box_settings(), "behavior_file", "a behavior file path",
+    "singlet": _Model(True, _SINGLET, lambda config: singlet_behavior(config.grid_a, config.grid_b)),
+    "pr-box": _Model(False, pr_box_settings(), lambda config: pr_box(), grids="fixed"),
+    "lhv": _Model(False, pr_box_settings(), lambda config: lhv_behavior(config.lhv, config.grid_a, config.grid_b),
+                  "lhv", "hidden-variable tables", _parse_lhv),
+    "custom": _Model(False, pr_box_settings(), _read_behavior_file, "behavior_file", "a behavior file path",
                      partial(_parse_scalar, kind=str), "file"),
 }
 

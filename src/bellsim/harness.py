@@ -38,7 +38,7 @@ import numpy as np
 from .angles import setting_text
 from .config import ExperimentConfig
 from .errors import ConfigError, MissingDataError, RealismViolationError
-from .models import CELL_OUTCOMES, Behavior, ChshSettings, chsh_sum, chsh_value, correlators
+from .models import CELL_OUTCOMES, Behavior, ChshSettings, _setting_grids, chsh_sum, chsh_value, correlators
 from .observers import (
     ObserverState,
     PooledState,
@@ -118,7 +118,7 @@ class TrialTrace(NamedTuple):
 
 
 class Dataset:
-    """Per-pair outcome counts ``n(a, b, x, y)`` and, optionally, every trial's cell.
+    """Per-pair outcome counts ``n(a, b, x, y)`` over grids of distinct settings and, optionally, every trial's cell.
 
     ``records`` is a ``uint8`` array with one index into :data:`CELL_OUTCOMES`
     per trial, in trial order; it is empty when records were not kept.  Trials
@@ -129,8 +129,7 @@ class Dataset:
     """
 
     def __init__(self, grid_a, grid_b, counts, records=()):
-        self.grid_a = tuple(grid_a)
-        self.grid_b = tuple(grid_b)
+        self.grid_a, self.grid_b = _setting_grids(grid_a, grid_b)
         counts = np.asarray(counts)
         expected = (len(self.grid_a), len(self.grid_b), 2, 2)
         if counts.shape != expected:
@@ -250,11 +249,11 @@ def trace_trials(config: ExperimentConfig, behavior: Behavior) -> list:
     the observer update with the config's schedule and uncertainty options, and
     each trial ends with pooled information.  All traced trials draw from one
     counter stream, as in :func:`run_experiment`, and each trial's cell is its
-    own word checked against its pair's bounds by :func:`_cells`, with no
-    segment pass: the time per traced trial does not depend on
-    ``trials_per_pair``.  Trials with the same (pair index, outcome cell) are
-    one :class:`TrialTrace`, its events built once, and keys share every event
-    of a slot and value (see :meth:`Schedule.trial_events`).  Every key shares one
+    own word checked against its pair's bounds by :func:`_cells`, so the
+    time per traced trial does not depend on ``trials_per_pair``.  Trials
+    with the same (pair index, outcome cell) are one :class:`TrialTrace`, its
+    events built once, and keys share every event of a slot and value (see
+    :meth:`Schedule.trial_events`).  Every key shares one
     prefix tree of observer states (see :func:`_ledgers`): an observer's state
     after receiving its own setting and outcome is the same whatever the far
     wing did.  So the cost grows with the distinct received prefixes per

@@ -42,14 +42,22 @@ def _grid_index(grid: tuple, setting) -> int:
         raise ValueError(f"setting {setting!r} not in grid {grid}") from None
 
 
+def _setting_grids(grid_a, grid_b) -> tuple:
+    """``(grid_a, grid_b)`` as tuples; a grid that repeats a setting is a ``ValueError`` naming it."""
+    grids = tuple(grid_a), tuple(grid_b)
+    for name, grid in zip(("grid_a", "grid_b"), grids):
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"{name} repeats a setting: {grid}")
+    return grids
+
+
 class Behavior:
-    """``p(a, b | x, y)`` stored as an array indexed ``[x, y, a, b]``."""
+    """``p(a, b | x, y)`` stored as an array indexed ``[x, y, a, b]``, over grids of distinct settings."""
 
     __slots__ = ("grid_a", "grid_b", "table")
 
     def __init__(self, grid_a, grid_b, table):
-        self.grid_a = tuple(grid_a)
-        self.grid_b = tuple(grid_b)
+        self.grid_a, self.grid_b = _setting_grids(grid_a, grid_b)
         self.table = distribution(table, (len(self.grid_a), len(self.grid_b), 2, 2), (2, 3))
 
     def slice(self, x, y) -> np.ndarray:

@@ -49,10 +49,6 @@ from .spacetime import (
     setting_symbol,
 )
 
-#: Canonical free-variable order for ledgers over the four data propositions.
-CANONICAL = ("±a", "θa", "±b", "θb")
-
-
 class Stage(Enum):
     """The four stage labels an observer's clock moves through."""
 
@@ -154,16 +150,6 @@ class ObserverState(NamedTuple):
         return setting_symbol(self.observer)
 
 
-def data_variables(behavior: Behavior) -> dict:
-    """The four proposition variables induced by a behavior's grids."""
-    return {
-        "±a": Variable("±a", OUTCOMES),
-        "θa": Variable("θa", tuple(behavior.grid_a)),
-        "±b": Variable("±b", OUTCOMES),
-        "θb": Variable("θb", tuple(behavior.grid_b)),
-    }
-
-
 def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tuple:
     """Both observers' shared starting ledger over the four data propositions.
 
@@ -174,14 +160,12 @@ def init_beliefs(behavior: Behavior, schedule: Schedule, *, preset=None) -> tupl
     factually from the start (the pre-agreed-settings mode).
     """
     nx, ny = len(behavior.grid_a), len(behavior.grid_b)
-    variables = data_variables(behavior)
-    # canonical axis order (±a, θa, ±b, θb) from table axes [x, y, a, b]
+    # the canonical axis order (±a, θa, ±b, θb), from table axes [x, y, a, b]
+    free = (Variable("±a", OUTCOMES), Variable("θa", behavior.grid_a),
+            Variable("±b", OUTCOMES), Variable("θb", behavior.grid_b))
     joint = np.einsum("xyab->axby", behavior.table) * (1.0 / (nx * ny))
     conds = (_PREPARED, _AT_STAGE[Stage.INITIAL])
-    free = tuple(variables[n] for n in CANONICAL)
-    preset_qs = {} if preset is None else {
-        name: QUncertainty.delta(variables[name], value) for name, value in zip(("θa", "θb"), preset)
-    }
+    preset_qs = {} if preset is None else {v.name: QUncertainty.delta(v, value) for v, value in zip(free[1::2], preset)}
 
     def make(worldline, order):
         initial = ledger = TaggedJoint(free, joint, conds, label=worldline.observer)
@@ -397,6 +381,8 @@ def retrodict(state: ObserverState, target: str, past_stage: Stage) -> TaggedJoi
     """
     if state.stage is not Stage.COMMUNICATION:
         raise ValueError("retrodiction needs the pooled, post-communication state")
+    if past_stage is state.stage:
+        raise ValueError(f"{past_stage.value} is the current stage, not a past one")
     ledgers = state.stage_ledgers()
     if past_stage not in ledgers:
         raise ValueError(f"no ledger recorded at stage {past_stage.value}")
@@ -448,7 +434,7 @@ def ledger_chsh_expectation(ledger: TaggedJoint, settings: ChshSettings) -> floa
             v = variables[name]
             table = np.multiply.outer(table, np.eye(len(v.domain))[v.index(ledger.conditioned_value(name))])
             names.append(name)
-    # the outcome axes follow OUTCOMES, as data_variables lays them out
+    # the outcome axes follow OUTCOMES, as init_beliefs lays them out
     grid = correlators(table.transpose([names.index(n) for n in roles]))
     theta_a, theta_b = variables["θa"], variables["θb"]
     return chsh_sum([grid[theta_a.index(x), theta_b.index(y)] for x, y in settings.pairs()])

@@ -238,7 +238,8 @@ class ConditionalTable:
     undefined there, and any product with a marginal must put zero mass on
     such slices (:func:`product`, and so :func:`bayes_invert`, raise
     :class:`ImpossibleEvidenceError` otherwise).  Variables are looked up by
-    their string names throughout the kernel.
+    their string names throughout the kernel, and the free, given and
+    conditioning names must all differ, as a :class:`TaggedJoint`'s do.
     """
 
     __slots__ = ("free", "free_names", "given", "given_names", "array", "conditioners", "label")
@@ -246,6 +247,8 @@ class ConditionalTable:
     def __init__(self, free, given, table, conditioners=(), label=""):
         free = tuple(free)
         given = tuple(given)
+        conditioners = tuple(conditioners)
+        _check_names(free + given, conditioners)
         self.array = distribution(
             table, tuple(len(v.domain) for v in free + given), tuple(range(len(free))), empty_slices=True
         )
@@ -253,7 +256,7 @@ class ConditionalTable:
         self.free_names = tuple(v.name for v in free)
         self.given = given
         self.given_names = tuple(v.name for v in given)
-        self.conditioners = tuple(conditioners)
+        self.conditioners = conditioners
         self.label = label
 
 

@@ -811,6 +811,17 @@ def test_dataset_rejects_counts_and_records_that_do_not_fit_its_grids(counts, re
         Dataset((0,), (0,), counts, records)
 
 
+@pytest.mark.parametrize(
+    "grid_a, grid_b, name", [((0, 0), (0, 1), "grid_a"), ((0, 1), (1, 1), "grid_b")], ids=["grid_a", "grid_b"]
+)
+def test_a_behavior_and_a_dataset_reject_a_grid_that_repeats_a_setting(grid_a, grid_b, name):
+    # a repeated setting would be read at its first copy and sampled at both
+    with pytest.raises(ValueError, match=f"^{name} repeats a setting"):
+        Behavior(grid_a, grid_b, np.full((2, 2, 2, 2), 0.25))
+    with pytest.raises(ValueError, match=f"^{name} repeats a setting"):
+        Dataset(grid_a, grid_b, np.ones((2, 2, 2, 2), dtype=int))
+
+
 def test_dataset_keeps_a_uint64_count_at_the_int64_maximum():
     counts = np.array([[[[2**63 - 1, 0], [0, 0]]]], dtype=np.uint64)
     assert Dataset((0,), (0,), counts).counts.tolist() == [[[[2**63 - 1, 0], [0, 0]]]]

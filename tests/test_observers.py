@@ -569,6 +569,13 @@ def test_retrodiction_requires_recorded_target():
         retrodict(pooled.observer_a, "nonsense", Stage.SETTING)
 
 
+def test_retrodiction_to_tc_says_tc_is_the_current_stage():
+    b = optimal_behavior()
+    pooled = pool(*drive(b, b.grid_a[0], b.grid_b[0], 1, -1))
+    with pytest.raises(ValueError, match="^tc is the current stage, not a past one$"):
+        retrodict(pooled.observer_a, "±a", Stage.COMMUNICATION)
+
+
 def test_retrodiction_rejects_a_state_before_tc_a_skipped_stage_and_a_target_already_factual():
     b = optimal_behavior()
     schedule = build_schedule()

@@ -131,6 +131,17 @@ def test_bayes_anticorrelated_pair_at_sixty_degrees():
     assert post.prob({"b": -1}) == pytest.approx(expected, abs=TOL)
 
 
+def test_conditional_table_checks_its_names_as_a_joint_does():
+    h = Variable("h", ("yes", "no"))
+    e = Variable("e", ("seen", "unseen"))
+    table = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="distinct names"):
+        ConditionalTable((h,), (h,), table)
+    for free, given in (((e,), (h,)), ((h,), (e,))):  # a given or a free variable that is also a conditioner
+        with pytest.raises(ValueError, match=r"both free and conditioned: \['h'\]"):
+            ConditionalTable(free, given, table, (Conditioner(h, "yes", Modality.FACTUAL),))
+
+
 def test_bayes_zero_evidence_errors():
     h = Variable("h", ("yes", "no"))
     e = Variable("e", ("seen", "unseen"))

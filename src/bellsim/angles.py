@@ -38,7 +38,11 @@ class Angle:
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
-        """Parse ``"0"``, ``"pi/4"``, ``"-pi/4"``, ``"3pi/4"``, ``"2pi"`` etc."""
+        """Parse ``"0"``, ``"pi/4"``, ``"-pi/4"``, ``"3pi/4"``, ``"2pi"`` etc.
+
+        The multiple of pi must be below 2**53 in size, so that the radians of
+        a parsed angle, and of the difference of two, are finite floats.
+        """
         s = text.strip().replace(" ", "")
         if s in ("0", "-0"):
             return cls(0)
@@ -50,6 +54,8 @@ class Angle:
         den = int(m.group(3)) if m.group(3) else 1
         if den == 0:
             raise ValueError(f"not an angle: {text!r} (zero denominator)")
+        if num >= den * 2**53:
+            raise ValueError(f"not an angle: {text!r} (its multiple of pi must be below 2**53 in size)")
         return cls(sign * num, den)
 
     def __eq__(self, other) -> bool:

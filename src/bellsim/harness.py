@@ -189,35 +189,32 @@ def _ledgers(config: ExperimentConfig, behavior: Behavior, events: tuple, root, 
     order, as indices into a trial's events, which depends only on the
     schedule; and each report's ``q``, exact or spread, built once so that
     both observers hold the same object and :func:`pool` need not compare it.
-    A node's children are keyed by the ``id`` of the event received, which
-    each child holds so that the ``id`` is not reused while the memo lives;
-    trials share nodes because :func:`trace_trials` builds each event of a slot
-    and value once.  An event's proposition and ``q`` are read only when its
-    node is built.
+    A node's children are keyed by the event received, so equal events
+    share a node whether or not they are one object; an event's proposition
+    and ``q`` are read only when its node is built.
     """
     schedule = config.schedule
     if "order" not in memo:
         wings = (schedule.worldline_a, schedule.worldline_b)
         memo["order"] = {w.observer: [e.index for e in schedule.events_for(w.observer, events)] for w in wings}
     if root not in memo:
-        # a node is (state, children, the event received to reach it)
-        memo[root] = [(state, {}, None) for state in init_beliefs(behavior, schedule, preset=root)]
+        memo[root] = [(state, {}) for state in init_beliefs(behavior, schedule, preset=root)]  # (state, children)
     roots = memo[root]
 
     # a report carries the sender's own uncertainty about its value, which
     # depends on nothing else, so the run builds each one once
     qs, order = memo.setdefault("qs", {}), memo["order"]
     ends = []
-    for state, children, _ in roots:
+    for state, children in roots:
         for i in order[state.observer]:
             event = events[i]
-            node = children.get(id(event))
+            node = children.get(event)
             if node is None:
                 proposition = event.payload.proposition
                 if proposition not in qs:
                     qs[proposition] = _own_q(config, state.initial_ledger, *proposition)
-                node = children[id(event)] = (receive(state, event, qs[proposition]), {}, event)
-            state, children, _ = node
+                node = children[event] = (receive(state, event, qs[proposition]), {})
+            state, children = node
         ends.append(state)
     return pool(*ends)
 

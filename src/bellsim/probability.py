@@ -104,7 +104,8 @@ def distribution(values, shape, axes=None, *, empty_slices=False) -> np.ndarray:
     if not arr.min(initial=0.0) >= -TOL:
         raise ValueError("probability entry below zero or not a number")
     np.maximum(arr, 0.0, out=arr)
-    sums = arr.sum(axis=axes)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, and fails below
+        sums = arr.sum(axis=axes)
     ok = abs(sums - 1.0) <= TOL
     if empty_slices:
         ok |= sums <= TOL
@@ -114,29 +115,36 @@ def distribution(values, shape, axes=None, *, empty_slices=False) -> np.ndarray:
     return arr
 
 
-def _trusted(cls, array, free, conditioners, label, free_names=None, given=()):
-    """A ``cls`` built positionally from the result of a kernel operation, without re-validating it.
+def _store(table, array, free, conditioners, label, free_names=None, given=None):
+    """Set ``table``'s fields, its array made C-contiguous and read-only, and return it.
 
-    ``condition``, ``reorder``, ``relabel``, ``product``, ``condition_table``,
-    ``reweight``, ``observers.receive`` and ``observers.pool`` only slice,
-    permute, relabel, renormalize or multiply tables or weights that
-    already passed the public checks, so their results have the right shape,
-    no negative entry and the right sums by construction.  The array is made
-    C-contiguous and read-only, as the public constructor's copy is, so later
+    Every table is stored here, whether a public constructor checked it or a
+    kernel operation built it: so every array is laid out alike and later
     reductions over it add in the same order; no other reference may write it.
-    The variable-name tuples are stored once, as the public constructors store
-    them: a caller that knows the names of ``free`` passes them as
-    ``free_names``, and otherwise they are built from ``free``.  A
-    :class:`ConditionalTable` also takes its ``given`` variables.
+    A caller that knows the names of ``free`` passes them as ``free_names``,
+    and otherwise they are built from ``free``.  A :class:`ConditionalTable`
+    also takes its ``given`` variables.
     """
     array = np.asarray(array, order="C")
     array.setflags(write=False)
-    out = object.__new__(cls)
-    out.array, out.free, out.conditioners, out.label = array, free, conditioners, label
-    out.free_names = tuple([v.name for v in free]) if free_names is None else free_names
-    if cls is ConditionalTable:
-        out.given, out.given_names = given, tuple([v.name for v in given])
-    return out
+    table.array, table.free, table.conditioners, table.label = array, free, conditioners, label
+    table.free_names = tuple([v.name for v in free]) if free_names is None else free_names
+    if given is not None:
+        table.given, table.given_names = given, tuple([v.name for v in given])
+    return table
+
+
+def _trusted(cls, array, free, conditioners, label, free_names=None, given=None):
+    """A ``cls`` built positionally from the result of a kernel operation, without re-validating it.
+
+    ``condition``, ``marginalize``, ``reorder``, ``relabel``, ``product``,
+    ``condition_table``, ``reweight``, ``observers.receive`` and
+    ``observers.pool`` only slice, sum, permute, relabel, renormalize or
+    multiply tables or weights that already passed the public checks, so
+    their results have the right shape, no negative entry and the right sums
+    by construction.  The fields are stored by :func:`_store`.
+    """
+    return _store(object.__new__(cls), array, free, conditioners, label, free_names, given)
 
 
 class TaggedJoint:
@@ -154,11 +162,7 @@ class TaggedJoint:
         free = tuple(free)
         conditioners = tuple(conditioners)
         _check_names(free, conditioners)
-        self.array = distribution(probabilities, tuple(len(v.domain) for v in free))
-        self.free = free
-        self.free_names = tuple(v.name for v in free)
-        self.conditioners = conditioners
-        self.label = label
+        _store(self, distribution(probabilities, tuple(len(v.domain) for v in free)), free, conditioners, label)
 
     # -- lookups ---------------------------------------------------------
 
@@ -249,15 +253,9 @@ class ConditionalTable:
         given = tuple(given)
         conditioners = tuple(conditioners)
         _check_names(free + given, conditioners)
-        self.array = distribution(
-            table, tuple(len(v.domain) for v in free + given), tuple(range(len(free))), empty_slices=True
-        )
-        self.free = free
-        self.free_names = tuple(v.name for v in free)
-        self.given = given
-        self.given_names = tuple(v.name for v in given)
-        self.conditioners = conditioners
-        self.label = label
+        shape = tuple(len(v.domain) for v in free + given)
+        array = distribution(table, shape, tuple(range(len(free))), empty_slices=True)
+        _store(self, array, free, conditioners, label, given=given)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ def marginalize(d: TaggedJoint, variable: str) -> TaggedJoint:
     for k in range(1, moved.shape[0]):
         acc = acc + moved[k]
     rest = d.free[:axis] + d.free[axis + 1 :]
-    return TaggedJoint(rest, acc, d.conditioners, d.label)
+    return _trusted(TaggedJoint, acc, rest, d.conditioners, d.label)
 
 
 def keep_only(d: TaggedJoint, names: Iterable[str]) -> TaggedJoint:

@@ -228,6 +228,8 @@ def build_schedule(
             raise InvalidScheduleError(f"{part} must be finite; got {values}", part)
     if position_a == position_b:
         raise InvalidScheduleError("observer worldlines must be distinct", "positions")
+    if not c > 0.0:
+        raise InvalidScheduleError(f"c must be positive; got {c}", "c")
     if not (0.0 < signal_speed <= c):
         raise InvalidScheduleError(f"signal speed must lie in (0, c]; got {signal_speed}", "signal_speed")
     times = (t_prepare, t_setting, t_detection, t_communication)

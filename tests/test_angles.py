@@ -24,6 +24,16 @@ def test_parse_rejects_garbage():
             Angle.parse(bad)
 
 
+def test_parse_bounds_the_multiple_of_pi():
+    # below 2**53 in size, so the radians of an angle and of a difference of two are finite
+    assert Angle.parse(f"-{2**53 - 1}pi").numerator == -(2**53 - 1)
+    assert Angle.parse(f"{2**54 - 1}pi/2") == Angle.of(2**54 - 1, 2)
+    for bad in [f"{2**53}pi", f"-{2**53}pi", f"{2**54}pi/2"]:
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            Angle.parse(bad)
+    assert math.isfinite((Angle.parse(f"{2**53 - 1}pi") - Angle.parse(f"-{2**53 - 1}pi")).radians)
+
+
 def test_exact_equality_and_arithmetic():
     assert Angle.of(2, 8) == Angle.of(1, 4)
     assert Angle.of(1, 2) - Angle.of(1, 4) == Angle.of(1, 4)

@@ -37,6 +37,7 @@ from bellsim import cli, harness
 from bellsim import config as config_module
 from bellsim.angles import setting_text
 from bellsim.cli import ARTIFACTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
+from bellsim.models import CELL_OUTCOMES
 from bellsim.spacetime import SettingChoice
 from conftest import GRID_4X4, TRACED_CONFIGS, traces_by_run_trial
 
@@ -989,6 +990,9 @@ def test_config_errors_are_reported_in_one_fixed_order(tmp_path, capsys):
     # a bad or misspelled member stops the schedule check: a default would stand in its place
     ({"stage_times": {"prepare": "x", "setting": -5}}, "stage_times.prepare: expected float"),
     ({"positions": {"a": 1.0, "bb": 1.0}}, "positions.bb: unknown key"),
+    # (0, c] is empty: c is at fault
+    ({"c": 0}, "c: c must be positive; got 0.0"),
+    ({"c": -1}, "c: c must be positive; got -1.0"),
 ])
 def test_schedule_error_is_reported_at_the_key_it_concerns(tmp_path, capsys, doc, line):
     code, out = run_cli(tmp_path, doc)
@@ -1007,6 +1011,37 @@ def test_bad_lhv_table_is_reported_at_its_field(tmp_path, capsys, field):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"config error at lhv.{field}: bad hidden-variable table")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_table_whose_sum_overflows_is_a_config_error_not_a_warning():
+    # warnings are errors here, so numpy's overflow warning would escape parse_config
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"model": "lhv", "lhv": {"prior": [1e308, 1e308], **LHV_RESPONSES}}))
+    assert err.value.errors == [("lhv.prior", "bad hidden-variable table: probabilities sum to inf, not 1")]
+
+
+#: Multiples of pi whose radians overflow a float (1e400) or whose cosine's argument does (6e307).
+HUGE_MULTIPLES = ["1" + "0" * 400 + "pi", "6" + "0" * 307 + "pi"]
+
+
+@pytest.mark.parametrize("multiple", HUGE_MULTIPLES, ids=["1e400pi", "6e307pi"])
+@pytest.mark.parametrize("route", ["grid_a[0]", "behavior_file"])
+def test_a_huge_angle_multiple_is_one_config_error(tmp_path, capsys, multiple, route):
+    if route == "grid_a[0]":
+        doc = {"grid_a": [multiple, "pi/2"]}
+    else:
+        table = tmp_path / "behavior.csv"
+        rows = [f"{x},{y},{a},{b},0.25" for x in (multiple, "pi/2") for y in ("pi/4", "-pi/4")
+                for a, b in CELL_OUTCOMES]
+        table.write_text("\n".join(["x,y,a,b,p", *rows]) + "\n", encoding="utf-8")
+        doc = {"model": "custom", "behavior_file": str(table)}
+    chsh = {"x0": "pi/2", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}
+    code, out = run_cli(tmp_path, {**doc, "chsh": chsh, "trials_per_pair": 10})
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error at {route}: not an angle: {multiple!r} (its multiple of pi must be below 2**53 in size)"
+    ]
     assert not out.exists()
 
 

@@ -31,7 +31,7 @@ import pytest
 from bellsim import ConfigError, behavior_to_csv, build_model, parse_config, pr_box
 from bellsim import config as config_module
 from bellsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
-from conftest import random_behavior, valid_configs
+from conftest import LHV_TABLES, random_behavior, valid_configs
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -39,7 +39,10 @@ st = hypothesis.strategies
 #: The custom model's file, named before the strategies are built and written by ``behavior_file``.
 BEHAVIOR_FILE = Path(tempfile.gettempdir()) / f"bellsim-fuzz-{os.getpid()}" / "behavior.csv"
 
-FEW_STRINGS = st.sampled_from(["", "0", "0pi", "pi/0", "pi/4", "-3pi/4", "2pi", "1e400", "custom", "lhv", "x"])
+#: Strings close to valid values, among them a multiple of pi whose radians overflow a float.
+FEW_STRINGS = st.sampled_from(
+    ["", "0", "0pi", "pi/0", "pi/4", "-3pi/4", "2pi", "1" + "0" * 400 + "pi", "1e400", "custom", "lhv", "x"]
+)
 
 
 def junk(ints):
@@ -49,6 +52,7 @@ def junk(ints):
         scalar,
         st.lists(scalar, max_size=3),
         st.lists(st.integers(0, 3) | FEW_STRINGS, min_size=1, max_size=3, unique=True),
+        st.just([1.7e308, 1.7e308]),  # finite numbers whose sum overflows
         st.dictionaries(st.sampled_from(["a", "x0", "prior", "setting", "hidden"]), scalar, max_size=2),
     )
 
@@ -113,9 +117,18 @@ def test_valid_configs_run_once_traced(doc):
 
 OVERRIDES = st.fixed_dictionaries({}, optional={"seed": ANY_INTS, "trials_per_pair": ANY_INTS})
 
+#: One mutation of each value above that random draws seldom place where it does harm: a grid
+#: entry that the CHSH settings leave out, and a prior of the two-cause table.
+HUGE_GRID_ENTRY = ({"grid_a": ["1" + "0" * 400 + "pi", "pi/2"], "trials_per_pair": 5,
+                    "chsh": {"x0": "pi/2", "x1": "pi/2", "y0": "pi/4", "y1": "-pi/4"}}, "grid_a")
+OVERFLOWING_PRIOR = ({"model": "lhv", "lhv": {**LHV_TABLES[1], "prior": [1.7e308, 1.7e308]},
+                      "trials_per_pair": 5}, "lhv")
+
 
 @hypothesis.settings(deadline=None, max_examples=150, derandomize=True)
 @hypothesis.given(case=mutated_configs(junk(ANY_INTS)), overrides=st.none() | OVERRIDES)
+@hypothesis.example(case=HUGE_GRID_ENTRY, overrides=None)
+@hypothesis.example(case=OVERFLOWING_PRIOR, overrides=None)
 def test_mutated_config_parses_or_names_a_key(case, overrides):
     doc, top = case
     try:
@@ -132,6 +145,8 @@ def test_mutated_config_parses_or_names_a_key(case, overrides):
 
 @hypothesis.settings(deadline=None, max_examples=12, derandomize=True)
 @hypothesis.given(case=mutated_configs(junk(RUN_INTS)), trials=st.none() | RUN_INTS)
+@hypothesis.example(case=HUGE_GRID_ENTRY, trials=None)
+@hypothesis.example(case=OVERFLOWING_PRIOR, trials=None)
 def test_mutated_config_through_the_cli_exits_cleanly(case, trials):
     doc, top = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,9 +1,10 @@
 """Kernel operations build their results without re-validating them.
 
-``condition``, ``reorder``, ``relabel``, ``product``, ``condition_table`` and
-``reweight`` skip the public constructors' shape, sign and sum checks, since
-their operands already passed them; ``condition`` and ``reweight`` also keep a
-given ``context`` of conditioners unchecked.  Each result must still be exactly
+``condition``, ``marginalize`` (through ``keep_only``), ``reorder``,
+``relabel``, ``product``, ``condition_table`` and ``reweight`` skip the public
+constructors' shape, sign and sum checks, since their operands already passed
+them; ``condition`` and ``reweight`` also keep a given ``context`` of
+conditioners unchecked.  Each result must still be exactly
 what the public constructor accepts: rebuilding it through ``TaggedJoint(...)``
 or ``ConditionalTable(...)`` raises nothing and gives an equal object, and its
 array is read-only.
@@ -89,6 +90,7 @@ def test_kernel_results_pass_the_public_constructor(d, data):
     results = [
         d.relabel(data.draw(st.sampled_from(("", "A", "B", "A∪B")))),
         d.reorder(perm),
+        mass,
         condition(d, (var.name, value), modality),
         condition(d, (var.name, value), modality, context=d.conditioners[::-1] + (EXTRA,)),
         ct,

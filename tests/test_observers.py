@@ -43,7 +43,6 @@ TOL = 1e-12
 
 ZERO = Angle.of(0)
 HALF = Angle.of(1, 2)
-QUARTER = Angle.of(1, 4)
 
 
 def shared_grid_behavior():
